@@ -18,7 +18,7 @@ func runExperiment(b *testing.B, name string, apps []string) *Table {
 	var tb *Table
 	for i := 0; i < b.N; i++ {
 		var err error
-		tb, err = Experiment(name, apps)
+		tb, _, err = ExperimentData(name, RunOptions{Apps: apps})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -222,7 +222,7 @@ func canaries(r *benchReport) {
 	r.BW4KBCNI512QMBps = cni.Bandwidth(cfg, 4096, 200)
 	torus := cni.Config{Nodes: 16, NI: cni.CNI512Q, Bus: cni.MemoryBus, Topology: cni.TopoTorus}
 	r.TorusProbeRTTCycles = uint64(cni.ProbeRTT(torus, 64, 8, 1000))
-	_, rows := cni.LoadSweep(cni.SweepOptions{NIs: []cni.NIKind{cni.CNI512Q}})
+	_, _, rows := cni.LoadSweep(cni.SweepOptions{NIs: []cni.NIKind{cni.CNI512Q}})
 	r.LoadsweepFlatKneeMBps = rows[0].KneeOfferedMBps
 	r.LoadsweepTorusKneeMBps = rows[1].KneeOfferedMBps
 	r.TorusLoadsweepEventsPerSec, r.TorusLoadsweepDeliveredMsgs = torusLoadsweepThroughput(cni.TraceSpec{})

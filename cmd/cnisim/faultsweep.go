@@ -1,11 +1,9 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 
 	cni "repro"
-	"repro/internal/harness"
 )
 
 // runFaultSweep drives the fault-injection subsystem: by default the
@@ -15,56 +13,23 @@ import (
 // workload keeps its own stream, so traffic is identical across
 // seeds).
 func runFaultSweep(args []string) error {
-	fs := flag.NewFlagSet("faultsweep", flag.ExitOnError)
-	drop := fs.Float64("drop", -1, "inject this per-message drop rate only (default: the full ladder 0..1e-2)")
-	degrade := fs.Float64("degrade", 1, "degrade links mid-run: latency xK, bandwidth /K (1 = no window)")
-	seed := fs.Uint64("seed", 0, "fault-injection seed (0 = default; traffic is seed-independent)")
-	ni := fs.String("ni", "", "restrict to one NI design (default: the five paper NIs + DMA)")
-	topology := fs.String("topology", "", "restrict to one fabric (default: flat and torus)")
-	jsonOut, csvOut := exportFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	c := newSweepCmd("faultsweep")
+	drop := c.Float64("drop", 0, "inject this per-message drop rate in [0, 1) only (default: the full ladder 0..1e-2)")
+	degrade := c.Float64("degrade", 1, "degrade links mid-run: latency xK, bandwidth /K (1 = no window)")
+	seed := c.Uint64("seed", 0, "fault-injection seed (0 = default; traffic is seed-independent)")
 	// Flag conflicts and range errors fail before the multi-minute sweep.
-	if err := validateExport(*jsonOut, *csvOut); err != nil {
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	if *drop != -1 && (*drop < 0 || *drop >= 1) {
-		return fmt.Errorf("--drop=%g is not a drop rate; valid values are probabilities in [0, 1), e.g. 0, 1e-4, or 0.01 (omit the flag for the full ladder)", *drop)
+	opt := cni.FaultOptions{Seed: *seed, DegradeX: *degrade, NIs: c.nis, Topos: c.topos, Progress: c.note}
+	if c.set("drop") {
+		if !(*drop >= 0 && *drop < 1) {
+			return fmt.Errorf("--drop=%g is not a drop rate; valid values are probabilities in [0, 1), e.g. 0, 1e-4, or 0.01 (omit the flag for the full ladder)", *drop)
+		}
+		opt.Drops = []float64{*drop}
 	}
-	if *degrade < 1 {
+	if !(*degrade >= 1) {
 		return fmt.Errorf("--degrade=%g would speed links up; valid values are multipliers >= 1 (1 disables the degrade window)", *degrade)
 	}
-	opt := cni.FaultOptions{Seed: *seed, DegradeX: *degrade}
-	ladder := cni.FaultLadder
-	if *drop >= 0 {
-		ladder = []float64{*drop}
-		opt.Drops = ladder
-	}
-	if *ni != "" {
-		kind, err := parseNI(*ni)
-		if err != nil {
-			return err
-		}
-		opt.NIs = []cni.NIKind{kind}
-	}
-	if *topology != "" {
-		topo, err := cni.ParseTopology(*topology)
-		if err != nil {
-			return err
-		}
-		opt.Topos = []cni.Topology{topo}
-	}
-	pm := startProgress("faultsweep")
-	if pm != nil {
-		opt.Progress = func(cell string, drop float64) {
-			pm.note(cell, fmt.Sprintf("@ drop %g", drop))
-		}
-	}
-	t, rows := cni.FaultSweep(opt)
-	pm.finish()
-	printTable(t, *jsonOut, *csvOut)
-	// As with loadsweep, Data carries the CSV summary grid plus the full
-	// per-NI ladders (per-rung counters included) under Extra.
-	return export(harness.FaultData(t, ladder, rows), *jsonOut, *csvOut)
+	return runSweep(c, cni.FaultSweep, opt)
 }

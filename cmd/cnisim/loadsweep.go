@@ -1,104 +1,68 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"math"
 
 	cni "repro"
 	"repro/internal/harness"
+	"repro/internal/params"
 )
 
 // runLoadSweep drives the workload/telemetry subsystem: by default a
 // full offered-load sweep to saturation per NI × topology; with
 // --load, one measured point at a fixed per-node offered load.
 func runLoadSweep(args []string) error {
-	fs := flag.NewFlagSet("loadsweep", flag.ExitOnError)
-	arrival := fs.String("arrival", "poisson", "arrival process: poisson, bursty, or closed")
-	zipf := fs.Float64("zipf", -1, "destination Zipf skew (>= 0 overrides, 0 = uniform; default keeps the hotspot skew)")
-	load := fs.Float64("load", 0, "measure one point at this per-node offered MB/s instead of sweeping")
-	ni := fs.String("ni", "", "restrict to one NI design (default: the five paper NIs + DMA)")
-	topology := fs.String("topology", "", "restrict to one fabric (default: flat and torus)")
-	seed := fs.Uint64("seed", 0, "workload seed (0 = default)")
-	nodes := fs.Int("nodes", 0, "node count for a --load point (default the sweep's 16)")
-	shards := fs.Int("shards", 0, "event-engine shards for a --load point (torus machines over 16 nodes; 0 = serial)")
-	jsonOut, csvOut := exportFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// Flag conflicts fail before the multi-minute sweep.
-	if err := validateExport(*jsonOut, *csvOut); err != nil {
+	c := newSweepCmd("loadsweep")
+	arrival := c.String("arrival", "poisson", "arrival process: poisson, bursty, or closed")
+	zipf := c.Float64("zipf", 0, "destination Zipf skew in [0, 10] (0 = uniform; default keeps the hotspot skew)")
+	load := c.Float64("load", 0, "measure one point at this per-node offered MB/s (> 0) instead of sweeping")
+	seed := c.Uint64("seed", 0, "workload seed (0 = default)")
+	nodes := c.Int("nodes", 0, "node count for a --load point (default the sweep's 16)")
+	shards := c.Int("shards", 0, "event-engine shards for a --load point (torus machines over 16 nodes; 0 = serial)")
+	// Flag conflicts and range errors fail before the multi-minute sweep.
+	if err := c.parse(args); err != nil {
 		return err
 	}
 	ak, err := cni.ParseArrival(*arrival)
 	if err != nil {
 		return err
 	}
-	opt := cni.SweepOptions{Arrival: ak, Seed: *seed}
-	if *zipf >= 0 {
+	opt := cni.SweepOptions{Arrival: ak, Seed: *seed, NIs: c.nis, Topos: c.topos, Progress: c.note}
+	if c.set("zipf") {
+		if !(*zipf >= 0 && *zipf <= params.MaxZipfS) {
+			return fmt.Errorf("--zipf=%g is not a Zipf skew; valid values are in [0, %d] (0 = uniform; omit the flag for the hotspot skew)", *zipf, params.MaxZipfS)
+		}
 		opt.ZipfS = zipf
 	}
-	if *ni != "" {
-		kind, err := parseNI(*ni)
-		if err != nil {
-			return err
+	if c.set("load") {
+		if !(*load > 0) || math.IsInf(*load, 1) {
+			return fmt.Errorf("--load=%g is not an offered load; valid values are finite per-node MB/s > 0 (omit the flag for the full sweep)", *load)
 		}
-		opt.NIs = []cni.NIKind{kind}
-	}
-	if *topology != "" {
-		topo, err := cni.ParseTopology(*topology)
-		if err != nil {
-			return err
-		}
-		opt.Topos = []cni.Topology{topo}
-	}
-	if *load > 0 {
-		if *jsonOut != "" || *csvOut != "" {
+		if *c.jsonOut != "" || *c.csvOut != "" {
 			return fmt.Errorf("--json/--csv export the full sweep; they do not apply to a single --load point")
 		}
 		if ak == cni.ArrivalClosed {
 			return fmt.Errorf("--load sets an open-loop offered rate; the closed loop self-limits (run the closed-loop sweep without --load instead)")
 		}
-		return runLoadPoint(opt, *load, *nodes, *shards)
+		return runLoadPoint(c.point(*nodes, *shards), opt, *load)
 	}
 	// The sweep's cells are pinned at the paper's 16-node machine so
 	// rows stay comparable; scale knobs only shape a --load point.
 	if *nodes != 0 || *shards != 0 {
 		return fmt.Errorf("--nodes/--shards apply to a single --load point; the sweep is pinned at %d nodes", harness.SweepNodes)
 	}
-	pm := startProgress("loadsweep")
-	if pm != nil {
-		opt.Progress = func(cell string, mbps float64) {
-			pm.note(cell, fmt.Sprintf("@ %.1f MB/s offered", mbps))
-		}
-	}
-	t, rows := cni.LoadSweep(opt)
-	pm.finish()
-	printTable(t, *jsonOut, *csvOut)
-	// The sweep's Data carries the CSV summary schema as its grid and
-	// the full per-NI ladders under Extra, so the uniform --json/--csv
-	// exporters cover both the summary and the detailed telemetry.
-	return export(harness.SweepData(t, rows), *jsonOut, *csvOut)
+	return runSweep(c, cni.LoadSweep, opt)
 }
 
-// runLoadPoint measures one offered-load point with full percentile
-// output, using the sweep's measurement windows. nodes and shards
-// scale the machine past the sweep's 16-node default (shards > 0
-// selects the sharded conservative-lookahead engine on torus machines
-// over 16 nodes; results are shard-count invariant).
-func runLoadPoint(opt cni.SweepOptions, perNodeMBps float64, nodes, shards int) error {
-	kind := cni.CNI512Q
-	if len(opt.NIs) == 1 {
-		kind = opt.NIs[0]
-	}
-	topo := cni.TopoFlat
-	if len(opt.Topos) == 1 {
-		topo = opt.Topos[0]
-	}
-	if nodes == 0 {
-		nodes = harness.SweepNodes
-	}
+// runLoadPoint measures one offered-load point on cfg's machine with
+// full percentile output, using the sweep's measurement windows. cfg
+// may scale past the sweep's 16 nodes (shards > 0 selects the sharded
+// conservative-lookahead engine on torus machines over 16 nodes;
+// results are shard-count invariant).
+func runLoadPoint(cfg cni.Config, opt cni.SweepOptions, perNodeMBps float64) error {
 	wl := harness.SweepWorkload(opt, perNodeMBps, 0)
-	cfg := cni.Config{Nodes: nodes, NI: kind, Bus: cni.MemoryBus, Topology: topo, Workload: wl, Shards: shards}
+	cfg.Workload = wl
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

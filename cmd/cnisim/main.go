@@ -22,6 +22,10 @@
 //	cnisim loadsweep [--arrival=poisson|bursty|closed] [--zipf=1.1] [--ni=...] [--topology=...]
 //	cnisim loadsweep --load=8 --ni=CNI512Q --topology=torus [--nodes=4096 --shards=64]
 //	cnisim faultsweep [--drop=1e-3] [--degrade=4] [--seed=7] [--ni=...] [--topology=...]
+//	cnisim rpc [--clients=N] [--hedge=0.1] [--ni=...] [--topology=...]
+//	cnisim rpc --fanout=8 [--think=cycles] [--incast-chunk=B] [--ni=...] [--topology=...]
+//	cnisim collective [--bytes=N] [--ni=...] [--topology=...]
+//	cnisim collective --schedule=ring-allreduce [--nodes=64 --shards=4]
 //	cnisim benchjson [--out=BENCH_sim.json] [--check]
 //	cnisim trace loadsweep --topology=torus [--out=trace.json] [--sample-every=1000]
 //	cnisim all
@@ -113,7 +117,8 @@ commands:
   rpc               datacenter RPC fan-out tail-at-scale sweep with aggregated
                     million-client populations (--clients --client-zipf --hedge
                     --hedge-after --ni --topology --seed; --fanout=k measures one
-                    point instead, optionally with the --incast-chunk=B storage preset)
+                    point instead, optionally with --think=cycles and the
+                    --incast-chunk=B storage preset)
   collective        collective-schedule sweep: completion time and per-step skew
                     (--bytes --ni --topology; --schedule=ring-allreduce|rd-allreduce|
                     alltoall|broadcast runs one schedule with per-step detail,
@@ -324,7 +329,7 @@ func parseConfig(ni, bus, topology string, nodes int) (cni.Config, error) {
 		return cfg, err
 	}
 	cfg.Topology = topo
-	kind, err := parseNI(ni)
+	kind, err := cni.ParseNI(ni)
 	if err != nil {
 		return cfg, err
 	}
@@ -341,10 +346,6 @@ func parseConfig(ni, bus, topology string, nodes int) (cni.Config, error) {
 	}
 	return cfg, cfg.Validate()
 }
-
-// parseNI resolves an NI design name; the valid set and its
-// valid-values error live in params (one place to extend).
-func parseNI(ni string) (cni.NIKind, error) { return cni.ParseNI(ni) }
 
 func runMicro(cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)

@@ -301,6 +301,16 @@ func TestFlagTyposFailWithValidValues(t *testing.T) {
 		{"collective", []string{"--nodes=64"}, []string{"--nodes", "pinned", "16"}},
 		{"loadsweep", []string{"--nodes=64"}, []string{"--nodes", "pinned", "16"}},
 		{"loadsweep", []string{"--shards=4"}, []string{"--shards", "pinned", "16"}},
+		// An out-of-range value must name the valid range instead of
+		// reading as "flag absent" and starting a default run (the grid
+		// is narrowed so such a run would at least end quickly).
+		{"loadsweep", []string{"--load=-1", "--ni=CNI4", "--topology=flat"}, []string{"-1", "> 0"}},
+		{"loadsweep", []string{"--load=NaN", "--ni=CNI4", "--topology=flat"}, []string{"NaN", "> 0"}},
+		{"loadsweep", []string{"--zipf=-0.5", "--load=4"}, []string{"-0.5", "[0, 10]"}},
+		{"faultsweep", []string{"--drop=-1", "--ni=CNI512Q", "--topology=flat"}, []string{"-1", "[0, 1)"}},
+		{"rpc", []string{"--think=-5"}, []string{"-5", ">= 0 (0 = default)"}},
+		// --think shapes a single point; the sweep would ignore it.
+		{"rpc", []string{"--think=200000", "--clients=1000", "--ni=CNI512Q", "--topology=flat"}, []string{"--think", "--fanout"}},
 	}
 	for _, c := range cases {
 		err := run(c.cmd, c.args)

@@ -1,49 +1,30 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 
 	cni "repro"
 	"repro/internal/harness"
 )
 
-// flagWasSet reports whether the user passed the named flag
-// explicitly (as opposed to its default applying).
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 // runRPC drives the datacenter RPC fan-out subsystem: by default the
 // full fan-out-ladder + overload sweep per NI × topology; with
 // --fanout, one measured point on one machine.
 func runRPC(args []string) error {
-	fs := flag.NewFlagSet("rpc", flag.ExitOnError)
-	fanout := fs.Int("fanout", 0, "measure one point at this root fan-out (>= 1) instead of sweeping the ladder")
-	clients := fs.Int("clients", 0, "simulated client population machine-wide (default 1000000)")
-	think := fs.Int("think", 0, "mean client think cycles (default the sweep's moderate load)")
-	clientZipf := fs.Float64("client-zipf", 0, "Zipf skew of per-client request weights (0 = uniform)")
-	hedge := fs.Float64("hedge", 0, "hedge-eligible fraction of root calls, in [0, 1)")
-	hedgeAfter := fs.Int("hedge-after", 0, "hedge trigger delay in cycles (default 20000)")
-	chunk := fs.Int("incast-chunk", 0, "with --fanout: the storage incast preset, bulk replies of this many bytes")
-	ni := fs.String("ni", "", "restrict to one NI design (default: the four taxonomy corners; single point: CNI512Q)")
-	topology := fs.String("topology", "", "restrict to one fabric (default: flat and torus; single point: flat)")
-	seed := fs.Uint64("seed", 0, "arrival/backend/service seed (0 = default)")
-	jsonOut, csvOut := exportFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	c := newSweepCmd("rpc")
+	fanout := c.Int("fanout", 0, "measure one point at this root fan-out (>= 1) instead of sweeping the ladder")
+	clients := c.Int("clients", 0, "simulated client population machine-wide (default 1000000)")
+	think := c.Int("think", 0, "with --fanout: mean client think cycles (default the sweep's moderate load)")
+	clientZipf := c.Float64("client-zipf", 0, "Zipf skew of per-client request weights (0 = uniform)")
+	hedge := c.Float64("hedge", 0, "hedge-eligible fraction of root calls, in [0, 1)")
+	hedgeAfter := c.Int("hedge-after", 0, "hedge trigger delay in cycles (default 20000)")
+	chunk := c.Int("incast-chunk", 0, "with --fanout: the storage incast preset, bulk replies of this many bytes")
+	seed := c.Uint64("seed", 0, "arrival/backend/service seed (0 = default)")
 	// Flag conflicts and invalid parameters fail before any simulation.
-	if err := validateExport(*jsonOut, *csvOut); err != nil {
+	if err := c.parse(args); err != nil {
 		return err
 	}
-	if flagWasSet(fs, "fanout") && *fanout < 1 {
+	if c.set("fanout") && *fanout < 1 {
 		return fmt.Errorf("rpc: --fanout must be >= 1, have %d", *fanout)
 	}
 	if *hedge < 0 || *hedge >= 1 {
@@ -53,10 +34,14 @@ func runRPC(args []string) error {
 		return fmt.Errorf("rpc: --clients must be >= 1, have %d", *clients)
 	}
 	if *think < 0 || *hedgeAfter < 0 || *chunk < 0 {
-		return fmt.Errorf("rpc: --think, --hedge-after, and --incast-chunk must be positive")
+		return fmt.Errorf("rpc: --think, --hedge-after, and --incast-chunk must be >= 0 (0 = default), have %d, %d, %d",
+			*think, *hedgeAfter, *chunk)
 	}
-	if *chunk > 0 && *fanout == 0 {
-		return fmt.Errorf("rpc: --incast-chunk is a single-point preset; it needs --fanout")
+	// The sweep fixes its own think times and reply shapes; these two
+	// only shape a single point, so without --fanout they would be
+	// silently ignored.
+	if *fanout == 0 && (*think > 0 || *chunk > 0) {
+		return fmt.Errorf("rpc: --think and --incast-chunk shape a single point; they need --fanout")
 	}
 	opt := cni.RPCOptions{
 		Clients:          *clients,
@@ -64,20 +49,9 @@ func runRPC(args []string) error {
 		Hedge:            *hedge,
 		HedgeAfterCycles: *hedgeAfter,
 		Seed:             *seed,
-	}
-	if *ni != "" {
-		kind, err := parseNI(*ni)
-		if err != nil {
-			return err
-		}
-		opt.NIs = []cni.NIKind{kind}
-	}
-	if *topology != "" {
-		topo, err := cni.ParseTopology(*topology)
-		if err != nil {
-			return err
-		}
-		opt.Topos = []cni.Topology{topo}
+		NIs:              c.nis,
+		Topos:            c.topos,
+		Progress:         c.note,
 	}
 	// Validate the composed spec up front (client-zipf range, ...): a
 	// bad parameter must fail here, not minutes into a sweep.
@@ -89,35 +63,14 @@ func runRPC(args []string) error {
 		return err
 	}
 	if *fanout > 0 {
-		return runRPCPoint(opt, *fanout, *think, *chunk, *jsonOut, *csvOut)
+		return runRPCPoint(c, opt, *fanout, *think, *chunk)
 	}
-	pm := startProgress("rpc")
-	if pm != nil {
-		opt.Progress = func(cell string, k int) {
-			if k < 0 {
-				pm.note(cell, fmt.Sprintf("overload @ k=%d", -k))
-			} else {
-				pm.note(cell, fmt.Sprintf("@ k=%d", k))
-			}
-		}
-	}
-	t, rows := cni.RPCSweep(opt)
-	pm.finish()
-	printTable(t, *jsonOut, *csvOut)
-	return export(harness.RPCData(t, rows), *jsonOut, *csvOut)
+	return runSweep(c, cni.RPCSweep, opt)
 }
 
 // runRPCPoint measures one RPC point on one machine, using the
 // sweep's windows so the numbers line up with sweep cells.
-func runRPCPoint(opt cni.RPCOptions, fanout, think, chunk int, jsonOut, csvOut string) error {
-	kind := cni.CNI512Q
-	if len(opt.NIs) == 1 {
-		kind = opt.NIs[0]
-	}
-	topo := cni.TopoFlat
-	if len(opt.Topos) == 1 {
-		topo = opt.Topos[0]
-	}
+func runRPCPoint(c *sweepCmd, opt cni.RPCOptions, fanout, think, chunk int) error {
 	if think == 0 {
 		think = cni.RPCSweepThink
 	}
@@ -126,7 +79,7 @@ func runRPCPoint(opt cni.RPCOptions, fanout, think, chunk int, jsonOut, csvOut s
 		spec.Tiers = cni.IncastSpec(fanout, chunk).Tiers
 		spec.Tiers[0].Fanout = fanout
 	}
-	cfg := cni.Config{Nodes: harness.SweepNodes, NI: kind, Bus: cni.MemoryBus, Topology: topo}
+	cfg := c.point(0, 0)
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -135,7 +88,7 @@ func runRPCPoint(opt cni.RPCOptions, fanout, think, chunk int, jsonOut, csvOut s
 		return err
 	}
 	us := func(q float64) float64 { return cni.Microseconds(rep.Latency.Quantile(q)) }
-	if jsonOut != "-" && csvOut != "-" {
+	if !c.quiet() {
 		fmt.Printf("%s rpc fan-out k=%d, %d clients, think %d cycles, %d nodes\n",
 			cfg.Name(), fanout, spec.Clients, spec.ThinkCycles, cfg.Nodes)
 		fmt.Printf("offered %.1f KRPS  goodput %.1f KRPS  issued %d  completed %d  queued %d\n",
@@ -152,7 +105,7 @@ func runRPCPoint(opt cni.RPCOptions, fanout, think, chunk int, jsonOut, csvOut s
 		Header: []string{"ni", "topology", "fanout", "offered_krps", "goodput_krps",
 			"p50_us", "p99_us", "p999_us", "strag_p99_us", "completed", "queued", "hedges", "hedge_wins"},
 		Rows: [][]string{{
-			kind.String(), topo.String(), fmt.Sprintf("%d", fanout),
+			cfg.NI.String(), cfg.Topology.String(), fmt.Sprintf("%d", fanout),
 			fmt.Sprintf("%.1f", rep.OfferedKRPS), fmt.Sprintf("%.1f", rep.GoodputKRPS),
 			fmt.Sprintf("%.1f", us(0.50)), fmt.Sprintf("%.1f", us(0.99)), fmt.Sprintf("%.1f", us(0.999)),
 			fmt.Sprintf("%.1f", cni.Microseconds(rep.Straggler.Quantile(0.99))),
@@ -160,25 +113,19 @@ func runRPCPoint(opt cni.RPCOptions, fanout, think, chunk int, jsonOut, csvOut s
 			fmt.Sprintf("%d", rep.Hedges), fmt.Sprintf("%d", rep.HedgeWins),
 		}},
 	}
-	return export(d, jsonOut, csvOut)
+	return c.export(d)
 }
 
 // runCollective drives the collective-schedule subsystem: by default
 // the full schedule grid per NI × topology; with --schedule, one run
 // on one machine with per-step detail.
 func runCollective(args []string) error {
-	fs := flag.NewFlagSet("collective", flag.ExitOnError)
-	schedule := fs.String("schedule", "", "run one schedule (ring-allreduce, rd-allreduce, alltoall, broadcast) instead of sweeping")
-	bytes := fs.Int("bytes", 0, "per-node contribution in bytes (default 65536)")
-	ni := fs.String("ni", "", "restrict to one NI design (single run: CNI512Q)")
-	topology := fs.String("topology", "", "restrict to one fabric (single run: flat)")
-	nodes := fs.Int("nodes", 0, "node count for a single --schedule run (default the sweep's 16)")
-	shards := fs.Int("shards", 0, "event-engine shards for a single --schedule run (torus machines over 16 nodes; 0 = serial)")
-	jsonOut, csvOut := exportFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if err := validateExport(*jsonOut, *csvOut); err != nil {
+	c := newSweepCmd("collective")
+	schedule := c.String("schedule", "", "run one schedule (ring-allreduce, rd-allreduce, alltoall, broadcast) instead of sweeping")
+	bytes := c.Int("bytes", 0, "per-node contribution in bytes (default 65536)")
+	nodes := c.Int("nodes", 0, "node count for a single --schedule run (default the sweep's 16)")
+	shards := c.Int("shards", 0, "event-engine shards for a single --schedule run (torus machines over 16 nodes; 0 = serial)")
+	if err := c.parse(args); err != nil {
 		return err
 	}
 	if *bytes < 0 {
@@ -190,65 +137,30 @@ func runCollective(args []string) error {
 	if *nodes != 0 && *nodes < 2 {
 		return fmt.Errorf("collective: --nodes must be >= 2, have %d", *nodes)
 	}
-	opt := cni.CollectiveOptions{Bytes: *bytes}
-	if *ni != "" {
-		kind, err := parseNI(*ni)
-		if err != nil {
-			return err
-		}
-		opt.NIs = []cni.NIKind{kind}
-	}
-	if *topology != "" {
-		topo, err := cni.ParseTopology(*topology)
-		if err != nil {
-			return err
-		}
-		opt.Topos = []cni.Topology{topo}
-	}
 	if *schedule != "" {
 		sch, err := cni.ParseSchedule(*schedule)
 		if err != nil {
 			return err
 		}
-		n := *nodes
-		if n == 0 {
-			n = harness.SweepNodes
-		}
+		cfg := c.point(*nodes, *shards)
 		// Recursive doubling only pairs up cleanly on powers of two;
 		// reject at flag time so the error points at the flag, not at a
 		// machine the simulator already built.
-		if sch == cni.RDAllreduce && n&(n-1) != 0 {
+		if n := cfg.Nodes; sch == cni.RDAllreduce && n&(n-1) != 0 {
 			return fmt.Errorf("collective: invalid --nodes %d for %s (valid: powers of two >= 2)", n, sch)
 		}
-		return runCollectiveRun(opt, sch, n, *shards, *jsonOut, *csvOut)
+		return runCollectiveRun(c, cfg, sch, *bytes)
 	}
-	pm := startProgress("collective")
-	if pm != nil {
-		opt.Progress = func(cell, schedule string) { pm.note(cell, schedule) }
-	}
-	t, rows := cni.CollectiveSweep(opt)
-	pm.finish()
-	printTable(t, *jsonOut, *csvOut)
-	return export(harness.CollectiveData(t, rows), *jsonOut, *csvOut)
+	return runSweep(c, cni.CollectiveSweep, cni.CollectiveOptions{Bytes: *bytes, NIs: c.nis, Topos: c.topos, Progress: c.note})
 }
 
-// runCollectiveRun executes one schedule on one machine and reports
-// per-step completion spread. nodes and shards scale the machine past
-// the sweep's 16-node default.
-func runCollectiveRun(opt cni.CollectiveOptions, sch cni.Schedule, nodes, shards int, jsonOut, csvOut string) error {
-	kind := cni.CNI512Q
-	if len(opt.NIs) == 1 {
-		kind = opt.NIs[0]
-	}
-	topo := cni.TopoFlat
-	if len(opt.Topos) == 1 {
-		topo = opt.Topos[0]
-	}
-	bytes := opt.Bytes
-	if bytes <= 0 {
+// runCollectiveRun executes one schedule on cfg's machine (which may
+// scale past the sweep's 16 nodes) and reports per-step completion
+// spread.
+func runCollectiveRun(c *sweepCmd, cfg cni.Config, sch cni.Schedule, bytes int) error {
+	if bytes == 0 {
 		bytes = cni.CollectiveBytes
 	}
-	cfg := cni.Config{Nodes: nodes, NI: kind, Bus: cni.MemoryBus, Topology: topo, Shards: shards}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -256,7 +168,7 @@ func runCollectiveRun(opt cni.CollectiveOptions, sch cni.Schedule, nodes, shards
 	if err != nil {
 		return err
 	}
-	if jsonOut != "-" && csvOut != "-" {
+	if !c.quiet() {
 		fmt.Printf("%s %s, %d B per node, %d nodes\n", cfg.Name(), sch, rep.Bytes, rep.Nodes)
 		fmt.Printf("completion %.1f us (%d cycles), %d steps, max per-step skew %d cycles\n",
 			rep.CompletionMicros, rep.CompletionCycles, rep.Steps, rep.MaxSkew)
@@ -274,5 +186,5 @@ func runCollectiveRun(opt cni.CollectiveOptions, sch cni.Schedule, nodes, shards
 			fmt.Sprintf("%d", st.MaxEnd), fmt.Sprintf("%d", st.Skew),
 		})
 	}
-	return export(d, jsonOut, csvOut)
+	return c.export(d)
 }

@@ -29,7 +29,7 @@
 //
 //   - The typed experiment registry that regenerates every table and
 //     figure in the paper's evaluation with uniform machine-readable
-//     output (Experiments, and the Experiment compat shim).
+//     output (Experiments, ExperimentData).
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for
 // paper-vs-measured results.
@@ -240,8 +240,9 @@ type SweepRow = harness.SweepRow
 
 // LoadSweep steps offered load up a ladder per NI × topology until
 // goodput stops tracking it, and reports saturation throughput plus
-// tail latency at 30/60/90% of the saturation load.
-func LoadSweep(opt SweepOptions) (*Table, []SweepRow) { return harness.LoadSweep(opt) }
+// tail latency at 30/60/90% of the saturation load: the rendered table,
+// its machine-readable Data, and the rows.
+func LoadSweep(opt SweepOptions) (*Table, *Data, []SweepRow) { return harness.LoadSweep(opt) }
 
 // FaultOptions selects what FaultSweep sweeps.
 type FaultOptions = harness.FaultOptions
@@ -260,7 +261,7 @@ var FaultLadder = harness.FaultLadder
 // reliable transport engaged on every rung and reports goodput, tail
 // latency, and recovery telemetry, plus each row's
 // graceful-degradation knee.
-func FaultSweep(opt FaultOptions) (*Table, []FaultRow) { return harness.FaultSweep(opt) }
+func FaultSweep(opt FaultOptions) (*Table, *Data, []FaultRow) { return harness.FaultSweep(opt) }
 
 // AllNIs lists the five designs in the paper's order.
 var AllNIs = params.AllNIs
@@ -349,9 +350,8 @@ type RunOptions = harness.RunOpts
 type Data = harness.Data
 
 // Experiments returns the typed experiment registry in presentation
-// order. ExperimentNames, the Experiment shim, and the CLI's `list`
-// are all derived from it, so a new experiment registers exactly
-// once.
+// order. ExperimentNames, ExperimentData, and the CLI's `list` are
+// all derived from it, so a new experiment registers exactly once.
 func Experiments() []ExperimentDef { return harness.Registry() }
 
 // ExperimentNames lists the registered experiment names in registry
@@ -377,15 +377,4 @@ func ExperimentData(name string, opt RunOptions) (*Table, *Data, error) {
 	}
 	t, d := e.Run(opt)
 	return t, d, nil
-}
-
-// Experiment regenerates one of the paper's tables or figures (or one
-// of this reproduction's ablations). appNames narrows the Fig 8 /
-// occupancy sweeps to specific benchmarks (nil runs all five).
-//
-// It is a thin compatibility shim over the typed registry; new code
-// should use Experiments or ExperimentData.
-func Experiment(name string, appNames []string) (*Table, error) {
-	t, _, err := ExperimentData(name, RunOptions{Apps: appNames})
-	return t, err
 }

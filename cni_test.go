@@ -8,7 +8,7 @@ import (
 func TestExperimentDispatch(t *testing.T) {
 	// Static tables are cheap; verify dispatch plumbing end to end.
 	for _, name := range []string{"table1", "table2", "table3", "table4"} {
-		tb, err := Experiment(name, nil)
+		tb, _, err := ExperimentData(name, RunOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -16,7 +16,7 @@ func TestExperimentDispatch(t *testing.T) {
 			t.Fatalf("%s rendered empty", name)
 		}
 	}
-	if _, err := Experiment("nope", nil); err == nil {
+	if _, _, err := ExperimentData("nope", RunOptions{}); err == nil {
 		t.Fatal("unknown experiment should error")
 	}
 	for _, name := range ExperimentNames() {

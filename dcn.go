@@ -105,7 +105,7 @@ func RPCSpecFor(opt RPCOptions, fanout, think int) RPCSpec {
 // RPCSweep measures RPC fan-out tail latency for every requested
 // NI × topology: the fan-out ladder at moderate offered load plus one
 // deep-overload point.
-func RPCSweep(opt RPCOptions) (*Table, []RPCRow) { return harness.RPCSweep(opt) }
+func RPCSweep(opt RPCOptions) (*Table, *Data, []RPCRow) { return harness.RPCSweep(opt) }
 
 // CollectiveOptions selects what CollectiveSweep measures.
 type CollectiveOptions = harness.CollectiveOptions
@@ -122,6 +122,6 @@ const CollectiveBytes = harness.CollectiveBytes
 
 // CollectiveSweep measures every collective schedule for every
 // requested NI × topology.
-func CollectiveSweep(opt CollectiveOptions) (*Table, []CollectiveRow) {
+func CollectiveSweep(opt CollectiveOptions) (*Table, *Data, []CollectiveRow) {
 	return harness.CollectiveSweep(opt)
 }

@@ -12,9 +12,6 @@ import (
 // each rank reduces / the volume each rank exchanges).
 const CollectiveBytes = 64 * 1024
 
-// collectiveNIs mirrors the RPC sweep's taxonomy corners.
-var collectiveNIs = []params.NIKind{params.NI2w, params.CNI4, params.CNI512Q, params.DMA}
-
 // CollectiveCell is one schedule's result within a row.
 type CollectiveCell struct {
 	Schedule         string  `json:"schedule"`
@@ -45,27 +42,19 @@ type CollectiveOptions struct {
 	// with the cell's "NI/topology" label and the schedule name.
 	// Cells fan out over worker goroutines, so the callback must be
 	// goroutine-safe.
-	Progress func(cell, schedule string)
+	Progress func(cell, detail string)
 }
 
-// notify reports one measured schedule.
-func (opt *CollectiveOptions) notify(cell, schedule string) {
-	if opt.Progress != nil {
-		opt.Progress(cell, schedule)
-	}
+// collectiveShort abbreviates each schedule in the table headers.
+var collectiveShort = map[dcn.Schedule]string{
+	dcn.RingAllreduce: "ring", dcn.RDAllreduce: "rd", dcn.Alltoall: "a2a", dcn.Broadcast: "bcast",
 }
 
 // collectiveOne runs every schedule on one NI × topology machine
 // configuration (a fresh machine per schedule — collectives measure a
 // quiet fabric).
-func collectiveOne(opt CollectiveOptions, ni params.NIKind, topo params.Topology) CollectiveRow {
-	bytes := opt.Bytes
-	if bytes <= 0 {
-		bytes = CollectiveBytes
-	}
-	row := CollectiveRow{NI: ni.String(), Topology: topo.String(), Bytes: bytes}
-	cell := row.NI + "/" + row.Topology
-	cfg := params.Config{Nodes: SweepNodes, NI: ni, Bus: params.MemoryBus, Topology: topo}
+func collectiveOne(bytes int, cfg params.Config, note func(string)) CollectiveRow {
+	row := CollectiveRow{NI: cfg.NI.String(), Topology: cfg.Topology.String(), Bytes: bytes}
 	for _, sch := range dcn.Schedules() {
 		rep, err := dcn.RunCollective(cfg, dcn.CollectiveSpec{Schedule: sch, Bytes: bytes})
 		if err != nil {
@@ -79,73 +68,40 @@ func collectiveOne(opt CollectiveOptions, ni params.NIKind, topo params.Topology
 			MaxSkewCycles:    uint64(rep.MaxSkew),
 			MovedBytes:       rep.MovedBytes,
 		})
-		opt.notify(cell, string(sch))
+		note(string(sch))
 	}
 	return row
 }
 
-// CollectiveData renders the sweep's machine-readable Data: the
-// summary grid plus full per-cell schedule reports under Extra.
-func CollectiveData(t *Table, rows []CollectiveRow) *Data {
-	header := []string{"ni", "topology"}
-	for _, sch := range dcn.Schedules() {
-		header = append(header,
-			fmt.Sprintf("%s_completion_us", sch),
-			fmt.Sprintf("%s_max_skew_cycles", sch))
-	}
-	d := &Data{Name: "collective", Title: t.Title, Header: header, Extra: rows}
-	for _, r := range rows {
-		row := []string{r.NI, r.Topology}
-		for _, c := range r.Schedules {
-			row = append(row, fmt.Sprintf("%.1f", c.CompletionUs), fmt.Sprintf("%d", c.MaxSkewCycles))
-		}
-		d.Rows = append(d.Rows, row)
-	}
-	return d
-}
-
 // CollectiveSweep measures every collective schedule for every
-// requested NI × topology. Cells fan out over the host cores; output
-// is byte-identical to a serial run.
-func CollectiveSweep(opt CollectiveOptions) (*Table, []CollectiveRow) {
-	nis := opt.NIs
-	if len(nis) == 0 {
-		nis = collectiveNIs
-	}
-	topos := opt.Topos
-	if len(topos) == 0 {
-		topos = []params.Topology{params.TopoFlat, params.TopoTorus}
-	}
+// requested NI × topology. The Data carries completion and skew per
+// schedule plus the full per-cell reports under Extra.
+func CollectiveSweep(opt CollectiveOptions) (*Table, *Data, []CollectiveRow) {
 	bytes := opt.Bytes
 	if bytes <= 0 {
 		bytes = CollectiveBytes
 	}
-	rows := runCells(len(nis)*len(topos), func(i int) CollectiveRow {
-		return collectiveOne(opt, nis[i/len(topos)], topos[i%len(topos)])
-	})
-	t := &Table{
-		Title: fmt.Sprintf("Collective schedules: %d KiB per node (%d nodes, memory bus)",
-			bytes/1024, SweepNodes),
-		Note: "Completion is start to the last node's finish; skew is the largest per-step\n" +
+	var cols []col[CollectiveRow]
+	for i, sch := range dcn.Schedules() {
+		done, skew := collectiveShort[sch]+" done", collectiveShort[sch]+" skew"
+		if i == 0 {
+			done, skew = done+" (us)", skew+" (cyc)"
+		}
+		cols = append(cols,
+			col[CollectiveRow]{done, string(sch) + "_completion_us",
+				func(r CollectiveRow) string { return f1(r.Schedules[i].CompletionUs) }},
+			col[CollectiveRow]{skew, string(sch) + "_max_skew_cycles",
+				func(r CollectiveRow) string { return fmt.Sprintf("%d", r.Schedules[i].MaxSkewCycles) }})
+	}
+	return gridSweep[CollectiveRow]{
+		name:  "collective",
+		title: fmt.Sprintf("Collective schedules: %d KiB per node (%d nodes, memory bus)", bytes/1024, SweepNodes),
+		note: "Completion is start to the last node's finish; skew is the largest per-step\n" +
 			"spread between the fastest and slowest participant (the schedule's straggler\n" +
 			"exposure). ring moves 2(n-1) chunks of 1/n, rd-allreduce log2(n) full vectors\n" +
 			"(power-of-two only), alltoall n-1 pairwise chunks, broadcast a binomial tree.",
-		Header: []string{"NI", "topo",
-			"ring done (us)", "ring skew (cyc)",
-			"rd done", "rd skew",
-			"a2a done", "a2a skew",
-			"bcast done", "bcast skew"},
-	}
-	for i, r := range rows {
-		name := ""
-		if i%len(topos) == 0 {
-			name = r.NI
-		}
-		cells := []string{name, r.Topology}
-		for _, c := range r.Schedules {
-			cells = append(cells, fmt.Sprintf("%.1f", c.CompletionUs), fmt.Sprintf("%d", c.MaxSkewCycles))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, rows
+		nis: opt.NIs, defaultNIs: cornerNIs, topos: opt.Topos, progress: opt.Progress,
+		measure: func(cfg params.Config, note func(string)) CollectiveRow { return collectiveOne(bytes, cfg, note) },
+		cols:    cols,
+	}.run()
 }

@@ -82,7 +82,7 @@ type FaultOptions struct {
 	// the cell's "NI/topology" label and the rung's injected drop
 	// rate. Cells fan out over worker goroutines, so the callback must
 	// be goroutine-safe.
-	Progress func(cell string, dropRate float64)
+	Progress func(cell, detail string)
 }
 
 // FaultConfig builds the machine configuration for one fault point —
@@ -126,13 +126,11 @@ func measureFault(cfg params.Config, drop float64) FaultPoint {
 }
 
 // faultSweepOne climbs the drop ladder for one NI × topology.
-func faultSweepOne(opt FaultOptions, ladder []float64, ni params.NIKind, topo params.Topology) FaultRow {
-	row := FaultRow{NI: ni.String(), Topology: topo.String(), KneeDropRate: ladder[0]}
+func faultSweepOne(opt FaultOptions, ladder []float64, cfg params.Config, note func(string)) FaultRow {
+	row := FaultRow{NI: cfg.NI.String(), Topology: cfg.Topology.String(), KneeDropRate: ladder[0]}
 	for _, drop := range ladder {
-		row.Ladder = append(row.Ladder, measureFault(FaultConfig(opt, ni, topo, drop), drop))
-		if opt.Progress != nil {
-			opt.Progress(row.NI+"/"+row.Topology, drop)
-		}
+		row.Ladder = append(row.Ladder, measureFault(FaultConfig(opt, cfg.NI, cfg.Topology, drop), drop))
+		note(fmt.Sprintf("@ drop %g", drop))
 	}
 	base := row.Ladder[0].GoodputMBps
 	for _, pt := range row.Ladder {
@@ -143,80 +141,44 @@ func faultSweepOne(opt FaultOptions, ladder []float64, ni params.NIKind, topo pa
 	return row
 }
 
-// FaultData renders a fault sweep's machine-readable Data: a summary
-// grid with per-rung goodput and p99.9 columns (the CSV schema) and
-// the full ladders under Extra.
-func FaultData(t *Table, ladder []float64, rows []FaultRow) *Data {
-	d := &Data{
-		Name:   "faultsweep",
-		Title:  t.Title,
-		Header: []string{"ni", "topology", "knee_drop_rate"},
-		Extra:  rows,
-	}
-	for _, drop := range ladder {
-		d.Header = append(d.Header,
-			fmt.Sprintf("goodput_mbps@%g", drop), fmt.Sprintf("p999_us@%g", drop))
-	}
-	for _, r := range rows {
-		row := []string{r.NI, r.Topology, fmt.Sprintf("%g", r.KneeDropRate)}
-		for _, pt := range r.Ladder {
-			row = append(row, fmt.Sprintf("%.1f", pt.GoodputMBps), fmt.Sprintf("%.1f", pt.P999Us))
-		}
-		d.Rows = append(d.Rows, row)
-	}
-	return d
-}
-
 // FaultSweep runs the drop-rate ladder for every requested NI ×
 // topology with the reliable transport engaged on every rung
 // (including drop 0, so the ladder isolates fault impact from the
-// transport's own overhead). Cells fan out over host cores; output is
-// byte-identical to a serial run.
-func FaultSweep(opt FaultOptions) (*Table, []FaultRow) {
-	nis := opt.NIs
-	if len(nis) == 0 {
-		nis = append(append([]params.NIKind{}, Fig8NIsMemory...), params.DMA)
-	}
-	topos := opt.Topos
-	if len(topos) == 0 {
-		topos = []params.Topology{params.TopoFlat, params.TopoTorus}
-	}
+// transport's own overhead). The Data carries per-rung goodput and
+// p99.9 columns plus the full ladders under Extra.
+func FaultSweep(opt FaultOptions) (*Table, *Data, []FaultRow) {
 	ladder := opt.Drops
 	if len(ladder) == 0 {
 		ladder = FaultLadder
 	}
-	rows := runCells(len(nis)*len(topos), func(i int) FaultRow {
-		return faultSweepOne(opt, ladder, nis[i/len(topos)], topos[i%len(topos)])
-	})
 	title := fmt.Sprintf("Fault sweep: goodput and tail latency vs drop rate (%d nodes, %.0f MB/s per node, memory bus)",
 		SweepNodes, FaultPerNodeMBps)
 	if opt.DegradeX > 1 {
 		title += fmt.Sprintf(", mid-run links degraded x%g", opt.DegradeX)
 	}
-	t := &Table{
-		Title: title,
-		Note: fmt.Sprintf("Every rung injects seeded per-message drops at the fabric edge; the\n"+
+	cols := []col[FaultRow]{
+		{"knee", "knee_drop_rate", func(r FaultRow) string { return fmt.Sprintf("%g", r.KneeDropRate) }},
+	}
+	for i, drop := range ladder {
+		cols = append(cols,
+			col[FaultRow]{fmt.Sprintf("gput@%g", drop), fmt.Sprintf("goodput_mbps@%g", drop),
+				func(r FaultRow) string { return f1(r.Ladder[i].GoodputMBps) }},
+			col[FaultRow]{fmt.Sprintf("p99.9@%g", drop), fmt.Sprintf("p999_us@%g", drop),
+				func(r FaultRow) string { return f1(r.Ladder[i].P999Us) }})
+	}
+	return gridSweep[FaultRow]{
+		name:  "faultsweep",
+		title: title,
+		note: fmt.Sprintf("Every rung injects seeded per-message drops at the fabric edge; the\n"+
 			"reliable transport (seq+ack, timeout retransmit, %dx backoff, budget %d)\n"+
 			"recovers them, so goodput loss and tail growth measure recovery cost.\n"+
 			"The knee is the largest rate holding %.0f%% of the zero-drop goodput.\n"+
 			"Fault seed %d; identical seeds reproduce byte-identical sweeps.",
 			msg.RelRetxBackoff, msg.RelRetxBudget, 100*faultKneeEff, opt.Seed),
-		Header: []string{"NI", "topo", "knee"},
-	}
-	for _, drop := range ladder {
-		t.Header = append(t.Header,
-			fmt.Sprintf("gput@%g", drop), fmt.Sprintf("p99.9@%g", drop))
-	}
-	for i, r := range rows {
-		name := ""
-		if i%len(topos) == 0 {
-			name = r.NI
-		}
-		cells := []string{name, r.Topology, fmt.Sprintf("%g", r.KneeDropRate)}
-		for _, pt := range r.Ladder {
-			cells = append(cells, fmt.Sprintf("%.1f", pt.GoodputMBps), fmt.Sprintf("%.1f", pt.P999Us))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, rows
+		nis: opt.NIs, defaultNIs: paperNIsAndDMA, topos: opt.Topos, progress: opt.Progress,
+		measure: func(cfg params.Config, note func(string)) FaultRow {
+			return faultSweepOne(opt, ladder, cfg, note)
+		},
+		cols: cols,
+	}.run()
 }

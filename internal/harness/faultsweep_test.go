@@ -29,8 +29,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	}
 	ladder := []float64{0, 1e-2}
 	render := func(seed uint64) []byte {
-		tb, rows := FaultSweep(narrowFault(seed, ladder))
-		d := FaultData(tb, ladder, rows)
+		_, d, _ := FaultSweep(narrowFault(seed, ladder))
 		raw, err := d.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -114,8 +113,7 @@ func TestFaultDataShape(t *testing.T) {
 		t.Skip("simulation-heavy in -short mode")
 	}
 	ladder := []float64{0, 1e-3}
-	tb, rows := FaultSweep(narrowFault(3, ladder))
-	d := FaultData(tb, ladder, rows)
+	_, d, _ := FaultSweep(narrowFault(3, ladder))
 	if want := 3 + 2*len(ladder); len(d.Header) != want {
 		t.Fatalf("header %v has %d columns, want %d", d.Header, len(d.Header), want)
 	}

@@ -45,28 +45,27 @@ func goldenTables() map[string]golden {
 		// generators' seeded schedules, the histogram percentiles, and
 		// the knee detection — to the byte.
 		"loadsweep": func() (*Table, *Data) {
-			t, rows := LoadSweep(SweepOptions{})
-			return t, SweepData(t, rows)
+			t, d, _ := LoadSweep(SweepOptions{})
+			return t, d
 		},
 		// One narrowed fault-sweep cell (the full ladder over the whole
 		// grid is minutes of simulation): pins the fault layer, the
 		// reliable transport's recovery, and the ladder's Data schema.
 		"faultsweep": func() (*Table, *Data) {
-			ladder := []float64{0, 1e-3}
-			t, rows := FaultSweep(narrowFault(3, ladder))
-			return t, FaultData(t, ladder, rows)
+			t, d, _ := FaultSweep(narrowFault(3, []float64{0, 1e-3}))
+			return t, d
 		},
 		// The datacenter pack's two tables: the RPC fan-out tail ladder
 		// (straggler join, overload point) and the collective schedule
 		// grid. Pinning both fixes the dcn subsystem's arrival model,
 		// join/hedge logic, and schedule step maths to the byte.
 		"rpc": func() (*Table, *Data) {
-			t, rows := RPCSweep(RPCOptions{})
-			return t, RPCData(t, rows)
+			t, d, _ := RPCSweep(RPCOptions{})
+			return t, d
 		},
 		"collective": func() (*Table, *Data) {
-			t, rows := CollectiveSweep(CollectiveOptions{})
-			return t, CollectiveData(t, rows)
+			t, d, _ := CollectiveSweep(CollectiveOptions{})
+			return t, d
 		},
 	}
 }

@@ -100,18 +100,10 @@ type SweepOptions struct {
 	NIs   []params.NIKind
 	Topos []params.Topology
 	// Progress, when non-nil, is called once per measured load point
-	// with the cell's "NI/topology" label and the point's aggregate
-	// offered load in MB/s (the self-limited goodput for closed-loop
-	// rungs). Cells fan out over worker goroutines, so the callback
-	// must be goroutine-safe.
-	Progress func(cell string, offeredMBps float64)
-}
-
-// notify reports one measured point to the Progress callback.
-func (opt *SweepOptions) notify(cell string, offeredMBps float64) {
-	if opt.Progress != nil {
-		opt.Progress(cell, offeredMBps)
-	}
+	// with the cell's "NI/topology" label and the point's offered load
+	// (the self-limited goodput for closed-loop rungs). Cells fan out
+	// over worker goroutines, so the callback must be goroutine-safe.
+	Progress func(cell, detail string)
 }
 
 // SweepWorkload builds the workload spec for one load point: the
@@ -139,14 +131,10 @@ func measure(cfg params.Config) SweepPoint {
 	q := func(p float64) float64 {
 		return machine.Microseconds(rep.Latency.Quantile(p))
 	}
-	clients := 0
-	if cfg.Workload.Arrival == params.ArrivalClosed {
-		clients = cfg.Workload.Clients
-	}
 	return SweepPoint{
 		OfferedMBps: rep.OfferedMBps,
 		GoodputMBps: rep.GoodputMBps,
-		Clients:     clients,
+		Clients:     cfg.Workload.Clients, // SweepWorkload zeroes it in the open loop
 		P50Us:       q(0.50),
 		P90Us:       q(0.90),
 		P99Us:       q(0.99),
@@ -159,11 +147,18 @@ func measure(cfg params.Config) SweepPoint {
 // sweepOne climbs the ladder for one NI × topology until goodput
 // stops tracking offered load, then measures tail latency at
 // sweepFracs of the knee.
-func sweepOne(opt SweepOptions, ni params.NIKind, topo params.Topology) SweepRow {
-	row := SweepRow{NI: ni.String(), Topology: topo.String()}
-	cell := row.NI + "/" + row.Topology
-	cfg := func(wl *params.Workload) params.Config {
-		return params.Config{Nodes: SweepNodes, NI: ni, Bus: params.MemoryBus, Topology: topo, Workload: wl}
+func sweepOne(opt SweepOptions, base params.Config, note func(string)) SweepRow {
+	row := SweepRow{NI: base.NI.String(), Topology: base.Topology.String()}
+	point := func(perNodeMBps float64, clients int) SweepPoint {
+		cfg := base
+		cfg.Workload = SweepWorkload(opt, perNodeMBps, clients)
+		pt := measure(cfg)
+		mbps := pt.OfferedMBps
+		if clients > 0 {
+			mbps = pt.GoodputMBps // the closed loop offers what it gets
+		}
+		note(fmt.Sprintf("@ %.1f MB/s offered", mbps))
+		return pt
 	}
 	if opt.Arrival == params.ArrivalClosed {
 		// Closed loop: double the per-node client count until goodput
@@ -172,12 +167,9 @@ func sweepOne(opt SweepOptions, ni params.NIKind, topo params.Topology) SweepRow
 		prev := 0.0
 		kneeClients := 1
 		for c := 1; c <= closedMaxClients; c *= 2 {
-			pt := measure(cfg(SweepWorkload(opt, 0, c)))
-			opt.notify(cell, pt.GoodputMBps)
+			pt := point(0, c)
 			row.Ladder = append(row.Ladder, pt)
-			if pt.GoodputMBps > row.SaturationMBps {
-				row.SaturationMBps = pt.GoodputMBps
-			}
+			row.SaturationMBps = max(row.SaturationMBps, pt.GoodputMBps)
 			if c > 1 && pt.GoodputMBps < prev*closedKneeGain {
 				break
 			}
@@ -187,24 +179,16 @@ func sweepOne(opt SweepOptions, ni params.NIKind, topo params.Topology) SweepRow
 		row.KneeOfferedMBps = row.SaturationMBps
 		row.KneeTracked = true
 		for i, f := range sweepFracs {
-			c := int(f*float64(kneeClients) + 0.5)
-			if c < 1 {
-				c = 1
-			}
-			row.AtFrac[i] = measure(cfg(SweepWorkload(opt, 0, c)))
-			opt.notify(cell, row.AtFrac[i].GoodputMBps)
+			row.AtFrac[i] = point(0, max(1, int(f*float64(kneeClients)+0.5)))
 		}
 		return row
 	}
 	perNode := sweepBaseMBps
 	knee := sweepBaseMBps
 	for rung := 0; rung < sweepMaxRungs; rung++ {
-		pt := measure(cfg(SweepWorkload(opt, perNode, 0)))
-		opt.notify(cell, pt.OfferedMBps)
+		pt := point(perNode, 0)
 		row.Ladder = append(row.Ladder, pt)
-		if pt.GoodputMBps > row.SaturationMBps {
-			row.SaturationMBps = pt.GoodputMBps
-		}
+		row.SaturationMBps = max(row.SaturationMBps, pt.GoodputMBps)
 		if pt.GoodputMBps < sweepKneeEff*pt.OfferedMBps {
 			break
 		}
@@ -214,59 +198,37 @@ func sweepOne(opt SweepOptions, ni params.NIKind, topo params.Topology) SweepRow
 	}
 	row.KneeOfferedMBps = knee * SweepNodes
 	for i, f := range sweepFracs {
-		row.AtFrac[i] = measure(cfg(SweepWorkload(opt, f*knee, 0)))
-		opt.notify(cell, row.AtFrac[i].OfferedMBps)
+		row.AtFrac[i] = point(f*knee, 0)
 	}
 	return row
 }
 
-// SweepData renders a sweep's machine-readable Data: a summary grid
-// with stable snake_case column names (the CSV export's schema) and
-// the full per-NI ladders under Extra. The name is set here because
-// cnisim's parameterised loadsweep path builds this Data without
-// going through the registry (whose stamp would agree anyway).
-func SweepData(t *Table, rows []SweepRow) *Data {
-	d := &Data{
-		Name:  "loadsweep",
-		Title: t.Title,
-		Header: []string{"ni", "topology", "saturation_mbps", "knee_offered_mbps",
-			"p50_us_30", "p99_us_30", "p999_us_30",
-			"p50_us_60", "p99_us_60", "p999_us_60",
-			"p50_us_90", "p99_us_90", "p999_us_90"},
-		Extra: rows,
+// sweepCols declares the load sweep's columns: saturation and knee,
+// then p50/p99/p99.9 at each sweepFracs load.
+func sweepCols() []col[SweepRow] {
+	cols := []col[SweepRow]{
+		{"sat MB/s", "saturation_mbps", func(r SweepRow) string { return f1(r.SaturationMBps) }},
+		{"knee MB/s", "knee_offered_mbps", func(r SweepRow) string { return f1(r.KneeOfferedMBps) }},
 	}
-	for _, r := range rows {
-		row := []string{r.NI, r.Topology,
-			fmt.Sprintf("%.1f", r.SaturationMBps), fmt.Sprintf("%.1f", r.KneeOfferedMBps)}
-		for _, pt := range r.AtFrac {
-			row = append(row,
-				fmt.Sprintf("%.1f", pt.P50Us),
-				fmt.Sprintf("%.1f", pt.P99Us),
-				fmt.Sprintf("%.1f", pt.P999Us))
+	for i, f := range sweepFracs {
+		pct := fmt.Sprintf("%.0f", 100*f)
+		unit := ""
+		if i == 0 {
+			unit = " (us)"
 		}
-		d.Rows = append(d.Rows, row)
+		cols = append(cols,
+			col[SweepRow]{"p50@" + pct + unit, "p50_us_" + pct, func(r SweepRow) string { return f1(r.AtFrac[i].P50Us) }},
+			col[SweepRow]{"p99@" + pct, "p99_us_" + pct, func(r SweepRow) string { return f1(r.AtFrac[i].P99Us) }},
+			col[SweepRow]{"p99.9@" + pct, "p999_us_" + pct, func(r SweepRow) string { return f1(r.AtFrac[i].P999Us) }})
 	}
-	return d
+	return cols
 }
 
 // LoadSweep runs the load sweep for every requested NI × topology and
-// renders the table; the rows carry the machine-readable results
-// (JSON/CSV in cmd/cnisim). Each cell is an independent machine, so
-// rows fan out over the host cores; output is byte-identical to a
-// serial run.
-func LoadSweep(opt SweepOptions) (*Table, []SweepRow) {
-	nis := opt.NIs
-	if len(nis) == 0 {
-		nis = append(append([]params.NIKind{}, Fig8NIsMemory...), params.DMA)
-	}
-	topos := opt.Topos
-	if len(topos) == 0 {
-		topos = []params.Topology{params.TopoFlat, params.TopoTorus}
-	}
+// returns the table, its machine-readable Data (the snake_case summary
+// grid plus the full per-NI ladders under Extra), and the rows.
+func LoadSweep(opt SweepOptions) (*Table, *Data, []SweepRow) {
 	wl := SweepWorkload(opt, 0, 0)
-	rows := runCells(len(nis)*len(topos), func(i int) SweepRow {
-		return sweepOne(opt, nis[i/len(topos)], topos[i%len(topos)])
-	})
 	note := fmt.Sprintf("Offered load climbs a geometric ladder until goodput stops tracking it\n"+
 		"(< %.0f%% delivered); sat is the best goodput, knee the saturation offered\n"+
 		"load, and latency percentiles (end-to-end, coordinated-omission-free) are\n"+
@@ -279,30 +241,13 @@ func LoadSweep(opt SweepOptions) (*Table, []SweepRow) {
 			"count. Histogram quantile error <= 6.25%%.",
 			100*(closedKneeGain-1), 100*sweepFracs[0], 100*sweepFracs[1], 100*sweepFracs[2])
 	}
-	t := &Table{
-		Title: fmt.Sprintf("Load sweep: %v arrivals, Zipf(s=%.2f) destinations (%d nodes, memory bus)",
+	return gridSweep[SweepRow]{
+		name: "loadsweep",
+		title: fmt.Sprintf("Load sweep: %v arrivals, Zipf(s=%.2f) destinations (%d nodes, memory bus)",
 			wl.Arrival, wl.ZipfS, SweepNodes),
-		Note: note,
-		Header: []string{"NI", "topo", "sat MB/s", "knee MB/s",
-			"p50@30 (us)", "p99@30", "p99.9@30",
-			"p50@60", "p99@60", "p99.9@60",
-			"p50@90", "p99@90", "p99.9@90"},
-	}
-	for i, r := range rows {
-		name := ""
-		if i%len(topos) == 0 {
-			name = r.NI
-		}
-		cells := []string{name, r.Topology,
-			fmt.Sprintf("%.1f", r.SaturationMBps),
-			fmt.Sprintf("%.1f", r.KneeOfferedMBps)}
-		for _, pt := range r.AtFrac {
-			cells = append(cells,
-				fmt.Sprintf("%.1f", pt.P50Us),
-				fmt.Sprintf("%.1f", pt.P99Us),
-				fmt.Sprintf("%.1f", pt.P999Us))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, rows
+		note: note,
+		nis:  opt.NIs, defaultNIs: paperNIsAndDMA, topos: opt.Topos, progress: opt.Progress,
+		measure: func(cfg params.Config, note func(string)) SweepRow { return sweepOne(opt, cfg, note) },
+		cols:    sweepCols(),
+	}.run()
 }

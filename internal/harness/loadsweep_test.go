@@ -17,7 +17,7 @@ func TestLoadSweepTorusSaturatesBelowFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load sweep in -short mode")
 	}
-	_, rows := LoadSweep(SweepOptions{NIs: []params.NIKind{params.CNI512Q}})
+	_, _, rows := LoadSweep(SweepOptions{NIs: []params.NIKind{params.CNI512Q}})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d, want flat+torus", len(rows))
 	}
@@ -50,9 +50,9 @@ func TestLoadSweepSerialParallelIdentical(t *testing.T) {
 		t.Skip("load sweep in -short mode")
 	}
 	opt := SweepOptions{NIs: []params.NIKind{params.CNI16Q}}
-	par, _ := LoadSweep(opt)
+	par, _, _ := LoadSweep(opt)
 	Serial = true
-	ser, _ := LoadSweep(opt)
+	ser, _, _ := LoadSweep(opt)
 	Serial = false
 	if par.String() != ser.String() {
 		t.Fatalf("parallel and serial sweeps differ:\n--- parallel\n%s--- serial\n%s", par.String(), ser.String())
@@ -66,7 +66,7 @@ func TestLoadSweepShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load sweep in -short mode")
 	}
-	tb, rows := LoadSweep(SweepOptions{NIs: []params.NIKind{params.CNI4}, Topos: []params.Topology{params.TopoFlat}})
+	tb, _, rows := LoadSweep(SweepOptions{NIs: []params.NIKind{params.CNI4}, Topos: []params.Topology{params.TopoFlat}})
 	if len(tb.Rows) != 1 || len(rows) != 1 {
 		t.Fatalf("want one row, got %d/%d", len(tb.Rows), len(rows))
 	}
@@ -113,7 +113,7 @@ func TestLoadSweepClosedLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load sweep in -short mode")
 	}
-	_, rows := LoadSweep(SweepOptions{Arrival: params.ArrivalClosed,
+	_, _, rows := LoadSweep(SweepOptions{Arrival: params.ArrivalClosed,
 		NIs: []params.NIKind{params.CNI512Q}, Topos: []params.Topology{params.TopoFlat}})
 	r := rows[0]
 	if r.SaturationMBps <= 0 || r.KneeOfferedMBps != r.SaturationMBps {

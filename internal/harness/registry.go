@@ -87,6 +87,16 @@ func withApps(fn func(appNames []string) *Table) func(RunOpts) (*Table, *Data) {
 	}
 }
 
+// defaultSweep wraps a grid sweep into a registry runner over its
+// zero-value (default) options.
+func defaultSweep[O, R any](sweep func(O) (*Table, *Data, []R)) func(RunOpts) (*Table, *Data) {
+	return func(RunOpts) (*Table, *Data) {
+		var opt O
+		t, d, _ := sweep(opt)
+		return t, d
+	}
+}
+
 // Registry returns the experiment registry in presentation order —
 // the paper's tables, then its figures, then this reproduction's
 // extensions. The order is the public ExperimentNames order and the
@@ -133,25 +143,13 @@ func Registry() []Experiment {
 		{Name: "congestion", Title: "Probe RTT and victim bandwidth under load, flat vs torus",
 			Tags: ext("congestion"), Run: simple(Congestion)},
 		{Name: "loadsweep", Title: "Offered-load sweep to saturation with tail latency",
-			Tags: ext("workload"), Run: func(RunOpts) (*Table, *Data) {
-				t, rows := LoadSweep(SweepOptions{})
-				return t, SweepData(t, rows)
-			}},
+			Tags: ext("workload"), Run: defaultSweep(LoadSweep)},
 		{Name: "faultsweep", Title: "Goodput and tail latency vs injected drop rate, flat vs torus",
-			Tags: ext("faults"), Run: func(RunOpts) (*Table, *Data) {
-				t, rows := FaultSweep(FaultOptions{})
-				return t, FaultData(t, FaultLadder, rows)
-			}},
+			Tags: ext("faults"), Run: defaultSweep(FaultSweep)},
 		{Name: "rpc", Title: "RPC fan-out tail latency at a million clients, flat vs torus",
-			Tags: ext("dcn"), Run: func(RunOpts) (*Table, *Data) {
-				t, rows := RPCSweep(RPCOptions{})
-				return t, RPCData(t, rows)
-			}},
+			Tags: ext("dcn"), Run: defaultSweep(RPCSweep)},
 		{Name: "collective", Title: "Collective schedule completion and per-step skew, flat vs torus",
-			Tags: ext("dcn"), Run: func(RunOpts) (*Table, *Data) {
-				t, rows := CollectiveSweep(CollectiveOptions{})
-				return t, CollectiveData(t, rows)
-			}},
+			Tags: ext("dcn"), Run: defaultSweep(CollectiveSweep)},
 	}
 	// Stamp every result's Data.Name from the registry entry, so the
 	// name literal cannot drift between the entry and its Data.

@@ -38,12 +38,6 @@ const (
 // RPCSweepFanouts is the fan-out ladder every cell climbs.
 var RPCSweepFanouts = []int{1, 2, 4, 8}
 
-// rpcSweepNIs picks the taxonomy corners for the default sweep: the
-// CM-5-like baseline, the small and large coherent queue designs, and
-// the DMA comparator (the full five-NI grid triples the runtime
-// without changing the story).
-var rpcSweepNIs = []params.NIKind{params.NI2w, params.CNI4, params.CNI512Q, params.DMA}
-
 // RPCPoint is one measured RPC load point.
 type RPCPoint struct {
 	Fanout      int     `json:"fanout"`
@@ -84,17 +78,10 @@ type RPCOptions struct {
 	NIs              []params.NIKind
 	Topos            []params.Topology
 	// Progress, when non-nil, is called once per measured point with
-	// the cell's "NI/topology" label and the point's fan-out (the
-	// overload point reports fan-out as negative). Cells fan out over
-	// worker goroutines, so the callback must be goroutine-safe.
-	Progress func(cell string, fanout int)
-}
-
-// notify reports one measured point.
-func (opt *RPCOptions) notify(cell string, fanout int) {
-	if opt.Progress != nil {
-		opt.Progress(cell, fanout)
-	}
+	// the cell's "NI/topology" label and the point's fan-out (marked
+	// for the overload point). Cells fan out over worker goroutines, so
+	// the callback must be goroutine-safe.
+	Progress func(cell, detail string)
 }
 
 // RPCSpecFor builds the dcn spec for one sweep point: the options'
@@ -143,68 +130,50 @@ func rpcMeasure(cfg params.Config, spec dcn.RPCSpec) RPCPoint {
 }
 
 // rpcSweepOne measures one NI × topology cell.
-func rpcSweepOne(opt RPCOptions, ni params.NIKind, topo params.Topology) RPCRow {
-	row := RPCRow{NI: ni.String(), Topology: topo.String()}
-	cell := row.NI + "/" + row.Topology
-	cfg := params.Config{Nodes: SweepNodes, NI: ni, Bus: params.MemoryBus, Topology: topo}
+func rpcSweepOne(opt RPCOptions, cfg params.Config, note func(string)) RPCRow {
+	row := RPCRow{NI: cfg.NI.String(), Topology: cfg.Topology.String()}
 	for _, k := range RPCSweepFanouts {
 		row.Ladder = append(row.Ladder, rpcMeasure(cfg, RPCSpecFor(opt, k, RPCSweepThink)))
-		opt.notify(cell, k)
+		note(fmt.Sprintf("@ k=%d", k))
 	}
 	top := RPCSweepFanouts[len(RPCSweepFanouts)-1]
 	row.Overload = rpcMeasure(cfg, RPCSpecFor(opt, top, RPCSweepThink/rpcOverloadDiv))
-	opt.notify(cell, -top)
+	note(fmt.Sprintf("overload @ k=%d", top))
 	return row
 }
 
-// RPCData renders an RPC sweep's machine-readable Data: the summary
-// grid plus the full per-cell ladders under Extra.
-func RPCData(t *Table, rows []RPCRow) *Data {
-	header := []string{"ni", "topology"}
-	for _, k := range RPCSweepFanouts {
-		header = append(header, fmt.Sprintf("p999_us_k%d", k))
-	}
-	header = append(header, "p50_us_top", "strag_p99_us_top",
-		"overload_offered_krps", "overload_goodput_krps")
-	d := &Data{Name: "rpc", Title: t.Title, Header: header, Extra: rows}
-	for _, r := range rows {
-		row := []string{r.NI, r.Topology}
-		for _, pt := range r.Ladder {
-			row = append(row, fmt.Sprintf("%.1f", pt.P999Us))
+// rpcCols declares the RPC sweep's columns: p99.9 per fan-out, the top
+// fan-out's median and straggler gap, and the overload point.
+func rpcCols() []col[RPCRow] {
+	var cols []col[RPCRow]
+	for i, k := range RPCSweepFanouts {
+		head := fmt.Sprintf("p99.9@k%d", k)
+		if i == 0 {
+			head += " (us)"
 		}
-		top := r.Ladder[len(r.Ladder)-1]
-		row = append(row,
-			fmt.Sprintf("%.1f", top.P50Us),
-			fmt.Sprintf("%.1f", top.StragP99Us),
-			fmt.Sprintf("%.1f", r.Overload.OfferedKRPS),
-			fmt.Sprintf("%.1f", r.Overload.GoodputKRPS))
-		d.Rows = append(d.Rows, row)
+		cols = append(cols, col[RPCRow]{head, fmt.Sprintf("p999_us_k%d", k),
+			func(r RPCRow) string { return f1(r.Ladder[i].P999Us) }})
 	}
-	return d
+	top := func(r RPCRow) RPCPoint { return r.Ladder[len(r.Ladder)-1] }
+	k := RPCSweepFanouts[len(RPCSweepFanouts)-1]
+	return append(cols,
+		col[RPCRow]{fmt.Sprintf("p50@k%d", k), "p50_us_top", func(r RPCRow) string { return f1(top(r).P50Us) }},
+		col[RPCRow]{fmt.Sprintf("strag p99@k%d", k), "strag_p99_us_top", func(r RPCRow) string { return f1(top(r).StragP99Us) }},
+		col[RPCRow]{"over offer (krps)", "overload_offered_krps", func(r RPCRow) string { return f1(r.Overload.OfferedKRPS) }},
+		col[RPCRow]{"over good (krps)", "overload_goodput_krps", func(r RPCRow) string { return f1(r.Overload.GoodputKRPS) }})
 }
 
 // RPCSweep measures RPC fan-out tail latency for every requested NI ×
 // topology: the fan-out ladder at moderate offered load, then one
-// deep-overload point at the top fan-out. Cells are independent
-// machines and fan out over the host cores; output is byte-identical
-// to a serial run.
-func RPCSweep(opt RPCOptions) (*Table, []RPCRow) {
-	nis := opt.NIs
-	if len(nis) == 0 {
-		nis = rpcSweepNIs
-	}
-	topos := opt.Topos
-	if len(topos) == 0 {
-		topos = []params.Topology{params.TopoFlat, params.TopoTorus}
-	}
-	rows := runCells(len(nis)*len(topos), func(i int) RPCRow {
-		return rpcSweepOne(opt, nis[i/len(topos)], topos[i%len(topos)])
-	})
+// deep-overload point at the top fan-out. The Data carries the summary
+// grid plus the full per-cell ladders under Extra.
+func RPCSweep(opt RPCOptions) (*Table, *Data, []RPCRow) {
 	spec := RPCSpecFor(opt, RPCSweepFanouts[0], RPCSweepThink)
-	t := &Table{
-		Title: fmt.Sprintf("RPC fan-out tail at scale: %d clients, think %d cycles (%d nodes, memory bus)",
+	return gridSweep[RPCRow]{
+		name: "rpc",
+		title: fmt.Sprintf("RPC fan-out tail at scale: %d clients, think %d cycles (%d nodes, memory bus)",
 			spec.Clients, spec.ThinkCycles, SweepNodes),
-		Note: fmt.Sprintf("Each root call fans out to k backends (exp service, mean %d cycles) and joins\n"+
+		note: fmt.Sprintf("Each root call fans out to k backends (exp service, mean %d cycles) and joins\n"+
 			"on the slowest reply; p99.9 vs k is the tail-at-scale cost per NI. strag is the\n"+
 			"p99 first-to-last reply gap at k=%d. The overload point offers %dx the ladder's\n"+
 			"load against a %d-call in-flight cap per front-end: offered vs goodput KRPS\n"+
@@ -212,26 +181,8 @@ func RPCSweep(opt RPCOptions) (*Table, []RPCRow) {
 			"intended arrival). Histogram quantile error <= 6.25%%.",
 			spec.Tiers[0].ServiceCycles, RPCSweepFanouts[len(RPCSweepFanouts)-1],
 			rpcOverloadDiv, spec.MaxInflight),
-		Header: []string{"NI", "topo",
-			"p99.9@k1 (us)", "p99.9@k2", "p99.9@k4", "p99.9@k8",
-			"p50@k8", "strag p99@k8", "over offer (krps)", "over good (krps)"},
-	}
-	for i, r := range rows {
-		name := ""
-		if i%len(topos) == 0 {
-			name = r.NI
-		}
-		cells := []string{name, r.Topology}
-		for _, pt := range r.Ladder {
-			cells = append(cells, fmt.Sprintf("%.1f", pt.P999Us))
-		}
-		top := r.Ladder[len(r.Ladder)-1]
-		cells = append(cells,
-			fmt.Sprintf("%.1f", top.P50Us),
-			fmt.Sprintf("%.1f", top.StragP99Us),
-			fmt.Sprintf("%.1f", r.Overload.OfferedKRPS),
-			fmt.Sprintf("%.1f", r.Overload.GoodputKRPS))
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, rows
+		nis: opt.NIs, defaultNIs: cornerNIs, topos: opt.Topos, progress: opt.Progress,
+		measure: func(cfg params.Config, note func(string)) RPCRow { return rpcSweepOne(opt, cfg, note) },
+		cols:    rpcCols(),
+	}.run()
 }

@@ -46,8 +46,8 @@ type pendTx struct {
 //
 // The event cadence (a release and an arrival per hop, both created
 // at transmit time) is deliberately unchanged. Batched variants that
-// collapse the pair into one self-draining event per link (sim.Chain)
-// were built and measured: simulated timestamps stay exact, but the
+// collapse the pair into one self-draining event per link were built
+// and measured (DESIGN.md §11): simulated timestamps stay exact, but the
 // collapsed event necessarily allocates its sequence number at a
 // different instant than the release it replaces, which flips
 // (time, seq) tie order between same-cycle arrivals at contended

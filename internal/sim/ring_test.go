@@ -56,50 +56,3 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 		t.Errorf("ring steady state allocates %.1f objects/op, want 0", allocs)
 	}
 }
-
-// TestChainBatchesArmings: while an arming is outstanding further Arms
-// are no-ops, the fn fires at the armed time, and the fn can re-arm.
-func TestChainBatchesArmings(t *testing.T) {
-	e := NewEngine()
-	var fired []Time
-	var c *Chain
-	pendingWork := 3
-	c = NewChain(e, func() {
-		fired = append(fired, e.Now())
-		pendingWork--
-		if pendingWork > 0 {
-			c.Arm(e.Now() + 10)
-		}
-	})
-	c.Arm(5)
-	if !c.Armed() {
-		t.Fatal("chain not armed after Arm")
-	}
-	// Redundant arms while outstanding must not add heap events.
-	c.Arm(5)
-	c.Arm(7)
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("pending events = %d, want 1 (batched)", got)
-	}
-	e.RunAll()
-	if len(fired) != 3 || fired[0] != 5 || fired[1] != 15 || fired[2] != 25 {
-		t.Fatalf("fired at %v, want [5 15 25]", fired)
-	}
-	if c.Armed() {
-		t.Error("chain still armed after draining")
-	}
-}
-
-// TestChainRearmEarlierPanics: moving an outstanding firing earlier is
-// a bug the chain reports loudly.
-func TestChainRearmEarlierPanics(t *testing.T) {
-	e := NewEngine()
-	c := NewChain(e, func() {})
-	c.Arm(10)
-	defer func() {
-		if recover() == nil {
-			t.Error("re-arming earlier than the outstanding firing did not panic")
-		}
-	}()
-	c.Arm(3)
-}

@@ -43,8 +43,8 @@ func TestExperimentRegistryConformance(t *testing.T) {
 			t.Errorf("ExperimentNames()[%d] = %q, registry order has %q", i, names[i], e.Name)
 		}
 	}
-	// The compat shim must reject unknown names with the valid list.
-	if _, err := Experiment("nope", nil); err == nil || !strings.Contains(err.Error(), "table1") {
+	// Unknown names must be rejected with the valid list.
+	if _, _, err := ExperimentData("nope", RunOptions{}); err == nil || !strings.Contains(err.Error(), "table1") {
 		t.Errorf("unknown-experiment error should list valid names, got %v", err)
 	}
 }
