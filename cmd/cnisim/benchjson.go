@@ -2,8 +2,8 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -91,6 +91,11 @@ type benchReport struct {
 	// Experiment-harness wall clock (host).
 	Fig6MemoryWallMs float64 `json:"fig6_memory_wall_ms"`
 	Fig7MemoryWallMs float64 `json:"fig7_memory_wall_ms"`
+
+	// Fresh-only measurements --check compares but the snapshot does not
+	// carry: the 4096-node point at one shard, and the traced torus
+	// loadsweep point.
+	oneShardDelivered, tracedDelivered uint64
 }
 
 // engineThroughput measures steady-state schedule+dispatch events/sec
@@ -128,18 +133,29 @@ func engineThroughput() (eps, allocsPerEvent float64) {
 // on the reference host that produced the committed BENCH_sim.json.
 const preSoAEventsPerSec = 7128.0
 
-// torusLoadsweepThroughput runs the heaviest-path load point once
-// under the given trace spec and returns host throughput plus the
+// torusLoadsweepRun runs the heaviest-path load point once under the
+// given trace spec and returns its wall-clock seconds and the
 // (deterministic) delivered count.
-func torusLoadsweepThroughput(spec cni.TraceSpec) (eps float64, delivered uint64) {
+func torusLoadsweepRun(spec cni.TraceSpec) (secs float64, delivered uint64) {
 	wl := cni.DefaultWorkload()
 	wl.OfferedMBps = cni.LoadsweepBenchPerNodeMBps
 	cfg := cni.Config{Nodes: cni.LoadsweepBenchNodes, NI: cni.CNI512Q,
 		Bus: cni.MemoryBus, Topology: cni.TopoTorus, Workload: &wl, Trace: spec}
 	start := time.Now()
 	rep := cni.MeasureLoad(cfg, cni.LoadsweepBenchWarm, cni.LoadsweepBenchMeasure)
-	wall := time.Since(start).Seconds()
-	return float64(rep.Delivered) / wall, rep.Delivered
+	return time.Since(start).Seconds(), rep.Delivered
+}
+
+// fastest runs f three times, to damp host scheduling noise, and
+// returns the shortest run's seconds and the (deterministic) delivered
+// count.
+func fastest(f func() (secs float64, delivered uint64)) (secs float64, delivered uint64) {
+	secs = math.Inf(1)
+	for i := 0; i < 3; i++ {
+		s, d := f()
+		secs, delivered = min(secs, s), d
+	}
+	return secs, delivered
 }
 
 // shard4kMinSpeedup is the floor --check enforces on the sharded
@@ -152,17 +168,16 @@ func torusLoadsweepThroughput(spec cni.TraceSpec) (eps float64, delivered uint64
 const shard4kMinSpeedup = 1.5
 
 // shard4kPoint runs the Shard4kBench workload point at the given shard
-// count (0 = legacy serial engine) and returns delivered user messages
-// per run-phase wall-clock second plus the (deterministic) delivered
-// count and the run-phase seconds themselves.
-func shard4kPoint(shards int) (eps float64, delivered uint64, secs float64) {
+// count (0 = legacy serial engine) and returns its run-phase wall-clock
+// seconds and the (deterministic) delivered count.
+func shard4kPoint(shards int) (secs float64, delivered uint64) {
 	wl := cni.DefaultWorkload()
 	wl.OfferedMBps = cni.Shard4kBenchPerNodeMBps
 	wl.ZipfS = 0 // uniform destinations; see harness.Shard4kBench*
 	cfg := cni.Config{Nodes: cni.Shard4kBenchNodes, NI: cni.CNI16Q,
 		Bus: cni.MemoryBus, Topology: cni.TopoTorus, Shards: shards, Workload: &wl}
 	rep, secs := cni.MeasureLoadTimed(cfg, cni.Shard4kBenchWarm, cni.Shard4kBenchMeasure)
-	return float64(rep.Delivered) / secs, rep.Delivered, secs
+	return secs, rep.Delivered
 }
 
 // shard4kSpeedup measures the sharded-vs-serial run-phase speedup at
@@ -170,20 +185,9 @@ func shard4kPoint(shards int) (eps float64, delivered uint64, secs float64) {
 // scheduling noise, and returns both rates plus the sharded run's
 // delivered count.
 func shard4kSpeedup() (eps, epsSerial, speedup float64, delivered uint64) {
-	best := func(shards int) (eps, secs float64, delivered uint64) {
-		secs = 1e18
-		for i := 0; i < 3; i++ {
-			e, d, s := shard4kPoint(shards)
-			if s < secs {
-				eps, secs = e, s
-			}
-			delivered = d
-		}
-		return eps, secs, delivered
-	}
-	epsSerial, serialSecs, _ := best(0)
-	eps, shardSecs, delivered := best(cni.Shard4kBenchShards)
-	return eps, epsSerial, serialSecs / shardSecs, delivered
+	serialSecs, serialDelivered := fastest(func() (float64, uint64) { return shard4kPoint(0) })
+	secs, delivered := fastest(func() (float64, uint64) { return shard4kPoint(cni.Shard4kBenchShards) })
+	return float64(delivered) / secs, float64(serialDelivered) / serialSecs, serialSecs / secs, delivered
 }
 
 // traceOverhead measures the telemetry tax: the torus loadsweep point
@@ -193,18 +197,9 @@ func shard4kSpeedup() (eps, epsSerial, speedup float64, delivered uint64) {
 // inertness on the heaviest path.
 func traceOverhead() (pct float64, tracedDelivered uint64) {
 	spec := cni.TraceSpec{Enabled: true, SampleEvery: cni.TraceSampleDefault}
-	best := func(s cni.TraceSpec) (eps float64, delivered uint64) {
-		for i := 0; i < 3; i++ {
-			e, d := torusLoadsweepThroughput(s)
-			if e > eps {
-				eps = e
-			}
-			delivered = d
-		}
-		return eps, delivered
-	}
-	off, _ := best(cni.TraceSpec{})
-	on, tracedDelivered := best(spec)
+	offSecs, offDelivered := fastest(func() (float64, uint64) { return torusLoadsweepRun(cni.TraceSpec{}) })
+	onSecs, tracedDelivered := fastest(func() (float64, uint64) { return torusLoadsweepRun(spec) })
+	off, on := float64(offDelivered)/offSecs, float64(tracedDelivered)/onSecs
 	return (off/on - 1) * 100, tracedDelivered
 }
 
@@ -225,7 +220,8 @@ func canaries(r *benchReport) {
 	_, _, rows := cni.LoadSweep(cni.SweepOptions{NIs: []cni.NIKind{cni.CNI512Q}})
 	r.LoadsweepFlatKneeMBps = rows[0].KneeOfferedMBps
 	r.LoadsweepTorusKneeMBps = rows[1].KneeOfferedMBps
-	r.TorusLoadsweepEventsPerSec, r.TorusLoadsweepDeliveredMsgs = torusLoadsweepThroughput(cni.TraceSpec{})
+	secs, delivered := torusLoadsweepRun(cni.TraceSpec{})
+	r.TorusLoadsweepEventsPerSec, r.TorusLoadsweepDeliveredMsgs = float64(delivered)/secs, delivered
 	r.TorusLoadsweepPreSoAPerSec = preSoAEventsPerSec
 
 	// Datacenter pack: the rpc sweep's headline tail point and the
@@ -250,10 +246,120 @@ func canaries(r *benchReport) {
 	r.RingAllreduceTorusCycles = ringCycles(cni.TopoTorus)
 }
 
-// checkCanaries regenerates the simulated canaries and diffs them
-// against the committed snapshot, so timing-model drift fails CI
-// instead of being silently overwritten.
-func checkCanaries(path string) error {
+// exact pins a simulated field: fresh must equal committed.
+func exact(key string, get func(*benchReport) any) func(c, f *benchReport) string {
+	return func(c, f *benchReport) string {
+		return unless(get(c) == get(f), "%s: committed %v, fresh %v", key, get(c), get(f))
+	}
+}
+
+// unless is the drift message of a gate: "" when ok holds.
+func unless(ok bool, format string, args ...any) string {
+	if ok {
+		return ""
+	}
+	return fmt.Sprintf(format, args...)
+}
+
+// canaryGates are --check's gates over the committed snapshot c and a
+// fresh measurement f, in report order: exact simulated fields, strict
+// relations between fresh simulated values, host-timed floors and
+// budgets, and host measurements the snapshot must carry. Each returns
+// its drift message, or "" when it holds.
+var canaryGates = []func(c, f *benchReport) string{
+	exact("rtt_64B_cni512q_cycles", func(r *benchReport) any { return r.RTT64BCNI512QCycles }),
+	exact("bw_4096B_cni512q_mbps", func(r *benchReport) any { return r.BW4KBCNI512QMBps }),
+	exact("torus_hotspot_rtt_64B_cni512q_cycles", func(r *benchReport) any { return r.TorusProbeRTTCycles }),
+	exact("loadsweep_flat_knee_cni512q_mbps", func(r *benchReport) any { return r.LoadsweepFlatKneeMBps }),
+	exact("loadsweep_torus_knee_cni512q_mbps", func(r *benchReport) any { return r.LoadsweepTorusKneeMBps }),
+	exact("torus_loadsweep_delivered_msgs", func(r *benchReport) any { return r.TorusLoadsweepDeliveredMsgs }),
+	exact("rpc_p999_k8_cni512q_us", func(r *benchReport) any { return r.RPCP999K8CNI512QUs }),
+	exact("ring_allreduce_flat_cni512q_cycles", func(r *benchReport) any { return r.RingAllreduceFlatCycles }),
+	exact("ring_allreduce_torus_cni512q_cycles", func(r *benchReport) any { return r.RingAllreduceTorusCycles }),
+	func(_, f *benchReport) string {
+		return unless(f.RingAllreduceFlatCycles < f.RingAllreduceTorusCycles,
+			"ring-allreduce inversion: flat %d cycles must complete strictly before torus %d (neighbour hops serialise on shared torus links)",
+			f.RingAllreduceFlatCycles, f.RingAllreduceTorusCycles)
+	},
+	func(c, _ *benchReport) string {
+		return unless(c.TorusLoadsweepEventsPerSec > 0,
+			"torus_loadsweep_events_per_sec: committed snapshot carries no throughput; regenerate with `cnisim benchjson`")
+	},
+	func(c, _ *benchReport) string {
+		return unless(c.TraceOverheadPct != 0,
+			"trace_overhead_pct: committed snapshot carries no trace-overhead measurement; regenerate with `cnisim benchjson`")
+	},
+	func(c, _ *benchReport) string {
+		return unless(c.EventsPerSec4kNodes > 0 && c.Shard4kSpeedup != 0,
+			"events_per_sec_4k_nodes: committed snapshot carries no sharded-engine measurement; regenerate with `cnisim benchjson`")
+	},
+	// The sharded-engine canaries: the 4096-node point's delivered
+	// count is exact; one shard must reproduce sixteen (shard-count
+	// invariance at scale, the serial-reference ordering); and sharding
+	// must actually pay on the host.
+	exact("shard_4k_delivered_msgs", func(r *benchReport) any { return r.Shard4kDeliveredMsgs }),
+	func(_, f *benchReport) string {
+		return unless(f.oneShardDelivered == f.Shard4kDeliveredMsgs,
+			"shard-count variance: 1 shard delivered %d messages at 4096 nodes, %d shards delivered %d",
+			f.oneShardDelivered, cni.Shard4kBenchShards, f.Shard4kDeliveredMsgs)
+	},
+	func(_, f *benchReport) string {
+		return unless(f.Shard4kSpeedup > shard4kMinSpeedup,
+			"shard_4k_speedup: fresh measurement %.2fx is under the %.1fx floor over the serial engine",
+			f.Shard4kSpeedup, shard4kMinSpeedup)
+	},
+	// The telemetry canary: tracing the heaviest path must not change
+	// what the simulation computes and must stay cheap on the host.
+	func(c, f *benchReport) string {
+		return unless(f.tracedDelivered == c.TorusLoadsweepDeliveredMsgs,
+			"traced torus loadsweep delivered %d messages, untraced canary is %d: tracing perturbed the simulation",
+			f.tracedDelivered, c.TorusLoadsweepDeliveredMsgs)
+	},
+	func(_, f *benchReport) string {
+		return unless(f.TraceOverheadPct < 15, "trace_overhead_pct: fresh measurement %.1f%% breaches the 15%% budget", f.TraceOverheadPct)
+	},
+	func(_, f *benchReport) string {
+		return unless(f.LoadsweepTorusKneeMBps < f.LoadsweepFlatKneeMBps,
+			"loadsweep saturation inversion: torus knee %v MB/s must sit strictly below flat %v MB/s",
+			f.LoadsweepTorusKneeMBps, f.LoadsweepFlatKneeMBps)
+	},
+}
+
+func benchjsonCmd(_ string, o *opts) func(string) error {
+	out := o.String("out", "BENCH_sim.json", "snapshot path")
+	check := o.Bool("check", false, "compare fresh canaries against the committed snapshot instead of writing")
+	return func(string) error {
+		var r benchReport
+		canaries(&r)
+		r.EventsPerSec4kNodes, r.EventsPerSec4kNodesSerial, r.Shard4kSpeedup,
+			r.Shard4kDeliveredMsgs = shard4kSpeedup()
+		r.TraceOverheadPct, r.tracedDelivered = traceOverhead()
+		if *check {
+			_, r.oneShardDelivered = shard4kPoint(1)
+			return checkCanaries(*out, &r)
+		}
+		r.Timestamp = time.Now().UTC().Format(time.RFC3339)
+		r.GoVersion = runtime.Version()
+		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+		r.EngineEventsPerSec, r.EngineAllocsPerEvent = engineThroughput()
+		r.Fig6MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig6(cni.MemoryBus) })
+		r.Fig7MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig7(cni.MemoryBus) })
+		data, err := json.MarshalIndent(&r, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", *out)
+		return nil
+	}
+}
+
+// checkCanaries runs canaryGates on the fresh measurement against the
+// snapshot at path, so timing-model drift fails CI instead of being
+// silently overwritten.
+func checkCanaries(path string, fresh *benchReport) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -262,129 +368,16 @@ func checkCanaries(path string) error {
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
-	var fresh benchReport
-	canaries(&fresh)
 	var drift []string
-	if fresh.RTT64BCNI512QCycles != committed.RTT64BCNI512QCycles {
-		drift = append(drift, fmt.Sprintf("rtt_64B_cni512q_cycles: committed %d, fresh %d",
-			committed.RTT64BCNI512QCycles, fresh.RTT64BCNI512QCycles))
-	}
-	if fresh.BW4KBCNI512QMBps != committed.BW4KBCNI512QMBps {
-		drift = append(drift, fmt.Sprintf("bw_4096B_cni512q_mbps: committed %v, fresh %v",
-			committed.BW4KBCNI512QMBps, fresh.BW4KBCNI512QMBps))
-	}
-	if fresh.TorusProbeRTTCycles != committed.TorusProbeRTTCycles {
-		drift = append(drift, fmt.Sprintf("torus_hotspot_rtt_64B_cni512q_cycles: committed %d, fresh %d",
-			committed.TorusProbeRTTCycles, fresh.TorusProbeRTTCycles))
-	}
-	if fresh.LoadsweepFlatKneeMBps != committed.LoadsweepFlatKneeMBps {
-		drift = append(drift, fmt.Sprintf("loadsweep_flat_knee_cni512q_mbps: committed %v, fresh %v",
-			committed.LoadsweepFlatKneeMBps, fresh.LoadsweepFlatKneeMBps))
-	}
-	if fresh.LoadsweepTorusKneeMBps != committed.LoadsweepTorusKneeMBps {
-		drift = append(drift, fmt.Sprintf("loadsweep_torus_knee_cni512q_mbps: committed %v, fresh %v",
-			committed.LoadsweepTorusKneeMBps, fresh.LoadsweepTorusKneeMBps))
-	}
-	if fresh.TorusLoadsweepDeliveredMsgs != committed.TorusLoadsweepDeliveredMsgs {
-		drift = append(drift, fmt.Sprintf("torus_loadsweep_delivered_msgs: committed %d, fresh %d",
-			committed.TorusLoadsweepDeliveredMsgs, fresh.TorusLoadsweepDeliveredMsgs))
-	}
-	if fresh.RPCP999K8CNI512QUs != committed.RPCP999K8CNI512QUs {
-		drift = append(drift, fmt.Sprintf("rpc_p999_k8_cni512q_us: committed %v, fresh %v",
-			committed.RPCP999K8CNI512QUs, fresh.RPCP999K8CNI512QUs))
-	}
-	if fresh.RingAllreduceFlatCycles != committed.RingAllreduceFlatCycles {
-		drift = append(drift, fmt.Sprintf("ring_allreduce_flat_cni512q_cycles: committed %d, fresh %d",
-			committed.RingAllreduceFlatCycles, fresh.RingAllreduceFlatCycles))
-	}
-	if fresh.RingAllreduceTorusCycles != committed.RingAllreduceTorusCycles {
-		drift = append(drift, fmt.Sprintf("ring_allreduce_torus_cni512q_cycles: committed %d, fresh %d",
-			committed.RingAllreduceTorusCycles, fresh.RingAllreduceTorusCycles))
-	}
-	if fresh.RingAllreduceFlatCycles >= fresh.RingAllreduceTorusCycles {
-		drift = append(drift, fmt.Sprintf("ring-allreduce inversion: flat %d cycles must complete strictly before torus %d (neighbour hops serialise on shared torus links)",
-			fresh.RingAllreduceFlatCycles, fresh.RingAllreduceTorusCycles))
-	}
-	if committed.TorusLoadsweepEventsPerSec <= 0 {
-		drift = append(drift, "torus_loadsweep_events_per_sec: committed snapshot carries no throughput; regenerate with `cnisim benchjson`")
-	}
-	if committed.TraceOverheadPct == 0 {
-		drift = append(drift, "trace_overhead_pct: committed snapshot carries no trace-overhead measurement; regenerate with `cnisim benchjson`")
-	}
-	if committed.EventsPerSec4kNodes <= 0 || committed.Shard4kSpeedup == 0 {
-		drift = append(drift, "events_per_sec_4k_nodes: committed snapshot carries no sharded-engine measurement; regenerate with `cnisim benchjson`")
-	}
-	// The sharded-engine canaries: the 4096-node point's delivered
-	// count is exact; one shard must reproduce sixteen (shard-count
-	// invariance at scale, the serial-reference ordering); and sharding
-	// must actually pay on the host.
-	_, _, speedup4k, delivered4k := shard4kSpeedup()
-	if delivered4k != committed.Shard4kDeliveredMsgs {
-		drift = append(drift, fmt.Sprintf("shard_4k_delivered_msgs: committed %d, fresh %d",
-			committed.Shard4kDeliveredMsgs, delivered4k))
-	}
-	if _, oneShard, _ := shard4kPoint(1); oneShard != delivered4k {
-		drift = append(drift, fmt.Sprintf("shard-count variance: 1 shard delivered %d messages at 4096 nodes, %d shards delivered %d",
-			oneShard, cni.Shard4kBenchShards, delivered4k))
-	}
-	if speedup4k <= shard4kMinSpeedup {
-		drift = append(drift, fmt.Sprintf("shard_4k_speedup: fresh measurement %.2fx is under the %.1fx floor over the serial engine",
-			speedup4k, shard4kMinSpeedup))
-	}
-	// The telemetry canary: tracing the heaviest path must not change
-	// what the simulation computes and must stay cheap on the host.
-	overheadPct, tracedDelivered := traceOverhead()
-	if tracedDelivered != committed.TorusLoadsweepDeliveredMsgs {
-		drift = append(drift, fmt.Sprintf("traced torus loadsweep delivered %d messages, untraced canary is %d: tracing perturbed the simulation",
-			tracedDelivered, committed.TorusLoadsweepDeliveredMsgs))
-	}
-	if overheadPct >= 15 {
-		drift = append(drift, fmt.Sprintf("trace_overhead_pct: fresh measurement %.1f%% breaches the 15%% budget", overheadPct))
-	}
-	if fresh.LoadsweepTorusKneeMBps >= fresh.LoadsweepFlatKneeMBps {
-		drift = append(drift, fmt.Sprintf("loadsweep saturation inversion: torus knee %v MB/s must sit strictly below flat %v MB/s",
-			fresh.LoadsweepTorusKneeMBps, fresh.LoadsweepFlatKneeMBps))
+	for _, gate := range canaryGates {
+		if msg := gate(&committed, fresh); msg != "" {
+			drift = append(drift, msg)
+		}
 	}
 	if len(drift) > 0 {
 		return fmt.Errorf("simulated canaries drifted from %s (a timing-model change must update the snapshot deliberately):\n  %s",
 			path, strings.Join(drift, "\n  "))
 	}
 	fmt.Printf("canaries match %s\n", path)
-	return nil
-}
-
-func runBenchJSON(args []string) error {
-	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	out := fs.String("out", "BENCH_sim.json", "output path")
-	check := fs.Bool("check", false, "compare fresh canaries against the committed snapshot instead of writing")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *check {
-		return checkCanaries(*out)
-	}
-
-	var r benchReport
-	r.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	r.GoVersion = runtime.Version()
-	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	r.EngineEventsPerSec, r.EngineAllocsPerEvent = engineThroughput()
-	canaries(&r)
-	r.TraceOverheadPct, _ = traceOverhead()
-	r.EventsPerSec4kNodes, r.EventsPerSec4kNodesSerial, r.Shard4kSpeedup,
-		r.Shard4kDeliveredMsgs = shard4kSpeedup()
-
-	r.Fig6MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig6(cni.MemoryBus) })
-	r.Fig7MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig7(cni.MemoryBus) })
-
-	data, err := json.MarshalIndent(&r, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(*out, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
 	return nil
 }

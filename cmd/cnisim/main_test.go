@@ -2,14 +2,19 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	cni "repro"
 )
 
+// TestParseConfig checks the shared --ni/--bus/--topology options
+// resolve to the machine a command runs, and reject typos and invalid
+// combinations.
 func TestParseConfig(t *testing.T) {
 	cases := []struct {
 		ni, bus, topo string
@@ -26,15 +31,18 @@ func TestParseConfig(t *testing.T) {
 		{"CNI512Q", "memory", "ring", false},
 	}
 	for _, c := range cases {
-		cfg, err := parseConfig(c.ni, c.bus, c.topo, 2)
+		var err error
+		out := captureStdout(t, func() {
+			err = run("latency", []string{"--ni=" + c.ni, "--bus=" + c.bus, "--topology=" + c.topo})
+		})
 		if c.ok && err != nil {
-			t.Errorf("parseConfig(%q,%q,%q): unexpected error %v", c.ni, c.bus, c.topo, err)
+			t.Errorf("%s/%s/%s: unexpected error %v", c.ni, c.bus, c.topo, err)
 		}
 		if !c.ok && err == nil {
-			t.Errorf("parseConfig(%q,%q,%q): expected error", c.ni, c.bus, c.topo)
+			t.Errorf("%s/%s/%s: expected error", c.ni, c.bus, c.topo)
 		}
-		if err == nil && c.topo == "torus" && cfg.Topology != cni.TopoTorus {
-			t.Errorf("parseConfig(%q,%q,%q): topology not threaded through", c.ni, c.bus, c.topo)
+		if err == nil && c.topo == "torus" && !strings.Contains(out, "+torus") {
+			t.Errorf("%s/%s/%s: topology not threaded through: %q", c.ni, c.bus, c.topo, out)
 		}
 	}
 }
@@ -253,10 +261,9 @@ func TestRunFaultSweepCell(t *testing.T) {
 	}
 }
 
-// TestFlagTyposFailWithValidValues pins the CLI contract from this
-// PR's satellite: a typo in --topology, --arrival, --ni, or --bus
-// must fail with an error listing the valid values, never silently
-// fall back to a default.
+// TestFlagTyposFailWithValidValues pins the CLI contract: a typo or
+// an out-of-range value must fail with an error naming the valid
+// values, never silently fall back to a default or run on nonsense.
 func TestFlagTyposFailWithValidValues(t *testing.T) {
 	cases := []struct {
 		cmd   string
@@ -311,6 +318,16 @@ func TestFlagTyposFailWithValidValues(t *testing.T) {
 		{"rpc", []string{"--think=-5"}, []string{"-5", ">= 0 (0 = default)"}},
 		// --think shapes a single point; the sweep would ignore it.
 		{"rpc", []string{"--think=200000", "--clients=1000", "--ni=CNI512Q", "--topology=flat"}, []string{"--think", "--fanout"}},
+		// Micro commands must not run on nonsense sizes and counts (a
+		// zero round count divided by zero, a negative count hung).
+		{"exchange", []string{"--rounds=0"}, []string{"--rounds=0", ">= 1"}},
+		{"incast", []string{"--count=-1"}, []string{"--count=-1", ">= 1"}},
+		{"latency", []string{"--size=-5"}, []string{"--size=-5", ">= 1"}},
+		{"bandwidth", []string{"--size=0"}, []string{"--size=0", ">= 1"}},
+		{"incast", []string{"--size=0"}, []string{"--size=0", ">= 1"}},
+		{"trace", []string{"exchange", "--rounds=0"}, []string{"--rounds=0", ">= 1"}},
+		{"trace", []string{"incast", "--count=0"}, []string{"--count=0", ">= 1"}},
+		{"trace", []string{"latency", "--size=0"}, []string{"--size=0", ">= 1"}},
 	}
 	for _, c := range cases {
 		err := run(c.cmd, c.args)
@@ -326,45 +343,44 @@ func TestFlagTyposFailWithValidValues(t *testing.T) {
 	}
 }
 
-// TestUsageListsEveryExperiment pins the usage text to the experiment
-// registry: every name cni.Experiment accepts (and every micro
-// command run dispatches) must be discoverable from `cnisim
-// <no-args>` output, so new experiments cannot ship CLI-invisible.
+// TestUsageListsEveryExperiment pins the generated usage text and
+// checks it names every command and every option of the command table,
+// and every registered experiment's command, so nothing ships
+// CLI-invisible.
 func TestUsageListsEveryExperiment(t *testing.T) {
-	for _, name := range cni.ExperimentNames() {
-		// Family commands appear as their base name (fig6-memory ->
-		// fig6, table1 -> table1..table4 range line).
-		base, _, _ := strings.Cut(name, "-")
-		if strings.HasPrefix(base, "table") {
-			base = "table1..table4"
+	var b strings.Builder
+	usage(&b)
+	text := b.String()
+	checkGolden(t, "usage.txt", text)
+	for _, c := range commands {
+		for _, name := range c.names {
+			if !strings.Contains(text, name) {
+				t.Errorf("usage text does not mention command %q", name)
+			}
 		}
-		if !strings.Contains(usageText, base) {
-			t.Errorf("usage text does not mention experiment %q (looked for %q)", name, base)
-		}
+		o := newOpts(c.names[0])
+		c.setup(c.names[0], o)
+		o.VisitAll(func(f *flag.Flag) {
+			if !strings.Contains(text, "-"+f.Name) {
+				t.Errorf("usage text does not mention %s option --%s", c.names[0], f.Name)
+			}
+		})
 	}
-	for _, cmd := range []string{"latency", "bandwidth", "incast", "exchange", "bench", "benchjson", "all", "list", "--topology", "loadsweep", "--arrival", "trace", "--trace", "--sample-every", "--progress"} {
-		if !strings.Contains(usageText, cmd) {
-			t.Errorf("usage text does not mention %q", cmd)
+	for _, name := range cni.ExperimentNames() {
+		base, _, _ := strings.Cut(name, "-")
+		if !strings.Contains(text, base) {
+			t.Errorf("usage text does not mention experiment %q (looked for %q)", name, base)
 		}
 	}
 }
 
-// TestListMatchesExperimentNames checks each listed experiment
-// dispatches through run()'s switch (no registry entry the CLI cannot
-// reach). It relies on run("bogus") erroring above; here every listed
-// name must be a recognised command family.
+// TestListMatchesExperimentNames checks each listed experiment has a
+// command in the table (no registry entry the CLI cannot reach).
 func TestListMatchesExperimentNames(t *testing.T) {
-	known := map[string]bool{
-		"table1": true, "table2": true, "table3": true, "table4": true,
-		"fig6": true, "fig7": true, "fig8": true,
-		"occupancy": true, "ablation": true, "sweep": true, "dma": true,
-		"congestion": true, "loadsweep": true, "faultsweep": true,
-		"rpc": true, "collective": true,
-	}
 	for _, name := range cni.ExperimentNames() {
 		base, _, _ := strings.Cut(name, "-")
-		if !known[base] {
-			t.Errorf("experiment %q has no CLI command family", name)
+		if !slices.ContainsFunc(commands, func(c command) bool { return slices.Contains(c.names, base) }) {
+			t.Errorf("experiment %q has no CLI command", name)
 		}
 	}
 }
@@ -442,43 +458,27 @@ func TestRunCollectiveSchedule(t *testing.T) {
 	}
 }
 
-// TestProfileFlags pins the shared pprof flag handling: the flags are
-// extracted from any position in any spelling, a missing path is a
-// parse error (not a silent no-profile run), and a profiled run
-// actually writes both files.
+// TestProfileFlags pins the shared pprof options: they are taken from
+// either side of the command word in either spelling, a missing or
+// empty path is an error (not a silent no-profile run or a path taken
+// from the command word), and a profiled run writes both files.
 func TestProfileFlags(t *testing.T) {
-	pf, rest, err := parseProfileFlags([]string{
-		"--cpuprofile=cpu.out", "--json=-", "-memprofile", "mem.out", "--bus=io",
-	})
-	if err != nil {
-		t.Fatalf("parseProfileFlags: %v", err)
-	}
-	if pf.cpu != "cpu.out" || pf.mem != "mem.out" {
-		t.Fatalf("parsed %+v, want cpu.out/mem.out", pf)
-	}
-	if want := []string{"--json=-", "--bus=io"}; len(rest) != 2 || rest[0] != want[0] || rest[1] != want[1] {
-		t.Fatalf("rest = %v, want %v", rest, want)
-	}
-	if _, _, err := parseProfileFlags([]string{"--cpuprofile"}); err == nil {
+	if err := cli([]string{"list", "--cpuprofile"}); err == nil {
 		t.Error("--cpuprofile without a path should error")
 	}
-	if _, _, err := parseProfileFlags([]string{"--memprofile"}); err == nil {
+	if err := cli([]string{"list", "--memprofile"}); err == nil {
 		t.Error("--memprofile without a path should error")
+	}
+	if err := cli([]string{"--cpuprofile=", "table1"}); err == nil || !strings.Contains(err.Error(), "needs a file path") {
+		t.Errorf("--cpuprofile= before the command: %v, want a needs-a-file-path error", err)
 	}
 
 	dir := t.TempDir()
-	pf = profileFlags{cpu: filepath.Join(dir, "cpu.pprof"), mem: filepath.Join(dir, "mem.pprof")}
-	stop, err := pf.start()
-	if err != nil {
-		t.Fatalf("start profiles: %v", err)
-	}
-	if err := run("list", nil); err != nil {
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if err := cli([]string{"--cpuprofile=" + cpu, "list", "-memprofile", mem}); err != nil {
 		t.Fatalf("profiled run: %v", err)
 	}
-	if err := stop(); err != nil {
-		t.Fatalf("stop profiles: %v", err)
-	}
-	for _, p := range []string{pf.cpu, pf.mem} {
+	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)
 		if err != nil {
 			t.Fatalf("profile not written: %v", err)

@@ -5,58 +5,15 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 )
 
-// profileFlags carries the pprof output paths shared by every
-// subcommand. The flags are extracted before subcommand dispatch (they
-// may appear anywhere on the command line) so each subcommand's own
-// FlagSet never sees them.
-type profileFlags struct {
-	cpu string
-	mem string
-}
-
-// parseProfileFlags strips --cpuprofile/--memprofile (either
-// --flag=value or --flag value, one or two dashes) from args and
-// returns the remaining arguments untouched, in order.
-func parseProfileFlags(args []string) (profileFlags, []string, error) {
-	var pf profileFlags
-	rest := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		name := strings.TrimLeft(a, "-")
-		val := ""
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name, val = name[:eq], name[eq+1:]
-		}
-		if !strings.HasPrefix(a, "-") || (name != "cpuprofile" && name != "memprofile") {
-			rest = append(rest, a)
-			continue
-		}
-		if val == "" {
-			if i+1 >= len(args) {
-				return pf, nil, fmt.Errorf("--%s needs a file path", name)
-			}
-			i++
-			val = args[i]
-		}
-		if name == "cpuprofile" {
-			pf.cpu = val
-		} else {
-			pf.mem = val
-		}
-	}
-	return pf, rest, nil
-}
-
-// start begins CPU profiling if requested and returns a stop function
-// that finishes the CPU profile and writes the heap profile. The stop
-// function must run after the measured work, error or not.
-func (pf profileFlags) start() (stop func() error, err error) {
+// startProfiles begins CPU profiling to cpu, if set, and returns a stop
+// function that finishes it and writes a heap profile to mem, if set.
+// stop must run after the measured work, error or not.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
 	var cpuFile *os.File
-	if pf.cpu != "" {
-		cpuFile, err = os.Create(pf.cpu)
+	if cpu != "" {
+		cpuFile, err = os.Create(cpu)
 		if err != nil {
 			return nil, err
 		}
@@ -71,10 +28,10 @@ func (pf profileFlags) start() (stop func() error, err error) {
 			if err := cpuFile.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", pf.cpu)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", cpu)
 		}
-		if pf.mem != "" {
-			f, err := os.Create(pf.mem)
+		if mem != "" {
+			f, err := os.Create(mem)
 			if err != nil {
 				return err
 			}
@@ -86,7 +43,7 @@ func (pf profileFlags) start() (stop func() error, err error) {
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", pf.mem)
+			fmt.Fprintf(os.Stderr, "wrote %s\n", mem)
 		}
 		return nil
 	}, nil

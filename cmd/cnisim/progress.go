@@ -7,10 +7,6 @@ import (
 	"time"
 )
 
-// progressOn is set by the global --progress flag; the sweep commands
-// install a heartbeat when it is on.
-var progressOn bool
-
 // progressInterval is the heartbeat period. A var so tests can shrink
 // the wall-clock wait.
 var progressInterval = 2 * time.Second
@@ -29,10 +25,10 @@ type progressMeter struct {
 	wg   sync.WaitGroup
 }
 
-// startProgress returns a running meter, or nil when --progress is
-// off (the nil meter's methods are no-ops, so callers need no guard).
-func startProgress(what string) *progressMeter {
-	if !progressOn {
+// startProgress returns a running meter, or nil when on (--progress) is
+// false (the nil meter's methods are no-ops, so callers need no guard).
+func startProgress(what string, on bool) *progressMeter {
+	if !on {
 		return nil
 	}
 	pm := &progressMeter{what: what, done: make(chan struct{})}

@@ -7,65 +7,50 @@ import (
 	"repro/internal/harness"
 )
 
-// runRPC drives the datacenter RPC fan-out subsystem: by default the
+// rpcCmd drives the datacenter RPC fan-out subsystem: by default the
 // full fan-out-ladder + overload sweep per NI × topology; with
 // --fanout, one measured point on one machine.
-func runRPC(args []string) error {
-	c := newSweepCmd("rpc")
-	fanout := c.Int("fanout", 0, "measure one point at this root fan-out (>= 1) instead of sweeping the ladder")
-	clients := c.Int("clients", 0, "simulated client population machine-wide (default 1000000)")
-	think := c.Int("think", 0, "with --fanout: mean client think cycles (default the sweep's moderate load)")
-	clientZipf := c.Float64("client-zipf", 0, "Zipf skew of per-client request weights (0 = uniform)")
-	hedge := c.Float64("hedge", 0, "hedge-eligible fraction of root calls, in [0, 1)")
-	hedgeAfter := c.Int("hedge-after", 0, "hedge trigger delay in cycles (default 20000)")
-	chunk := c.Int("incast-chunk", 0, "with --fanout: the storage incast preset, bulk replies of this many bytes")
-	seed := c.Uint64("seed", 0, "arrival/backend/service seed (0 = default)")
-	// Flag conflicts and invalid parameters fail before any simulation.
-	if err := c.parse(args); err != nil {
-		return err
-	}
-	if c.set("fanout") && *fanout < 1 {
-		return fmt.Errorf("rpc: --fanout must be >= 1, have %d", *fanout)
-	}
-	if *hedge < 0 || *hedge >= 1 {
-		return fmt.Errorf("rpc: --hedge must be in [0, 1), have %v", *hedge)
-	}
-	if *clients < 0 {
-		return fmt.Errorf("rpc: --clients must be >= 1, have %d", *clients)
-	}
-	if *think < 0 || *hedgeAfter < 0 || *chunk < 0 {
-		return fmt.Errorf("rpc: --think, --hedge-after, and --incast-chunk must be >= 0 (0 = default), have %d, %d, %d",
-			*think, *hedgeAfter, *chunk)
-	}
+func rpcCmd(_ string, o *opts) func(string) error {
+	c := newSweepCmd(o)
+	byDefault := span{atLeast(0).desc + " (0 = default)", atLeast(0).has}
+	fanout := o.intIn("fanout", 0, atLeast(1), "measure one point at this root fan-out instead of sweeping the ladder")
+	clients := o.intIn("clients", cni.RPCSweepClients, atLeast(1), "simulated client population machine-wide")
+	think := o.intIn("think", 0, byDefault, "with --fanout: mean client think cycles (default the sweep's moderate load)")
+	clientZipf := o.Float64("client-zipf", 0, "Zipf skew of per-client request weights (0 = uniform)")
+	hedge := o.floatIn("hedge", 0, below(1), "hedge-eligible fraction of root calls")
+	hedgeAfter := o.intIn("hedge-after", 0, byDefault, "hedge trigger delay in cycles (default 20000)")
+	chunk := o.intIn("incast-chunk", 0, byDefault, "with --fanout: the storage incast preset, bulk replies of this many bytes")
+	seed := o.Uint64("seed", 0, "arrival/backend/service seed (0 = default)")
 	// The sweep fixes its own think times and reply shapes; these two
 	// only shape a single point, so without --fanout they would be
 	// silently ignored.
-	if *fanout == 0 && (*think > 0 || *chunk > 0) {
-		return fmt.Errorf("rpc: --think and --incast-chunk shape a single point; they need --fanout")
+	o.require(func() bool { return c.set("fanout") || *think == 0 && *chunk == 0 },
+		"rpc: --think and --incast-chunk shape a single point; they need --fanout")
+	return func(string) error {
+		opt := cni.RPCOptions{
+			Clients:          *clients,
+			ClientZipfS:      *clientZipf,
+			Hedge:            *hedge,
+			HedgeAfterCycles: *hedgeAfter,
+			Seed:             *seed,
+			NIs:              c.nis(),
+			Topos:            c.topos(),
+			Progress:         c.note,
+		}
+		// Validate the composed spec up front (client-zipf range, ...): a
+		// bad parameter must fail here, not minutes into a sweep.
+		probeFanout := cni.RPCSweepFanouts[len(cni.RPCSweepFanouts)-1]
+		if c.set("fanout") {
+			probeFanout = *fanout
+		}
+		if err := cni.RPCSpecFor(opt, probeFanout, cni.RPCSweepThink).Validate(); err != nil {
+			return err
+		}
+		if c.set("fanout") {
+			return runRPCPoint(c, opt, *fanout, *think, *chunk)
+		}
+		return runSweep(c, cni.RPCSweep, opt)
 	}
-	opt := cni.RPCOptions{
-		Clients:          *clients,
-		ClientZipfS:      *clientZipf,
-		Hedge:            *hedge,
-		HedgeAfterCycles: *hedgeAfter,
-		Seed:             *seed,
-		NIs:              c.nis,
-		Topos:            c.topos,
-		Progress:         c.note,
-	}
-	// Validate the composed spec up front (client-zipf range, ...): a
-	// bad parameter must fail here, not minutes into a sweep.
-	probeFanout := cni.RPCSweepFanouts[len(cni.RPCSweepFanouts)-1]
-	if *fanout > 0 {
-		probeFanout = *fanout
-	}
-	if err := cni.RPCSpecFor(opt, probeFanout, cni.RPCSweepThink).Validate(); err != nil {
-		return err
-	}
-	if *fanout > 0 {
-		return runRPCPoint(c, opt, *fanout, *think, *chunk)
-	}
-	return runSweep(c, cni.RPCSweep, opt)
 }
 
 // runRPCPoint measures one RPC point on one machine, using the
@@ -79,7 +64,7 @@ func runRPCPoint(c *sweepCmd, opt cni.RPCOptions, fanout, think, chunk int) erro
 		spec.Tiers = cni.IncastSpec(fanout, chunk).Tiers
 		spec.Tiers[0].Fanout = fanout
 	}
-	cfg := c.point(0, 0)
+	cfg := c.point(harness.SweepNodes, 0)
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -113,35 +98,26 @@ func runRPCPoint(c *sweepCmd, opt cni.RPCOptions, fanout, think, chunk int) erro
 			fmt.Sprintf("%d", rep.Hedges), fmt.Sprintf("%d", rep.HedgeWins),
 		}},
 	}
-	return c.export(d)
+	return c.write(nil, d)
 }
 
-// runCollective drives the collective-schedule subsystem: by default
+// collectiveCmd drives the collective-schedule subsystem: by default
 // the full schedule grid per NI × topology; with --schedule, one run
 // on one machine with per-step detail.
-func runCollective(args []string) error {
-	c := newSweepCmd("collective")
-	schedule := c.String("schedule", "", "run one schedule (ring-allreduce, rd-allreduce, alltoall, broadcast) instead of sweeping")
-	bytes := c.Int("bytes", 0, "per-node contribution in bytes (default 65536)")
-	nodes := c.Int("nodes", 0, "node count for a single --schedule run (default the sweep's 16)")
-	shards := c.Int("shards", 0, "event-engine shards for a single --schedule run (torus machines over 16 nodes; 0 = serial)")
-	if err := c.parse(args); err != nil {
-		return err
+func collectiveCmd(_ string, o *opts) func(string) error {
+	c := newSweepCmd(o)
+	var schedules []string
+	for _, sch := range cni.Schedules() {
+		schedules = append(schedules, string(sch))
 	}
-	if *bytes < 0 {
-		return fmt.Errorf("collective: --bytes must be >= 1, have %d", *bytes)
-	}
-	if *schedule == "" && (*nodes != 0 || *shards != 0) {
-		return fmt.Errorf("--nodes/--shards apply to a single --schedule run; the sweep is pinned at %d nodes", harness.SweepNodes)
-	}
-	if *nodes != 0 && *nodes < 2 {
-		return fmt.Errorf("collective: --nodes must be >= 2, have %d", *nodes)
-	}
-	if *schedule != "" {
-		sch, err := cni.ParseSchedule(*schedule)
-		if err != nil {
-			return err
+	schedule := o.oneOf("schedule", "", schedules, "run one schedule instead of sweeping (rd-allreduce needs a power-of-two --nodes)")
+	bytes := o.intIn("bytes", cni.CollectiveBytes, atLeast(1), "per-node contribution in bytes")
+	nodes, shards := c.pinned("schedule", "--schedule run")
+	return func(string) error {
+		if !c.set("schedule") {
+			return runSweep(c, cni.CollectiveSweep, cni.CollectiveOptions{Bytes: *bytes, NIs: c.nis(), Topos: c.topos(), Progress: c.note})
 		}
+		sch := cni.Schedule(*schedule)
 		cfg := c.point(*nodes, *shards)
 		// Recursive doubling only pairs up cleanly on powers of two;
 		// reject at flag time so the error points at the flag, not at a
@@ -151,16 +127,12 @@ func runCollective(args []string) error {
 		}
 		return runCollectiveRun(c, cfg, sch, *bytes)
 	}
-	return runSweep(c, cni.CollectiveSweep, cni.CollectiveOptions{Bytes: *bytes, NIs: c.nis, Topos: c.topos, Progress: c.note})
 }
 
 // runCollectiveRun executes one schedule on cfg's machine (which may
 // scale past the sweep's 16 nodes) and reports per-step completion
 // spread.
 func runCollectiveRun(c *sweepCmd, cfg cni.Config, sch cni.Schedule, bytes int) error {
-	if bytes == 0 {
-		bytes = cni.CollectiveBytes
-	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -186,5 +158,5 @@ func runCollectiveRun(c *sweepCmd, cfg cni.Config, sch cni.Schedule, bytes int) 
 			fmt.Sprintf("%d", st.MaxEnd), fmt.Sprintf("%d", st.Skew),
 		})
 	}
-	return c.export(d)
+	return c.write(nil, d)
 }

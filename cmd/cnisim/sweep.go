@@ -1,7 +1,7 @@
 package main
 
 import (
-	"flag"
+	"fmt"
 
 	cni "repro"
 	"repro/internal/harness"
@@ -11,84 +11,50 @@ import (
 // faultsweep, rpc, collective) that does not depend on what they
 // measure: the --ni/--topology grid, the --json/--csv exporters, the
 // progress meter, and the machine of the single-point modes. Each
-// command adds its own flags to the embedded FlagSet.
+// command registers its own options on the embedded opts.
 type sweepCmd struct {
-	*flag.FlagSet
-	ni, topology    *string
-	jsonOut, csvOut *string
-	// nis and topos are the resolved grid; an empty axis keeps the
-	// sweep's default.
-	nis   []cni.NIKind
-	topos []cni.Topology
+	*opts
+	outputs
+	ni, topology *string
 	// pm is the --progress meter while a sweep runs (nil when off).
 	pm *progressMeter
 }
 
-// newSweepCmd returns the named command with the shared flags installed.
-func newSweepCmd(name string) *sweepCmd {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	c := &sweepCmd{
-		FlagSet:  fs,
-		ni:       fs.String("ni", "", "restrict to one NI design (default: the sweep's NI set; a single point runs CNI512Q)"),
-		topology: fs.String("topology", "", "restrict to one fabric (default: flat and torus; a single point runs flat)"),
-	}
-	c.jsonOut, c.csvOut = exportFlags(fs)
-	return c
+// newSweepCmd registers the shared sweep options on o.
+func newSweepCmd(o *opts) *sweepCmd {
+	return &sweepCmd{opts: o, outputs: o.outputs(), ni: o.ni(""), topology: o.topology("")}
 }
 
-// parse parses args, then rejects exporter conflicts and resolves
-// --ni/--topology (failing with the valid values) before any
-// simulation starts.
-func (c *sweepCmd) parse(args []string) error {
-	if err := c.Parse(args); err != nil {
-		return err
+// nis is the --ni axis: the one given, or nil for the sweep's default.
+func (c *sweepCmd) nis() []cni.NIKind {
+	if !c.set("ni") {
+		return nil
 	}
-	if err := validateExport(*c.jsonOut, *c.csvOut); err != nil {
-		return err
-	}
-	if *c.ni != "" {
-		kind, err := cni.ParseNI(*c.ni)
-		if err != nil {
-			return err
-		}
-		c.nis = []cni.NIKind{kind}
-	}
-	if *c.topology != "" {
-		topo, err := cni.ParseTopology(*c.topology)
-		if err != nil {
-			return err
-		}
-		c.topos = []cni.Topology{topo}
-	}
-	return nil
+	kind, _ := cni.ParseNI(*c.ni) // checked against params.NINames
+	return []cni.NIKind{kind}
 }
 
-// set reports whether the user passed the named flag explicitly (as
-// opposed to its default applying).
-func (c *sweepCmd) set(name string) bool {
-	set := false
-	c.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
+// topos is the --topology axis: the one given, or nil for the sweep's
+// default.
+func (c *sweepCmd) topos() []cni.Topology {
+	if !c.set("topology") {
+		return nil
+	}
+	topo, _ := cni.ParseTopology(*c.topology) // checked against params.TopologyNames
+	return []cni.Topology{topo}
 }
 
 // point is the machine of a single-point mode (loadsweep --load, rpc
 // --fanout, collective --schedule): the selected NI and fabric, by
-// default CNI512Q on the flat fabric, on the memory bus with nodes
-// nodes (0 = the sweep's 16) and the given shard count.
+// default CNI512Q on the flat fabric, on the memory bus with the given
+// node and shard counts.
 func (c *sweepCmd) point(nodes, shards int) cni.Config {
-	cfg := cni.Config{Nodes: harness.SweepNodes, NI: cni.CNI512Q, Bus: cni.MemoryBus, Topology: cni.TopoFlat, Shards: shards}
-	if nodes != 0 {
-		cfg.Nodes = nodes
+	cfg := cni.Config{Nodes: nodes, NI: cni.CNI512Q, Bus: cni.MemoryBus, Topology: cni.TopoFlat, Shards: shards}
+	if nis := c.nis(); nis != nil {
+		cfg.NI = nis[0]
 	}
-	if len(c.nis) == 1 {
-		cfg.NI = c.nis[0]
-	}
-	if len(c.topos) == 1 {
-		cfg.Topology = c.topos[0]
+	if topos := c.topos(); topos != nil {
+		cfg.Topology = topos[0]
 	}
 	return cfg
 }
@@ -100,16 +66,18 @@ func (c *sweepCmd) note(cell, detail string) { c.pm.note(cell, detail) }
 // c.note) under the --progress meter, then prints its table and writes
 // its Data per --json/--csv.
 func runSweep[O, R any](c *sweepCmd, sweep func(O) (*cni.Table, *cni.Data, []R), opt O) error {
-	c.pm = startProgress(c.Name())
+	c.pm = startProgress(c.Name(), *c.progress)
 	t, d, _ := sweep(opt)
 	c.pm.finish()
-	printTable(t, *c.jsonOut, *c.csvOut)
-	return c.export(d)
+	return c.write(t, d)
 }
 
-// export writes a result per --json/--csv.
-func (c *sweepCmd) export(d *cni.Data) error { return export(d, *c.jsonOut, *c.csvOut) }
-
-// quiet reports whether an exporter holds stdout, which must then carry
-// nothing but the export.
-func (c *sweepCmd) quiet() bool { return *c.jsonOut == "-" || *c.csvOut == "-" }
+// pinned registers --nodes and --shards, which scale only the single
+// point the mode option selects (named what): a full sweep's cells stay
+// at the paper's 16-node machine so rows remain comparable.
+func (c *sweepCmd) pinned(mode, what string) (nodes, shards *int) {
+	nodes, shards = c.nodes(harness.SweepNodes), c.shards()
+	c.require(func() bool { return c.set(mode) || !c.set("nodes") && !c.set("shards") },
+		fmt.Sprintf("--nodes/--shards apply to a single %s; the sweep is pinned at %d nodes", what, harness.SweepNodes))
+	return nodes, shards
+}

@@ -1,102 +1,15 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strconv"
-	"strings"
 
 	cni "repro"
 	"repro/internal/dcn"
 	"repro/internal/scenario"
 	"repro/internal/trace"
 )
-
-// traceFlags carries the global telemetry flags shared by every
-// subcommand: --trace=path records message lifecycles on every machine
-// the command builds and writes one merged Chrome trace JSON at exit,
-// --sample-every=N adds the periodic time-series sampler, and
-// --progress turns on the sweeps' wall-clock heartbeat. Like the pprof
-// flags they are extracted before subcommand dispatch.
-type traceFlags struct {
-	out         string
-	sampleEvery uint64
-	progress    bool
-}
-
-// parseTraceFlags strips --trace/--sample-every/--progress (either
-// --flag=value or --flag value, one or two dashes; --progress is
-// boolean) from args and returns the remaining arguments untouched,
-// in order.
-func parseTraceFlags(args []string) (traceFlags, []string, error) {
-	var tf traceFlags
-	rest := make([]string, 0, len(args))
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		name := strings.TrimLeft(a, "-")
-		val, hasVal := "", false
-		if eq := strings.IndexByte(name, '='); eq >= 0 {
-			name, val, hasVal = name[:eq], name[eq+1:], true
-		}
-		if !strings.HasPrefix(a, "-") || (name != "trace" && name != "sample-every" && name != "progress") {
-			rest = append(rest, a)
-			continue
-		}
-		if name == "progress" {
-			on := true
-			if hasVal {
-				var err error
-				if on, err = strconv.ParseBool(val); err != nil {
-					return tf, nil, fmt.Errorf("--progress=%s: want a boolean", val)
-				}
-			}
-			tf.progress = on
-			continue
-		}
-		if !hasVal {
-			if i+1 >= len(args) {
-				return tf, nil, fmt.Errorf("--%s needs a value", name)
-			}
-			i++
-			val = args[i]
-		}
-		switch name {
-		case "trace":
-			tf.out = val
-		case "sample-every":
-			n, err := strconv.ParseUint(val, 10, 64)
-			if err != nil {
-				return tf, nil, fmt.Errorf("--sample-every=%s: want a cycle count", val)
-			}
-			tf.sampleEvery = n
-		}
-	}
-	return tf, rest, nil
-}
-
-// install arms the default-trace collector per the global flags and
-// returns a finish function that drains every captured machine and
-// writes the merged export. It must run after the command, error or
-// not, so a failing run still flushes what it traced.
-func (tf traceFlags) install() (finish func() error, err error) {
-	progressOn = tf.progress
-	if tf.out == "" {
-		if tf.sampleEvery > 0 {
-			return nil, fmt.Errorf("--sample-every needs --trace=<path> to write its series to")
-		}
-		return func() error { return nil }, nil
-	}
-	scenario.SetDefaultTrace(cni.TraceSpec{Enabled: true, SampleEvery: tf.sampleEvery})
-	return func() error {
-		defer scenario.SetDefaultTrace(cni.TraceSpec{})
-		caps := scenario.DrainCaptures()
-		if len(caps) == 0 {
-			return fmt.Errorf("--trace=%s: the command built no simulated machines to trace", tf.out)
-		}
-		return writeTraceFile(tf.out, caps)
-	}, nil
-}
 
 // writeTraceFile writes one merged Chrome trace JSON document and
 // announces its span accounting on stderr (stdout stays reserved for
@@ -121,116 +34,76 @@ func writeTraceFile(path string, caps []trace.Capture) error {
 	return nil
 }
 
-// runTrace is the dedicated trace subcommand: run one well-known
-// measurement with full telemetry on and write its timeline. The
-// loadsweep target replays the benchjson canary's machine (the
-// CNI512Q saturation-knee load point), so the trace's user-delivery
-// spans cross-check against the pinned delivered-message count.
-func runTrace(tf traceFlags, args []string) error {
-	if len(args) < 1 || strings.HasPrefix(args[0], "-") {
-		return fmt.Errorf("trace: need a target (loadsweep, rpc, collective, latency, bandwidth, incast, or exchange)")
-	}
-	target, args := args[0], args[1:]
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	ni := fs.String("ni", "CNI512Q", "NI design")
-	bus := fs.String("bus", "memory", "bus attachment")
-	topology := fs.String("topology", "torus", "interconnect fabric (flat or torus)")
-	size := fs.Int("size", 64, "message payload bytes (micro targets)")
-	nodes := fs.Int("nodes", 16, "node count (incast/exchange)")
-	out := fs.String("out", "trace.json", "Chrome trace JSON output path")
-	sampleEvery := fs.Uint64("sample-every", cni.TraceSampleDefault, "time-series sampling period in cycles (0 disables the sampler)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// The global flags double as overrides, so `--trace=x.json` and
-	// `--sample-every=N` mean the same thing on every command.
-	path := *out
-	if tf.out != "" {
-		path = tf.out
-	}
-	every := *sampleEvery
-	if tf.sampleEvery > 0 {
-		every = tf.sampleEvery
-	}
-
-	scenario.SetDefaultTrace(cni.TraceSpec{Enabled: true, SampleEvery: every})
-	defer scenario.SetDefaultTrace(cni.TraceSpec{})
-
-	n := *nodes
-	if target == "latency" || target == "bandwidth" {
-		n = 2
-	}
-	cfg, err := parseConfig(*ni, *bus, *topology, n)
-	if err != nil {
-		return err
-	}
-	switch target {
-	case "loadsweep":
-		wl := cni.DefaultWorkload()
-		wl.OfferedMBps = cni.LoadsweepBenchPerNodeMBps
-		cfg.Nodes = cni.LoadsweepBenchNodes
-		cfg.Workload = &wl
-		if err := cfg.Validate(); err != nil {
-			return err
+// traceCmd runs one well-known measurement with full telemetry on: the
+// global --trace (alias --out) and --sample-every default to a file and
+// the default sampling period. The loadsweep target replays the
+// benchjson canary's machine (the CNI512Q saturation-knee load point),
+// so the trace's user-delivery spans cross-check against the pinned
+// delivered-message count; the micro targets are the micro commands.
+func traceCmd(_ string, o *opts) func(string) error {
+	o.setDefault("trace", "trace.json")
+	o.setDefault("sample-every", strconv.Itoa(cni.TraceSampleDefault))
+	o.Var(o.Lookup("trace").Value, "out", "alias of --trace")
+	config, size, nodes := o.machine("CNI512Q", "torus"), o.size(64), o.nodes(16)
+	count, rounds := o.count(), o.rounds()
+	return func(target string) error {
+		n := *nodes
+		if target == "latency" || target == "bandwidth" {
+			n = 2
 		}
-		rep := cni.MeasureLoad(cfg, cni.LoadsweepBenchWarm, cni.LoadsweepBenchMeasure)
-		fmt.Printf("%s saturation-knee point: offered %.1f MB/s, goodput %.1f MB/s, delivered %d\n",
-			cfg.Name(), rep.OfferedMBps, rep.GoodputMBps, rep.Delivered)
-	case "rpc":
-		// A scaled-down fan-out point: enough calls to populate the
-		// timeline without overflowing the trace ring. Built explicitly
-		// so the recorder stays inspectable for the per-hop breakdown.
-		spec := cni.DefaultRPCSpec()
-		spec.Clients = 1000
-		spec.ThinkCycles = 200_000
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		m, err := scenario.Build(cfg)
+		cfg, err := config(n)
 		if err != nil {
 			return err
 		}
-		defer m.Close()
-		rep, err := dcn.RunRPCOn(m, spec, 10_000, 200_000)
-		if err != nil {
-			return err
+		switch target {
+		case "loadsweep":
+			wl := cni.DefaultWorkload()
+			wl.OfferedMBps = cni.LoadsweepBenchPerNodeMBps
+			cfg.Nodes = cni.LoadsweepBenchNodes
+			cfg.Workload = &wl
+			if err := cfg.Validate(); err != nil {
+				return err
+			}
+			rep := cni.MeasureLoad(cfg, cni.LoadsweepBenchWarm, cni.LoadsweepBenchMeasure)
+			fmt.Printf("%s saturation-knee point: offered %.1f MB/s, goodput %.1f MB/s, delivered %d\n",
+				cfg.Name(), rep.OfferedMBps, rep.GoodputMBps, rep.Delivered)
+		case "rpc":
+			// A scaled-down fan-out point: enough calls to populate the
+			// timeline without overflowing the trace ring. Built explicitly
+			// so the recorder stays inspectable for the per-hop breakdown.
+			spec := cni.DefaultRPCSpec()
+			spec.Clients = 1000
+			spec.ThinkCycles = 200_000
+			m, err := scenario.Build(cfg)
+			if err != nil {
+				return err
+			}
+			defer m.Close()
+			rep, err := dcn.RunRPCOn(m, spec, 10_000, 200_000)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s rpc k=%d: goodput %.1f KRPS, p99.9 %.1f us, %d completed\n",
+				cfg.Name(), spec.Tiers[0].Fanout, rep.GoodputKRPS,
+				cni.Microseconds(rep.Latency.Quantile(0.999)), rep.Completed)
+			if rec := m.TraceRecorder(); rec != nil {
+				b := rec.ComputeBreakdown()
+				fmt.Printf("per-hop breakdown (us): NI stall p50 %.2f p99 %.2f | fabric p50 %.2f p99 %.2f | dispatch p50 %.2f p99 %.2f (%d frags, %d msgs)\n",
+					cni.Microseconds(b.Stall.Quantile(0.50)), cni.Microseconds(b.Stall.Quantile(0.99)),
+					cni.Microseconds(b.Fabric.Quantile(0.50)), cni.Microseconds(b.Fabric.Quantile(0.99)),
+					cni.Microseconds(b.Dispatch.Quantile(0.50)), cni.Microseconds(b.Dispatch.Quantile(0.99)),
+					b.Frags, b.Msgs)
+			}
+		case "collective":
+			rep, err := cni.RunCollective(cfg, cni.DefaultCollectiveSpec())
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s %s: %.1f us over %d steps, max skew %d cycles\n",
+				cfg.Name(), rep.Schedule, rep.CompletionMicros, rep.Steps, rep.MaxSkew)
+		default:
+			micro(target, cfg, *size, *count, *rounds)
 		}
-		fmt.Printf("%s rpc k=%d: goodput %.1f KRPS, p99.9 %.1f us, %d completed\n",
-			cfg.Name(), spec.Tiers[0].Fanout, rep.GoodputKRPS,
-			cni.Microseconds(rep.Latency.Quantile(0.999)), rep.Completed)
-		if rec := m.TraceRecorder(); rec != nil {
-			b := rec.ComputeBreakdown()
-			fmt.Printf("per-hop breakdown (us): NI stall p50 %.2f p99 %.2f | fabric p50 %.2f p99 %.2f | dispatch p50 %.2f p99 %.2f (%d frags, %d msgs)\n",
-				cni.Microseconds(b.Stall.Quantile(0.50)), cni.Microseconds(b.Stall.Quantile(0.99)),
-				cni.Microseconds(b.Fabric.Quantile(0.50)), cni.Microseconds(b.Fabric.Quantile(0.99)),
-				cni.Microseconds(b.Dispatch.Quantile(0.50)), cni.Microseconds(b.Dispatch.Quantile(0.99)),
-				b.Frags, b.Msgs)
-		}
-	case "collective":
-		if err := cfg.Validate(); err != nil {
-			return err
-		}
-		rep, err := cni.RunCollective(cfg, cni.DefaultCollectiveSpec())
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s %s: %.1f us over %d steps, max skew %d cycles\n",
-			cfg.Name(), rep.Schedule, rep.CompletionMicros, rep.Steps, rep.MaxSkew)
-	case "latency":
-		rtt := cni.RoundTrip(cfg, *size, 4)
-		fmt.Printf("%s %dB round-trip: %d cycles (%.2f us)\n",
-			cfg.Name(), *size, rtt, cni.Microseconds(rtt))
-	case "bandwidth":
-		bw := cni.Bandwidth(cfg, *size, 200)
-		fmt.Printf("%s %dB bandwidth: %.1f MB/s\n", cfg.Name(), *size, bw)
-	case "incast":
-		bw := cni.HotspotIncast(cfg, *size, 24)
-		fmt.Printf("%s %d-node incast: %.1f MB/s at the sink\n", cfg.Name(), cfg.Nodes, bw)
-	case "exchange":
-		cyc := cni.AllToAllExchange(cfg, *size, 3)
-		fmt.Printf("%s %d-node all-to-all: %d cycles/round\n", cfg.Name(), cfg.Nodes, cyc)
-	default:
-		return fmt.Errorf("trace: unknown target %q (valid: loadsweep, rpc, collective, latency, bandwidth, incast, exchange)", target)
+		return nil
 	}
-	return writeTraceFile(path, scenario.DrainCaptures())
 }

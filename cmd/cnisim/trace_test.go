@@ -5,47 +5,42 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// TestTraceFlags pins the shared telemetry flag handling, mirroring
-// the pprof contract: extraction from any position in any spelling,
-// a missing value is a parse error, and --progress is boolean.
+// TestTraceFlags pins the global telemetry options: they are taken
+// from either side of the command word in either spelling, a missing
+// or malformed value is an error, and --progress is boolean.
 func TestTraceFlags(t *testing.T) {
-	tf, rest, err := parseTraceFlags([]string{
-		"--trace=t.json", "--json=-", "-sample-every", "250", "--bus=io", "--progress",
+	path := filepath.Join(t.TempDir(), "t.json")
+	stdout := captureStdout(t, func() {
+		if err := cli([]string{"--trace=" + path, "-sample-every", "250", "latency", "--progress", "--bus=memory"}); err != nil {
+			t.Errorf("globals on both sides of the command: %v", err)
+		}
 	})
-	if err != nil {
-		t.Fatalf("parseTraceFlags: %v", err)
+	if !strings.Contains(stdout, "round-trip") {
+		t.Errorf("latency printed %q", stdout)
 	}
-	if tf.out != "t.json" || tf.sampleEvery != 250 || !tf.progress {
-		t.Fatalf("parsed %+v, want t.json/250/progress", tf)
+	assertChromeTrace(t, path)
+	if err := run("list", []string{"--progress=false"}); err != nil {
+		t.Errorf("--progress=false: %v", err)
 	}
-	if want := []string{"--json=-", "--bus=io"}; len(rest) != 2 || rest[0] != want[0] || rest[1] != want[1] {
-		t.Fatalf("rest = %v, want %v", rest, want)
-	}
-	if tf, _, err := parseTraceFlags([]string{"--progress=false"}); err != nil || tf.progress {
-		t.Errorf("--progress=false: %+v, %v", tf, err)
-	}
-	if _, _, err := parseTraceFlags([]string{"--trace"}); err == nil {
-		t.Error("--trace without a path should error")
-	}
-	if _, _, err := parseTraceFlags([]string{"--sample-every"}); err == nil {
-		t.Error("--sample-every without a count should error")
-	}
-	if _, _, err := parseTraceFlags([]string{"--sample-every=soon"}); err == nil {
-		t.Error("--sample-every with a non-integer should error")
-	}
-	if _, _, err := parseTraceFlags([]string{"--progress=perhaps"}); err == nil {
-		t.Error("--progress with a non-boolean should error")
-	}
-
-	// Sampling is written into the trace file, so it needs one.
-	if _, err := (traceFlags{sampleEvery: 100}).install(); err == nil {
-		t.Error("--sample-every without --trace should error at install")
+	for _, args := range [][]string{
+		{"latency", "--trace"},
+		{"latency", "--sample-every"},
+		{"latency", "--sample-every=soon"},
+		{"list", "--progress=perhaps"},
+		// Sampling is written into the trace file, so it needs one.
+		{"list", "--sample-every=100"},
+	} {
+		if err := cli(args); err == nil {
+			t.Errorf("cnisim %v should error", args)
+		}
 	}
 }
 
@@ -54,52 +49,76 @@ func TestTraceFlags(t *testing.T) {
 // a Chrome trace JSON document at finish.
 func TestGlobalTraceFlag(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "latency.json")
-	finish, err := (traceFlags{out: path, sampleEvery: 200}).install()
-	if err != nil {
-		t.Fatalf("install: %v", err)
-	}
-	if err := run("latency", []string{"--ni=CNI512Q", "--bus=memory", "--size=32"}); err != nil {
+	if err := run("latency", []string{"--ni=CNI512Q", "--bus=memory", "--size=32", "--trace=" + path, "--sample-every=200"}); err != nil {
 		t.Fatalf("traced latency run: %v", err)
-	}
-	if err := finish(); err != nil {
-		t.Fatalf("finish: %v", err)
 	}
 	assertChromeTrace(t, path)
 
 	// A command that builds no machines must say so rather than write
 	// an empty trace.
-	finish, err = (traceFlags{out: path}).install()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := run("list", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := finish(); err == nil || !strings.Contains(err.Error(), "no simulated machines") {
-		t.Errorf("finish after a machine-less command: %v", err)
+	if err := run("list", []string{"--trace=" + path}); err == nil || !strings.Contains(err.Error(), "no simulated machines") {
+		t.Errorf("traced machine-less command: %v", err)
 	}
 }
 
-// TestRunTraceCommand runs the dedicated subcommand on a micro target
+// TestRunTraceCommand runs the dedicated command on a micro target
 // and checks the target-word validation.
 func TestRunTraceCommand(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bw.json")
-	err := runTrace(traceFlags{}, []string{"bandwidth", "--ni=CNI512Q", "--size=256", "--out=" + path})
+	err := run("trace", []string{"bandwidth", "--ni=CNI512Q", "--size=256", "--out=" + path})
 	if err != nil {
 		t.Fatalf("trace bandwidth: %v", err)
 	}
 	assertChromeTrace(t, path)
 
-	if err := runTrace(traceFlags{}, nil); err == nil || !strings.Contains(err.Error(), "loadsweep") {
+	// Options before the command join the trace command's own, and the
+	// later of --trace and its alias --out names the file.
+	early, late := filepath.Join(t.TempDir(), "early.json"), filepath.Join(t.TempDir(), "late.json")
+	captureStdout(t, func() {
+		if err := cli([]string{"--trace=" + early, "trace", "latency", "--out=" + late}); err != nil {
+			t.Errorf("trace with --trace before the command: %v", err)
+		}
+	})
+	assertChromeTrace(t, late)
+	if _, err := os.Stat(early); err == nil {
+		t.Errorf("%s written; --out=%s came later", early, late)
+	}
+
+	if err := run("trace", nil); err == nil || !strings.Contains(err.Error(), "loadsweep") {
 		t.Errorf("trace without a target should list the valid targets, got %v", err)
 	}
-	if err := runTrace(traceFlags{}, []string{"teleport"}); err == nil || !strings.Contains(err.Error(), "teleport") {
+	if err := run("trace", []string{"teleport"}); err == nil || !strings.Contains(err.Error(), "teleport") {
 		t.Errorf("trace with an unknown target should name it, got %v", err)
 	}
 }
 
-// TestTraceSummaryReportsOverwritten pins the truncation contract
-// from this PR's bug sweep: a wrapped trace ring must never export a
+// TestTraceSampleEveryZero pins that --sample-every=0 turns the trace
+// command's sampler off, while its default period samples.
+func TestTraceSampleEveryZero(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "rtt.json")
+	for _, c := range []struct {
+		args []string
+		zero bool
+	}{
+		{[]string{"trace", "latency", "--out=" + path}, false},
+		{[]string{"trace", "latency", "--sample-every=0", "--out=" + path}, true},
+		{[]string{"--sample-every=0", "trace", "latency", "--out=" + path}, true},
+	} {
+		stderr := captureStderr(t, func() {
+			captureStdout(t, func() {
+				if err := cli(c.args); err != nil {
+					t.Errorf("cnisim %v: %v", c.args, err)
+				}
+			})
+		})
+		if got := strings.Contains(stderr, " 0 samples,"); got != c.zero {
+			t.Errorf("cnisim %v: wrote zero samples = %v, want %v\n%s", c.args, got, c.zero, stderr)
+		}
+	}
+}
+
+// TestTraceSummaryReportsOverwritten pins the truncation contract: a
+// wrapped trace ring must never export a
 // clipped file silently. The always-printed summary line carries the
 // overwritten count (including the healthy zero, so its absence is
 // visible), and a wrapped ring adds an explicit warning.
@@ -182,24 +201,40 @@ func assertChromeTrace(t *testing.T, path string) {
 	}
 }
 
-// TestProgressMeter drives the heartbeat directly (progressOn gates
-// startProgress) and checks the nil-meter path stays safe when
+// TestProgressMeter drives the heartbeat directly and checks the nil-meter path stays safe when
 // --progress is off.
 func TestProgressMeter(t *testing.T) {
 	var off *progressMeter
 	off.note("cell", "detail")
 	off.finish() // nil-safe no-ops
 
-	progressOn = true
-	defer func() { progressOn = false }()
-	pm := startProgress("testsweep")
-	if pm == nil {
-		t.Fatal("startProgress returned nil with progressOn set")
+	if startProgress("testsweep", false) != nil {
+		t.Fatal("startProgress returned a meter with --progress off")
 	}
-	pm.note("CNI512Q/torus", "@ 4.0 MB/s offered")
-	pm.note("CNI512Q/torus", "@ 5.2 MB/s offered")
-	pm.finish()
-	if pm.n != 2 {
-		t.Errorf("meter counted %d points, want 2", pm.n)
+	// The harness feeds the meter from its worker goroutines while the
+	// ticker reads it; a short period makes the two overlap.
+	progressInterval = time.Millisecond
+	defer func() { progressInterval = 2 * time.Second }()
+	var pm *progressMeter
+	stderr := captureStderr(t, func() {
+		pm = startProgress("testsweep", true)
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 100; i++ {
+					pm.note("CNI512Q/torus", "@ 4.0 MB/s offered")
+				}
+			}()
+		}
+		wg.Wait()
+		pm.finish()
+	})
+	if pm.n != 400 {
+		t.Errorf("meter counted %d points, want 400", pm.n)
+	}
+	if !strings.Contains(stderr, "testsweep: done, 400 points measured") {
+		t.Errorf("final heartbeat missing:\n%s", stderr)
 	}
 }
