@@ -329,19 +329,18 @@ func benchjsonCmd(_ string, o *opts) func(string) error {
 	out := o.String("out", "BENCH_sim.json", "snapshot path")
 	check := o.Bool("check", false, "compare fresh canaries against the committed snapshot instead of writing")
 	return func(string) error {
-		var r benchReport
-		canaries(&r)
-		r.EventsPerSec4kNodes, r.EventsPerSec4kNodesSerial, r.Shard4kSpeedup,
-			r.Shard4kDeliveredMsgs = shard4kSpeedup()
-		r.TraceOverheadPct, r.tracedDelivered = traceOverhead()
 		if *check {
-			_, r.oneShardDelivered = shard4kPoint(1)
-			return checkCanaries(*out, &r)
+			return checkCanaries(*out)
 		}
+		var r benchReport
 		r.Timestamp = time.Now().UTC().Format(time.RFC3339)
 		r.GoVersion = runtime.Version()
 		r.GOMAXPROCS = runtime.GOMAXPROCS(0)
 		r.EngineEventsPerSec, r.EngineAllocsPerEvent = engineThroughput()
+		canaries(&r)
+		r.TraceOverheadPct, _ = traceOverhead()
+		r.EventsPerSec4kNodes, r.EventsPerSec4kNodesSerial, r.Shard4kSpeedup,
+			r.Shard4kDeliveredMsgs = shard4kSpeedup()
 		r.Fig6MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig6(cni.MemoryBus) })
 		r.Fig7MemoryWallMs = timeTable(func() *harness.Table { return harness.Fig7(cni.MemoryBus) })
 		data, err := json.MarshalIndent(&r, "", "  ")
@@ -356,21 +355,26 @@ func benchjsonCmd(_ string, o *opts) func(string) error {
 	}
 }
 
-// checkCanaries runs canaryGates on the fresh measurement against the
-// snapshot at path, so timing-model drift fails CI instead of being
-// silently overwritten.
-func checkCanaries(path string, fresh *benchReport) error {
+// checkCanaries reads the snapshot at path, then measures afresh and
+// runs canaryGates on the two, so timing-model drift fails CI instead
+// of being silently overwritten.
+func checkCanaries(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	var committed benchReport
+	var committed, fresh benchReport
 	if err := json.Unmarshal(data, &committed); err != nil {
 		return fmt.Errorf("parse %s: %w", path, err)
 	}
+	canaries(&fresh)
+	fresh.EventsPerSec4kNodes, fresh.EventsPerSec4kNodesSerial, fresh.Shard4kSpeedup,
+		fresh.Shard4kDeliveredMsgs = shard4kSpeedup()
+	_, fresh.oneShardDelivered = shard4kPoint(1)
+	fresh.TraceOverheadPct, fresh.tracedDelivered = traceOverhead()
 	var drift []string
 	for _, gate := range canaryGates {
-		if msg := gate(&committed, fresh); msg != "" {
+		if msg := gate(&committed, &fresh); msg != "" {
 			drift = append(drift, msg)
 		}
 	}

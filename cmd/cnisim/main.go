@@ -131,22 +131,16 @@ func usage(w io.Writer) {
 	global.PrintDefaults()
 }
 
-// col is where describe starts a command's summary and option names.
-const col = 22
-
-// describe prints a command's names, summary, targets, and the names of
-// its own options (o minus the global ones).
+// describe prints a command's names, summary and targets on one line,
+// and the names of its own options (o minus the global ones) on the
+// next.
 func describe(w io.Writer, c command, o *opts) {
-	head, summary := "  "+strings.Join(c.names, "|"), c.summary
+	head, summary := strings.Join(c.names, "|"), c.summary
 	if c.targets != nil {
 		head += " <target>"
 		summary += "; targets: " + strings.Join(c.targets, ", ")
 	}
-	if len(head) >= col {
-		fmt.Fprintln(w, head)
-		head = ""
-	}
-	wrap(w, head, strings.Fields(summary))
+	fmt.Fprintf(w, "  %s  %s\n", head, summary)
 	var options []string
 	global := newOpts("")
 	o.VisitAll(func(f *flag.Flag) {
@@ -154,24 +148,8 @@ func describe(w io.Writer, c command, o *opts) {
 			options = append(options, "--"+f.Name)
 		}
 	})
-	wrap(w, "", options)
-}
-
-// wrap prints words in lines from column col up to column 78; the
-// first line starts with head.
-func wrap(w io.Writer, head string, words []string) {
-	line := fmt.Sprintf("%-*s", col, head)
-	for i, word := range words {
-		if i > 0 && len(line)+1+len(word) > 78 {
-			fmt.Fprintln(w, line)
-			line = strings.Repeat(" ", col)
-		} else if i > 0 {
-			line += " "
-		}
-		line += word
-	}
-	if len(words) > 0 {
-		fmt.Fprintln(w, line)
+	if options != nil {
+		fmt.Fprintf(w, "      %s\n", strings.Join(options, " "))
 	}
 }
 

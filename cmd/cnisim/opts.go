@@ -176,9 +176,18 @@ func (o *opts) size(def int) *int { return o.intIn("size", def, atLeast(1), "mes
 
 func (o *opts) nodes(def int) *int { return o.intIn("nodes", def, atLeast(2), "node count") }
 
-func (o *opts) count() *int { return o.intIn("count", 24, atLeast(1), "incast messages per sender") }
+// The defaults of incast's --count and exchange's --rounds; trace's
+// micro targets run with them.
+const (
+	incastCount    = 24
+	exchangeRounds = 3
+)
 
-func (o *opts) rounds() *int { return o.intIn("rounds", 3, atLeast(1), "exchange rounds") }
+func (o *opts) count() *int {
+	return o.intIn("count", incastCount, atLeast(1), "incast messages per sender")
+}
+
+func (o *opts) rounds() *int { return o.intIn("rounds", exchangeRounds, atLeast(1), "exchange rounds") }
 
 func (o *opts) shards() *int {
 	return o.intIn("shards", 0, atLeast(0), "event-engine shards for torus machines over 16 nodes (0 = serial)")

@@ -45,7 +45,6 @@ func traceCmd(_ string, o *opts) func(string) error {
 	o.setDefault("sample-every", strconv.Itoa(cni.TraceSampleDefault))
 	o.Var(o.Lookup("trace").Value, "out", "alias of --trace")
 	config, size, nodes := o.machine("CNI512Q", "torus"), o.size(64), o.nodes(16)
-	count, rounds := o.count(), o.rounds()
 	return func(target string) error {
 		n := *nodes
 		if target == "latency" || target == "bandwidth" {
@@ -102,7 +101,7 @@ func traceCmd(_ string, o *opts) func(string) error {
 			fmt.Printf("%s %s: %.1f us over %d steps, max skew %d cycles\n",
 				cfg.Name(), rep.Schedule, rep.CompletionMicros, rep.Steps, rep.MaxSkew)
 		default:
-			micro(target, cfg, *size, *count, *rounds)
+			micro(target, cfg, *size, incastCount, exchangeRounds)
 		}
 		return nil
 	}
