@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // Alloc-regression tests: the engine and stats hot paths must stay
 // allocation-free in steady state so the garbage collector never
@@ -46,6 +49,21 @@ func TestProcessWakeZeroAlloc(t *testing.T) {
 	// allocation-free.
 	if allocs != 0 {
 		t.Errorf("process sleep/wake cycle allocates %.1f objects/op, want 0", allocs)
+	}
+	e.Stop()
+}
+
+func TestProcessSwitchZeroAlloc(t *testing.T) {
+	// Every park finds the other process's wake first, so each round
+	// passes control through Run twice (the foreign-wake path).
+	e := NewEngine()
+	spawnAlternating(e, math.MaxInt)
+	e.Run(8)
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Run(e.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Errorf("alternating process switch allocates %.1f objects/op, want 0", allocs)
 	}
 	e.Stop()
 }

@@ -5,10 +5,11 @@
 // caches, network-interface devices, and the simulated processors are
 // all either event callbacks or Processes scheduled by one Engine.
 //
-// Determinism: events fire in (time, sequence) order, and at most one
-// process goroutine runs at any instant — the engine hands control to a
-// process and does not proceed until that process parks or terminates.
-// Two runs with the same inputs therefore produce identical schedules.
+// Determinism: events fire in (time, sequence) order, and each process
+// is a coroutine that runs only while the engine has resumed it — the
+// engine does not proceed until that process parks or terminates, so at
+// most one process runs at any instant. Two runs with the same inputs
+// therefore produce identical schedules.
 //
 // An Engine is not safe for concurrent use from outside the simulation;
 // all interaction must happen from event callbacks or processes.
@@ -117,15 +118,12 @@ type Engine struct {
 	seq     uint64
 	horizon Time // active Run's bound; valid while events dispatch
 	events  eventHeap
-	yield   chan struct{} // the token returns here when no event is dispatchable
 	stopped bool
 	procs   []*Process // every spawned process, for Stop to unwind
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -163,35 +161,27 @@ func (e *Engine) scheduleProc(delay Time, p *Process) {
 // Run executes events until the event heap is empty or the clock would
 // pass horizon. It returns the time of the last executed event.
 // Processes blocked on conditions when the heap drains remain parked;
-// call Stop to unwind them.
+// call Stop to unwind them. A panic in a process body comes back out of
+// Run as a *ProcessPanic.
 //
-// Scheduling uses direct handoff: resuming a process lends it the
-// event-loop token, and the process keeps dispatching events itself
-// when it next parks (Engine.next), handing the token straight to the
-// next runnable process. Control returns here only when no event is
-// dispatchable, so a chain of process wakes costs one goroutine switch
-// per wake instead of a park/resume round trip through this loop.
+// Run resumes a process by calling its coroutine's next. The process
+// keeps dispatching events itself when it next parks (Engine.next), so
+// it switches back here only when another process's wake comes first:
+// a foreign wake costs two coroutine switches, a self wake none.
 func (e *Engine) Run(horizon Time) Time {
 	if e.stopped {
 		panic("sim: Run after Stop")
 	}
 	e.horizon = horizon
-	for e.events.len() > 0 {
-		if e.events.a[0].at > horizon {
-			break
-		}
+	for e.events.len() > 0 && e.events.a[0].at <= horizon {
 		ev := e.events.pop()
 		e.now = ev.at
-		if ev.p != nil {
-			ev.p.waking = false
-			if ev.p.done {
-				continue
-			}
-			ev.p.resume <- struct{}{} // lend the token to the process
-			<-e.yield                 // token returned: nothing dispatchable
-		} else {
+		if ev.p == nil {
 			ev.fn()
+			continue
 		}
+		ev.p.waking = false
+		ev.p.next() // a finished process's next returns at once
 	}
 	return e.now
 }
@@ -230,24 +220,19 @@ func (e *Engine) advanceTo(t Time) {
 	}
 }
 
-// Stop unwinds every parked process goroutine and marks the engine
-// dead. It must be called after Run returns (never from inside the
-// simulation). Safe to call more than once.
+// Stop unwinds every parked process and marks the engine dead. It must
+// be called after Run returns (never from inside the simulation). Safe
+// to call more than once.
 func (e *Engine) Stop() {
 	if e.stopped {
 		return
 	}
 	e.stopped = true
-	// After Run returns every live process is blocked in block()
-	// waiting on its resume channel. Resuming with stopped set is the
-	// poisoned handoff: block panics errAborted, and the goroutine's
-	// recover acknowledges on the yield channel before exiting.
+	// stop makes a parked process's yield return false, so park panics
+	// errAborted and the coroutine's unwind absorbs it. A process that
+	// never ran or has finished just ends.
 	for _, p := range e.procs {
-		if p.done {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-e.yield
+		p.stop()
 	}
 	e.procs = nil
 }

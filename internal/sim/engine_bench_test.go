@@ -53,6 +53,29 @@ func BenchmarkEngineProcessSleep(b *testing.B) {
 	e.Stop()
 }
 
+// spawnAlternating spawns two processes that sleep one cycle per
+// round, so each park finds the other process's wake first and hands
+// control back through Run: two foreign wakes per round.
+func spawnAlternating(e *Engine, rounds int) {
+	for _, name := range [...]string{"ping", "pong"} {
+		e.Spawn(name, func(p *Process) {
+			for i := 0; i < rounds; i++ {
+				p.Sleep(1)
+			}
+		})
+	}
+}
+
+func BenchmarkProcessSwitch(b *testing.B) {
+	e := NewEngine()
+	spawnAlternating(e, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+	b.StopTimer()
+	e.Stop()
+}
+
 // boxedEvent/boxedHeap reproduce the seed implementation: a binary
 // heap through container/heap's interface{} API, boxing one event per
 // push.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -227,5 +229,76 @@ func TestProcessSleepZeroYields(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
+	}
+}
+
+// recoverRun calls run and returns the value it panicked with, or nil.
+func recoverRun(run func()) (r any) {
+	defer func() { r = recover() }()
+	run()
+	return nil
+}
+
+// checkProcessPanic asserts that r is the ProcessPanic of process name
+// at cycle at, carrying value.
+func checkProcessPanic(t *testing.T, r any, name string, at Time, value any) {
+	t.Helper()
+	pp, ok := r.(*ProcessPanic)
+	if !ok {
+		t.Fatalf("Run raised %#v, want a *ProcessPanic", r)
+	}
+	if pp.Process != name || pp.At != at || pp.Value != value {
+		t.Fatalf("ProcessPanic{%q, %d, %v}, want {%q, %d, %v}",
+			pp.Process, pp.At, pp.Value, name, at, value)
+	}
+}
+
+func TestProcessPanicReachesRunCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boom := errors.New("boom")
+	e := NewEngine()
+	c := NewCond(e)
+	e.Spawn("node0.app", func(p *Process) { c.Wait(p) })
+	e.Spawn("node3.app", func(p *Process) {
+		p.Sleep(42)
+		panic(boom)
+	})
+	checkProcessPanic(t, recoverRun(func() { e.RunAll() }), "node3.app", 42, boom)
+	e.Stop() // must not hang
+}
+
+func TestShardProcessPanicReachesRunCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	boom := errors.New("boom")
+	s := NewShardSet(4, 2, 10)
+	for n := 0; n < 4; n++ {
+		c := NewCond(s.Engine(n))
+		s.Engine(n).Spawn("parked", func(p *Process) { c.Wait(p) })
+		s.Engine(n).Spawn("ticker", func(p *Process) {
+			for {
+				p.Sleep(3)
+			}
+		})
+	}
+	s.Engine(3).Spawn("nic3.recv", func(p *Process) {
+		p.Sleep(25)
+		panic(boom)
+	})
+	checkProcessPanic(t, recoverRun(func() { s.Run(1000) }), "nic3.recv", 25, boom)
+	s.Stop() // must not hang
+}
+
+func TestStopLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	c := NewCond(e)
+	e.Spawn("finished", func(p *Process) { p.Sleep(1) })
+	e.Spawn("cond", func(p *Process) { c.Wait(p) })
+	e.Spawn("sleeper", func(p *Process) { p.Sleep(1000) })
+	e.Run(10)
+	e.Spawn("unrun", func(p *Process) { t.Error("unrun process ran") })
+	e.Stop()
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Stop, want the baseline %d", n, base)
 	}
 }

@@ -1,48 +1,71 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
 
-// errAborted unwinds a parked process goroutine when the engine stops.
+// errAborted unwinds a parked process's coroutine when the engine stops.
 type errAborted struct{}
 
-// Process is a cooperative simulated thread of control. Exactly one
-// process (or event callback) executes at a time; a process gives up
-// control by sleeping or waiting on a Cond, and the engine resumes it
-// when its wake event fires.
+// ProcessPanic is the value Run re-panics with, on its caller's
+// goroutine, when a process body panics: the process name (which names
+// the node, e.g. "node3.app"), the cycle, and the original value.
+type ProcessPanic struct {
+	Process string
+	At      Time
+	Value   any
+	// Stack is the process's stack at the panic: the re-raised panic's
+	// own trace starts at Run and no longer shows the panic site.
+	Stack []byte
+}
+
+func (pp *ProcessPanic) Error() string {
+	return fmt.Sprintf("sim: process %q panicked at cycle %d: %v\n\n%s", pp.Process, pp.At, pp.Value, pp.Stack)
+}
+
+// Process is a cooperative simulated thread of control, run as a stdlib
+// coroutine (iter.Pull). Exactly one process (or event callback)
+// executes at a time; a process gives up control by sleeping or waiting
+// on a Cond, and the engine resumes it when its wake event fires.
 type Process struct {
 	eng  *Engine
 	name string
 
-	resume chan struct{}
-	parked bool // blocked in park(), eligible to be woken
-	waking bool // a wake event is already scheduled
-	done   bool
+	next   func() (struct{}, bool) // Run resumes the coroutine
+	stop   func()                  // Stop unwinds the coroutine
+	yield  func(struct{}) bool     // the coroutine suspends back to Run
+	waking bool                    // a wake event is already scheduled
 }
 
 // Spawn creates a process running body and schedules its first
-// activation at the current time. The body runs on its own goroutine
-// but never concurrently with the engine or another process.
+// activation at the current time. The body runs only when Run resumes
+// it, never concurrently with the engine or another process.
 func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
-	p := &Process{eng: e, name: name, resume: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errAborted); ok {
-					e.yield <- struct{}{} // acknowledge Stop
-					return
-				}
-				panic(r)
-			}
-		}()
-		p.block() // wait for first activation
+	p := &Process{eng: e, name: name}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer p.unwind()
 		body(p)
-		p.done = true
-		e.next(nil) // pass the event-loop token onward
-	}()
-	p.parked = true
+	})
+	e.procs = append(e.procs, p)
 	p.scheduleWake(0)
 	return p
+}
+
+// unwind ends the coroutine after its body panics. Stop's errAborted
+// ends it quietly; any other panic is wrapped in a ProcessPanic, which
+// iter.Pull re-raises from next on the goroutine that called Run.
+func (p *Process) unwind() {
+	r := recover()
+	if r == nil {
+		return
+	}
+	if _, ok := r.(errAborted); ok {
+		return
+	}
+	panic(&ProcessPanic{Process: p.name, At: p.eng.now, Value: r, Stack: debug.Stack()})
 }
 
 // Name returns the process name given at Spawn.
@@ -54,30 +77,17 @@ func (p *Process) Engine() *Engine { return p.eng }
 // Now returns the current simulation time.
 func (p *Process) Now() Time { return p.eng.now }
 
-// block suspends the goroutine until resumed. A plain channel receive
-// (not a select over an abort channel) keeps the park/resume handoff
-// on the runtime's direct-send fast path; Stop unwinds blocked
-// processes by resuming them with the stopped flag set — a poisoned
-// resume — which block converts into the unwind panic.
-func (p *Process) block() {
-	<-p.resume
-	if p.eng.stopped {
+// park gives up control and suspends until woken. The caller must have
+// arranged a wake (scheduleWake or a Cond). park first dispatches due
+// events itself (Engine.next): when this process's own wake comes
+// first — the common case for short sleeps — it returns without any
+// coroutine switch. Otherwise it yields to Run, which pops the next
+// wake and resumes that process. When Stop ends the coroutine instead,
+// yield returns false and park unwinds the body with errAborted.
+func (p *Process) park() {
+	if !p.eng.next(p) && !p.yield(struct{}{}) {
 		panic(errAborted{})
 	}
-}
-
-// park gives up the event-loop token and suspends until woken.
-// The caller must have arranged a wake (scheduleWake or a Cond).
-// Rather than bouncing through the engine goroutine, park dispatches
-// the next events itself (Engine.next): when the first dispatchable
-// process wake is this process's own — the common case for short
-// sleeps — park returns without any goroutine switch at all.
-func (p *Process) park() {
-	p.parked = true
-	if !p.eng.next(p) {
-		p.block()
-	}
-	p.parked = false
 }
 
 // scheduleWake arranges for the process to resume after delay cycles.
@@ -92,21 +102,18 @@ func (p *Process) scheduleWake(delay Time) {
 	p.eng.scheduleProc(delay, p)
 }
 
-// next passes the event-loop token onward after the calling process
-// parks or terminates. It executes fn-events inline on the calling
-// goroutine and hands the token to the first runnable process it pops;
-// when the heap drains or the next event lies past the horizon the
-// token returns to Run. Events still fire in exact (time, seq) order —
-// only the goroutine executing the loop changes — so schedules are
-// bit-identical to the central-loop formulation.
-//
-// When the first dispatchable process wake is self's own, next keeps
-// the token and returns true: the caller continues immediately with
-// zero goroutine switches. self is nil for a terminating process.
+// next dispatches events in (time, seq) order for the parking process
+// self, without leaving its coroutine: fn events run inline, and when
+// self's own wake comes first next pops it and returns true, so self
+// continues with no switch. It returns false, leaving the event on the
+// heap for Run, at another process's wake, at the horizon, or when the
+// heap drains. The pops are the ones Run would make, in the same order,
+// so schedules are bit-identical to dispatching everything from Run.
 func (e *Engine) next(self *Process) bool {
 	for e.events.len() > 0 {
-		if e.events.a[0].at > e.horizon {
-			break
+		top := &e.events.a[0]
+		if top.at > e.horizon || top.p != nil && top.p != self {
+			return false
 		}
 		ev := e.events.pop()
 		e.now = ev.at
@@ -114,17 +121,9 @@ func (e *Engine) next(self *Process) bool {
 			ev.fn()
 			continue
 		}
-		ev.p.waking = false
-		if ev.p.done {
-			continue
-		}
-		if ev.p == self {
-			return true
-		}
-		ev.p.resume <- struct{}{} // hand the token to the next process
-		return false
+		self.waking = false
+		return true
 	}
-	e.yield <- struct{}{} // nothing dispatchable: token back to Run
 	return false
 }
 

@@ -157,6 +157,7 @@ type ShardSet struct {
 	workers bool
 	start   []chan Time
 	done    chan struct{}
+	panics  []any // panics[shard]: what its worker recovered this epoch
 	stopped bool
 }
 
@@ -287,7 +288,9 @@ func (s *ShardSet) materialise(end Time) {
 // across shards, so inline execution is byte-identical to the worker
 // path). Otherwise persistent workers are released and awaited through
 // the epoch channels (spawning goroutines per epoch would dominate the
-// barrier cost at tens of thousands of epochs per run).
+// barrier cost at tens of thousands of epochs per run). A worker
+// recovers a panic in its shard, and runEpoch re-raises it after the
+// barrier — the lowest-numbered shard's, as inline execution would.
 func (s *ShardSet) runEpoch(end Time) {
 	if len(s.engines) == 1 || runtime.GOMAXPROCS(0) == 1 {
 		for _, e := range s.engines {
@@ -299,14 +302,18 @@ func (s *ShardSet) runEpoch(end Time) {
 		s.workers = true
 		s.start = make([]chan Time, len(s.engines))
 		s.done = make(chan struct{}, len(s.engines))
+		s.panics = make([]any, len(s.engines))
 		for i := range s.engines {
 			s.start[i] = make(chan Time)
-			go func(e *Engine, start chan Time) {
+			go func(i int, start chan Time) {
 				for end := range start {
-					e.Run(end)
+					func() {
+						defer func() { s.panics[i] = recover() }()
+						s.engines[i].Run(end)
+					}()
 					s.done <- struct{}{}
 				}
-			}(s.engines[i], s.start[i])
+			}(i, s.start[i])
 		}
 	}
 	for _, c := range s.start {
@@ -314,6 +321,11 @@ func (s *ShardSet) runEpoch(end Time) {
 	}
 	for range s.engines {
 		<-s.done
+	}
+	for _, r := range s.panics {
+		if r != nil {
+			panic(r)
+		}
 	}
 }
 
