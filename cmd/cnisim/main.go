@@ -15,6 +15,8 @@ import (
 	"strings"
 
 	cni "repro"
+	"repro/internal/harness"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -113,7 +115,24 @@ func run(name string, args []string) error {
 			return err
 		}
 	}
-	return o.around(func() error { return exec(target) })
+	return o.around(func() (err error) {
+		defer recoverRun(&err)
+		return exec(target)
+	})
+}
+
+// recoverRun turns a panic in a simulated process or a sweep cell into
+// the command's error. Any other panic is a bug and keeps crashing.
+func recoverRun(err *error) {
+	switch r := recover().(type) {
+	case nil:
+	case *harness.CellPanic:
+		*err = r
+	case *sim.ProcessPanic:
+		*err = r
+	default:
+		panic(r)
+	}
 }
 
 // usage prints every command, then the global options.

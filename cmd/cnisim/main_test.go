@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	cni "repro"
+	"repro/internal/harness"
 )
 
 // TestParseConfig checks the shared --ni/--bus/--topology options
@@ -485,4 +486,24 @@ func TestProfileFlags(t *testing.T) {
 			t.Errorf("profile %s is empty", p)
 		}
 	}
+}
+
+// TestCellPanicBecomesError checks that a sweep cell's panic ends the
+// command with an error naming the cell, while any other panic still
+// crashes.
+func TestCellPanicBecomesError(t *testing.T) {
+	run := func(v any) (err error) {
+		defer recoverRun(&err)
+		panic(v)
+	}
+	err := run(&harness.CellPanic{Cell: "CNI16Q/torus", Value: "boom"})
+	if err == nil || !strings.Contains(err.Error(), "CNI16Q/torus") {
+		t.Errorf("cell panic gave error %v, want one naming CNI16Q/torus", err)
+	}
+	defer func() {
+		if r := recover(); r != "bug" {
+			t.Errorf("a plain panic was swallowed or changed: %v", r)
+		}
+	}()
+	run("bug")
 }

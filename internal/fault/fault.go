@@ -37,9 +37,10 @@ type Plan struct {
 
 // Injector is one machine's fault source. It is consulted from event
 // callbacks and device processes only (never concurrently), like
-// every other simulator component.
+// every other simulator component. It holds no clock: every
+// time-dependent query takes the caller's now, the clock of the
+// engine owning the node it asks about.
 type Injector struct {
-	eng *sim.Engine
 	f   params.Faults
 	rng uint64 // xorshift64* state, fault-private
 
@@ -68,14 +69,13 @@ type Injector struct {
 
 // New builds an injector for an n-node machine. The caller has
 // validated f (params.Config.Validate).
-func New(eng *sim.Engine, st *sim.Stats, n int, f params.Faults) *Injector {
+func New(st *sim.Stats, n int, f params.Faults) *Injector {
 	seed := f.Seed
 	if seed == 0 {
 		seed = 1
 	}
 	in := &Injector{
-		eng: eng,
-		f:   f,
+		f: f,
 		// Mix the seed so nearby seeds start in distant states, and
 		// with a constant distinct from the workload generators'
 		// (apps.NewRand remaps through the raw seed; the fault stream
@@ -151,16 +151,13 @@ func step(s *uint64) float64 {
 	return float64((*s*0x2545F4914F6CDD1D)>>11) / float64(1<<53)
 }
 
-// rand returns the next fault draw in [0, 1) from the shared stream.
-func (in *Injector) rand() float64 { return step(&in.rng) }
-
 // randAt returns the next fault draw for a message arriving at dst:
 // dst's own stream on a sharded machine, the shared stream otherwise.
 func (in *Injector) randAt(dst int) float64 {
 	if in.rngs != nil {
 		return step(&in.rngs[dst])
 	}
-	return in.rand()
+	return step(&in.rng)
 }
 
 // Plan draws the per-message fault decision for a (src, dst) network
@@ -205,9 +202,6 @@ func (in *Injector) LatencyAt(now, d sim.Time) sim.Time {
 	return d
 }
 
-// Latency is LatencyAt at the engine's current time (serial machines).
-func (in *Injector) Latency(d sim.Time) sim.Time { return in.LatencyAt(in.eng.Now(), d) }
-
 // OccupancyAt scales a link serialisation time by the degraded-window
 // bandwidth divisor when the window is open at now.
 func (in *Injector) OccupancyAt(now, d sim.Time) sim.Time {
@@ -216,9 +210,6 @@ func (in *Injector) OccupancyAt(now, d sim.Time) sim.Time {
 	}
 	return d
 }
-
-// Occupancy is OccupancyAt at the engine's current time.
-func (in *Injector) Occupancy(d sim.Time) sim.Time { return in.OccupancyAt(in.eng.Now(), d) }
 
 // PausedAt reports whether node's NI is inside a pause window at now
 // (the clock of the shard executing node — pause state is only ever
@@ -231,20 +222,14 @@ func (in *Injector) PausedAt(node int, now sim.Time) bool {
 	return in.pauseUntil[node] != 0 && now >= in.pauseFrom[node]
 }
 
-// Paused is PausedAt at the engine's current time (serial machines).
-func (in *Injector) Paused(node int) bool { return in.PausedAt(node, in.eng.Now()) }
-
 // PauseEnd returns when node's current pause window closes. Only
-// meaningful right after Paused(node) returned true.
+// meaningful right after PausedAt(node, now) returned true.
 func (in *Injector) PauseEnd(node int) sim.Time { return in.pauseUntil[node] }
 
 // CrashedAt reports whether node's NI is dead at now (the observing
 // shard's clock; crash times are immutable after construction, so any
 // shard may ask).
 func (in *Injector) CrashedAt(node int, now sim.Time) bool { return now >= in.crashAt[node] }
-
-// Crashed is CrashedAt at the engine's current time (serial machines).
-func (in *Injector) Crashed(node int) bool { return in.CrashedAt(node, in.eng.Now()) }
 
 // NoteCrashDrop counts a message dropped because an end of its path
 // crashed; the fabric edge calls it alongside the drop.

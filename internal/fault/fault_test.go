@@ -11,7 +11,7 @@ func newInj(seed uint64, f params.Faults) (*sim.Engine, *sim.Stats, *Injector) {
 	e := sim.NewEngine()
 	st := sim.NewStats(e)
 	f.Seed = seed
-	return e, st, New(e, st, 4, f)
+	return e, st, New(st, 4, f)
 }
 
 // TestPlanDeterministic pins the fault stream's reproducibility: two
@@ -87,11 +87,11 @@ func TestDegradeWindow(t *testing.T) {
 	})
 	check := func(at sim.Time, lat, occ sim.Time) {
 		e.Schedule(at, func() {
-			if got := in.Latency(10); got != lat {
-				t.Errorf("t=%d: Latency(10) = %d, want %d", at, got, lat)
+			if got := in.LatencyAt(e.Now(), 10); got != lat {
+				t.Errorf("t=%d: LatencyAt(10) = %d, want %d", at, got, lat)
 			}
-			if got := in.Occupancy(8); got != occ {
-				t.Errorf("t=%d: Occupancy(8) = %d, want %d", at, got, occ)
+			if got := in.OccupancyAt(e.Now(), 8); got != occ {
+				t.Errorf("t=%d: OccupancyAt(8) = %d, want %d", at, got, occ)
 			}
 		})
 	}
@@ -102,7 +102,7 @@ func TestDegradeWindow(t *testing.T) {
 	e.RunAll()
 }
 
-// TestPauseSchedule walks two pause windows: Paused flips inside each
+// TestPauseSchedule walks two pause windows: PausedAt flips inside each
 // window, PauseEnd names the close, and expired windows retire.
 func TestPauseSchedule(t *testing.T) {
 	e, _, in := newInj(1, params.Faults{Pauses: []params.FaultPause{
@@ -122,15 +122,15 @@ func TestPauseSchedule(t *testing.T) {
 	for _, pr := range probes {
 		pr := pr
 		e.Schedule(pr.at, func() {
-			if got := in.Paused(1); got != pr.paused {
-				t.Errorf("t=%d: Paused = %v, want %v", pr.at, got, pr.paused)
+			if got := in.PausedAt(1, e.Now()); got != pr.paused {
+				t.Errorf("t=%d: PausedAt = %v, want %v", pr.at, got, pr.paused)
 			}
 			if pr.paused {
 				if got := in.PauseEnd(1); got != pr.end {
 					t.Errorf("t=%d: PauseEnd = %d, want %d", pr.at, got, pr.end)
 				}
 			}
-			if in.Paused(0) {
+			if in.PausedAt(0, e.Now()) {
 				t.Errorf("t=%d: node 0 has no schedule but reports paused", pr.at)
 			}
 		})
@@ -145,15 +145,15 @@ func TestCrashSchedule(t *testing.T) {
 		{Node: 2, At: 500}, {Node: 2, At: 800},
 	}})
 	e.Schedule(499, func() {
-		if in.Crashed(2) {
+		if in.CrashedAt(2, e.Now()) {
 			t.Error("t=499: crashed before its schedule")
 		}
 	})
 	e.Schedule(500, func() {
-		if !in.Crashed(2) {
+		if !in.CrashedAt(2, e.Now()) {
 			t.Error("t=500: not crashed at its schedule")
 		}
-		if in.Crashed(0) {
+		if in.CrashedAt(0, e.Now()) {
 			t.Error("node 0 has no crash but reports crashed")
 		}
 	})

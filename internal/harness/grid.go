@@ -70,6 +70,11 @@ func (s gridSweep[R]) run() (*Table, *Data, []R) {
 		ni, topo := cell(i)
 		label := ni.String() + "/" + topo.String()
 		cfg := params.Config{Nodes: SweepNodes, NI: ni, Bus: params.MemoryBus, Topology: topo}
+		defer func() {
+			if r := recover(); r != nil {
+				panic(&CellPanic{Cell: label, Value: r})
+			}
+		}()
 		return s.measure(cfg, func(detail string) {
 			if s.progress != nil {
 				s.progress(label, detail)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,27 @@ import (
 // debugging; the output is identical either way).
 var Serial = false
 
+// CellPanic is a panic raised while measuring one sweep cell, re-raised
+// on the sweep's calling goroutine with the cell's label.
+type CellPanic struct {
+	Cell  string // the NI/fabric label, e.g. "CNI16Q/torus"
+	Value any    // what the cell panicked with (*sim.ProcessPanic for a process body)
+}
+
+func (cp *CellPanic) Error() string { return fmt.Sprintf("sweep cell %s: %v", cp.Cell, cp.Value) }
+
+// Unwrap exposes an error-valued panic (a *sim.ProcessPanic) to errors.As.
+func (cp *CellPanic) Unwrap() error {
+	err, _ := cp.Value.(error)
+	return err
+}
+
 // runCells evaluates n independent cells with up to GOMAXPROCS host
-// workers and returns the results in cell-index order.
+// workers and returns the results in cell-index order. A panic in a
+// cell comes back out of runCells on the calling goroutine, as in a
+// serial run: workers stop claiming cells after the first panic, so
+// every lower-index cell has been claimed and finishes, and the
+// lowest-index panic — the one a serial run would hit — is re-raised.
 func runCells[T any](n int, run func(i int) T) []T {
 	out := make([]T, n)
 	workers := runtime.GOMAXPROCS(0)
@@ -38,21 +58,36 @@ func runCells[T any](n int, run func(i int) T) []T {
 		return out
 	}
 	var next atomic.Int64
+	var failed atomic.Bool
+	panics := make([]any, n)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				out[i] = run(i)
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							panics[i] = r
+							failed.Store(true)
+						}
+					}()
+					out[i] = run(i)
+				}()
 			}
 		}()
 	}
 	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
 	return out
 }
 

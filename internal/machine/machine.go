@@ -66,12 +66,13 @@ type Machine struct {
 	Net   network.Interconnect
 	Nodes []*Node
 
-	// shards is the conservative-lookahead engine group, non-nil only
-	// when Cfg selects the sharded path (Shards >= 1, a torus, and more
-	// than 16 nodes — small machines and the flat network stay on the
-	// plain serial engine, byte-identically). When set, Eng is shard
-	// 0's engine and each node's components are bound to the engine
-	// owning that node.
+	// shards drives every machine. When Cfg selects the sharded path
+	// (useShards) it holds Cfg.Shards engines with the torus hop
+	// latency as lookahead; otherwise it holds one engine with
+	// sim.Forever lookahead, so nothing crosses and a Run is one epoch
+	// in the plain engine's (time, seq) order. Eng is shard 0's engine,
+	// and each node's components are bound to the engine owning that
+	// node.
 	shards *sim.ShardSet
 
 	// Rec/Smp are the telemetry recorder and sampler, nil unless
@@ -80,10 +81,11 @@ type Machine struct {
 	Smp *trace.Sampler
 }
 
-// useShards reports whether cfg selects the sharded engine: an
+// useShards reports whether cfg selects the sharded event order: an
 // explicit Shards setting, a torus fabric (it defines the cross-shard
 // lookahead), and a machine big enough that the partition is
-// meaningful. Everything else runs the legacy serial engine.
+// meaningful. Everything else runs one shard that never crosses, in
+// the serial order. This is the only place the two orders fork.
 func useShards(cfg params.Config) bool {
 	return cfg.Shards >= 1 && cfg.Nodes > 16 && cfg.Topology == params.TopoTorus
 }
@@ -102,18 +104,22 @@ func New(cfg params.Config) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	var shards *sim.ShardSet
-	var eng *sim.Engine
-	if useShards(cfg) {
+	sharded := useShards(cfg)
+	// By default one shard that never crosses: with sim.Forever
+	// lookahead an epoch's end S+Forever-1 stays below 2^64 for any
+	// S < Forever, so it cannot overflow and is clamped to the horizon —
+	// every Run is a single epoch popping the plain engine's
+	// (time, seq) order.
+	count, lookahead := 1, sim.Forever
+	if sharded {
 		// The torus's minimum cross-node delay is one hop's latency
 		// (the window-credit ack of a one-hop neighbour); link arrivals
 		// are slower still (occupancy + hop latency). That bound is the
 		// conservative lookahead.
-		shards = sim.NewShardSet(cfg.Nodes, cfg.Shards, sim.Time(params.TorusHopLatency))
-		eng = shards.Engine(0)
-	} else {
-		eng = sim.NewEngine()
+		count, lookahead = cfg.Shards, sim.Time(params.TorusHopLatency)
 	}
+	shards := sim.NewShardSet(cfg.Nodes, count, lookahead)
+	eng := shards.Engine(0)
 	st := sim.NewStats(eng)
 	m := &Machine{
 		Cfg:    cfg,
@@ -122,27 +128,27 @@ func New(cfg params.Config) *Machine {
 		shards: shards,
 		Net:    newInterconnect(cfg, eng, st),
 	}
-	if shards != nil {
-		m.Net.(*network.Torus).AttachShards(shards)
-		// Concurrent-mode stats for every sharded machine — including a
-		// single shard, which executes serially: the mode changes the
-		// histogram representation (empty-min sentinel, mode flag), and
-		// snapshots of a one-shard reference run must compare byte-equal
-		// against any other shard count.
-		st.MarkConcurrent()
-	}
+	var inj *fault.Injector
 	if cfg.Faults.Injects() {
-		in := fault.New(eng, st, cfg.Nodes, cfg.Faults)
-		if shards != nil {
-			in.Shard()
+		inj = fault.New(st, cfg.Nodes, cfg.Faults)
+	}
+	if sharded {
+		// The sharded event order: cross-shard fabric events, the
+		// concurrent stats representation (empty-min sentinel, mode
+		// flag — a one-shard reference run must snapshot byte-equal to
+		// any other shard count), and per-destination fault streams.
+		m.Net.(*network.Torus).AttachShards(shards)
+		st.MarkConcurrent()
+		if inj != nil {
+			inj.Shard()
 		}
-		m.Net.AttachFaults(in)
+	}
+	if inj != nil {
+		m.Net.AttachFaults(inj)
 	}
 	if cfg.Trace.Active() {
 		m.Rec = trace.NewRecorder(eng, cfg.Nodes, cfg.Trace.Ring())
-		if shards != nil {
-			m.Rec.Shard(shards)
-		}
+		m.Rec.Shard(shards)
 		m.Net.AttachTrace(m.Rec)
 	}
 	for id := 0; id < cfg.Nodes; id++ {
@@ -151,24 +157,16 @@ func New(cfg params.Config) *Machine {
 	// Frames retire at the receiver, so per-node pools drain at every
 	// sender while a hotspot sink hoards boxes; pooling is shared at
 	// engine-ownership granularity instead. Get/put always run under
-	// the owning messenger's engine, so a pool may span exactly the
-	// nodes of one engine: the whole machine on the serial path, one
-	// shard each on the sharded path (engines run concurrently within
-	// an epoch and must never race on a pool).
-	if shards == nil {
-		fp := &msg.FramePool{}
-		for _, n := range m.Nodes {
-			n.Msgr.ShareFramePool(fp)
+	// the owning messenger's engine, so a pool spans exactly the nodes
+	// of one shard (engines run concurrently within an epoch and must
+	// never race on a pool).
+	pools := make([]*msg.FramePool, shards.Shards())
+	for id, n := range m.Nodes {
+		si := shards.ShardOf(id)
+		if pools[si] == nil {
+			pools[si] = &msg.FramePool{}
 		}
-	} else {
-		pools := make([]*msg.FramePool, len(shards.Engines()))
-		for id, n := range m.Nodes {
-			si := shards.ShardOf(id)
-			if pools[si] == nil {
-				pools[si] = &msg.FramePool{}
-			}
-			n.Msgr.ShareFramePool(pools[si])
-		}
+		n.Msgr.ShareFramePool(pools[si])
 	}
 	st.SetEngine(eng)
 	if cfg.Trace.SampleEvery > 0 {
@@ -235,14 +233,8 @@ func (m *Machine) registerSamples() {
 	}
 }
 
-// nodeEng returns the engine owning node id: the shard engine on a
-// sharded machine, the single engine otherwise.
-func (m *Machine) nodeEng(id int) *sim.Engine {
-	if m.shards != nil {
-		return m.shards.Engine(id)
-	}
-	return m.Eng
-}
+// nodeEng returns the engine owning node id.
+func (m *Machine) nodeEng(id int) *sim.Engine { return m.shards.Engine(id) }
 
 func (m *Machine) buildNode(id int) *Node {
 	cfg := m.Cfg
@@ -298,17 +290,13 @@ func (m *Machine) Spawn(id int, body func(p *sim.Process, n *Node)) {
 	})
 }
 
-// Sharded reports whether this machine runs on the sharded engine.
-func (m *Machine) Sharded() bool { return m.shards != nil }
+// Sharded reports whether this machine runs in the sharded event
+// order (useShards).
+func (m *Machine) Sharded() bool { return useShards(m.Cfg) }
 
 // Now returns the current simulated time (after Run, the global
 // maximum across shards).
-func (m *Machine) Now() sim.Time {
-	if m.shards != nil {
-		return m.shards.Now()
-	}
-	return m.Eng.Now()
-}
+func (m *Machine) Now() sim.Time { return m.shards.Now() }
 
 // Run drains the event queue (or stops at horizon) and returns the
 // final simulated time in cycles. The sampler, when configured, is
@@ -318,20 +306,11 @@ func (m *Machine) Run(horizon sim.Time) sim.Time {
 	if m.Smp != nil {
 		m.Smp.Ensure()
 	}
-	if m.shards != nil {
-		return m.shards.Run(horizon)
-	}
-	return m.Eng.Run(horizon)
+	return m.shards.Run(horizon)
 }
 
 // Stop unwinds device processes; call once after Run.
-func (m *Machine) Stop() {
-	if m.shards != nil {
-		m.shards.Stop()
-		return
-	}
-	m.Eng.Stop()
-}
+func (m *Machine) Stop() { m.shards.Stop() }
 
 // MemBusOccupancy returns total busy cycles summed over all nodes'
 // memory buses (§5.2's occupancy metric).

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/msg"
@@ -224,4 +225,52 @@ func TestDeterministicRuns(t *testing.T) {
 func ExampleMicroseconds() {
 	fmt.Printf("%.1f", Microseconds(400))
 	// Output: 2.0
+}
+
+// TestShardDriverForEveryMachine pins the one-driver contract: every
+// machine runs on a sim.ShardSet with Eng as shard 0's engine and each
+// node bound to its shard's engine. Small and flat machines get one
+// shard; only useShards — a large torus with Shards set — partitions
+// the machine and selects the sharded event order.
+func TestShardDriverForEveryMachine(t *testing.T) {
+	cases := []struct {
+		nodes, shards int
+		topo          params.Topology
+		wantShards    int
+		sharded       bool
+	}{
+		{16, 4, params.TopoTorus, 1, false},
+		{64, 4, params.TopoFlat, 1, false},
+		{64, 0, params.TopoTorus, 1, false},
+		{64, 4, params.TopoTorus, 4, true},
+	}
+	for _, c := range cases {
+		m := New(params.Config{Nodes: c.nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
+			Topology: c.topo, Shards: c.shards})
+		name := fmt.Sprintf("%d-node %v Shards=%d", c.nodes, c.topo, c.shards)
+		if got := m.shards.Shards(); got != c.wantShards {
+			t.Errorf("%s: %d shards, want %d", name, got, c.wantShards)
+		}
+		if m.Sharded() != c.sharded {
+			t.Errorf("%s: Sharded() = %v, want %v", name, m.Sharded(), c.sharded)
+		}
+		if m.Eng != m.shards.Engine(0) {
+			t.Errorf("%s: Eng is not shard 0's engine", name)
+		}
+		woke := make([]bool, c.nodes) // one writer per slot: shards run concurrently
+		for id := range m.Nodes {
+			m.Spawn(id, func(p *sim.Process, n *Node) {
+				if p.Engine() != m.shards.Engine(id) {
+					t.Errorf("%s: node %d runs on another shard's engine", name, id)
+				}
+				p.Sleep(sim.Time(id))
+				woke[id] = true
+			})
+		}
+		end := m.Run(1000)
+		if slices.Contains(woke, false) || end != sim.Time(c.nodes-1) || m.Now() != end {
+			t.Errorf("%s: woke %v, Run = %d, Now = %d", name, woke, end, m.Now())
+		}
+		m.Stop()
+	}
 }

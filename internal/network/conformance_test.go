@@ -243,7 +243,7 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine()
 	st := sim.NewStats(e)
 	tor := NewTorus(e, st, 4)
-	tor.AttachFaults(fault.New(e, st, 4, params.Faults{
+	tor.AttachFaults(fault.New(st, 4, params.Faults{
 		Seed:              1,
 		DegradeUntil:      1 << 40, // degraded for the whole run
 		DegradeLatencyX:   2,
@@ -341,7 +341,7 @@ func TestTraceFaultPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine()
 	st := sim.NewStats(e)
 	tor := NewTorus(e, st, 4)
-	tor.AttachFaults(fault.New(e, st, 4, params.Faults{
+	tor.AttachFaults(fault.New(st, 4, params.Faults{
 		Seed:              1,
 		DegradeUntil:      1 << 40,
 		DegradeLatencyX:   2,

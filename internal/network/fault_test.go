@@ -11,7 +11,7 @@ import (
 // faultRig builds a fabric with an injector attached and open ports.
 func faultRig(c implCase, f params.Faults) (*sim.Engine, *sim.Stats, Interconnect, []*fakePort) {
 	e, st, ic, ports := confRig(c)
-	ic.AttachFaults(fault.New(e, st, c.nodes, f))
+	ic.AttachFaults(fault.New(st, c.nodes, f))
 	return e, st, ic, ports
 }
 
@@ -210,7 +210,7 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 		e := sim.NewEngine()
 		st := sim.NewStats(e)
 		ic := c.build(e, st, c.nodes)
-		ic.AttachFaults(fault.New(e, st, c.nodes, params.Faults{DropProb: 0.01, Seed: 9}))
+		ic.AttachFaults(fault.New(st, c.nodes, params.Faults{DropProb: 0.01, Seed: 9}))
 		port := &countingPort{}
 		for i := 0; i < c.nodes; i++ {
 			ic.Register(i, port)

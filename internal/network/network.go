@@ -424,7 +424,7 @@ func (f *Flat) Inject(p *sim.Process, m *Msg) {
 		// firing in injection order) cannot be used. Schedule a
 		// per-message closure instead; the allocation is the price of
 		// running with faults on.
-		f.eng.Schedule(f.inj.Latency(f.latency), func() { f.arrive(m) })
+		f.eng.Schedule(f.inj.LatencyAt(f.eng.Now(), f.latency), func() { f.arrive(m) })
 		return
 	}
 	f.transit.Push(m)

@@ -40,8 +40,8 @@ type pendTx struct {
 //
 // Hot state is struct-of-arrays: every per-link quantity lives in a
 // parallel index-addressed slice (li = node*numDirs+dir) instead of a
-// per-link struct full of queue headers — a busy bitset, waiting-queue
-// heads, flight rings — and routing reads precomputed tables rather
+// per-link struct full of queue headers — busy flags, waiting-queue
+// heads, flight queues — and routing reads precomputed tables rather
 // than redoing coordinate arithmetic per hop.
 //
 // The event cadence (a release and an arrival per hop, both created
@@ -61,22 +61,19 @@ type Torus struct {
 	hopLat    sim.Time
 	occupancy sim.Time
 
-	// Per-link SoA hot state, shared by both modes: busy bitset,
-	// FIFO waiting queues, and pre-built release callbacks.
-	busyBits   []uint64
+	// Per-link SoA hot state, shared by both modes: busy flags, FIFO
+	// waiting queues, and pre-built release callbacks. One busy byte
+	// per link, not a packed bitset: a link's flag is touched only by
+	// the shard owning its router, and a byte keeps it single-writer
+	// where a shared bitset word would be a read-modify-write race
+	// between shards.
+	busy       []uint8
 	queues     []sim.FIFO[*Msg]
 	releaseFns []func()
-	// busyB replaces the bitset on sharded machines (allocated by
-	// AttachShards): a bitset word packs 64 links, so two shards
-	// flipping bits in the same word would be a read-modify-write race.
-	// One byte per link keeps each byte single-writer (a link's busy
-	// state is only touched by the shard owning its router); serial
-	// machines keep the denser bitset.
-	busyB []uint8
 	// flight[li] holds serialised messages in hop-latency flight;
 	// constant per-link delay means arrivals fire in transmit order,
-	// landed by the pre-built arriveFns (fault-free path only).
-	flight    []sim.Ring[*Msg]
+	// landed by the pre-built arriveFns (fault-free, unsharded path only).
+	flight    []sim.FIFO[*Msg]
 	arriveFns []func()
 	// downstream[li] is the node on the far end of link li, and
 	// routeDir[cur*n+dst] the dimension-order output direction
@@ -106,8 +103,8 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 		h:          h,
 		hopLat:     params.TorusHopLatency,
 		occupancy:  params.TorusLinkOccupancy,
-		busyBits:   make([]uint64, (n*numDirs+63)/64),
-		flight:     make([]sim.Ring[*Msg], n*numDirs),
+		busy:       make([]uint8, n*numDirs),
+		flight:     make([]sim.FIFO[*Msg], n*numDirs),
 		queues:     make([]sim.FIFO[*Msg], n*numDirs),
 		releaseFns: make([]func(), n*numDirs),
 		arriveFns:  make([]func(), n*numDirs),
@@ -209,7 +206,6 @@ func (t *Torus) neighbor(node, dir int) int {
 // would change results.
 func (t *Torus) AttachShards(sh *sim.ShardSet) {
 	t.attachShards(sh)
-	t.busyB = make([]uint8, t.n*numDirs)
 	sh.SetDispatch(func(ev *sim.CrossEvent) {
 		if ev.Kind == xkAck {
 			slot := int(ev.Node)*t.n + int(ev.Aux)
@@ -252,7 +248,7 @@ func (t *Torus) forward(m *Msg, node int) {
 		return
 	}
 	li := node*numDirs + int(dir)
-	if t.busy(li) {
+	if t.busy[li] != 0 {
 		t.linkWaits.Inc()
 		if t.rec != nil {
 			t.noteMsg(node, trace.KLinkWait, int32(li), m)
@@ -268,7 +264,7 @@ func (t *Torus) forward(m *Msg, node int) {
 // Both events are created here, at transmit time, in release-then-
 // arrive order — the cadence the goldens pin (see the type comment).
 func (t *Torus) transmit(li int, m *Msg) {
-	t.setBusy(li)
+	t.busy[li] = 1
 	t.hops.Inc()
 	if t.rec != nil {
 		t.noteMsg(li/numDirs, trace.KLinkTx, int32(li), m)
@@ -280,7 +276,7 @@ func (t *Torus) transmit(li int, m *Msg) {
 	if t.sh != nil {
 		// Sharded: the release is local to the link's router; the
 		// arrival crosses to the downstream router's shard carrying the
-		// message itself (the flight ring cannot be popped from another
+		// message itself (the flight queue cannot be popped from another
 		// shard). Transmit runs on the owner's shard, so its engine is
 		// the current one.
 		eng := t.sh.Engine(li / numDirs)
@@ -302,7 +298,7 @@ func (t *Torus) transmit(li int, m *Msg) {
 // release frees link li after a serialisation completes and starts
 // the next queued message, if any.
 func (t *Torus) release(li int) {
-	t.clearBusy(li)
+	t.busy[li] = 0
 	if t.rec != nil {
 		t.rec.Note(li/numDirs, trace.KLinkFree, 0, int32(li), -1, -1, 0, 0)
 	}
@@ -323,7 +319,7 @@ func (t *Torus) Links() int { return t.n * numDirs }
 
 // LinkBusy reports whether link li is currently serialising a message
 // (the trace sampler's occupancy gauge).
-func (t *Torus) LinkBusy(li int) bool { return t.busy(li) }
+func (t *Torus) LinkBusy(li int) bool { return t.busy[li] != 0 }
 
 // LinkQueueLen reports how many messages wait behind link li (the
 // trace sampler's queue-depth gauge).
@@ -335,33 +331,8 @@ func (t *Torus) LinkName(li int) string {
 	return fmt.Sprintf("n%d.%s", li/numDirs, dirs[li%numDirs])
 }
 
-// busy reports / sets / clears link li's busy state: one byte per
-// link on sharded machines, a bit in the packed bitset otherwise.
-func (t *Torus) busy(li int) bool {
-	if t.busyB != nil {
-		return t.busyB[li] != 0
-	}
-	return t.busyBits[li>>6]&(1<<(li&63)) != 0
-}
-
-func (t *Torus) setBusy(li int) {
-	if t.busyB != nil {
-		t.busyB[li] = 1
-		return
-	}
-	t.busyBits[li>>6] |= 1 << (li & 63)
-}
-
-func (t *Torus) clearBusy(li int) {
-	if t.busyB != nil {
-		t.busyB[li] = 0
-		return
-	}
-	t.busyBits[li>>6] &^= 1 << (li & 63)
-}
-
 // faultTransmit is transmit's fault-mode tail: the degrade window
-// scales occupancy and hop latency per message, so the flight ring
+// scales occupancy and hop latency per message, so the flight queue
 // (which relies on arrivals firing in transmit order) cannot be used;
 // the arrival is carried in a pending entry drained by the pre-built
 // per-link fn — no per-message closure.

@@ -20,12 +20,11 @@ type ni2w struct {
 	name string
 	ctr  niCounters
 
+	// Both FIFOs hold at most params.NI2wFIFOMsgs messages.
 	sendFIFO []*network.Msg // committed, awaiting injection
-	sendCap  int
 	stageQ   []*network.Msg // composed, commit store still in flight
 
 	recvFIFO []*network.Msg
-	recvCap  int
 
 	injectWork *sim.Cond
 }
@@ -35,8 +34,6 @@ func newNI2w(d Deps) *ni2w {
 		d:          d,
 		name:       d.name(),
 		ctr:        d.counters(),
-		sendCap:    d.Cfg.NI2wFIFO(),
-		recvCap:    d.Cfg.NI2wFIFO(),
 		injectWork: sim.NewCond(d.Eng),
 	}
 	d.Fabric.Attach(n, d.Loc)
@@ -59,7 +56,7 @@ func (n *ni2w) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 func (n *ni2w) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if len(n.sendFIFO)+len(n.stageQ) < n.sendCap {
+		if len(n.sendFIFO)+len(n.stageQ) < params.NI2wFIFOMsgs {
 			return 1
 		}
 		return 0
@@ -85,7 +82,7 @@ func (n *ni2w) RegWrite(reg, val uint64) {
 		if len(n.stageQ) == 0 {
 			panic("ni2w: commit without staged message")
 		}
-		if len(n.sendFIFO) >= n.sendCap {
+		if len(n.sendFIFO) >= params.NI2wFIFOMsgs {
 			panic("ni2w: send FIFO overflow (software skipped the status check)")
 		}
 		n.sendFIFO = append(n.sendFIFO, n.stageQ[0])
@@ -139,7 +136,7 @@ func (n *ni2w) TryRecv(p *sim.Process) *network.Msg {
 // NetDeliver implements network.Port: accept into the hardware FIFO if
 // there is room.
 func (n *ni2w) NetDeliver(m *network.Msg) bool {
-	if len(n.recvFIFO) >= n.recvCap {
+	if len(n.recvFIFO) >= params.NI2wFIFOMsgs {
 		return false
 	}
 	n.recvFIFO = append(n.recvFIFO, m)

@@ -783,15 +783,14 @@ type Config struct {
 	// adds link contention and per-hop latency.
 	Topology Topology
 
-	// Shards, when >= 1, runs the machine on the sharded
-	// conservative-lookahead event engine with that many shards
-	// (clamped to the node count): nodes partition into contiguous
-	// groups, each with its own event heap, synchronised in epochs of
-	// the torus hop latency (DESIGN.md §14). Results are byte-identical
-	// for every Shards >= 1 value. Sharding applies only to torus
-	// machines with more than 16 nodes; Flat and all paper-scale
-	// (<= 16 node) runs always use the serial engine, byte-identically
-	// to Shards == 0. The zero value is the serial engine everywhere.
+	// Shards, when >= 1, partitions a torus machine with more than 16
+	// nodes into that many shards (clamped to the node count):
+	// contiguous node groups, each with its own event heap,
+	// synchronised in epochs of the torus hop latency (DESIGN.md §14).
+	// Results are byte-identical for every Shards >= 1 value. Every
+	// machine runs on the same shard driver; Flat and paper-scale
+	// (<= 16 node) machines, and every machine with Shards == 0, run
+	// one shard that never crosses, in the serial event order.
 	Shards int
 
 	// Snarfing enables data snarfing on the processor cache: the cache
@@ -816,9 +815,6 @@ type Config struct {
 	// QueueBlocksOverride, if nonzero, replaces the NI's exposed queue
 	// size (for sweep ablations).
 	QueueBlocksOverride int
-
-	// NI2wFIFOOverride, if nonzero, replaces NI2wFIFOMsgs.
-	NI2wFIFOOverride int
 
 	// Workload, when non-nil, attaches a traffic-generator spec for
 	// the workload/telemetry subsystem (internal/workload). nil for
@@ -895,14 +891,6 @@ func (c Config) TotalQueueBlocks() int {
 		return 512
 	}
 	return c.QueueBlocks()
-}
-
-// NI2wFIFO returns the effective baseline FIFO depth in messages.
-func (c Config) NI2wFIFO() int {
-	if c.NI2wFIFOOverride != 0 {
-		return c.NI2wFIFOOverride
-	}
-	return NI2wFIFOMsgs
 }
 
 // Name renders a short label like "CNI16Qm@memory" for tables.

@@ -105,15 +105,6 @@ func TestMessageGeometry(t *testing.T) {
 	}
 }
 
-func TestNI2wFIFOOverride(t *testing.T) {
-	if got := (Config{}).NI2wFIFO(); got != NI2wFIFOMsgs {
-		t.Errorf("default FIFO = %d", got)
-	}
-	if got := (Config{NI2wFIFOOverride: 9}).NI2wFIFO(); got != 9 {
-		t.Errorf("override FIFO = %d", got)
-	}
-}
-
 func TestTopology(t *testing.T) {
 	if TopoFlat.String() != "flat" || TopoTorus.String() != "torus" {
 		t.Error("topology names drifted")

@@ -29,12 +29,14 @@ import "runtime"
 // (Epoch windows never overlap in time, so ranks assigned at earlier
 // barriers order correctly against later ones.)
 //
-// Note the one-shard ShardSet, not the plain serial Engine, is the
-// reference ordering: the serial engine interleaves same-instant
-// cross-node events by creation order, while the canonical rule above
-// orders a node's local events before same-instant cross arrivals.
-// Both are valid event orderings; only the canonical one is
-// shard-count invariant.
+// Note the one-shard ShardSet whose fabric routes cross events, not
+// the plain serial Engine, is the reference ordering: the serial
+// engine interleaves same-instant cross-node events by creation order,
+// while the canonical rule above orders a node's local events before
+// same-instant cross arrivals. Both are valid event orderings; only
+// the canonical one is shard-count invariant. A one-shard set with
+// Forever lookahead whose fabric never calls Cross runs each Run as a
+// single epoch, in exactly the serial Engine's order.
 
 // class1Base is the sequence-number floor of materialised cross-shard
 // events. Engine-local sequence numbers are per-event increments and
@@ -207,18 +209,12 @@ func (s *ShardSet) ShardOf(node int) int { return int(s.shardOf[node]) }
 // must schedule on (and spawn processes on) this engine.
 func (s *ShardSet) Engine(node int) *Engine { return s.engines[s.shardOf[node]] }
 
-// Engines returns the per-shard engines.
-func (s *ShardSet) Engines() []*Engine { return s.engines }
-
-// Lookahead returns the conservative epoch width.
-func (s *ShardSet) Lookahead() Time { return s.lookahead }
-
 // SetDispatch installs the cross-event dispatcher. It runs on the
 // destination node's engine at the event's At.
 func (s *ShardSet) SetDispatch(fn func(*CrossEvent)) { s.dispatch = fn }
 
 // Cross routes ev — created by code currently executing on node from's
-// shard — to ev.Node's shard. ev.At must be at least Lookahead cycles
+// shard — to ev.Node's shard. ev.At must be at least the lookahead
 // after from's current time; the fabric guarantees this by
 // construction (its minimum cross-node delay defines the lookahead).
 func (s *ShardSet) Cross(from int, ev CrossEvent) {
@@ -229,20 +225,6 @@ func (s *ShardSet) Cross(from int, ev CrossEvent) {
 // Now returns the current simulation time. After Run returns, every
 // shard's clock has been aligned to the global maximum.
 func (s *ShardSet) Now() Time { return s.engines[0].Now() }
-
-// Pending reports scheduled events across all shards, including
-// undelivered cross events.
-func (s *ShardSet) Pending() int {
-	n := 0
-	for _, e := range s.engines {
-		n += e.Pending()
-	}
-	for i := range s.pending {
-		n += s.pending[i].len()
-		n += len(s.inboxes[i])
-	}
-	return n
-}
 
 // collect drains every shard inbox into the destination shards'
 // pending heaps. Runs only at barriers.
@@ -268,18 +250,27 @@ func (s *ShardSet) materialise(end Time) {
 				x = s.free[d][n-1]
 				s.free[d] = s.free[d][:n-1]
 			} else {
-				x = &xfire{}
-				x.fn = func() {
-					s.dispatch(&x.ev)
-					x.ev.Msg = nil
-					s.free[d] = append(s.free[d], x)
-				}
+				x = s.newCarrier(d)
 			}
 			x.ev = ev
 			s.engines[d].pushCross(ev.At, class1Base+s.rank[d], x.fn)
 			s.rank[d]++
 		}
 	}
+}
+
+// newCarrier builds a carrier for destination shard d whose closure
+// returns it to d's free list after dispatch. It is a method, not
+// inline in materialise, so the closure's capture of d cannot move
+// materialise's loop variable to the heap on every call.
+func (s *ShardSet) newCarrier(d int) *xfire {
+	x := &xfire{}
+	x.fn = func() {
+		s.dispatch(&x.ev)
+		x.ev.Msg = nil
+		s.free[d] = append(s.free[d], x)
+	}
+	return x
 }
 
 // runEpoch runs every shard to end. With one shard — or one usable
@@ -330,7 +321,7 @@ func (s *ShardSet) runEpoch(end Time) {
 }
 
 // Run executes events until no work remains or the clock would pass
-// horizon, in conservative epochs of Lookahead cycles. It returns the
+// horizon, in conservative epochs of lookahead cycles. It returns the
 // final simulation time (the global maximum across shards, to which
 // every shard's clock is aligned). Pending cross events beyond the
 // horizon survive for a later Run.
@@ -372,9 +363,6 @@ func (s *ShardSet) Run(horizon Time) Time {
 	}
 	return max
 }
-
-// RunAll executes events until none remain.
-func (s *ShardSet) RunAll() Time { return s.Run(Forever) }
 
 // Stop terminates the epoch workers and unwinds every shard's parked
 // processes. Call once, after the final Run. Safe to call twice.

@@ -101,30 +101,40 @@ func TestShardDeterminism(t *testing.T) {
 }
 
 // TestShardGatingStaysSerial pins the gate: small machines and the
-// flat fabric ignore Shards and run the legacy serial engine, so
-// every pre-sharding golden stays byte-identical.
+// flat fabric ignore Shards and run one shard that never crosses, in
+// the serial event order, so every pre-sharding golden stays
+// byte-identical — the report with Shards=4 equals the one with
+// Shards=0.
 func TestShardGatingStaysSerial(t *testing.T) {
 	t.Parallel()
 	wl := params.DefaultWorkload()
 	wl.OfferedMBps = 4
-	small := params.Config{Nodes: 16, NI: params.CNI16Q, Bus: params.MemoryBus,
-		Topology: params.TopoTorus, Shards: 4, Workload: &wl}
-	m, err := scenario.Build(small)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name  string
+		nodes int
+		topo  params.Topology
+	}{
+		{"16-node torus", 16, params.TopoTorus},
+		{"64-node flat", 64, params.TopoFlat},
+	} {
+		cfg := func(shards int) params.Config {
+			return params.Config{Nodes: c.nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
+				Topology: c.topo, Shards: shards, Workload: &wl}
+		}
+		m, err := scenario.Build(cfg(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Sharded() {
+			t.Errorf("%s with Shards=4 must stay in the serial order", c.name)
+		}
+		m.Close()
+		ref := Run(cfg(0), 2000, 10_000)
+		if ref.Delivered == 0 {
+			t.Fatalf("%s: reference run delivered nothing", c.name)
+		}
+		if got := Run(cfg(4), 2000, 10_000); got != ref {
+			t.Errorf("%s: Shards=4 report diverges from Shards=0\n  ref: %+v\n  got: %+v", c.name, ref, got)
+		}
 	}
-	if m.Sharded() {
-		t.Error("16-node torus with Shards=4 must stay on the serial engine")
-	}
-	m.Close()
-	flat := params.Config{Nodes: 64, NI: params.CNI16Q, Bus: params.MemoryBus,
-		Topology: params.TopoFlat, Shards: 4, Workload: &wl}
-	m, err = scenario.Build(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sharded() {
-		t.Error("flat fabric with Shards=4 must stay on the serial engine")
-	}
-	m.Close()
 }

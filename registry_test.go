@@ -52,10 +52,23 @@ func TestExperimentRegistryConformance(t *testing.T) {
 // TestExperimentRegistryRenders runs every registered experiment and
 // checks that it renders a well-formed table (every row as wide as
 // the header) and that its Data round-trips through JSON. The
-// macrobenchmark sweeps are narrowed to one app to bound the cost;
-// everything but the static tables is skipped in -short mode.
+// macrobenchmark sweeps are narrowed to one app to bound the cost, and
+// the rpc and collective sweeps to one NI × fabric cell: their full
+// grids are pinned byte for byte by internal/harness's golden tables.
+// Everything but the static tables is skipped in -short mode.
 func TestExperimentRegistryRenders(t *testing.T) {
 	cheap := map[string]bool{"table1": true, "table2": true, "table3": true, "table4": true}
+	nis, topos := []NIKind{CNI512Q}, []Topology{TopoFlat}
+	narrow := map[string]func() (*Table, *Data){
+		"rpc": func() (*Table, *Data) {
+			tb, d, _ := RPCSweep(RPCOptions{NIs: nis, Topos: topos})
+			return tb, d
+		},
+		"collective": func() (*Table, *Data) {
+			tb, d, _ := CollectiveSweep(CollectiveOptions{NIs: nis, Topos: topos})
+			return tb, d
+		},
+	}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.Name, func(t *testing.T) {
@@ -63,7 +76,11 @@ func TestExperimentRegistryRenders(t *testing.T) {
 				t.Skip("simulation-heavy experiment in -short mode")
 			}
 			t.Parallel()
-			tb, d := e.Run(RunOptions{Apps: []string{"spsolve"}})
+			run := func() (*Table, *Data) { return e.Run(RunOptions{Apps: []string{"spsolve"}}) }
+			if n, ok := narrow[e.Name]; ok {
+				run = n
+			}
+			tb, d := run()
 			if tb == nil || d == nil {
 				t.Fatal("Run returned nil table or data")
 			}
