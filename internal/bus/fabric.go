@@ -109,8 +109,8 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	}
 	if withIO {
 		f.IO = New(e, st, params.IOBus, name+".iobus")
-		f.bridgeCond = sim.NewCond(e)
-		f.bridgeSpace = sim.NewCond(e)
+		f.bridgeCond = sim.NewCond()
+		f.bridgeSpace = sim.NewCond()
 		e.Spawn(name+".bridge", f.bridgeDrain)
 	}
 	return f

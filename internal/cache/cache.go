@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bus"
 	"repro/internal/params"
@@ -10,9 +11,25 @@ import (
 
 // line is one direct-mapped cache line (tags only: the simulation is
 // timing-directed, payload bytes travel in the logical message layer).
+// The tag is the block number (address / BlockBytes) in 32 bits, so a
+// line packs into 8 bytes; every address in the node map (see
+// machine's address constants) is far below the 256 GB this covers.
 type line struct {
-	tag   uint64 // block address
+	tag   uint32
 	state State
+}
+
+// holds reports whether l's tag is block number blk. The comparison is
+// in 64 bits, so a block number too wide for a tag never matches.
+func (l *line) holds(blk uint64) bool { return uint64(l.tag) == blk }
+
+// retag points l at block number blk. Only fills retag, so the width
+// check stays off the hit path.
+func (l *line) retag(blk uint64) {
+	if blk > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: address %#x is beyond the 32-bit block-number tag", blk*params.BlockBytes))
+	}
+	l.tag = uint32(blk)
 }
 
 // Cache is a direct-mapped MOESI cache attached to the memory bus.
@@ -23,9 +40,8 @@ type Cache struct {
 	fabric *bus.Fabric
 	name   string
 
-	nlines    uint64
-	lines     []line
-	blockMask uint64
+	nlines uint64
+	lines  []line
 
 	// Interned counters: loads and stores are the innermost processor
 	// operations, so the per-access bookkeeping must not hash strings.
@@ -52,7 +68,6 @@ func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, name string, sizeBytes int
 		name:       name,
 		nlines:     n,
 		lines:      make([]line, n),
-		blockMask:  ^uint64(params.BlockBytes - 1),
 		loadHit:    st.Counter(name + ".load.hit"),
 		loadMiss:   st.Counter(name + ".load.miss"),
 		storeHit:   st.Counter(name + ".store.hit"),
@@ -71,16 +86,17 @@ func (c *Cache) AgentName() string { return c.name }
 // AgentClass implements bus.Agent.
 func (c *Cache) AgentClass() params.AgentClass { return params.ClassProc }
 
-func (c *Cache) index(blk uint64) uint64 {
-	return (blk / params.BlockBytes) & (c.nlines - 1)
+// frame returns addr's block number and the line it maps to.
+func (c *Cache) frame(addr uint64) (uint64, *line) {
+	blk := addr / params.BlockBytes
+	return blk, &c.lines[blk&(c.nlines-1)]
 }
 
 // StateOf returns the coherence state the cache holds for addr's block
 // (Invalid if absent). Exposed for tests and assertions.
 func (c *Cache) StateOf(addr uint64) State {
-	blk := addr & c.blockMask
-	l := &c.lines[c.index(blk)]
-	if l.tag == blk && l.state.Valid() {
+	blk, l := c.frame(addr)
+	if l.holds(blk) && l.state.Valid() {
 		return l.state
 	}
 	return Invalid
@@ -89,17 +105,16 @@ func (c *Cache) StateOf(addr uint64) State {
 // Load performs one processor load (up to 8 bytes) at addr.
 // Hits cost params.HitCycles; misses evict + fill over the bus.
 func (c *Cache) Load(p *sim.Process, addr uint64) {
-	blk := addr & c.blockMask
-	l := &c.lines[c.index(blk)]
-	if l.tag == blk && l.state.Valid() {
+	blk, l := c.frame(addr)
+	if l.holds(blk) && l.state.Valid() {
 		c.loadHit.Inc()
 		p.Sleep(params.HitCycles)
 		return
 	}
 	c.loadMiss.Inc()
 	c.evict(p, l)
-	res := c.fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: blk, Initiator: c})
-	l.tag = blk
+	res := c.fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: blk * params.BlockBytes, Initiator: c})
+	l.retag(blk)
 	if res.Shared {
 		l.state = Shared
 	} else {
@@ -111,9 +126,8 @@ func (c *Cache) Load(p *sim.Process, addr uint64) {
 // Stores to Modified/Exclusive lines hit; anything else issues a
 // coherent read-invalidate (see DESIGN.md bandwidth calibration).
 func (c *Cache) Store(p *sim.Process, addr uint64) {
-	blk := addr & c.blockMask
-	l := &c.lines[c.index(blk)]
-	if l.tag == blk {
+	blk, l := c.frame(addr)
+	if l.holds(blk) {
 		switch l.state {
 		case Modified:
 			c.storeHit.Inc()
@@ -127,11 +141,11 @@ func (c *Cache) Store(p *sim.Process, addr uint64) {
 		}
 	}
 	c.storeMiss.Inc()
-	if l.tag != blk {
+	if !l.holds(blk) {
 		c.evict(p, l)
 	}
-	c.fabric.Do(p, bus.Tx{Kind: bus.CRI, Addr: blk, Initiator: c})
-	l.tag = blk
+	c.fabric.Do(p, bus.Tx{Kind: bus.CRI, Addr: blk * params.BlockBytes, Initiator: c})
+	l.retag(blk)
 	l.state = Modified
 }
 
@@ -142,7 +156,7 @@ func (c *Cache) evict(p *sim.Process, l *line) {
 		return
 	}
 	c.writebacks.Inc()
-	addr := l.tag
+	addr := uint64(l.tag) * params.BlockBytes
 	l.state = Invalid
 	c.fabric.Do(p, bus.Tx{Kind: bus.WB, Addr: addr, Initiator: c})
 }
@@ -150,9 +164,8 @@ func (c *Cache) evict(p *sim.Process, l *line) {
 // FlushBlock writes addr's block back (if dirty) and invalidates it;
 // used by tests and by software-managed flush sequences.
 func (c *Cache) FlushBlock(p *sim.Process, addr uint64) {
-	blk := addr & c.blockMask
-	l := &c.lines[c.index(blk)]
-	if l.tag != blk || !l.state.Valid() {
+	blk, l := c.frame(addr)
+	if !l.holds(blk) || !l.state.Valid() {
 		return
 	}
 	c.evict(p, l)
@@ -160,17 +173,16 @@ func (c *Cache) FlushBlock(p *sim.Process, addr uint64) {
 
 // SnoopTx implements bus.Agent: the MOESI snooping side.
 func (c *Cache) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
-	blk := tx.Addr & c.blockMask
-	l := &c.lines[c.index(blk)]
-	if l.tag != blk || !l.state.Valid() {
-		if tx.Kind == bus.WB && c.Snarf && l.tag == blk {
+	blk, l := c.frame(tx.Addr)
+	if !l.holds(blk) || !l.state.Valid() {
+		if tx.Kind == bus.WB && c.Snarf && l.holds(blk) {
 			// Data snarfing: frame already allocated to this tag, in
 			// Invalid state; capture the block from the writeback.
 			l.state = Shared
 			c.snarfs.Inc()
 			return bus.Snoop{HasCopy: true}
 		}
-		if tx.Kind == bus.UP && l.tag == blk {
+		if tx.Kind == bus.UP && l.holds(blk) {
 			// Update push: refill the invalidated frame in place.
 			l.state = Shared
 			c.updates.Inc()

@@ -274,7 +274,7 @@ func (m *Machine) buildNode(id int) *Node {
 		})
 	}
 	m.Net.Register(id, ni)
-	msgr := msg.New(id, cpu, ni, m.Stats, MsgBufBase, cfg.Nodes, cfg.Faults)
+	msgr := msg.New(id, cpu, ni, m.Stats, MsgBufBase, cfg.Faults)
 	if m.Rec != nil {
 		msgr.AttachTrace(m.Rec)
 	}

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -272,5 +273,23 @@ func TestShardDriverForEveryMachine(t *testing.T) {
 			t.Errorf("%s: woke %v, Run = %d, Now = %d", name, woke, end, m.Now())
 		}
 		m.Stop()
+	}
+}
+
+// TestAddressMapFitsCacheTags: the cache stores 32-bit block numbers
+// as tags, so every region of the node address map must end below
+// 2^32 blocks.
+func TestAddressMapFitsCacheTags(t *testing.T) {
+	for _, r := range []struct {
+		name       string
+		base, size uint64
+	}{
+		{"dram", DRAMBase, DRAMSize},
+		{"ni.send", DevSendBase, DevRegionSz},
+		{"ni.recv", DevRecvBase, DevRegionSz},
+	} {
+		if last := (r.base + r.size - 1) / params.BlockBytes; last > math.MaxUint32 {
+			t.Errorf("%s region ends at block %#x, beyond a 32-bit cache tag", r.name, last)
+		}
 	}
 }

@@ -106,10 +106,10 @@ type Messenger struct {
 	rec *trace.Recorder
 }
 
-// New creates a messenger for a node of an n-node machine. bufAddr is
-// a node-private DRAM address used as the user-level staging buffer;
-// f decides whether the reliable-delivery transport engages.
-func New(node int, cpu *proc.CPU, ni nic.NI, st *sim.Stats, bufAddr uint64, n int, f params.Faults) *Messenger {
+// New creates a messenger for a node. bufAddr is a node-private DRAM
+// address used as the user-level staging buffer; f decides whether the
+// reliable-delivery transport engages.
+func New(node int, cpu *proc.CPU, ni nic.NI, st *sim.Stats, bufAddr uint64, f params.Faults) *Messenger {
 	prefix := fmt.Sprintf("node%d.msg", node)
 	ms := &Messenger{
 		node:       node,
@@ -123,7 +123,7 @@ func New(node int, cpu *proc.CPU, ni nic.NI, st *sim.Stats, bufAddr uint64, n in
 		swBuffered: st.Counter(prefix + ".swbuffered"),
 	}
 	if f.Active() {
-		ms.rel = newRel(ms, n, st)
+		ms.rel = newRel(ms, st)
 	}
 	return ms
 }
@@ -141,8 +141,8 @@ func (ms *Messenger) RetxBacklog() int {
 		return 0
 	}
 	total := 0
-	for i := range ms.rel.peers {
-		total += ms.rel.peers[i].unacked.Len()
+	for _, pe := range ms.rel.peers.All() {
+		total += pe.unacked.Len()
 	}
 	return total
 }

@@ -1,6 +1,8 @@
 package msg
 
 import (
+	"slices"
+
 	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -96,8 +98,13 @@ type relPeer struct {
 
 // rel is one node's transport endpoint.
 type rel struct {
-	ms    *Messenger
-	peers []relPeer
+	ms *Messenger
+	// peers holds the stream state of each peer this node has exchanged
+	// frames with, opened on first contact and kept for the run
+	// (sequence numbers outlive idle spells); order lists their ids
+	// ascending, so timer sweeps visit peers in id order.
+	peers sim.PeerSlots[relPeer]
+	order []int
 	// next caches the earliest pending timer (retransmit, delayed ack,
 	// NI retry) so the per-Poll tick is a single comparison when
 	// nothing is due.
@@ -114,12 +121,11 @@ type rel struct {
 	recovery *sim.Histogram
 }
 
-// newRel builds the transport endpoint for a node in an n-node
-// machine. Counters are machine-global (shared Stats handles).
-func newRel(ms *Messenger, n int, st *sim.Stats) *rel {
-	r := &rel{
+// newRel builds a node's transport endpoint. Counters are
+// machine-global (shared Stats handles).
+func newRel(ms *Messenger, st *sim.Stats) *rel {
+	return &rel{
 		ms:          ms,
-		peers:       make([]relPeer, n),
 		next:        sim.Forever,
 		retransmits: st.Counter("net.retransmits"),
 		dupSupp:     st.Counter("net.dup_suppressed"),
@@ -129,12 +135,18 @@ func newRel(ms *Messenger, n int, st *sim.Stats) *rel {
 		oooBuffered: st.Counter("net.ooo_buffered"),
 		recovery:    st.Histogram("net.recovery"),
 	}
-	for i := range r.peers {
-		r.peers[i].nextSeq = 1
-		r.peers[i].expect = 1
-		r.peers[i].rto = RelRetxInit
+}
+
+// peer returns id's stream state, opening the stream on first contact.
+func (r *rel) peer(id int) *relPeer {
+	if pe := r.peers.Get(id); pe != nil {
+		return pe
 	}
-	return r
+	pe := r.peers.Acquire(id)
+	pe.nextSeq, pe.expect, pe.rto = 1, 1, RelRetxInit
+	i, _ := slices.BinarySearch(r.order, id)
+	r.order = slices.Insert(r.order, i, id)
+	return pe
 }
 
 // arm lowers the cached earliest-timer bound.
@@ -145,7 +157,10 @@ func (r *rel) arm(at sim.Time) {
 }
 
 // peerDead reports whether dst's stream exhausted its retry budget.
-func (r *rel) peerDead(dst int) bool { return r.peers[dst].dead }
+func (r *rel) peerDead(dst int) bool {
+	pe := r.peers.Get(dst)
+	return pe != nil && pe.dead
+}
 
 // tick runs every due timer. Called from Send and Poll; the fast path
 // (nothing due) is one comparison.
@@ -154,15 +169,17 @@ func (r *rel) tick(p *sim.Process) {
 		return
 	}
 	r.next = sim.Forever
-	for i := range r.peers {
-		r.tickPeer(p, i)
+	// A node hosts one program, so no stream opens while tickPeer
+	// yields the processor and order is stable across the sweep.
+	for _, id := range r.order {
+		r.tickPeer(p, id)
 	}
 }
 
 // tickPeer flushes a due or refused ack and runs the retransmit timer
 // for one peer, re-arming the timer cache with whatever remains.
 func (r *rel) tickPeer(p *sim.Process, peer int) {
-	pe := &r.peers[peer]
+	pe := r.peer(peer)
 	if pe.ackDue || (pe.ackDeadline != 0 && p.Now() >= pe.ackDeadline) {
 		r.sendAck(p, peer, pe)
 	} else if pe.ackDeadline != 0 {
@@ -226,7 +243,7 @@ func (r *rel) streamDead(pe *relPeer) {
 // report success and are accounted in net.dead.
 func (r *rel) sendData(p *sim.Process, m *network.Msg) bool {
 	r.tick(p)
-	pe := &r.peers[m.Dst]
+	pe := r.peer(m.Dst)
 	if pe.dead {
 		r.deadFrames.Inc()
 		return true
@@ -254,7 +271,7 @@ func (r *rel) sendData(p *sim.Process, m *network.Msg) bool {
 // stream dies). With wait false it reports the verdict instead of
 // blocking, preserving TrySend's one-attempt contract.
 func (r *rel) waitWindow(p *sim.Process, dst int, wait bool) bool {
-	pe := &r.peers[dst]
+	pe := r.peer(dst)
 	for pe.unacked.Len() >= RelMaxUnacked && !pe.dead {
 		if !wait {
 			return false
@@ -284,7 +301,7 @@ func (r *rel) onAckFrame(p *sim.Process, m *network.Msg) {
 // Seq <= ack is done. Progress resets the retransmit state and feeds
 // the round-trip estimator.
 func (r *rel) onAck(p *sim.Process, peer int, ack uint64) {
-	pe := &r.peers[peer]
+	pe := r.peer(peer)
 	r.ms.cpu.Compute(p, RelBookkeepCycles)
 	progress := false
 	sample := int64(-1)
@@ -363,7 +380,7 @@ func (r *rel) onData(p *sim.Process, m *network.Msg) bool {
 		r.checksumBad.Inc()
 		return false
 	}
-	pe := &r.peers[m.Src]
+	pe := r.peer(m.Src)
 	switch {
 	case m.Seq == pe.expect:
 		pe.expect++
@@ -394,7 +411,7 @@ func (r *rel) onData(p *sim.Process, m *network.Msg) bool {
 // nextReady releases the next in-order frame freed up by a delivery,
 // if the out-of-order buffer holds it.
 func (r *rel) nextReady(src int) *network.Msg {
-	pe := &r.peers[src]
+	pe := r.peer(src)
 	if pe.ooo == nil {
 		return nil
 	}
@@ -411,7 +428,7 @@ func (r *rel) nextReady(src int) *network.Msg {
 // ackProgress closes out a Poll's delivery batch: a full batch acks
 // now, a partial one starts (or keeps) the delayed-ack timer.
 func (r *rel) ackProgress(p *sim.Process, peer int) {
-	pe := &r.peers[peer]
+	pe := r.peer(peer)
 	if pe.pendingAcks >= RelAckBatch {
 		r.sendAck(p, peer, pe)
 		return

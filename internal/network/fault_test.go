@@ -217,7 +217,7 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond(e)
+		kick := sim.NewCond()
 		e.Spawn("src", func(p *sim.Process) {
 			for {
 				kick.Wait(p)

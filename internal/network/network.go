@@ -149,6 +149,22 @@ var (
 	_ Interconnect = (*Torus)(nil)
 )
 
+// window is one (src,dst) pair's sliding-window state. It exists only
+// while the pair has messages in flight or senders waiting: admit
+// opens it on first use and the credit that leaves it idle releases it
+// to the source's free list.
+type window struct {
+	inFlight int32 // unacked messages
+	src, dst int32
+	// free signals senders blocked on a full window.
+	free sim.Cond
+	// ack is the slot's prebuilt window-credit return, so acking a
+	// message schedules an existing func value instead of allocating a
+	// closure per message. It reads src/dst at fire time, so it stays
+	// valid when the slot is recycled for another pair.
+	ack func()
+}
+
 // endpoints is the edge every fabric shares: per-(src,dst)
 // sliding-window admission, per-destination arrival queues with
 // backpressure, and window-credit acknowledgements. Implementations
@@ -158,14 +174,10 @@ type endpoints struct {
 	window int
 	n      int
 
-	// Per-(src,dst) window state is struct-of-arrays, indexed by
-	// slot = src*n+dst: flat parallel slices (counts in int32, conds
-	// packed by value) rather than n² little heap objects, so the
-	// admit/ack path walks two arrays.
-	ports    []Port
-	inFlight []int32 // inFlight[slot] counts unacked messages
-	// windowFree[slot] signals senders blocked on a full window.
-	windowFree []sim.Cond
+	ports []Port
+	// windows[src] holds src's live window slots by destination,
+	// touched only on src's shard.
+	windows []sim.PeerSlots[window]
 	// arrivals[dst] holds messages the port refused, FIFO.
 	arrivals []sim.FIFO[*Msg]
 
@@ -179,10 +191,6 @@ type endpoints struct {
 	// recording consumes no simulated time.
 	deliveryHist *sim.Histogram
 
-	// ackFns[slot] is the pre-built window-credit-return callback, so
-	// acking a message schedules an existing func value instead of
-	// allocating a fresh closure per message.
-	ackFns []func()
 	// ackLatency returns the credit-return delay for an accepted
 	// message (set once by the embedding fabric).
 	ackLatency func(m *Msg) sim.Time
@@ -211,7 +219,7 @@ type endpoints struct {
 // Cross-event kinds routed through sim.ShardSet (sharded machines).
 const (
 	xkArrive = iota // torus link arrival: Msg lands at Node for routing
-	xkAck           // window-credit return for slot (Node, Aux)
+	xkAck           // window-credit return for window (Node, Aux)
 )
 
 // engAt returns the engine owning node: the single engine on a serial
@@ -234,9 +242,11 @@ func (ep *endpoints) attachShards(sh *sim.ShardSet) {
 // latency. On a sharded machine a cross-node credit travels through
 // the deterministic-merge inboxes to the source's shard (the window
 // state and any process blocked on it live there); same-node credits,
-// and everything on a serial machine, schedule locally. The ack event
-// carries the slot in (Node, Aux) rather than holding m, whose buffer
-// the transport may recycle once delivery completes.
+// and everything on a serial machine, schedule the window slot's own
+// ack func locally. The cross event carries the pair in (Node, Aux)
+// rather than holding m, whose buffer the transport may recycle once
+// delivery completes. m's slot stays live until its credit returns,
+// so the lookup always finds it.
 func (ep *endpoints) scheduleAck(m *Msg) {
 	if ep.sh != nil && m.Src != m.Dst {
 		eng := ep.sh.Engine(m.Dst)
@@ -249,7 +259,29 @@ func (ep *endpoints) scheduleAck(m *Msg) {
 		})
 		return
 	}
-	ep.engAt(m.Dst).Schedule(ep.ackLatency(m), ep.ackFns[m.Src*ep.n+m.Dst])
+	ep.engAt(m.Dst).Schedule(ep.ackLatency(m), ep.windows[m.Src].Get(m.Dst).ack)
+}
+
+// openWindow returns (src, dst)'s window slot, opening it if the pair
+// is idle.
+func (ep *endpoints) openWindow(src, dst int) *window {
+	w := ep.windows[src].Acquire(dst)
+	if w.ack == nil {
+		w.ack = func() { ep.credit(w) }
+	}
+	w.src, w.dst = int32(src), int32(dst)
+	return w
+}
+
+// credit returns one message's window credit, waking the
+// longest-waiting sender, and releases the slot once it is idle. It
+// runs on the source's shard.
+func (ep *endpoints) credit(w *window) {
+	w.inFlight--
+	w.free.Signal()
+	if w.inFlight == 0 && w.free.Waiting() == 0 {
+		ep.windows[w.src].Release(int(w.dst))
+	}
 }
 
 // init wires the shared edge state for n nodes.
@@ -258,23 +290,13 @@ func (ep *endpoints) init(e *sim.Engine, st *sim.Stats, n int, ackLatency func(*
 	ep.window = params.NetWindow
 	ep.n = n
 	ep.ports = make([]Port, n)
-	ep.inFlight = make([]int32, n*n)
+	ep.windows = make([]sim.PeerSlots[window], n)
 	ep.arrivals = make([]sim.FIFO[*Msg], n)
 	ep.windowStalls = st.Counter("net.window.stall")
 	ep.msgs = st.Counter("net.msg")
 	ep.bytes = st.Counter("net.bytes")
 	ep.backpressure = st.Counter("net.backpressure")
 	ep.deliveryHist = st.Histogram("net.delivery")
-	ep.windowFree = make([]sim.Cond, n*n)
-	ep.ackFns = make([]func(), n*n)
-	for i := range ep.windowFree {
-		ep.windowFree[i].Init(e)
-		slot := i
-		ep.ackFns[i] = func() {
-			ep.inFlight[slot]--
-			ep.windowFree[slot].Signal()
-		}
-	}
 	ep.ackLatency = ackLatency
 }
 
@@ -286,7 +308,7 @@ func (ep *endpoints) Nodes() int { return ep.n }
 
 // CanInject reports whether src may inject to dst without blocking.
 func (ep *endpoints) CanInject(src, dst int) bool {
-	return int(ep.inFlight[src*ep.n+dst]) < ep.window
+	return ep.InFlight(src, dst) < ep.window
 }
 
 // admit blocks p while the window to m.Dst is full, then charges the
@@ -298,12 +320,15 @@ func (ep *endpoints) admit(p *sim.Process, m *Msg) {
 	if ep.inj != nil {
 		ep.admitFaults(p, m)
 	}
-	slot := m.Src*ep.n + m.Dst
-	for int(ep.inFlight[slot]) >= ep.window {
+	w := ep.openWindow(m.Src, m.Dst)
+	for int(w.inFlight) >= ep.window {
 		ep.windowStalls.Inc()
-		ep.windowFree[slot].Wait(p)
+		w.free.Wait(p)
+		// Credits may have drained the window and recycled its slot
+		// while p was parked, so look it up again.
+		w = ep.openWindow(m.Src, m.Dst)
 	}
-	ep.inFlight[slot]++
+	w.inFlight++
 	ep.msgs.Inc()
 	ep.bytes.Add(uint64(m.Size + params.HeaderBytes))
 	m.SentAt = p.Now()
@@ -364,7 +389,12 @@ func (ep *endpoints) Unblock(dst int) { ep.drain(dst) }
 func (ep *endpoints) Pending(dst int) int { return ep.arrivals[dst].Len() }
 
 // InFlight reports unacked messages from src to dst (diagnostics).
-func (ep *endpoints) InFlight(src, dst int) int { return int(ep.inFlight[src*ep.n+dst]) }
+func (ep *endpoints) InFlight(src, dst int) int {
+	if w := ep.windows[src].Get(dst); w != nil {
+		return int(w.inFlight)
+	}
+	return 0
+}
 
 // DeliveryLatency exposes the fabric's delivery-latency histogram
 // (also reachable as the "net.delivery" histogram in Stats).
@@ -374,8 +404,10 @@ func (ep *endpoints) DeliveryLatency() *sim.Histogram { return ep.deliveryHist }
 // the sliding-window occupancy gauge the trace sampler reads.
 func (ep *endpoints) TotalInFlight() int {
 	total := 0
-	for _, v := range ep.inFlight {
-		total += int(v)
+	for src := range ep.windows {
+		for _, w := range ep.windows[src].All() {
+			total += int(w.inFlight)
+		}
 	}
 	return total
 }

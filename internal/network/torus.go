@@ -41,8 +41,8 @@ type pendTx struct {
 // Hot state is struct-of-arrays: every per-link quantity lives in a
 // parallel index-addressed slice (li = node*numDirs+dir) instead of a
 // per-link struct full of queue headers — busy flags, waiting-queue
-// heads, flight queues — and routing reads precomputed tables rather
-// than redoing coordinate arithmetic per hop.
+// heads, flight queues. Routing computes each hop's direction from the
+// two nodes' coordinates, so no state grows with node pairs.
 //
 // The event cadence (a release and an arrival per hop, both created
 // at transmit time) is deliberately unchanged. Batched variants that
@@ -75,12 +75,8 @@ type Torus struct {
 	// landed by the pre-built arriveFns (fault-free, unsharded path only).
 	flight    []sim.FIFO[*Msg]
 	arriveFns []func()
-	// downstream[li] is the node on the far end of link li, and
-	// routeDir[cur*n+dst] the dimension-order output direction
-	// (-1 at the destination) — both precomputed so the per-hop path
-	// does no coordinate arithmetic.
+	// downstream[li] is the node on the far end of link li.
 	downstream []int32
-	routeDir   []int8
 
 	// Fault-mode state, allocated by AttachFaults only. The degrade
 	// window scales occupancy and latency per message, so arrivals can
@@ -121,12 +117,6 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 		t.releaseFns[li] = func() { t.release(li) }
 		t.arriveFns[li] = func() { t.linkArrive(li) }
 	}
-	t.routeDir = make([]int8, n*n)
-	for cur := 0; cur < n; cur++ {
-		for dst := 0; dst < n; dst++ {
-			t.routeDir[cur*n+dst] = int8(t.nextDir(cur, dst))
-		}
-	}
 	return t
 }
 
@@ -154,26 +144,30 @@ func (t *Torus) HopCount(src, dst int) int {
 
 // nextDir returns the dimension-order output direction at node cur
 // for a message to dst, or -1 when cur == dst. Ties between the two
-// wrap directions go to the positive link. (Used to build routeDir;
-// the per-hop path reads the table.)
+// wrap directions go to the positive link.
 func (t *Torus) nextDir(cur, dst int) int {
 	cx, cy := t.coords(cur)
 	dx, dy := t.coords(dst)
 	if cx != dx {
-		fwd := (dx - cx + t.w) % t.w
-		if fwd <= t.w-fwd {
-			return dirXPos
-		}
-		return dirXNeg
+		return wrapDir(dx-cx, t.w, dirXPos)
 	}
 	if cy != dy {
-		fwd := (dy - cy + t.h) % t.h
-		if fwd <= t.h-fwd {
-			return dirYPos
-		}
-		return dirYNeg
+		return wrapDir(dy-cy, t.h, dirYPos)
 	}
 	return -1
+}
+
+// wrapDir picks pos (the positive link of a ring of size nodes) or the
+// negative link after it for a nonzero offset delta in (-size, size):
+// positive when going forward is no longer than wrapping backward.
+func wrapDir(delta, size, pos int) int {
+	if delta < 0 {
+		delta += size
+	}
+	if delta <= size-delta {
+		return pos
+	}
+	return pos + 1
 }
 
 // neighbor returns the node on the far end of node's dir output link.
@@ -208,9 +202,7 @@ func (t *Torus) AttachShards(sh *sim.ShardSet) {
 	t.attachShards(sh)
 	sh.SetDispatch(func(ev *sim.CrossEvent) {
 		if ev.Kind == xkAck {
-			slot := int(ev.Node)*t.n + int(ev.Aux)
-			t.inFlight[slot]--
-			t.windowFree[slot].Signal()
+			t.credit(t.windows[ev.Node].Get(int(ev.Aux)))
 			return
 		}
 		t.forward(ev.Msg.(*Msg), int(ev.Node))
@@ -242,7 +234,7 @@ func (t *Torus) Inject(p *sim.Process, m *Msg) {
 // destination, otherwise claim (or queue on) the dimension-order
 // output link.
 func (t *Torus) forward(m *Msg, node int) {
-	dir := t.routeDir[node*t.n+m.Dst]
+	dir := t.nextDir(node, m.Dst)
 	if dir < 0 {
 		t.arrive(m)
 		return

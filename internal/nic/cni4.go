@@ -55,9 +55,9 @@ func newCNI4(d Deps) *cni4 {
 		ctr:        d.counters(),
 		sendCap:    params.CNI4DeviceFIFOMsgs,
 		recvCap:    params.CNI4DeviceFIFOMsgs,
-		sendWork:   sim.NewCond(d.Eng),
-		injectWork: sim.NewCond(d.Eng),
-		recvWork:   sim.NewCond(d.Eng),
+		sendWork:   sim.NewCond(),
+		injectWork: sim.NewCond(),
+		recvWork:   sim.NewCond(),
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".send", n.sendEngine)

@@ -91,11 +91,11 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 		sendPulled:   make(map[uint64]bool),
 		procCopies:   make(map[uint64]bool),
 		live:         make(map[uint64]bool),
-		sendWork:     sim.NewCond(d.Eng),
-		injectWork:   sim.NewCond(d.Eng),
-		injectSpace:  sim.NewCond(d.Eng),
-		recvWork:     sim.NewCond(d.Eng),
-		recvHeadMove: sim.NewCond(d.Eng),
+		sendWork:     sim.NewCond(),
+		injectWork:   sim.NewCond(),
+		injectSpace:  sim.NewCond(),
+		recvWork:     sim.NewCond(),
+		recvHeadMove: sim.NewCond(),
 	}
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")

@@ -57,8 +57,8 @@ func newDMA(d Deps) *dmaNI {
 		d:        d,
 		name:     d.name(),
 		ctr:      d.counters(),
-		sendWork: sim.NewCond(d.Eng),
-		recvWork: sim.NewCond(d.Eng),
+		sendWork: sim.NewCond(),
+		recvWork: sim.NewCond(),
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".send", n.sendEngine)

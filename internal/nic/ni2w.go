@@ -34,7 +34,7 @@ func newNI2w(d Deps) *ni2w {
 		d:          d,
 		name:       d.name(),
 		ctr:        d.counters(),
-		injectWork: sim.NewCond(d.Eng),
+		injectWork: sim.NewCond(),
 	}
 	d.Fabric.Attach(n, d.Loc)
 	d.Eng.Spawn(n.name+".inject", n.injector)

@@ -49,8 +49,8 @@ func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, c *cache.Cache, id int, na
 		fab:          f,
 		cache:        c,
 		name:         name,
-		sbWork:       sim.NewCond(e),
-		sbSpace:      sim.NewCond(e),
+		sbWork:       sim.NewCond(),
+		sbSpace:      sim.NewCond(),
 		sbFull:       st.Counter(name + ".sb.full"),
 		membarStalls: st.Counter(name + ".membar.stall"),
 	}

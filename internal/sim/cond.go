@@ -4,19 +4,14 @@ package sim
 // in FIFO order; Signal wakes exactly one. Because the simulation is
 // single-threaded, the usual "recheck the predicate in a loop" rule
 // still applies (another process may run between the signal and the
-// resumption), but no mutex is required.
+// resumption), but no mutex is required. The zero value is ready to
+// use; a waiter wakes on its own process's engine.
 type Cond struct {
-	eng     *Engine
 	waiters FIFO[*Process]
 }
 
-// NewCond returns a condition variable bound to the engine.
-func NewCond(e *Engine) *Cond { return &Cond{eng: e} }
-
-// Init binds a zero-value condition variable in place, for conds
-// packed into a slice (one backing array instead of a heap object per
-// cond). The slice must not be reallocated while waiters are queued.
-func (c *Cond) Init(e *Engine) { c.eng = e }
+// NewCond returns a new condition variable.
+func NewCond() *Cond { return &Cond{} }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Process) {

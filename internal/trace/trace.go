@@ -6,9 +6,10 @@
 //
 // The recorder is built for the hot path: hooks in the fabric edge,
 // the torus links, and the reliable transport write fixed-size
-// 32-byte records into preallocated per-node rings. No interface{},
-// no closures, no allocation per event — the enabled path is pinned
-// at 0 allocs/event by the network conformance tests, and the
+// 32-byte records into per-node rings that grow on demand up to their
+// capacity and then wrap. No interface{}, no closures, no allocation
+// per event once a ring is full — the enabled path is pinned at 0
+// allocs/event by the network conformance tests, and the
 // disabled path is a single nil check. Export (export.go) renders the
 // rings as Chrome trace-event JSON that Perfetto loads directly; the
 // sampler (sampler.go) snapshots registered gauges and counters every
@@ -90,8 +91,8 @@ const (
 )
 
 // Record is one lifecycle event: 32 bytes, fixed layout, no pointers
-// — a ring of them is a single allocation and writing one is a plain
-// store. Src/Dst/Frag identify the network message (plus ID, the
+// — a ring of them is one pointer-free slice and writing one is a
+// plain store. Src/Dst/Frag identify the network message (plus ID, the
 // sender-local user-message id); Link is the torus link index for
 // link records and -1 otherwise.
 type Record struct {
@@ -107,16 +108,19 @@ type Record struct {
 }
 
 // ring is one node's record ring: head counts every record ever
-// written, recs[head%len] is the next slot, and a wrapped ring keeps
-// the newest records (the export reports how many were overwritten).
+// written. Until the ring holds the recorder's size records, recs is
+// exactly the records written (len == head) and grows by append; after
+// that recs[head%size] is the next slot, and a wrapped ring keeps the
+// newest records (the export reports how many were overwritten).
 type ring struct {
 	recs []Record
 	head uint64
 }
 
 // Recorder collects lifecycle records for one machine. One ring per
-// node, preallocated at construction; Note is the only hot-path
-// entry.
+// node, empty at construction and grown by the records it takes, so a
+// short run on a large machine pays for what it writes, not for
+// nodes × size; Note is the only hot-path entry.
 type Recorder struct {
 	eng   *sim.Engine
 	sh    *sim.ShardSet // non-nil on sharded machines: per-node clocks
@@ -130,11 +134,7 @@ func NewRecorder(eng *sim.Engine, nodes, ringSize int) *Recorder {
 	if ringSize < 1 {
 		ringSize = 1
 	}
-	r := &Recorder{eng: eng, rings: make([]ring, nodes), size: uint64(ringSize)}
-	for i := range r.rings {
-		r.rings[i].recs = make([]Record, ringSize)
-	}
-	return r
+	return &Recorder{eng: eng, rings: make([]ring, nodes), size: uint64(ringSize)}
 }
 
 // Nodes returns the ring count.
@@ -147,16 +147,23 @@ func (r *Recorder) Nodes() int { return len(r.rings) }
 func (r *Recorder) Shard(sh *sim.ShardSet) { r.sh = sh }
 
 // Note appends one record to node's ring, stamped with the current
-// simulated time. It neither allocates nor consumes simulated time.
+// simulated time. It consumes no simulated time, and allocates only
+// while node's ring is still growing toward its size (amortised by
+// append's doubling); a full ring wraps without allocating.
 func (r *Recorder) Note(node int, k Kind, id uint64, link, src, dst int32, frag, flags uint8) {
 	eng := r.eng
 	if r.sh != nil {
 		eng = r.sh.Engine(node)
 	}
 	rg := &r.rings[node]
-	rg.recs[rg.head%r.size] = Record{
+	rec := Record{
 		At: uint64(eng.Now()), ID: id, Link: link,
 		Src: src, Dst: dst, Kind: k, Frag: frag, Flags: flags,
+	}
+	if rg.head < r.size {
+		rg.recs = append(rg.recs, rec)
+	} else {
+		rg.recs[rg.head%r.size] = rec
 	}
 	rg.head++
 }

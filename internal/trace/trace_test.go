@@ -56,6 +56,41 @@ func TestRecorderPartialRing(t *testing.T) {
 	}
 }
 
+// TestRecorderRingsGrowOnDemand pins that a recorder holds memory for
+// the records written, not for nodes × ring size, and that a ring
+// grown by append wraps at its size like a preallocated one would.
+func TestRecorderRingsGrowOnDemand(t *testing.T) {
+	e := sim.NewEngine()
+	r := NewRecorder(e, 64, 16384)
+	for i := 0; i < 5; i++ {
+		r.Note(3, KInject, uint64(i), -1, 3, 0, 0, 0)
+	}
+	for i := range r.rings {
+		if c := cap(r.rings[i].recs); i != 3 && c != 0 {
+			t.Errorf("untouched ring %d holds %d records of capacity", i, c)
+		}
+	}
+	if c := cap(r.rings[3].recs); c < 5 || c > 64 {
+		t.Errorf("ring 3 capacity %d after 5 records, want a few", c)
+	}
+
+	r = NewRecorder(e, 1, 100)
+	for i := 0; i < 250; i++ {
+		r.Note(0, KInject, uint64(i), -1, 0, 0, 0, 0)
+	}
+	if got := len(r.rings[0].recs); got != 100 {
+		t.Errorf("full ring holds %d records, want 100", got)
+	}
+	if got := r.Overwritten(); got != 150 {
+		t.Errorf("Overwritten = %d, want 150", got)
+	}
+	for i, rec := range r.records(0, nil) {
+		if want := uint64(150 + i); rec.ID != want {
+			t.Fatalf("records[%d].ID = %d, want %d", i, rec.ID, want)
+		}
+	}
+}
+
 func TestKindNames(t *testing.T) {
 	for k := Kind(1); k < kindCount; k++ {
 		if k.String() == "?" {

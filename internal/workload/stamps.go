@@ -2,67 +2,29 @@ package workload
 
 import "repro/internal/sim"
 
-// stampCap is the per-slot ring capacity of the stamp arena. The
-// sliding window bounds in-flight messages per (src,dst) to four, so
-// eight covers the common case of delivered-but-not-yet-handled
-// messages; deeper bursts overflow to the per-slot spill FIFO.
-const stampCap = 8
+// stamps carries intended-arrival timestamps from the open-loop sender
+// to the destination's handler: one FIFO per (src,dst) pair with
+// messages outstanding. Per-pair delivery is FIFO end to end (FIFO
+// fabrics, in-order reassembly), so a queue per pair is enough. A
+// pair's queue exists only while it holds stamps: the pop that empties
+// it releases the slot to the source's free list, queue buffer and
+// all, so memory follows the messages outstanding rather than n², and
+// steady-state push/pop allocates nothing.
+// stamps[src] holds src's queues by destination.
+type stamps []sim.PeerSlots[sim.FIFO[sim.Time]]
 
-// stampArena interns the n² per-(src,dst) intended-arrival timestamp
-// FIFOs into one slab: slot s occupies slab[s*stampCap:(s+1)*stampCap]
-// as a small ring addressed by parallel head/count byte arrays. One
-// backing array replaces n² queue headers each owning its own heap
-// block, so the sender/handler hot path touches two contiguous byte
-// arrays and one slab instead of scattered FIFO state, and steady-state
-// push/pop allocates nothing.
-//
-// FIFO order across the spill boundary: a push lands in the ring only
-// while the spill is empty (otherwise it would overtake the spilled
-// entries), and each pop refills the ring from the spill, so the ring
-// always holds the oldest entries.
-type stampArena struct {
-	slab  []sim.Time
-	head  []uint8 // ring index of the oldest entry
-	count []uint8 // live ring entries
-	spill []sim.FIFO[sim.Time]
+// Push appends t to (src, dst)'s queue.
+func (s stamps) Push(src, dst int, t sim.Time) {
+	s[src].Acquire(dst).Push(t)
 }
 
-// newStampArena returns an arena with the given slot count.
-func newStampArena(slots int) *stampArena {
-	return &stampArena{
-		slab:  make([]sim.Time, slots*stampCap),
-		head:  make([]uint8, slots),
-		count: make([]uint8, slots),
-		spill: make([]sim.FIFO[sim.Time], slots),
-	}
-}
-
-// Push appends t to slot's FIFO.
-func (a *stampArena) Push(slot int, t sim.Time) {
-	if int(a.count[slot]) < stampCap && a.spill[slot].Len() == 0 {
-		i := (int(a.head[slot]) + int(a.count[slot])) % stampCap
-		a.slab[slot*stampCap+i] = t
-		a.count[slot]++
-		return
-	}
-	a.spill[slot].Push(t)
-}
-
-// Pop removes and returns the oldest entry in slot's FIFO. The caller
-// must check Len first.
-func (a *stampArena) Pop(slot int) sim.Time {
-	t := a.slab[slot*stampCap+int(a.head[slot])]
-	a.head[slot] = uint8((int(a.head[slot]) + 1) % stampCap)
-	a.count[slot]--
-	for a.spill[slot].Len() > 0 && int(a.count[slot]) < stampCap {
-		i := (int(a.head[slot]) + int(a.count[slot])) % stampCap
-		a.slab[slot*stampCap+i] = a.spill[slot].Pop()
-		a.count[slot]++
+// Pop removes and returns the oldest stamp in (src, dst)'s queue,
+// which must be non-empty.
+func (s stamps) Pop(src, dst int) sim.Time {
+	q := s[src].Get(dst)
+	t := q.Pop()
+	if q.Len() == 0 {
+		s[src].Release(dst)
 	}
 	return t
-}
-
-// Len reports the number of queued entries in slot's FIFO.
-func (a *stampArena) Len(slot int) int {
-	return int(a.count[slot]) + a.spill[slot].Len()
 }

@@ -6,52 +6,52 @@ import (
 	"repro/internal/sim"
 )
 
-// TestStampArenaFIFO: the arena preserves per-slot FIFO order through
-// the ring→spill overflow boundary and back, and slots are independent.
-func TestStampArenaFIFO(t *testing.T) {
-	a := newStampArena(4)
-	// Drive slot 1 well past the ring capacity while interleaving
-	// pushes on slot 2, popping in waves to cross the refill path.
+// TestStampsFIFO: each pair's stamps come back in push order, pairs
+// are independent, and a pair's slot is released once it drains.
+func TestStampsFIFO(t *testing.T) {
+	s := make(stamps, 4)
 	next := sim.Time(100)
-	want := []sim.Time{}
-	for i := 0; i < 3*stampCap; i++ {
-		a.Push(1, next)
-		a.Push(2, next*10)
+	var want []sim.Time
+	for i := 0; i < 24; i++ {
+		s.Push(1, 2, next)
+		s.Push(1, 3, next*10)
 		want = append(want, next)
 		next++
 	}
-	if got := a.Len(1); got != 3*stampCap {
-		t.Fatalf("Len(1) = %d, want %d", got, 3*stampCap)
-	}
 	for i, w := range want {
-		if got := a.Pop(1); got != w {
-			t.Fatalf("Pop(1) #%d = %d, want %d", i, got, w)
+		if got := s.Pop(1, 2); got != w {
+			t.Fatalf("Pop(1,2) #%d = %d, want %d", i, got, w)
 		}
 	}
-	if got := a.Len(1); got != 0 {
-		t.Fatalf("Len(1) after drain = %d, want 0", got)
+	if got := s[1].Len(); got != 1 {
+		t.Fatalf("live slots after draining (1,2) = %d, want 1", got)
 	}
-	// Slot 2 was untouched by slot 1's traffic.
-	if got := a.Pop(2); got != 1000 {
-		t.Fatalf("Pop(2) = %d, want 1000", got)
+	// (1,3) was untouched by (1,2)'s traffic.
+	if got := s.Pop(1, 3); got != 1000 {
+		t.Fatalf("Pop(1,3) = %d, want 1000", got)
 	}
 }
 
-// TestStampArenaSteadyStateAllocs: window-depth push/pop traffic — the
-// workload hot path — allocates nothing.
-func TestStampArenaSteadyStateAllocs(t *testing.T) {
-	a := newStampArena(16)
+// TestStampsSteadyStateAllocs: window-depth push/pop traffic over
+// pairs that open and drain — the workload hot path — allocates
+// nothing once the recycled slots have warmed up.
+func TestStampsSteadyStateAllocs(t *testing.T) {
+	s := make(stamps, 16)
 	var next sim.Time
 	allocs := testing.AllocsPerRun(1000, func() {
-		for i := 0; i < stampCap/2; i++ {
-			a.Push(5, next)
-			next++
+		for dst := 0; dst < 16; dst++ {
+			for i := 0; i < 4; i++ {
+				s.Push(5, dst, next)
+				next++
+			}
 		}
-		for i := 0; i < stampCap/2; i++ {
-			a.Pop(5)
+		for dst := 0; dst < 16; dst++ {
+			for i := 0; i < 4; i++ {
+				s.Pop(5, dst)
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("stamp arena steady state allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("stamp queues steady state allocate %.1f objects/op, want 0", allocs)
 	}
 }

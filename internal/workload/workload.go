@@ -186,14 +186,11 @@ type run struct {
 	endAt   sim.Time
 
 	// stamps carries intended-arrival timestamps from the open-loop
-	// sender to the destination's handler, slot src*n+dst. Per-(src,dst)
-	// delivery is FIFO end to end (FIFO fabrics, in-order reassembly),
-	// so a queue per slot is enough; the arena packs all n² of them
-	// into one slab (see stampArena). Sharded machines instead carry
-	// the stamp in the message payload (sharded below): an arena slot
-	// is pushed on the source shard and popped on the destination
-	// shard, which would race across shards.
-	stamps *stampArena
+	// sender to the destination's handler (serial machines). Sharded
+	// machines instead carry the stamp in the message payload (sharded
+	// below): a pair's queue is pushed on the source shard and popped
+	// on the destination shard, which would race across shards.
+	stamps stamps
 	hists  []sim.Histogram
 
 	// sharded mirrors scenario.Machine.Sharded for the hot paths.
@@ -250,11 +247,7 @@ func newRun(cfg params.Config, warm, measure sim.Time) *run {
 	}
 	r.sharded = m.Sharded()
 	if !r.sharded {
-		// The n² arena is a real cost at thousands of nodes (the slab
-		// alone is hundreds of MB at 4096, and the GC rescans it all
-		// run); sharded machines carry stamps in payloads and never
-		// touch it, so don't build it.
-		r.stamps = newStampArena(r.n * r.n)
+		r.stamps = make(stamps, r.n)
 	}
 	r.hists = make([]sim.Histogram, r.n)
 	r.sent = make([]uint64, r.n)
@@ -302,9 +295,9 @@ func Run(cfg params.Config, warm, measure sim.Time) Report {
 
 // RunTimed is Run plus the run phase's wall-clock seconds, measured
 // from scenario start to horizon and excluding machine construction —
-// at thousands of nodes the O(n²) route/fault tables dominate setup,
-// and the sharded-engine speedup canary must compare execution, not
-// allocation. The collector is quiesced (one forced GC) before the
+// at thousands of nodes building the nodes' caches, buses and NIs
+// dominates setup, and the sharded-engine speedup canary must compare
+// execution, not allocation. The collector is quiesced (one forced GC) before the
 // clock starts, so a mark cycle triggered by construction garbage
 // doesn't bleed into the timed window.
 func RunTimed(cfg params.Config, warm, measure sim.Time) (Report, float64) {
@@ -369,7 +362,7 @@ func (r *run) addOpen(sc *scenario.Scenario) {
 			if r.sharded {
 				intended = d.Payload.(sim.Time)
 			} else {
-				intended = r.stamps.Pop(d.Src*r.n + at)
+				intended = r.stamps.Pop(d.Src, at)
 			}
 			r.delivered[at]++
 			now := d.EP.Clock()
@@ -392,7 +385,7 @@ func (r *run) addOpen(sc *scenario.Scenario) {
 					if r.sharded {
 						payload = next
 					} else {
-						r.stamps.Push(self*r.n+dst, next)
+						r.stamps.Push(self, dst, next)
 					}
 					r.sent[self]++
 					ep.SendTo(dst, hOpen, size, payload)
