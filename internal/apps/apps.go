@@ -77,6 +77,10 @@ func ByName(name string) (App, error) {
 // retain the Stats beyond the call.
 var StatsDump func(cfg params.Config, st *sim.Stats)
 
+// built, when non-nil, sees every machine build constructs, so tests
+// can read its counters, engine and clock after the run.
+var built func(m *scenario.Machine)
+
 // build constructs a scenario machine, panicking on invalid
 // configurations (App.Run keeps the harness's no-error signature;
 // call cfg.Validate first for a friendly error).
@@ -84,6 +88,9 @@ func build(cfg params.Config) *scenario.Machine {
 	m, err := scenario.Build(cfg)
 	if err != nil {
 		panic(err)
+	}
+	if built != nil {
+		built(m)
 	}
 	return m
 }

@@ -105,12 +105,11 @@ func (c *Cache) StateOf(addr uint64) State {
 // Load performs one processor load (up to 8 bytes) at addr.
 // Hits cost params.HitCycles; misses evict + fill over the bus.
 func (c *Cache) Load(p *sim.Process, addr uint64) {
-	blk, l := c.frame(addr)
-	if l.holds(blk) && l.state.Valid() {
-		c.loadHit.Inc()
+	if c.LoadHit(addr) {
 		p.Sleep(params.HitCycles)
 		return
 	}
+	blk, l := c.frame(addr)
 	c.loadMiss.Inc()
 	c.evict(p, l)
 	res := c.fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: blk * params.BlockBytes, Initiator: c})
@@ -120,6 +119,18 @@ func (c *Cache) Load(p *sim.Process, addr uint64) {
 	} else {
 		l.state = Exclusive
 	}
+}
+
+// LoadHit is Load's hit check without its time: when addr's block is
+// valid in the cache it counts the load hit, as Load does, and reports
+// true; otherwise it changes nothing and reports false.
+func (c *Cache) LoadHit(addr uint64) bool {
+	blk, l := c.frame(addr)
+	if l.holds(blk) && l.state.Valid() {
+		c.loadHit.Inc()
+		return true
+	}
+	return false
 }
 
 // Store performs one processor store (up to 8 bytes) at addr.

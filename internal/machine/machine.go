@@ -309,6 +309,10 @@ func (m *Machine) Run(horizon sim.Time) sim.Time {
 	return m.shards.Run(horizon)
 }
 
+// Probed returns how many process wakes the engines handled as
+// spin probes (sim.Engine.Probed), summed over shards.
+func (m *Machine) Probed() uint64 { return m.shards.Probed() }
+
 // Stop unwinds device processes; call once after Run.
 func (m *Machine) Stop() { m.shards.Stop() }
 

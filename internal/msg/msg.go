@@ -86,6 +86,12 @@ type Messenger struct {
 	// nil the message path is bit-identical to a pre-transport build.
 	rel *rel
 
+	// quiet is the NI's cached-poll interface when PollUntil may run
+	// idle polls as engine probes: a cachable-queue NI with the
+	// transport off (the transport's tick is simulated work in every
+	// poll). Nil otherwise.
+	quiet nic.CachedPoll
+
 	// Free lists for the per-message boxes that escape through
 	// interface calls (frames through nic.NI, contexts through
 	// Handler): without them every user message costs several heap
@@ -98,6 +104,7 @@ type Messenger struct {
 	frames      *FramePool
 	partialFree []*partial
 	ctxFree     []*Context
+	spinFree    []*quietSpin
 
 	// rec is the lifecycle recorder, nil unless the machine's trace
 	// configuration activates it (params.Trace.Active). Hooks behind
@@ -124,6 +131,8 @@ func New(node int, cpu *proc.CPU, ni nic.NI, st *sim.Stats, bufAddr uint64, f pa
 	}
 	if f.Active() {
 		ms.rel = newRel(ms, st)
+	} else if cp, ok := ni.(nic.CachedPoll); ok {
+		ms.quiet = cp
 	}
 	return ms
 }
@@ -276,23 +285,47 @@ func (ms *Messenger) drainOne(p *sim.Process) bool {
 // Poll checks for one incoming network message — software buffer
 // first, then the NI — and dispatches its handler if it completes a
 // user message. It reports whether a network message was consumed.
-func (ms *Messenger) Poll(p *sim.Process) bool {
-	ms.cpu.Compute(p, PollLoopCycles)
-	if ms.rel != nil {
+func (ms *Messenger) Poll(p *sim.Process) bool { return ms.poll(p, pollStart) }
+
+// pollPoint is where a poll iteration starts: PollUntil resumes an
+// iteration its probes spun through at the wake they stopped at.
+type pollPoint uint8
+
+const (
+	pollStart     pollPoint = iota // before the loop overhead
+	afterOverhead                  // at the loop overhead's wake
+	afterLoad                      // at the NI poll load's wake (CachedPoll NIs)
+)
+
+// poll is one poll iteration from the given point on. It is Poll's body
+// in one frame: every process's receive path runs through it, and
+// deeper frames here grow coroutine stacks.
+func (ms *Messenger) poll(p *sim.Process, from pollPoint) bool {
+	if from == pollStart {
+		ms.cpu.Compute(p, PollLoopCycles)
+	}
+	if from != afterLoad && ms.rel != nil {
 		ms.rel.tick(p)
 	}
 	var m *network.Msg
-	if len(ms.swBuf) > 0 {
+	if from != afterLoad && len(ms.swBuf) > 0 {
 		m = ms.swBuf[0]
 		ms.swBuf = ms.swBuf[1:]
 		// Re-read from the user-space buffer (cached).
 		ms.cpu.LoadRange(p, ms.bufAddr, m.Size+params.HeaderBytes)
-	} else if m = ms.ni.TryRecv(p); m == nil {
-		return false
-	} else if ms.rel != nil && m.IsAck {
-		ms.rel.onAckFrame(p, m)
-		return true
 	} else {
+		if from == afterLoad {
+			m = ms.quiet.RecvAfterPoll(p)
+		} else {
+			m = ms.ni.TryRecv(p)
+		}
+		if m == nil {
+			return false
+		}
+		if ms.rel != nil && m.IsAck {
+			ms.rel.onAckFrame(p, m)
+			return true
+		}
 		// Copy payload from the NI queue image to the user buffer.
 		ms.cpu.StoreRange(p, ms.bufAddr, m.Size)
 	}
@@ -410,10 +443,85 @@ func (ms *Messenger) putCtx(c *Context) {
 
 // PollUntil polls until pred is true, advancing simulated time each
 // iteration (handlers run inline and typically change pred's inputs).
+//
+// pred must be pure: it may read simulation state but must not perform
+// simulated operations or have side effects. On a cachable-queue NI the
+// engine evaluates it itself, inside idle iterations that never resume
+// the process (quietSpin), possibly twice at one instant.
 func (ms *Messenger) PollUntil(p *sim.Process, pred func() bool) {
-	for !pred() {
-		ms.Poll(p)
+	var s *quietSpin
+	for got := true; !pred(); {
+		if got || ms.quiet == nil {
+			got = ms.poll(p, pollStart)
+			continue
+		}
+		// The last poll found nothing: spin until an iteration would
+		// differ from it, and resume the loop at that point.
+		if s == nil {
+			s = ms.getSpin(pred)
+		}
+		s.loaded = false
+		p.Spin(PollLoopCycles, s)
+		from := afterOverhead
+		if s.loaded {
+			from = afterLoad
+		}
+		got = ms.poll(p, from)
 	}
+	if s != nil {
+		ms.putSpin(s)
+	}
+}
+
+// quietSpin runs one PollUntil call's idle iterations as engine probes
+// (sim.Process.Spin). While the queue is empty the poll load hits — the
+// NI's write of a message invalidates the polled block (§2.2) — so each
+// idle iteration is two checks at the process's own wakes: at the end
+// of the loop overhead, that the software buffer is empty and the poll
+// load hits; at the end of the load, that the queue is still empty and
+// pred still false. Any other outcome resumes the process at that very
+// point of the loop. Each PollUntil call has its own, since several
+// processes on one node may poll at once.
+type quietSpin struct {
+	ms     *Messenger
+	pred   func() bool
+	loaded bool // the pending wake ends the poll load (else the loop overhead)
+}
+
+// Probe implements sim.Spinner.
+func (s *quietSpin) Probe() (sim.Time, bool) {
+	ms := s.ms
+	if !s.loaded {
+		if len(ms.swBuf) > 0 || !ms.quiet.PollHit() {
+			return 0, true
+		}
+		s.loaded = true
+		return params.HitCycles, false
+	}
+	if !ms.quiet.RecvEmpty() || s.pred() {
+		return 0, true
+	}
+	ms.quiet.CountEmptyPoll()
+	s.loaded = false
+	return PollLoopCycles, false
+}
+
+// getSpin/putSpin recycle quietSpins, like getCtx/putCtx.
+func (ms *Messenger) getSpin(pred func() bool) *quietSpin {
+	var s *quietSpin
+	if n := len(ms.spinFree); n > 0 {
+		s = ms.spinFree[n-1]
+		ms.spinFree = ms.spinFree[:n-1]
+	} else {
+		s = &quietSpin{ms: ms}
+	}
+	s.pred = pred
+	return s
+}
+
+func (ms *Messenger) putSpin(s *quietSpin) {
+	s.pred = nil // don't pin the caller's closure while pooled
+	ms.spinFree = append(ms.spinFree, s)
 }
 
 // DrainAvailable dispatches everything currently available without

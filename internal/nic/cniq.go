@@ -452,16 +452,36 @@ func (n *cniq) pushUpdate(p *sim.Process, addr uint64) {
 // head entry's valid word (a hit while nothing changed), read the
 // message blocks, advance the head pointer.
 func (n *cniq) TryRecv(p *sim.Process) *network.Msg {
-	cpu := n.d.CPU
+	n.d.CPU.Load(p, n.pollAddr())
+	return n.RecvAfterPoll(p)
+}
+
+// pollAddr is the block the receive poll loads: the head entry's valid
+// word, or the tail pointer when the valid-bit optimisation is off.
+func (n *cniq) pollAddr() uint64 {
 	if n.d.Cfg.NoValidBits {
-		cpu.Load(p, n.recvTailAddr())
-	} else {
-		cpu.Load(p, n.recvEntryAddr(n.recvProcHead, 0))
+		return n.recvTailAddr()
 	}
+	return n.recvEntryAddr(n.recvProcHead, 0)
+}
+
+// PollHit implements CachedPoll.
+func (n *cniq) PollHit() bool { return n.d.CPU.Cache().LoadHit(n.pollAddr()) }
+
+// RecvEmpty implements CachedPoll.
+func (n *cniq) RecvEmpty() bool { return n.recvEntries.Len() == 0 }
+
+// CountEmptyPoll implements CachedPoll.
+func (n *cniq) CountEmptyPoll() { n.ctr.recvPollEmpty.Inc() }
+
+// RecvAfterPoll implements CachedPoll: TryRecv's receive path once the
+// poll load has completed.
+func (n *cniq) RecvAfterPoll(p *sim.Process) *network.Msg {
 	if n.recvEntries.Len() == 0 {
 		n.ctr.recvPollEmpty.Inc()
 		return nil
 	}
+	cpu := n.d.CPU
 	m := n.recvEntries.Peek()
 	// Read the rest of the message: remainder of block 0, then the
 	// other blocks (one miss each, supplied by the device or memory).

@@ -67,6 +67,27 @@ type NI interface {
 	TryRecv(p *sim.Process) *network.Msg
 }
 
+// CachedPoll is implemented by the NIs whose receive poll is a cachable
+// load of a block the device invalidates when it writes a message: the
+// cachable-queue designs (§2.2). While the queue stays empty the poll
+// hits and learns nothing new, so the messaging layer can run idle
+// polls as engine probes (sim.Process.Spin). TryRecv is the poll load
+// followed by RecvAfterPoll; the other methods are its pieces, with no
+// simulated time of their own.
+type CachedPoll interface {
+	// PollHit reports whether the poll load would hit in the processor
+	// cache. When it would, it counts the hit exactly as the load does;
+	// otherwise it changes nothing.
+	PollHit() bool
+	// RecvEmpty reports whether no received message is visible to the
+	// processor.
+	RecvEmpty() bool
+	// CountEmptyPoll records one poll that found nothing.
+	CountEmptyPoll()
+	// RecvAfterPoll is TryRecv after its poll load.
+	RecvAfterPoll(p *sim.Process) *network.Msg
+}
+
 // Deps bundles what every NI needs from the node.
 type Deps struct {
 	Eng    *sim.Engine

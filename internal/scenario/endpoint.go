@@ -58,6 +58,9 @@ type Endpoint struct {
 	p    *sim.Process // bound while the node's scenario body runs
 
 	inbox sim.FIFO[Message]
+	// inboxReady is Recv's PollUntil predicate, built once so Recv
+	// allocates nothing per call.
+	inboxReady func() bool
 
 	// dlvFree recycles Delivery boxes, which escape through the
 	// Handler interface — one per dispatched user message otherwise.
@@ -123,9 +126,7 @@ func (ep *Endpoint) TrySend(dst, size int, payload any) bool {
 // node's inbox arrives, polling the NI and dispatching any other
 // handlers' traffic along the way.
 func (ep *Endpoint) Recv() Message {
-	for ep.inbox.Len() == 0 {
-		ep.node.Msgr.Poll(ep.p)
-	}
+	ep.node.Msgr.PollUntil(ep.p, ep.inboxReady)
 	return ep.inbox.Pop()
 }
 

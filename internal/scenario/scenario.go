@@ -45,6 +45,7 @@ func Build(cfg params.Config) (*Machine, error) {
 	}
 	for _, n := range sm.m.Nodes {
 		ep := &Endpoint{m: sm, node: n}
+		ep.inboxReady = func() bool { return ep.inbox.Len() > 0 }
 		// The inbox handler backs Endpoint.Recv; registration is free
 		// in simulated time and inert until someone sends to the inbox.
 		n.Msgr.Register(inboxHandler, func(c *msg.Context) {
@@ -94,6 +95,12 @@ func (m *Machine) Advance(horizon sim.Time) { m.m.Run(horizon) }
 // scheduled since construction (shard 0's engine on a sharded
 // machine).
 func (m *Machine) EventsScheduled() uint64 { return m.m.Eng.Scheduled() }
+
+// Probed returns how many idle-poll wakes the machine's engines ran as
+// probes without resuming the polling process (sim.Engine.Probed), on
+// every shard. Each probed empty poll is two: the loop overhead's wake
+// and the poll load's.
+func (m *Machine) Probed() uint64 { return m.m.Probed() }
 
 // Close unwinds the machine's device processes. Call once, after the
 // final Run.

@@ -120,6 +120,7 @@ type Engine struct {
 	events  eventHeap
 	stopped bool
 	procs   []*Process // every spawned process, for Stop to unwind
+	probed  uint64     // spinning wakes a probe handled without a resume
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -135,6 +136,10 @@ func (e *Engine) Pending() int { return e.events.len() }
 // engine — the denominator for per-event cost accounting (the
 // steady-state allocation pins divide by it).
 func (e *Engine) Scheduled() uint64 { return e.seq }
+
+// Probed reports how many wakes of spinning processes (Process.Spin)
+// the engine handled by running their probe instead of resuming them.
+func (e *Engine) Probed() uint64 { return e.probed }
 
 // Schedule runs fn after delay cycles. A delay of zero runs fn after
 // all work at the current instant that was scheduled earlier.
@@ -167,13 +172,17 @@ func (e *Engine) scheduleProc(delay Time, p *Process) {
 // Run resumes a process by calling its coroutine's next. The process
 // keeps dispatching events itself when it next parks (Engine.next), so
 // it switches back here only when another process's wake comes first:
-// a foreign wake costs two coroutine switches, a self wake none.
+// a foreign wake costs two coroutine switches, a self wake none, and
+// the wake of a spinning process whose probe continues none either.
 func (e *Engine) Run(horizon Time) Time {
 	if e.stopped {
 		panic("sim: Run after Stop")
 	}
 	e.horizon = horizon
 	for e.events.len() > 0 && e.events.a[0].at <= horizon {
+		if p := e.events.a[0].p; p != nil && p.spin != nil && e.probe() {
+			continue
+		}
 		ev := e.events.pop()
 		e.now = ev.at
 		if ev.p == nil {
@@ -184,6 +193,26 @@ func (e *Engine) Run(horizon Time) Time {
 		ev.p.next() // a finished process's next returns at once
 	}
 	return e.now
+}
+
+// probe runs the probe of the spinning process whose wake is the
+// earliest event, at that wake's time. When the probe continues, the
+// wake is re-armed in place with the next sequence number — the same
+// key Sleep would give it at this instant — and probe reports true.
+// When the probe resumes, the wake stays at the top for the caller to
+// pop, and probe reports false.
+func (e *Engine) probe() bool {
+	top := &e.events.a[0]
+	e.now = top.at
+	delay, resume := top.p.spin.Probe()
+	if resume {
+		return false
+	}
+	e.seq++
+	top.at, top.seq = e.now+delay, e.seq
+	e.events.siftDown()
+	e.probed++
+	return true
 }
 
 // RunAll executes events until none remain.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -295,7 +296,14 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 	e.Spawn("finished", func(p *Process) { p.Sleep(1) })
 	e.Spawn("cond", func(p *Process) { c.Wait(p) })
 	e.Spawn("sleeper", func(p *Process) { p.Sleep(1000) })
+	e.Spawn("spinner", func(p *Process) {
+		p.Spin(1, &countdown{n: math.MaxInt})
+		t.Error("spinner resumed")
+	})
 	e.Run(10)
+	if e.Probed() != 10 {
+		t.Errorf("probed %d spinner wakes by cycle 10, want 10", e.Probed())
+	}
 	e.Spawn("unrun", func(p *Process) { t.Error("unrun process ran") })
 	e.Stop()
 	if n := runtime.NumGoroutine(); n > base {

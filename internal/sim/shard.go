@@ -222,6 +222,15 @@ func (s *ShardSet) Cross(from int, ev CrossEvent) {
 	s.inboxes[src] = append(s.inboxes[src], ev)
 }
 
+// Probed sums every shard engine's Probed count.
+func (s *ShardSet) Probed() uint64 {
+	var n uint64
+	for _, e := range s.engines {
+		n += e.Probed()
+	}
+	return n
+}
+
 // Now returns the current simulation time. After Run returns, every
 // shard's clock has been aligned to the global maximum.
 func (s *ShardSet) Now() Time { return s.engines[0].Now() }
