@@ -113,11 +113,17 @@ func engineThroughput() (eps, allocsPerEvent float64) {
 	for i := 0; i < fanout; i++ {
 		e.Schedule(sim.Time(i), fn)
 	}
+	// One untimed lap first, so the queue's storage (the heap's slice and
+	// the calendar ring's slab, which Run grows) has reached the population.
+	for i := 0; i < fanout; i++ {
+		e.Run(sim.Time(i))
+		e.Schedule(fanout, fn)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	for i := 0; i < events; i++ {
+	for i := fanout; i < fanout+events; i++ {
 		e.Run(sim.Time(i))
 		e.Schedule(fanout, fn)
 	}
@@ -160,11 +166,12 @@ func fastest(f func() (secs float64, delivered uint64)) (secs float64, delivered
 
 // shard4kMinSpeedup is the floor --check enforces on the sharded
 // engine's run-phase speedup over the serial engine at 4096 nodes.
-// The win comes from 64 shallow per-shard heaps replacing one
-// machine-wide heap (the overloaded fabric keeps it deep) and from
-// each epoch touching one 64-node row's state instead of striding the
-// whole machine, so it holds on a single-core host too; extra cores
-// only widen it.
+// The win comes from the shards running in parallel and from each
+// epoch touching one 64-node row's state instead of striding the whole
+// machine. Shallow per-shard heaps no longer add much since each
+// engine's calendar ring takes the near events in O(1): on one core
+// the speedup measures about 1.4x, under this floor, so the gate needs
+// more than one core.
 const shard4kMinSpeedup = 1.5
 
 // shard4kPoint runs the Shard4kBench workload point at the given shard

@@ -11,20 +11,29 @@ import (
 // loudly if boxing or closure allocation creeps back in.
 
 func TestScheduleDispatchZeroAlloc(t *testing.T) {
+	// A near/far mix: events due on the calendar ring (0, 1 and 127
+	// cycles out) and on the heap behind it (128 and 1000 cycles out).
 	e := NewEngine()
 	n := 0
 	fn := func() { n++ }
-	// Warm the heap's backing slice so growth is excluded.
+	delays := []Time{0, 1, ringSize - 1, ringSize, 1000}
+	round := func() {
+		for _, d := range delays {
+			e.Schedule(d, fn)
+		}
+		e.RunAll()
+	}
+	// Warm the ring's slab and the heap's backing slice so growth is
+	// excluded.
 	for i := 0; i < 64; i++ {
 		e.Schedule(Time(i), fn)
+		e.Schedule(ringSize+Time(i), fn)
 	}
 	e.RunAll()
-	allocs := testing.AllocsPerRun(1000, func() {
-		e.Schedule(1, fn)
-		e.RunAll()
-	})
+	round()
+	allocs := testing.AllocsPerRun(1000, round)
 	if allocs != 0 {
-		t.Errorf("Schedule+dispatch allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("Schedule+dispatch allocates %.1f objects per %d events, want 0", allocs, len(delays))
 	}
 }
 

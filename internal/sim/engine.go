@@ -17,7 +17,10 @@
 // concurrently on separate goroutines (the harness exploits this).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Time is the simulation clock in 200 MHz processor cycles.
 type Time uint64
@@ -45,20 +48,98 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventHeap is a hand-rolled 4-ary min-heap. Compared with
-// container/heap it stores events inline (no interface{} boxing, so
-// push/pop allocate nothing once the slice has warmed up) and trades
-// deeper comparisons for shallower trees: a 4-ary heap halves the
-// depth of a binary heap, which wins on the pop-heavy workload of a
-// discrete-event loop where most inserted times are near the minimum.
-type eventHeap struct {
-	a []event
+// ringSize is the calendar ring's span: an event due fewer than
+// ringSize cycles after the queue's base goes on the ring, any later
+// one on the heap. Two 64-bit words of occupancy bits cover it.
+const ringSize = 128
+
+// ringEvent is one event on the calendar ring, linked into its cycle's
+// FIFO by slab index.
+type ringEvent struct {
+	ev   event
+	next int32 // the next event due the same cycle, or the next free entry; 0 ends the list
 }
 
-func (h *eventHeap) len() int { return len(h.a) }
+// ringSlot is one cycle's FIFO on the ring (slab indices, 0 when empty).
+type ringSlot struct{ head, tail int32 }
 
-// push inserts ev, restoring heap order by sifting up.
+// eventHeap is the engine's event queue: a calendar ring (Brown, CACM
+// 1988) for events due within ringSize cycles beside a hand-rolled
+// 4-ary min-heap for the rest.
+//
+// Most events land a few cycles ahead — process wakes, bus and cache
+// steps, spinning probes re-arming 1 or 4 cycles out — so the ring
+// takes them in O(1): slot at%ringSize holds one cycle's FIFO, and a
+// two-word occupancy bitmap finds the next busy slot with one
+// TrailingZeros64. Every ring event is due in [base, base+ringSize),
+// where base is the time of the last event popped (no pending event is
+// earlier), so a slot never mixes cycles; and local sequence numbers
+// rise in push order, so each FIFO is already in (time, seq) order.
+// Ring events live in one slab with index links and a free list:
+// per-cycle slices would each keep their peak capacity.
+//
+// The heap takes events due further out, near events pushed while the
+// slab has no free entry (Run then grows it), and the coordinator's
+// class-1 cross-shard events, whose sequence numbers are not in push
+// order. It stores events inline (no interface{} boxing, so push and
+// pop allocate nothing once warm), and a 4-ary tree halves a binary
+// heap's depth. The earliest event is whichever of the ring head and
+// the heap top comes first in (time, seq) order, so events dispatch
+// exactly as they would from one heap holding them all.
+type eventHeap struct {
+	a    []event // 4-ary min-heap of far and cross events
+	base Time    // the last popped event's time
+
+	slab  []ringEvent // ring events; entry 0 is unused, so index 0 means none
+	first int32       // the earliest ring event
+	free  int32       // first free slab entry
+	short bool        // a near event found no free entry; Run grows the slab
+	near  int         // events on the ring
+	occ   [2]uint64   // bit s: slot s holds events
+	slot  [ringSize]ringSlot
+}
+
+func (h *eventHeap) len() int { return len(h.a) + h.near }
+
+// min returns the earliest event, or nil when none is pending.
+func (h *eventHeap) min() *event {
+	if h.first != 0 {
+		r := &h.slab[h.first].ev
+		if len(h.a) == 0 || r.before(&h.a[0]) {
+			return r
+		}
+		return &h.a[0]
+	}
+	if len(h.a) == 0 {
+		return nil
+	}
+	return &h.a[0]
+}
+
+// ringFirst reports whether the ring head is the earliest event. The
+// queue must be non-empty.
+func (h *eventHeap) ringFirst() bool {
+	return h.first != 0 && (len(h.a) == 0 || h.slab[h.first].ev.before(&h.a[0]))
+}
+
+// push inserts ev, which must not be due before base: a local event
+// due within ringSize cycles goes to the tail of its cycle's FIFO when
+// the slab has a free entry, anything else into the heap. Both paths
+// share this one frame — push is at the bottom of most fn event
+// chains, which run on process stacks, so another call level here
+// would deepen them.
 func (h *eventHeap) push(ev event) {
+	if ev.at-h.base < ringSize && ev.seq < class1Base {
+		if i := h.free; i != 0 {
+			r := &h.slab[i]
+			h.free = r.next
+			r.ev, r.next = ev, 0
+			h.link(i, uint(ev.at)%ringSize)
+			h.near++
+			return
+		}
+		h.short = true
+	}
 	h.a = append(h.a, ev)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -71,16 +152,142 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// pop removes and returns the minimum event. The caller must ensure
-// the heap is non-empty.
+// grow doubles the slab, threading the new entries onto the free list.
+// Only Run calls it, on its caller's goroutine: the allocation's call
+// chain would otherwise land on a process's coroutine stack (fn events
+// and Engine.next run there) and could double it, which over thousands
+// of processes costs megabytes.
+//
+//go:noinline
+func (h *eventHeap) grow() {
+	h.short = false
+	n := len(h.slab)
+	h.slab = append(h.slab, make([]ringEvent, max(n, ringSize/4))...)
+	for i := len(h.slab) - 1; i >= n; i-- {
+		h.slab[i].next = h.free
+		h.free = int32(i)
+	}
+}
+
+// link appends slab entry i to slot s's FIFO; i's next must be 0.
+func (h *eventHeap) link(i int32, s uint) {
+	sl := &h.slot[s]
+	if sl.head == 0 {
+		sl.head = i
+		h.occ[s>>6] |= 1 << (s & 63)
+		if h.first == 0 || h.slab[i].ev.at < h.slab[h.first].ev.at {
+			h.first = i
+		}
+	} else {
+		h.slab[sl.tail].next = i
+	}
+	sl.tail = i
+}
+
+// scan returns the head of the first busy slot from slot s onwards,
+// round the ring, which must not be empty: it rotates the bitmap right
+// by s and counts trailing zeros. The search order is time order
+// because every ring event is due within ringSize cycles of the cycle
+// slot s belongs to.
+func (h *eventHeap) scan(s uint) int32 {
+	lo, hi, b := h.occ[s/64%2], h.occ[(s/64+1)%2], s%64
+	k := uint(bits.TrailingZeros64(lo>>b | hi<<(64-b)))
+	if k == 64 {
+		k += uint(bits.TrailingZeros64(hi>>b | lo<<(64-b)))
+	}
+	return h.slot[(s+k)%ringSize].head
+}
+
+// pop removes and returns the earliest event. The queue must be
+// non-empty. Its heap path is inline, as its ring path is, so that
+// popping costs Engine.next no deeper stack than the heap alone did.
 func (h *eventHeap) pop() event {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a[n] = event{} // drop fn/p references so finished events can be collected
-	h.a = h.a[:n]
-	h.siftDown()
-	return top
+	if !h.ringFirst() {
+		top := h.a[0]
+		n := len(h.a) - 1
+		h.a[0] = h.a[n]
+		h.a[n] = event{} // drop fn/p references so finished events can be collected
+		h.a = h.a[:n]
+		h.siftDown()
+		h.base = top.at
+		return top
+	}
+	i := h.first
+	next, s := h.slab[i].next, uint(h.slab[i].ev.at)%ringSize
+	h.slot[s].head, h.first = next, next
+	if next == 0 {
+		h.occ[s>>6] &^= 1 << (s & 63)
+		if h.near > 1 {
+			h.first = h.scan(s)
+		}
+	}
+	r := &h.slab[i]
+	ev := r.ev
+	r.ev, r.next = event{}, h.free // drop fn/p references so finished events can be collected
+	h.free = i
+	h.near--
+	h.base = ev.at
+	return ev
+}
+
+// rearm moves the earliest event — a spinning process's wake — delay
+// cycles later with sequence number seq. A wake at the ring head keeps
+// its slab entry and only moves to the tail of its new cycle's FIFO;
+// re-armed into the same cycle while alone there, or alone on the
+// ring, it moves no other entry. A wake at the heap's top gets its new
+// key in place, and rearm reports false: the caller must then sift it
+// down. That call is left to Engine.probe so that, as with the heap
+// alone, nothing deeper than siftDown runs under a probe on the
+// process stack; only a ring wake re-armed beyond the ring calls out,
+// to pop and push.
+func (h *eventHeap) rearm(delay Time, seq uint64) bool {
+	if !h.ringFirst() {
+		top := &h.a[0]
+		top.at, top.seq = top.at+delay, seq
+		h.base = top.at - delay
+		return false
+	}
+	if delay >= ringSize {
+		ev := h.pop()
+		ev.at, ev.seq = ev.at+delay, seq
+		h.push(ev)
+		return true
+	}
+	i := h.first
+	r := &h.slab[i]
+	next, at := r.next, r.ev.at
+	h.base = at
+	r.ev.seq = seq
+	if delay == 0 && next == 0 {
+		return true
+	}
+	s, t := uint(at)%ringSize, uint(at+delay)%ringSize
+	r.ev.at, r.next = at+delay, 0
+	if h.near == 1 {
+		// Alone on the ring, it stays first, and slot t is the only
+		// busy one: plain stores, with no read-modify-write chain.
+		h.occ[t>>6], h.occ[t>>6^1] = 1<<(t&63), 0
+		h.slot[s].head, h.slot[t] = 0, ringSlot{i, i}
+		return true
+	}
+	h.slot[s].head = next
+	if next == 0 {
+		h.occ[s>>6] &^= 1 << (s & 63)
+	}
+	sl := &h.slot[t]
+	if sl.head == 0 {
+		sl.head = i
+		h.occ[t>>6] |= 1 << (t & 63)
+	} else {
+		h.slab[sl.tail].next = i
+	}
+	sl.tail = i
+	if next != 0 {
+		h.first = next
+	} else {
+		h.first = h.scan(s) // finds slot t at the latest
+	}
+	return true
 }
 
 // siftDown restores heap order from the root after a pop.
@@ -111,20 +318,24 @@ func (h *eventHeap) siftDown() {
 	}
 }
 
-// Engine is a discrete-event scheduler.
+// Engine is a discrete-event scheduler. Its event queue (eventHeap) is
+// a calendar ring for events due within ringSize cycles beside a 4-ary
+// heap for the rest; both dispatch in one (time, seq) order.
 // The zero value is not usable; call NewEngine.
 type Engine struct {
+	events  eventHeap // first, so &e.events is e and needs no spill slot of its own
 	now     Time
 	seq     uint64
 	horizon Time // active Run's bound; valid while events dispatch
-	events  eventHeap
 	stopped bool
 	procs   []*Process // every spawned process, for Stop to unwind
 	probed  uint64     // spinning wakes a probe handled without a resume
 }
 
 // NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+func NewEngine() *Engine {
+	return &Engine{events: eventHeap{slab: make([]ringEvent, 1)}}
+}
 
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
@@ -163,9 +374,9 @@ func (e *Engine) scheduleProc(delay Time, p *Process) {
 	e.events.push(event{at: e.now + delay, seq: e.seq, p: p})
 }
 
-// Run executes events until the event heap is empty or the clock would
+// Run executes events until the event queue is empty or the clock would
 // pass horizon. It returns the time of the last executed event.
-// Processes blocked on conditions when the heap drains remain parked;
+// Processes blocked on conditions when the queue drains remain parked;
 // call Stop to unwind them. A panic in a process body comes back out of
 // Run as a *ProcessPanic.
 //
@@ -174,14 +385,24 @@ func (e *Engine) scheduleProc(delay Time, p *Process) {
 // it switches back here only when another process's wake comes first:
 // a foreign wake costs two coroutine switches, a self wake none, and
 // the wake of a spinning process whose probe continues none either.
+// Run also grows the calendar ring's slab when a near event found it
+// full: here, on the caller's goroutine, rather than on a process's
+// coroutine stack.
 func (e *Engine) Run(horizon Time) Time {
 	if e.stopped {
 		panic("sim: Run after Stop")
 	}
 	e.horizon = horizon
-	for e.events.len() > 0 && e.events.a[0].at <= horizon {
-		if p := e.events.a[0].p; p != nil && p.spin != nil && e.probe() {
+	for {
+		top := e.events.min()
+		if top == nil || top.at > horizon {
+			break
+		}
+		if p := top.p; p != nil && p.spin != nil && e.probe() {
 			continue
+		}
+		if e.events.short {
+			e.events.grow()
 		}
 		ev := e.events.pop()
 		e.now = ev.at
@@ -197,20 +418,21 @@ func (e *Engine) Run(horizon Time) Time {
 
 // probe runs the probe of the spinning process whose wake is the
 // earliest event, at that wake's time. When the probe continues, the
-// wake is re-armed in place with the next sequence number — the same
-// key Sleep would give it at this instant — and probe reports true.
-// When the probe resumes, the wake stays at the top for the caller to
-// pop, and probe reports false.
+// wake is re-armed with the next sequence number — the same key Sleep
+// would give it at this instant — and probe reports true. When the
+// probe resumes, the wake stays first for the caller to pop, and probe
+// reports false.
 func (e *Engine) probe() bool {
-	top := &e.events.a[0]
+	top := e.events.min()
 	e.now = top.at
 	delay, resume := top.p.spin.Probe()
 	if resume {
 		return false
 	}
 	e.seq++
-	top.at, top.seq = e.now+delay, e.seq
-	e.events.siftDown()
+	if !e.events.rearm(delay, e.seq) {
+		e.events.siftDown()
+	}
 	e.probed++
 	return true
 }
@@ -219,19 +441,21 @@ func (e *Engine) probe() bool {
 func (e *Engine) RunAll() Time { return e.Run(Forever) }
 
 // nextAt returns the time of the earliest pending event, or Forever
-// when the heap is empty. The sharded coordinator reads it at epoch
+// when the queue is empty. The sharded coordinator reads it at epoch
 // barriers to size the next conservative window.
 func (e *Engine) nextAt() Time {
-	if e.events.len() == 0 {
-		return Forever
+	if top := e.events.min(); top != nil {
+		return top.at
 	}
-	return e.events.a[0].at
+	return Forever
 }
 
 // pushCross enqueues an event with an externally assigned sequence
 // number. The sharded coordinator materialises cross-shard events with
 // ranks above every engine-local sequence (shard.go's class-1 band),
 // so the merged (time, seq) order is identical for any shard count.
+// Such a rank is not in push order, so the event goes on the heap,
+// never into a ring FIFO.
 func (e *Engine) pushCross(at Time, seq uint64, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: cross event at %d before now %d", at, e.now))

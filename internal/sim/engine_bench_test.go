@@ -7,29 +7,40 @@ import (
 
 // The engine's event loop is the substrate under every experiment, so
 // its throughput is pinned by benchmarks: BenchmarkEngineEvents is the
-// hand-rolled 4-ary heap as shipped, BenchmarkBoxedHeapBaseline is the
-// container/heap + interface{} design it replaced, kept here so the
-// speedup claim stays measurable (target: >=2x events/sec, 0 allocs/op
-// in steady state).
+// event queue as shipped with every event due on its calendar ring,
+// BenchmarkEngineEventsFar the same loop with every event due beyond
+// the ring (the 4-ary heap path), and BenchmarkBoxedHeapBaseline the
+// container/heap + interface{} design the queue replaced, kept here so
+// the speedup claim stays measurable (target: >=2x events/sec, 0
+// allocs/op in steady state).
 
 // benchFanout is the number of simultaneously pending events, roughly
 // matching a 16-node machine's process-wake population.
 const benchFanout = 64
 
-func BenchmarkEngineEvents(b *testing.B) {
+func BenchmarkEngineEvents(b *testing.B) { benchEngineEvents(b, 0) }
+
+// BenchmarkEngineEventsFar is BenchmarkEngineEvents with every event
+// due at or beyond the calendar ring, so each one goes through the
+// 4-ary heap.
+func BenchmarkEngineEventsFar(b *testing.B) { benchEngineEvents(b, ringSize) }
+
+// benchEngineEvents keeps benchFanout events pending, each scheduled
+// ahead+benchFanout cycles out once warm.
+func benchEngineEvents(b *testing.B, ahead Time) {
 	e := NewEngine()
 	n := 0
 	fn := func() { n++ }
 	for i := 0; i < benchFanout; i++ {
-		e.Schedule(Time(i), fn)
+		e.Schedule(ahead+Time(i), fn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Pop the minimum, execute it, push a replacement: one full
 		// schedule+dispatch cycle per iteration at constant population.
-		e.Run(e.events.a[0].at)
-		e.Schedule(benchFanout, fn)
+		e.Run(e.nextAt())
+		e.Schedule(ahead+benchFanout, fn)
 	}
 	b.StopTimer()
 	e.RunAll()

@@ -122,17 +122,17 @@ func (p *Process) scheduleWake(delay Time) {
 // self, without leaving its coroutine: fn events and the probes of
 // spinning processes run inline, and when self's own wake comes first
 // next pops it and returns true, so self continues with no switch. It
-// returns false, leaving the event on the heap for Run, at another
-// process's wake, at the horizon, or when the heap drains. The pops are
+// returns false, leaving the event queued for Run, at another
+// process's wake, at the horizon, or when the queue drains. The pops are
 // the ones Run would make, in the same order, so schedules are
 // bit-identical to dispatching everything from Run.
 func (e *Engine) next(self *Process) bool {
-	for e.events.len() > 0 {
-		top := &e.events.a[0]
-		if top.at > e.horizon {
+	for {
+		top := e.events.min()
+		if top == nil || top.at > e.horizon {
 			return false
 		}
-		// The re-read of a[0] (not a local copy of top.p) keeps next's
+		// The re-read of min (not a local copy of top.p) keeps next's
 		// frame at its old size: fn events run on the parking process's
 		// coroutine stack below this frame, and one more spill slot here
 		// doubled enough stacks to add 1.2 MB on a 1024-node machine.
@@ -140,7 +140,7 @@ func (e *Engine) next(self *Process) bool {
 			if top.p.spin != nil && e.probe() {
 				continue
 			}
-			if e.events.a[0].p != self {
+			if e.events.min().p != self {
 				return false
 			}
 		}
@@ -153,7 +153,6 @@ func (e *Engine) next(self *Process) bool {
 		self.waking = false
 		return true
 	}
-	return false
 }
 
 // Spin parks the process in an idle loop run by the engine: its wake

@@ -5,7 +5,8 @@ import "runtime"
 // Conservative-lookahead sharded engine (time-barrier PDES).
 //
 // A ShardSet partitions a machine's nodes into contiguous groups, each
-// with its own Engine (its own 4-ary heap, clock, and process token).
+// with its own Engine (its own event queue — calendar ring plus 4-ary
+// heap — clock, and process token).
 // Execution proceeds in epochs: at a barrier the coordinator finds the
 // globally earliest pending event time S and lets every shard run
 // [S, S+L-1] independently, where L (the lookahead) is a lower bound
@@ -13,7 +14,7 @@ import "runtime"
 // cross-shard event created during the epoch therefore fires at
 // S+L or later — provably after the epoch — so it is routed through a
 // deterministic-merge inbox and materialised at the next barrier
-// instead of being pushed into a foreign heap mid-epoch.
+// instead of being pushed into a foreign queue mid-epoch.
 //
 // Determinism (shard-count invariance): cross-shard events are
 // ordered by (At, Key), where Key is a fabric-assigned tiebreak unique
@@ -21,11 +22,14 @@ import "runtime"
 // per-destination-shard pending heaps and materialises the events due
 // this epoch in sorted (At, Key) order, assigning each a sequence
 // number in the class-1 band (class1Base + a per-shard monotonic
-// rank). Engine-local events keep their ordinary sequence numbers,
-// which stay far below class1Base. The merged (time, seq) dispatch
-// order is therefore a pure function of (At, Key) and of each node's
-// own event-creation order — never of the shard count — so a ShardSet
-// with one shard is byte-identical to the same ShardSet with eight.
+// rank), and pushes it onto the destination engine's heap: class-1
+// events never enter the calendar ring, whose per-cycle FIFOs hold
+// only local events, in push (= seq) order. Engine-local events keep
+// their ordinary sequence numbers, which stay far below class1Base.
+// The merged (time, seq) dispatch order is therefore a pure function
+// of (At, Key) and of each node's own event-creation order — never of
+// the shard count — so a ShardSet with one shard is byte-identical to
+// the same ShardSet with eight.
 // (Epoch windows never overlap in time, so ranks assigned at earlier
 // barriers order correctly against later ones.)
 //

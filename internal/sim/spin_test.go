@@ -188,3 +188,45 @@ func BenchmarkSpinProbe(b *testing.B) {
 	}
 	e.Stop()
 }
+
+// pollPair is a Spinner that re-arms alternately 1 and 4 cycles out —
+// the poll loop's compute step and its cache-hit load — n times.
+type pollPair struct {
+	n   int
+	odd bool
+}
+
+func (c *pollPair) Probe() (Time, bool) {
+	if c.n == 0 {
+		return 0, true
+	}
+	c.n--
+	c.odd = !c.odd
+	if c.odd {
+		return 1, false
+	}
+	return 4, false
+}
+
+// BenchmarkSpinProbe16 is the cost of one probe among 16 spinners, the
+// idle population of a 16-node machine polling its queues: each
+// re-arm lands among 15 other pending wakes.
+func BenchmarkSpinProbe16(b *testing.B) {
+	const spinners = 16
+	e := NewEngine()
+	for i := 0; i < spinners; i++ {
+		n := b.N / spinners
+		if i < b.N%spinners {
+			n++
+		}
+		e.Spawn(fmt.Sprintf("spinner%d", i), func(p *Process) { p.Spin(Time(i%5), &pollPair{n: n}) })
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+	b.StopTimer()
+	if e.Probed() != uint64(b.N) {
+		b.Fatalf("probed %d wakes, want %d", e.Probed(), b.N)
+	}
+	e.Stop()
+}

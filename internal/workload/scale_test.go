@@ -1,7 +1,15 @@
 package workload
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"os/exec"
+	"regexp"
 	"runtime"
+	"runtime/debug"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/params"
@@ -58,4 +66,82 @@ func TestMemoryScale(t *testing.T) {
 		}
 		r.m.Close()
 	}
+}
+
+// stackProbeRun is the -test.run pattern TestStackScale starts its
+// fresh test process with; TestStackScaleProbe measures only under it.
+const stackProbeRun = "^TestStackScaleProbe$"
+
+// stackPerNodeBudget bounds the goroutine stack memory of the
+// scale-1k point, per node, as TestStackScaleProbe measures it with
+// the go1.24 linux/amd64 toolchain: 16,672 B per node before the
+// calendar ring (16,736 in one run of three), plus 2%. Fn events run
+// on the stacks of parked processes below Engine.next, so a frame that
+// grows on that path shows up here multiplied by thousands of
+// processes; an Engine.next frame 16 bytes larger measures 17,088 B
+// per node.
+const stackPerNodeBudget = 16672 * 102 / 100
+
+var stackPerNodeLine = regexp.MustCompile(`stack in use: (\d+) B per node`)
+
+// TestStackScale guards the depth of the engine's dispatch path: the
+// scale-1k benchmark point (1024-node torus, 32 shards, CNI16Q,
+// uniform 64 MB/s per node) must not need more goroutine stack per
+// node than before the calendar ring. The measurement runs in a fresh
+// test process, because the runtime sizes new goroutine stacks from
+// the average it saw at earlier collections, so a process that has
+// already run other machines starts every coroutine bigger. Skipped by
+// -short; never run it under -race, whose instrumentation changes
+// every frame.
+func TestStackScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 1024-node machine in a second test process")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(exe, "-test.run="+stackProbeRun, "-test.v", "-test.count=1").CombinedOutput()
+	if err != nil {
+		t.Fatalf("probe process: %v\n%s", err, out)
+	}
+	m := stackPerNodeLine.FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("probe process printed no measurement:\n%s", out)
+	}
+	perNode, _ := strconv.Atoi(string(m[1]))
+	t.Logf("scale-1k point: %d B of goroutine stack per node (budget %d)", perNode, stackPerNodeBudget)
+	if !strings.HasPrefix(runtime.Version(), "go1.24") || runtime.GOARCH != "amd64" {
+		t.Skipf("the budget is pinned for go1.24 on amd64; this is %s on %s", runtime.Version(), runtime.GOARCH)
+	}
+	if perNode > stackPerNodeBudget {
+		t.Errorf("%d B of goroutine stack per node, want <= %d: a frame on the dispatch path grew", perNode, stackPerNodeBudget)
+	}
+}
+
+// TestStackScaleProbe is TestStackScale's measurement. It runs only as
+// the first machine of the fresh process TestStackScale starts: one
+// P, so no epoch workers, and no collection during the run, so no
+// stack shrinks and StackInuse at the end is its peak.
+func TestStackScaleProbe(t *testing.T) {
+	if flag.Lookup("test.run").Value.String() != stackProbeRun {
+		t.Skip("measures only in the fresh process TestStackScale starts")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const nodes = 1024
+	wl := params.DefaultWorkload()
+	wl.OfferedMBps = 64
+	wl.ZipfS = 0
+	cfg := params.Config{Nodes: nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
+		Topology: params.TopoTorus, Shards: 32, Workload: &wl}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	r := newRun(cfg, 2000, 2000)
+	defer r.m.Close()
+	sc := scenario.New()
+	r.addOpen(sc)
+	r.m.RunUntil(sc, r.endAt)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Printf("stack in use: %d B per node\n", ms.StackInuse/nodes)
 }
