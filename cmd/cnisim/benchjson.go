@@ -108,7 +108,7 @@ func engineThroughput() (eps, allocsPerEvent float64) {
 	fn := func() { n++ }
 	// Warm population: one pending event per cycle 0..fanout-1. Each
 	// measured iteration pops exactly the event at time i and pushes a
-	// replacement at i+fanout, holding the heap at a constant
+	// replacement at i+fanout, holding the queue at a constant
 	// fanout-event depth (the same regime BenchmarkEngineEvents pins).
 	for i := 0; i < fanout; i++ {
 		e.Schedule(sim.Time(i), fn)
@@ -168,10 +168,8 @@ func fastest(f func() (secs float64, delivered uint64)) (secs float64, delivered
 // engine's run-phase speedup over the serial engine at 4096 nodes.
 // The win comes from the shards running in parallel and from each
 // epoch touching one 64-node row's state instead of striding the whole
-// machine. Shallow per-shard heaps no longer add much since each
-// engine's calendar ring takes the near events in O(1): on one core
-// the speedup measures about 1.4x, under this floor, so the gate needs
-// more than one core.
+// machine. With GOMAXPROCS=1 only the second applies: the speedup
+// measures about 1.4x there, and --check fails.
 const shard4kMinSpeedup = 1.5
 
 // shard4kPoint runs the Shard4kBench workload point at the given shard

@@ -232,14 +232,12 @@ func (h *eventHeap) pop() event {
 
 // rearm moves the earliest event — a spinning process's wake — delay
 // cycles later with sequence number seq. A wake at the ring head keeps
-// its slab entry and only moves to the tail of its new cycle's FIFO;
-// re-armed into the same cycle while alone there, or alone on the
-// ring, it moves no other entry. A wake at the heap's top gets its new
-// key in place, and rearm reports false: the caller must then sift it
-// down. That call is left to Engine.probe so that, as with the heap
-// alone, nothing deeper than siftDown runs under a probe on the
-// process stack; only a ring wake re-armed beyond the ring calls out,
-// to pop and push.
+// its slab entry and only moves to the tail of its new cycle's FIFO. A
+// wake at the heap's top gets its new key in place, and rearm reports
+// false: the caller must then sift it down. That call is left to
+// Engine.probe so that, as with the heap alone, nothing deeper than
+// siftDown runs under a probe on the process stack; only a ring wake
+// re-armed beyond the ring calls out, to pop and push.
 func (h *eventHeap) rearm(delay Time, seq uint64) bool {
 	if !h.ringFirst() {
 		top := &h.a[0]
@@ -257,19 +255,8 @@ func (h *eventHeap) rearm(delay Time, seq uint64) bool {
 	r := &h.slab[i]
 	next, at := r.next, r.ev.at
 	h.base = at
-	r.ev.seq = seq
-	if delay == 0 && next == 0 {
-		return true
-	}
 	s, t := uint(at)%ringSize, uint(at+delay)%ringSize
-	r.ev.at, r.next = at+delay, 0
-	if h.near == 1 {
-		// Alone on the ring, it stays first, and slot t is the only
-		// busy one: plain stores, with no read-modify-write chain.
-		h.occ[t>>6], h.occ[t>>6^1] = 1<<(t&63), 0
-		h.slot[s].head, h.slot[t] = 0, ringSlot{i, i}
-		return true
-	}
+	r.ev.at, r.ev.seq, r.next = at+delay, seq, 0
 	h.slot[s].head = next
 	if next == 0 {
 		h.occ[s>>6] &^= 1 << (s & 63)

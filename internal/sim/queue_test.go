@@ -117,6 +117,12 @@ func queueWorkload(e *Engine, rng *rand.Rand, log *queueLog, budget int, cross f
 		if e.Pending() < 24 {
 			n = 2
 		}
+		if rng.Intn(300) == 0 {
+			// A burst past the slab's free entries: near events then
+			// go to the heap, next to same-cycle events on the ring,
+			// until Run grows the slab.
+			n = ringSize + 16
+		}
 		for ; n > 0; n-- {
 			d := queueDelay(rng)
 			schedule(d)
@@ -167,7 +173,8 @@ func queueWorkload(e *Engine, rng *rand.Rand, log *queueLog, budget int, cross f
 // TestEventQueueMatchesReference drives the ring-plus-heap event queue
 // with seeded random schedules and checks that every engine dispatches
 // exactly a plain sort of its events by (at, seq): delays at the
-// ring's edges and far beyond it, many laps round the ring, class-1
+// ring's edges and far beyond it, many laps round the ring, bursts
+// that fill the ring's slab, class-1
 // cross events tied with local events, Run horizons that cut into the
 // schedule, ShardSet barriers that move clocks forward with advanceTo,
 // and spinning probes re-armed into every cycle of the ring and past
@@ -194,6 +201,9 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			log.check(t, "engine")
 			if e.Now() < 20*ringSize || e.Probed() == 0 || rank == 0 {
 				t.Errorf("ran to cycle %d with %d probes and %d cross events; want many laps of each", e.Now(), e.Probed(), rank)
+			}
+			if len(e.events.slab) <= ringSize+1 {
+				t.Errorf("the ring's slab never grew from %d entries; want bursts that fill it", len(e.events.slab))
 			}
 			e.Stop()
 		})

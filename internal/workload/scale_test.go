@@ -90,12 +90,19 @@ var stackPerNodeLine = regexp.MustCompile(`stack in use: (\d+) B per node`)
 // node than before the calendar ring. The measurement runs in a fresh
 // test process, because the runtime sizes new goroutine stacks from
 // the average it saw at earlier collections, so a process that has
-// already run other machines starts every coroutine bigger. Skipped by
-// -short; never run it under -race, whose instrumentation changes
-// every frame.
+// already run other machines starts every coroutine bigger. It skips,
+// before starting that process, under -short, under -race (whose
+// instrumentation changes every frame), and on any toolchain or
+// architecture but the one the budget is pinned for.
 func TestStackScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 1024-node machine in a second test process")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes every frame")
+	}
+	if !strings.HasPrefix(runtime.Version(), "go1.24") || runtime.GOARCH != "amd64" {
+		t.Skipf("the budget is pinned for go1.24 on amd64; this is %s on %s", runtime.Version(), runtime.GOARCH)
 	}
 	exe, err := os.Executable()
 	if err != nil {
@@ -111,9 +118,6 @@ func TestStackScale(t *testing.T) {
 	}
 	perNode, _ := strconv.Atoi(string(m[1]))
 	t.Logf("scale-1k point: %d B of goroutine stack per node (budget %d)", perNode, stackPerNodeBudget)
-	if !strings.HasPrefix(runtime.Version(), "go1.24") || runtime.GOARCH != "amd64" {
-		t.Skipf("the budget is pinned for go1.24 on amd64; this is %s on %s", runtime.Version(), runtime.GOARCH)
-	}
 	if perNode > stackPerNodeBudget {
 		t.Errorf("%d B of goroutine stack per node, want <= %d: a frame on the dispatch path grew", perNode, stackPerNodeBudget)
 	}
