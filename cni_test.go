@@ -73,10 +73,9 @@ func TestConfigValidationSurface(t *testing.T) {
 	}
 }
 
-func TestPublicVarQueueViaCore(t *testing.T) {
-	// The variable-length queue is exercised through the facade's
-	// fixed-size alias cousins; spot-check interoperability of the
-	// exported generics.
+func TestPublicQueueOfByteSlices(t *testing.T) {
+	// The facade's generic Queue alias carries variable-length
+	// payloads as byte slices.
 	q := NewQueue[[]byte](8)
 	q.Enqueue([]byte("xyz"))
 	if v, ok := q.TryDequeue(); !ok || string(v) != "xyz" {

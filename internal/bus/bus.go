@@ -1,7 +1,6 @@
 package bus
 
 import (
-	"repro/internal/params"
 	"repro/internal/sim"
 )
 
@@ -9,33 +8,20 @@ import (
 // admits a single outstanding transaction, plus the set of snooping
 // agents attached to it.
 type Bus struct {
-	eng  *sim.Engine
-	kind params.BusKind
-	name string
-
 	mu     sim.FIFOMutex
 	agents []Agent
 	busy   *sim.BusyTracker
 	cycles *sim.Counter // interned "<name>.cycles"
 }
 
-// New creates a bus of the given kind. Stats keys are prefixed with
-// the bus name (e.g. "bus.mem0").
-func New(e *sim.Engine, st *sim.Stats, kind params.BusKind, name string) *Bus {
+// New creates a bus. Stats keys are prefixed with the bus name (e.g.
+// "bus.mem0").
+func New(st *sim.Stats, name string) *Bus {
 	return &Bus{
-		eng:    e,
-		kind:   kind,
-		name:   name,
 		busy:   st.Busy(name),
 		cycles: st.Counter(name + ".cycles"),
 	}
 }
-
-// Kind returns the bus kind (memory or I/O).
-func (b *Bus) Kind() params.BusKind { return b.kind }
-
-// BusName returns the stats/trace name.
-func (b *Bus) BusName() string { return b.name }
 
 // Attach registers an agent as a snooper on this bus.
 func (b *Bus) Attach(a Agent) { b.agents = append(b.agents, a) }
@@ -75,6 +61,3 @@ func (b *Bus) snoopAll(tx *Tx, home Agent) (shared bool, supplier Agent) {
 
 // Busy returns the occupancy tracker (for §5.2 occupancy results).
 func (b *Bus) Busy() *sim.BusyTracker { return b.busy }
-
-// QueueLen reports how many processes are waiting for the bus.
-func (b *Bus) QueueLen() int { return b.mu.QueueLen() }

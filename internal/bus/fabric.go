@@ -97,7 +97,7 @@ func (f *Fabric) putTx(t *Tx) {
 func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	f := &Fabric{
 		eng: e,
-		Mem: New(e, st, params.MemoryBus, name+".membus"),
+		Mem: New(st, name+".membus"),
 		loc: make(map[Agent]params.BusKind),
 	}
 	for k := CR; k <= UP; k++ {
@@ -108,7 +108,7 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 		f.uncStore[l] = st.Counter("unc.store." + l.String())
 	}
 	if withIO {
-		f.IO = New(e, st, params.IOBus, name+".iobus")
+		f.IO = New(st, name+".iobus")
 		f.bridgeCond = sim.NewCond()
 		f.bridgeSpace = sim.NewCond()
 		e.Spawn(name+".bridge", f.bridgeDrain)

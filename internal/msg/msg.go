@@ -156,12 +156,6 @@ func (ms *Messenger) RetxBacklog() int {
 	return total
 }
 
-// Node returns the node id.
-func (ms *Messenger) Node() int { return ms.node }
-
-// NI exposes the underlying network interface (diagnostics).
-func (ms *Messenger) NI() nic.NI { return ms.ni }
-
 // Register installs the handler for id. Handlers must be registered
 // before traffic flows; re-registration replaces.
 func (ms *Messenger) Register(id int, h Handler) { ms.handlers[id] = h }

@@ -156,12 +156,6 @@ func (r *rel) arm(at sim.Time) {
 	}
 }
 
-// peerDead reports whether dst's stream exhausted its retry budget.
-func (r *rel) peerDead(dst int) bool {
-	pe := r.peers.Get(dst)
-	return pe != nil && pe.dead
-}
-
 // tick runs every due timer. Called from Send and Poll; the fast path
 // (nothing due) is one comparison.
 func (r *rel) tick(p *sim.Process) {

@@ -236,9 +236,8 @@ func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 // TestTorusFaultPathZeroAlloc pins the fault-enabled torus hot path at
 // zero allocations per event, like the fault-free pin above: with an
 // injector attached (degrade window active so the per-message
-// occupancy/latency scaling actually runs), per-message arrivals ride
-// pending entries drained by pre-built per-link callbacks instead of
-// per-message closures.
+// occupancy/latency scaling actually runs), arrivals ride the same
+// per-link flight queues and pre-built callbacks as without faults.
 func TestTorusFaultPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine()
 	st := sim.NewStats(e)
@@ -264,7 +263,7 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 		}
 	})
 	e.RunAll()
-	// Warm the pending slices, queue backing arrays, and event heap.
+	// Warm the queue backing arrays and the event heap.
 	for i := 0; i < 8; i++ {
 		kick.Signal()
 		e.RunAll()

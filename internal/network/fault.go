@@ -21,6 +21,14 @@ const CorruptMask uint32 = 0xDEAD_BEEF
 func (ep *endpoints) AttachFaults(in *fault.Injector) {
 	ep.inj = in
 	ep.pauseWake = make([]bool, ep.n)
+	ep.late = make([]sim.TimedFIFO[*Msg], ep.n)
+	ep.lateFns = make([]func(), ep.n)
+	for dst := range ep.lateFns {
+		ep.lateFns[dst] = func() {
+			ep.arrivals[dst].Push(ep.late[dst].Pop())
+			ep.drain(dst)
+		}
+	}
 }
 
 // passFaults applies the per-message fault decision to m at the
@@ -67,19 +75,22 @@ func (ep *endpoints) passFaults(m *Msg) bool {
 	if pl.Dup {
 		d := *m
 		d.Dup = true
-		eng.Schedule(0, func() { ep.arrive(&d) })
+		ep.landLate(eng, &d, 0)
 	}
 	if pl.Delay > 0 {
 		// Reordering: m lands Delay cycles late, behind messages that
-		// arrived after it. Push directly (re-entering arrive would
-		// draw a second fault plan for the same message).
-		eng.Schedule(pl.Delay, func() {
-			ep.arrivals[m.Dst].Push(m)
-			ep.drain(m.Dst)
-		})
+		// arrived after it.
+		ep.landLate(eng, m, pl.Delay)
 		return false
 	}
 	return true
+}
+
+// landLate queues m on its destination's late queue to reach the
+// arrival queue delay cycles from now, without a second fault plan.
+func (ep *endpoints) landLate(eng *sim.Engine, m *Msg, delay sim.Time) {
+	ep.late[m.Dst].Push(eng.Now()+delay, m)
+	eng.Schedule(delay, ep.lateFns[m.Dst])
 }
 
 // stallPaused parks dst's arrival queue for the remainder of dst's

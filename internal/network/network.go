@@ -204,6 +204,11 @@ type endpoints struct {
 	// pauseWake[dst] records that a drain-retry event is already
 	// scheduled for dst's current pause window.
 	pauseWake []bool
+	// late[dst] holds delayed frames and duplicate copies on their way
+	// to dst's arrival queue, landed by the pre-built lateFns[dst]
+	// (fault mode only).
+	late    []sim.TimedFIFO[*Msg]
+	lateFns []func()
 
 	// sh is the sharded engine coordinator, nil on serial machines —
 	// the serial path pays one nil check per hook site and is
@@ -428,11 +433,11 @@ type Flat struct {
 	endpoints
 	latency sim.Time
 
-	// transit holds in-flight messages in injection order. Latency is
-	// constant, so arrival events fire in the same order and the
-	// pre-built arriveFn pops the matching message — no per-message
-	// closure is allocated.
-	transit  sim.FIFO[*Msg]
+	// transit holds in-flight messages in arrival order; the pre-built
+	// arriveFn pops the one whose arrival event is firing, so no
+	// per-message closure is allocated. Latency is constant unless a
+	// degrade window scales it, so a push is almost always an append.
+	transit  sim.TimedFIFO[*Msg]
 	arriveFn func()
 }
 
@@ -445,20 +450,15 @@ func New(e *sim.Engine, st *sim.Stats, n int) *Flat {
 }
 
 // Inject sends m, blocking the calling (device) process while the
-// sliding window to m.Dst is full. Transit takes the network latency;
-// delivery is attempted on arrival and retried when the destination
-// port unblocks.
+// sliding window to m.Dst is full. Transit takes the network latency
+// (scaled inside a degrade window); delivery is attempted on arrival
+// and retried when the destination port unblocks.
 func (f *Flat) Inject(p *sim.Process, m *Msg) {
 	f.admit(p, m)
+	now, lat := f.eng.Now(), f.latency
 	if f.inj != nil {
-		// Fault mode: the degrade window makes latency time-varying, so
-		// the constant-latency transit FIFO (which relies on arrivals
-		// firing in injection order) cannot be used. Schedule a
-		// per-message closure instead; the allocation is the price of
-		// running with faults on.
-		f.eng.Schedule(f.inj.LatencyAt(f.eng.Now(), f.latency), func() { f.arrive(m) })
-		return
+		lat = f.inj.LatencyAt(now, lat)
 	}
-	f.transit.Push(m)
-	f.eng.Schedule(f.latency, f.arriveFn)
+	f.transit.Push(now+lat, m)
+	f.eng.Schedule(lat, f.arriveFn)
 }

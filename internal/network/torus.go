@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/params"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -17,18 +16,6 @@ const (
 	dirYNeg
 	numDirs
 )
-
-// pendTx is one fault-mode transmission in flight on a link: the
-// degrade window makes per-message latency time-varying, so arrivals
-// can complete out of FIFO order and each entry carries its own
-// arrival time. Entries are kept in transmit order; the drain fn
-// selects min-(at, transmit order), which is exactly the order the
-// per-message events fire in.
-type pendTx struct {
-	m    *Msg
-	next int
-	at   sim.Time
-}
 
 // Torus is a W×H 2D torus with dimension-order (x then y) routing and
 // store-and-forward switching. Each hop costs the link occupancy
@@ -61,30 +48,21 @@ type Torus struct {
 	hopLat    sim.Time
 	occupancy sim.Time
 
-	// Per-link SoA hot state, shared by both modes: busy flags, FIFO
-	// waiting queues, and pre-built release callbacks. One busy byte
-	// per link, not a packed bitset: a link's flag is touched only by
-	// the shard owning its router, and a byte keeps it single-writer
-	// where a shared bitset word would be a read-modify-write race
-	// between shards.
+	// Per-link SoA hot state: busy flags, FIFO waiting queues, and
+	// pre-built release callbacks. One busy byte per link, not a packed
+	// bitset: a link's flag is touched only by the shard owning its
+	// router, and a byte keeps it single-writer where a shared bitset
+	// word would be a read-modify-write race between shards.
 	busy       []uint8
 	queues     []sim.FIFO[*Msg]
 	releaseFns []func()
-	// flight[li] holds serialised messages in hop-latency flight;
-	// constant per-link delay means arrivals fire in transmit order,
-	// landed by the pre-built arriveFns (fault-free, unsharded path only).
-	flight    []sim.FIFO[*Msg]
+	// flight[li] holds serialised messages in hop-latency flight in
+	// arrival order, landed by the pre-built arriveFns (serial machines
+	// only; sharded ones carry the message in the cross event).
+	flight    []sim.TimedFIFO[*Msg]
 	arriveFns []func()
 	// downstream[li] is the node on the far end of link li.
 	downstream []int32
-
-	// Fault-mode state, allocated by AttachFaults only. The degrade
-	// window scales occupancy and latency per message, so arrivals can
-	// complete out of FIFO order; they are carried in pending entries
-	// drained by the pre-built faultArriveFns (no per-message
-	// closures).
-	pending        [][]pendTx
-	faultArriveFns []func()
 
 	hops      *sim.Counter
 	linkWaits *sim.Counter
@@ -100,7 +78,7 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 		hopLat:     params.TorusHopLatency,
 		occupancy:  params.TorusLinkOccupancy,
 		busy:       make([]uint8, n*numDirs),
-		flight:     make([]sim.FIFO[*Msg], n*numDirs),
+		flight:     make([]sim.TimedFIFO[*Msg], n*numDirs),
 		queues:     make([]sim.FIFO[*Msg], n*numDirs),
 		releaseFns: make([]func(), n*numDirs),
 		arriveFns:  make([]func(), n*numDirs),
@@ -119,9 +97,6 @@ func NewTorus(e *sim.Engine, st *sim.Stats, n int) *Torus {
 	}
 	return t
 }
-
-// Dims returns the torus width and height.
-func (t *Torus) Dims() (w, h int) { return t.w, t.h }
 
 // coords maps a node id to grid coordinates (row-major).
 func (t *Torus) coords(id int) (x, y int) { return id % t.w, id / t.w }
@@ -209,19 +184,6 @@ func (t *Torus) AttachShards(sh *sim.ShardSet) {
 	})
 }
 
-// AttachFaults hooks the injector in and switches the links to
-// per-message arrival bookkeeping (see the fault-mode fields).
-func (t *Torus) AttachFaults(in *fault.Injector) {
-	t.endpoints.AttachFaults(in)
-	n := t.n
-	t.pending = make([][]pendTx, n*numDirs)
-	t.faultArriveFns = make([]func(), n*numDirs)
-	for li := 0; li < n*numDirs; li++ {
-		li := li
-		t.faultArriveFns[li] = func() { t.faultArrive(li) }
-	}
-}
-
 // Inject sends m, blocking the calling (device) process while the
 // sliding window to m.Dst is full, then starts the hop-by-hop
 // traversal at the source router.
@@ -252,29 +214,32 @@ func (t *Torus) forward(m *Msg, node int) {
 }
 
 // transmit serialises m onto link li: the link is held for the
-// occupancy, and m reaches the next router occupancy+hopLat later.
-// Both events are created here, at transmit time, in release-then-
-// arrive order — the cadence the goldens pin (see the type comment).
+// occupancy, and m reaches the next router occupancy+hopLat later,
+// both scaled inside a degrade window. Both events are created here,
+// at transmit time, in release-then-arrive order — the cadence the
+// goldens pin (see the type comment).
 func (t *Torus) transmit(li int, m *Msg) {
 	t.busy[li] = 1
 	t.hops.Inc()
 	if t.rec != nil {
 		t.noteMsg(li/numDirs, trace.KLinkTx, int32(li), m)
 	}
+	// Transmit runs on the link owner's shard, so its engine is the
+	// current one.
+	eng := t.engAt(li / numDirs)
+	occ, lat := t.occupancy, t.hopLat
 	if t.inj != nil {
-		t.faultTransmit(li, m)
-		return
+		occ, lat = t.inj.OccupancyAt(eng.Now(), occ), t.inj.LatencyAt(eng.Now(), lat)
 	}
+	at := eng.Now() + occ + lat
+	eng.Schedule(occ, t.releaseFns[li])
 	if t.sh != nil {
 		// Sharded: the release is local to the link's router; the
 		// arrival crosses to the downstream router's shard carrying the
 		// message itself (the flight queue cannot be popped from another
-		// shard). Transmit runs on the owner's shard, so its engine is
-		// the current one.
-		eng := t.sh.Engine(li / numDirs)
-		eng.Schedule(t.occupancy, t.releaseFns[li])
+		// shard).
 		t.sh.Cross(li/numDirs, sim.CrossEvent{
-			At:   eng.Now() + t.occupancy + t.hopLat,
+			At:   at,
 			Key:  m.xkey << 1,
 			Kind: xkArrive,
 			Node: t.downstream[li],
@@ -282,9 +247,8 @@ func (t *Torus) transmit(li int, m *Msg) {
 		})
 		return
 	}
-	t.flight[li].Push(m)
-	t.eng.Schedule(t.occupancy, t.releaseFns[li])
-	t.eng.Schedule(t.occupancy+t.hopLat, t.arriveFns[li])
+	t.flight[li].Push(at, m)
+	eng.ScheduleAt(at, t.arriveFns[li])
 }
 
 // release frees link li after a serialisation completes and starts
@@ -321,48 +285,4 @@ func (t *Torus) LinkQueueLen(li int) int { return t.queues[li].Len() }
 func (t *Torus) LinkName(li int) string {
 	dirs := [numDirs]string{"x+", "x-", "y+", "y-"}
 	return fmt.Sprintf("n%d.%s", li/numDirs, dirs[li%numDirs])
-}
-
-// faultTransmit is transmit's fault-mode tail: the degrade window
-// scales occupancy and hop latency per message, so the flight queue
-// (which relies on arrivals firing in transmit order) cannot be used;
-// the arrival is carried in a pending entry drained by the pre-built
-// per-link fn — no per-message closure.
-func (t *Torus) faultTransmit(li int, m *Msg) {
-	eng := t.engAt(li / numDirs)
-	now := eng.Now()
-	occ := t.inj.OccupancyAt(now, t.occupancy)
-	next := int(t.downstream[li])
-	eng.Schedule(occ, t.releaseFns[li])
-	at := now + occ + t.inj.LatencyAt(now, t.hopLat)
-	if t.sh != nil {
-		// Sharded fault mode: the arrival crosses like the fault-free
-		// path; the destination shard's (time, key) pending heap plays
-		// the per-link pending list's role.
-		t.sh.Cross(li/numDirs, sim.CrossEvent{
-			At: at, Key: m.xkey << 1, Kind: xkArrive,
-			Node: t.downstream[li], Msg: m,
-		})
-		return
-	}
-	t.pending[li] = append(t.pending[li], pendTx{m, next, at})
-	eng.ScheduleAt(at, t.faultArriveFns[li])
-}
-
-// faultArrive lands the pending transmission whose arrival event is
-// firing now: the one with the minimum arrival time, oldest first on
-// ties — the (time, seq) order its per-message events fire in.
-func (t *Torus) faultArrive(li int) {
-	pend := t.pending[li]
-	best := 0
-	for i := 1; i < len(pend); i++ {
-		if pend[i].at < pend[best].at {
-			best = i
-		}
-	}
-	e := pend[best]
-	copy(pend[best:], pend[best+1:])
-	pend[len(pend)-1] = pendTx{}
-	t.pending[li] = pend[:len(pend)-1]
-	t.forward(e.m, e.next)
 }

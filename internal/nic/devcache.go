@@ -82,9 +82,6 @@ func (c *devCache) ensure(addr uint64) (victim uint64, dirtyEvict bool) {
 	return victim, dirtyEvict
 }
 
-// used reports resident unpinned lines (diagnostics).
-func (c *devCache) used() int { return len(c.order) }
-
 // snoopDevCache is the MOESI snooping side of the device cache.
 func (n *cniq) snoopDevCache(tx *bus.Tx) bus.Snoop {
 	st := n.dc.stateOf(tx.Addr)

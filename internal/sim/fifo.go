@@ -44,3 +44,34 @@ func (q *FIFO[T]) Peek() T { return q.buf[q.head] }
 
 // Len reports the number of queued elements.
 func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
+
+// TimedFIFO queues values by the simulated time each is due. Push goes
+// in behind the last entry due no later than it, so entries pop in
+// (due time, push order) — the (at, seq) order the engine fires events
+// in when each Push schedules its value's event at the same moment.
+// A queue drained by one prebuilt callback per event therefore pops
+// exactly the value that event is for. When due times never decrease
+// (a constant delay) Push is one compare and an append.
+type TimedFIFO[T any] struct {
+	q FIFO[timed[T]]
+}
+
+type timed[T any] struct {
+	at Time
+	v  T
+}
+
+// Push queues v due at at.
+func (t *TimedFIFO[T]) Push(at Time, v T) {
+	q := &t.q
+	q.Push(timed[T]{at, v})
+	i := len(q.buf) - 1
+	for ; i > q.head && q.buf[i-1].at > at; i-- {
+		q.buf[i] = q.buf[i-1]
+	}
+	q.buf[i] = timed[T]{at, v}
+}
+
+// Pop removes and returns the earliest-due value. The caller must know
+// the queue is non-empty.
+func (t *TimedFIFO[T]) Pop() T { return t.q.Pop().v }

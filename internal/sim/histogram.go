@@ -247,9 +247,6 @@ func (h *Histogram) DeltaSince(prev *Histogram) Histogram {
 	return d
 }
 
-// Reset empties the histogram for reuse.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // String renders the headline percentiles for debugging.
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d min=%d p50=%d p90=%d p99=%d p99.9=%d max=%d",

@@ -4,7 +4,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Sampler snapshots registered columns every Every cycles into
+// Sampler snapshots registered columns at a fixed period into
 // columnar series. It is pure observation: the tick event consumes no
 // simulated time, schedules nothing a process can see, and only
 // *relabels* the engine's event sequence numbers — a monotone shift
@@ -50,9 +50,6 @@ func NewSampler(eng *sim.Engine, every sim.Time) *Sampler {
 	s.tickFn = func() { s.tick() }
 	return s
 }
-
-// Every returns the sampling period in cycles.
-func (s *Sampler) Every() sim.Time { return s.every }
 
 // Gauge registers a point-in-time column (queue depth, busy links).
 func (s *Sampler) Gauge(name string, probe func() float64) {

@@ -51,12 +51,16 @@ func runTraced(t *testing.T, cfg params.Config, warm, measure sim.Time) (Report,
 		winBytes += r.winBytes[id]
 	}
 	rep := Report{
-		Sent: sent, Delivered: delivered,
-		GoodputMBps: float64(winBytes) * params.CPUMHz / float64(r.endAt-r.warmEnd),
-		NetDelivery: tr.Histogram("net.delivery"),
-		Drops:       tr.Counter("net.drops"),
-		Retransmits: tr.Counter("net.retransmits"),
-		Recovery:    tr.Histogram("net.recovery"),
+		OfferedMBps:   r.wl.OfferedMBps * float64(r.n),
+		Sent:          sent,
+		Delivered:     delivered,
+		GoodputMBps:   float64(winBytes) * params.CPUMHz / float64(r.endAt-r.warmEnd),
+		NetDelivery:   tr.Histogram("net.delivery"),
+		Drops:         tr.Counter("net.drops"),
+		Retransmits:   tr.Counter("net.retransmits"),
+		DupSuppressed: tr.Counter("net.dup_suppressed"),
+		Dead:          tr.Counter("net.dead"),
+		Recovery:      tr.Histogram("net.recovery"),
 	}
 	for id := range r.hists {
 		rep.Latency.Merge(&r.hists[id])
