@@ -61,6 +61,7 @@ type Fabric struct {
 	bridgeQ     sim.FIFO[postedWrite]
 	bridgeCond  *sim.Cond // signalled when bridgeQ gains an entry
 	bridgeSpace *sim.Cond // signalled when bridgeQ frees an entry
+	bridgeWaits uint64    // posted writes that found bridgeQ full
 
 	// txFree recycles transaction boxes: the Tx escapes through the
 	// SnoopTx interface call, so without a free list every coherent
@@ -299,6 +300,7 @@ func (f *Fabric) UncachedStore(p *sim.Process, dev Device, reg, val uint64) {
 		f.Mem.Release()
 	case params.IOBus:
 		for f.bridgeQ.Len() >= params.BridgeBufferDepth {
+			f.bridgeWaits++
 			f.bridgeSpace.Wait(p)
 		}
 		f.Mem.Acquire(p)
@@ -310,6 +312,10 @@ func (f *Fabric) UncachedStore(p *sim.Process, dev Device, reg, val uint64) {
 		panic("bus: bad device location")
 	}
 }
+
+// BridgeFullWaits reports how many times a posted write waited for
+// space in the I/O bridge's buffer.
+func (f *Fabric) BridgeFullWaits() uint64 { return f.bridgeWaits }
 
 // bridgeDrain is the I/O bridge's posted-write engine: it forwards
 // buffered uncached stores onto the I/O bus in order.
