@@ -57,11 +57,14 @@ type Fabric struct {
 	uncStore [params.IOBus + 1]*sim.Counter
 
 	// I/O bridge posted-write queue (paper: "the bridge buffers writes
-	// and coherent invalidations, but blocks on reads").
+	// and coherent invalidations, but blocks on reads"), drained by the
+	// driven process bridge.
 	bridgeQ     sim.FIFO[postedWrite]
-	bridgeCond  *sim.Cond // signalled when bridgeQ gains an entry
-	bridgeSpace *sim.Cond // signalled when bridgeQ frees an entry
-	bridgeWaits uint64    // posted writes that found bridgeQ full
+	bridgeCond  sim.Cond // signalled when bridgeQ gains an entry
+	bridgeSpace sim.Cond // signalled when bridgeQ frees an entry
+	bridgeWaits uint64   // posted writes that found bridgeQ full
+	bridge      *sim.Process
+	bridgeSteps [3]func() // bridgeDrain, bridgeHeld, bridgeWrote
 
 	// txFree recycles transaction boxes: the Tx escapes through the
 	// SnoopTx interface call, so without a free list every coherent
@@ -110,9 +113,8 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	}
 	if withIO {
 		f.IO = New(st, name+".iobus")
-		f.bridgeCond = sim.NewCond()
-		f.bridgeSpace = sim.NewCond()
-		e.Spawn(name+".bridge", f.bridgeDrain)
+		f.bridgeSteps = [3]func(){f.bridgeDrain, f.bridgeHeld, f.bridgeWrote}
+		f.bridge = e.Drive(name+".bridge", f.bridgeSteps[0])
 	}
 	return f
 }
@@ -170,26 +172,44 @@ func (f *Fabric) locOf(a Agent) params.BusKind {
 // data transfer, release. It blocks the calling process for the
 // transaction's duration and returns the snoop summary.
 func (f *Fabric) Do(p *sim.Process, tx Tx) Result {
+	x := f.begin(tx)
+	f.Mem.Acquire(p)
+	if x.crossing {
+		f.IO.Acquire(p)
+	}
+	dur, res := f.transfer(x)
+	p.Sleep(dur)
+	f.end(x)
+	return res
+}
+
+// txn is one coherent transaction in progress.
+type txn struct {
+	t        *Tx
+	home     Agent
+	crossing bool // the transaction holds both buses
+}
+
+// begin checks tx against the address map and boxes it for the snoop
+// phase.
+func (f *Fabric) begin(tx Tx) txn {
 	region := f.Lookup(tx.Addr)
 	if !region.Cachable && tx.Kind != CI {
 		panic(fmt.Sprintf("bus: coherent %v on uncachable region %q", tx.Kind, region.Name))
 	}
 	initLoc := f.locOf(tx.Initiator)
-	crossing := initLoc == params.IOBus || region.Loc == params.IOBus
-
 	// The snoop phase hands the Tx across the SnoopTx interface, which
 	// forces it to the heap; route it through the free list so the box
 	// is recycled instead of allocated per transaction.
-	t := f.getTx(tx)
+	return txn{f.getTx(tx), region.Home, initLoc == params.IOBus || region.Loc == params.IOBus}
+}
 
-	f.Mem.Acquire(p)
-	if crossing {
-		f.IO.Acquire(p)
-	}
-
+// transfer runs x's snoop and timing phases once its buses are held:
+// it returns how long the buses stay held and the snoop summary.
+func (f *Fabric) transfer(x txn) (sim.Time, Result) {
 	// Snoop phase: every agent on every involved bus sees the
 	// transaction and updates its state before data moves.
-	home := region.Home
+	t, home, crossing := x.t, x.home, x.crossing
 	shared, supplier := f.Mem.snoopAll(t, home)
 	if crossing {
 		s2, sup2 := f.IO.snoopAll(t, home)
@@ -204,16 +224,16 @@ func (f *Fabric) Do(p *sim.Process, tx Tx) Result {
 
 	// Timing phase (Table 2).
 	var memCost, ioCost sim.Time
-	switch tx.Kind {
+	switch t.Kind {
 	case CR, CRI:
-		memCost = sim.Time(params.BlockTransferCost(params.MemoryBus, supplier.AgentClass(), tx.Initiator.AgentClass()))
+		memCost = sim.Time(params.BlockTransferCost(params.MemoryBus, supplier.AgentClass(), t.Initiator.AgentClass()))
 		if crossing {
-			ioCost = sim.Time(params.BlockTransferCost(params.IOBus, supplier.AgentClass(), tx.Initiator.AgentClass()))
+			ioCost = sim.Time(params.BlockTransferCost(params.IOBus, supplier.AgentClass(), t.Initiator.AgentClass()))
 		}
 	case WB, UP:
-		memCost = sim.Time(params.BlockTransferCost(params.MemoryBus, tx.Initiator.AgentClass(), home.AgentClass()))
+		memCost = sim.Time(params.BlockTransferCost(params.MemoryBus, t.Initiator.AgentClass(), home.AgentClass()))
 		if crossing {
-			ioCost = sim.Time(params.BlockTransferCost(params.IOBus, tx.Initiator.AgentClass(), home.AgentClass()))
+			ioCost = sim.Time(params.BlockTransferCost(params.IOBus, t.Initiator.AgentClass(), home.AgentClass()))
 		}
 	case CI:
 		memCost = sim.Time(params.InvalidateCost(params.MemoryBus))
@@ -224,28 +244,27 @@ func (f *Fabric) Do(p *sim.Process, tx Tx) Result {
 		panic("bus: bad tx kind")
 	}
 
-	f.txCount[tx.Kind].Inc()
+	f.txCount[t.Kind].Inc()
 	dur := memCost
 	if ioCost > dur {
 		dur = ioCost
 	}
 	// Blocking crossing transactions hold both buses for the whole
 	// transfer (the bridge "blocks on reads").
-	f.Mem.busy.AddBusy(dur)
-	f.Mem.cycles.Add(uint64(dur))
+	f.Mem.account(dur)
 	if crossing {
-		f.IO.busy.AddBusy(dur)
-		f.IO.cycles.Add(uint64(dur))
+		f.IO.account(dur)
 	}
-	p.Sleep(dur)
+	return dur, Result{Shared: shared, Supplier: supplier.AgentClass()}
+}
 
-	if crossing {
+// end releases x's buses and recycles its box.
+func (f *Fabric) end(x txn) {
+	if x.crossing {
 		f.IO.Release()
 	}
 	f.Mem.Release()
-
-	f.putTx(t)
-	return Result{Shared: shared, Supplier: supplier.AgentClass()}
+	f.putTx(x.t)
 }
 
 // UncachedLoad performs a blocking 8-byte uncached load from a device
@@ -281,55 +300,168 @@ func (f *Fabric) UncachedLoad(p *sim.Process, dev Device, reg uint64) uint64 {
 }
 
 // UncachedStore performs one 8-byte uncached store to a device
-// register. The call is made by the processor's store-buffer drain
-// process, so the architectural "postedness" is upstream; here the
-// store occupies the memory bus and, for I/O-bus devices, is buffered
-// in the bridge (the memory bus is released as soon as the bridge
-// accepts the write).
+// register. The processor's store-buffer drain issues stores through
+// Call.UncachedStore, so the architectural "postedness" is upstream;
+// here the store occupies the memory bus and, for I/O-bus devices, is
+// buffered in the bridge (the memory bus is released as soon as the
+// bridge accepts the write).
 func (f *Fabric) UncachedStore(p *sim.Process, dev Device, reg, val uint64) {
 	loc := f.locOf(dev)
 	f.uncStore[loc].Inc()
-	switch loc {
-	case params.CacheBus:
+	if loc == params.CacheBus {
 		p.Sleep(sim.Time(params.UncachedStoreCost(loc)))
 		dev.RegWrite(reg, val)
-	case params.MemoryBus:
-		f.Mem.Acquire(p)
-		f.Mem.Occupy(p, sim.Time(params.UncachedStoreCost(params.MemoryBus)))
-		dev.RegWrite(reg, val)
-		f.Mem.Release()
-	case params.IOBus:
-		for f.bridgeQ.Len() >= params.BridgeBufferDepth {
-			f.bridgeWaits++
-			f.bridgeSpace.Wait(p)
-		}
-		f.Mem.Acquire(p)
-		f.Mem.Occupy(p, sim.Time(params.UncachedStoreCost(params.MemoryBus)))
+		return
+	}
+	for loc == params.IOBus && f.bridgeFull() {
+		f.bridgeSpace.Wait(p)
+	}
+	f.Mem.Acquire(p)
+	f.Mem.Occupy(p, sim.Time(params.UncachedStoreCost(params.MemoryBus)))
+	f.stored(loc, dev, reg, val)
+}
+
+// bridgeFull reports, and counts, a posted write finding the bridge's
+// buffer full.
+func (f *Fabric) bridgeFull() bool {
+	if f.bridgeQ.Len() < params.BridgeBufferDepth {
+		return false
+	}
+	f.bridgeWaits++
+	return true
+}
+
+// stored completes an uncached store that has held the memory bus for
+// its occupancy: a memory-bus device takes the write, the bridge
+// buffers an I/O-bus device's, and the memory bus is released.
+func (f *Fabric) stored(loc params.BusKind, dev Device, reg, val uint64) {
+	if loc == params.IOBus {
 		f.bridgeQ.Push(postedWrite{dev, reg, val})
 		f.bridgeCond.Signal()
-		f.Mem.Release()
-	default:
-		panic("bus: bad device location")
+	} else {
+		dev.RegWrite(reg, val)
 	}
+	f.Mem.Release()
 }
 
 // BridgeFullWaits reports how many times a posted write waited for
 // space in the I/O bridge's buffer.
 func (f *Fabric) BridgeFullWaits() uint64 { return f.bridgeWaits }
 
-// bridgeDrain is the I/O bridge's posted-write engine: it forwards
-// buffered uncached stores onto the I/O bus in order.
-func (f *Fabric) bridgeDrain(p *sim.Process) {
-	for {
-		for f.bridgeQ.Len() == 0 {
-			f.bridgeCond.Wait(p)
-		}
-		w := f.bridgeQ.Peek()
-		f.IO.Acquire(p)
-		f.IO.Occupy(p, sim.Time(params.UncachedStoreCost(params.IOBus)))
-		w.dev.RegWrite(w.reg, w.val)
-		f.IO.Release()
-		f.bridgeQ.Pop()
-		f.bridgeSpace.Signal()
+// bridgeDrain is the I/O bridge's posted-write engine, a driven
+// process: it forwards buffered uncached stores onto the I/O bus in
+// order (bridgeHeld and bridgeWrote are its later steps).
+func (f *Fabric) bridgeDrain() {
+	if f.bridgeQ.Len() == 0 {
+		f.bridgeCond.Await(f.bridge, f.bridgeSteps[0])
+		return
 	}
+	if f.IO.AcquireThen(f.bridge, f.bridgeSteps[1]) {
+		f.bridgeHeld()
+	}
+}
+
+func (f *Fabric) bridgeHeld() {
+	f.IO.OccupyThen(f.bridge, sim.Time(params.UncachedStoreCost(params.IOBus)), f.bridgeSteps[2])
+}
+
+func (f *Fabric) bridgeWrote() {
+	w := f.bridgeQ.Peek()
+	w.dev.RegWrite(w.reg, w.val)
+	f.IO.Release()
+	f.bridgeQ.Pop()
+	f.bridgeSpace.Signal()
+	f.bridgeDrain()
+}
+
+// Call is a driven process's handle on its node's buses: the callback
+// form of Do and UncachedStore. Each operation runs the same body as
+// the blocking form and takes the same (time, seq) wakes, then runs
+// its then callback as the process's step where the blocking call
+// would return. A Call carries one operation at a time; its phases are
+// method values bound once, so issuing one allocates nothing.
+type Call struct {
+	f    *Fabric
+	p    *sim.Process
+	then func()
+
+	x        txn            // Do's transaction
+	loc      params.BusKind // UncachedStore's device location and write
+	dev      Device
+	reg, val uint64
+
+	steps [5]func() // doHeld, doBuses, doDone, storeSpace, storeHeld
+	store func()    // storeDone
+}
+
+// NewCall returns driven process p's handle on f's buses.
+func NewCall(f *Fabric, p *sim.Process) *Call {
+	c := &Call{f: f, p: p}
+	c.steps = [5]func(){c.doHeld, c.doBuses, c.doDone, c.storeSpace, c.storeHeld}
+	c.store = c.storeDone
+	return c
+}
+
+// Process returns the driven process the Call belongs to.
+func (c *Call) Process() *sim.Process { return c.p }
+
+// Do runs tx, as Fabric.Do does, then runs then.
+func (c *Call) Do(tx Tx, then func()) {
+	c.x, c.then = c.f.begin(tx), then
+	if c.f.Mem.AcquireThen(c.p, c.steps[0]) {
+		c.doHeld()
+	}
+}
+
+func (c *Call) doHeld() {
+	if !c.x.crossing || c.f.IO.AcquireThen(c.p, c.steps[1]) {
+		c.doBuses()
+	}
+}
+
+func (c *Call) doBuses() {
+	dur, _ := c.f.transfer(c.x)
+	c.p.After(dur, c.steps[2])
+}
+
+func (c *Call) doDone() {
+	c.f.end(c.x)
+	c.x = txn{}
+	c.then()
+}
+
+// UncachedStore stores val to dev's register reg, as
+// Fabric.UncachedStore does, then runs then.
+func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
+	c.loc, c.dev, c.reg, c.val, c.then = c.f.locOf(dev), dev, reg, val, then
+	c.f.uncStore[c.loc].Inc()
+	if c.loc == params.CacheBus {
+		c.p.After(sim.Time(params.UncachedStoreCost(c.loc)), c.store)
+		return
+	}
+	c.storeSpace()
+}
+
+func (c *Call) storeSpace() {
+	if c.loc == params.IOBus && c.f.bridgeFull() {
+		c.f.bridgeSpace.Await(c.p, c.steps[3])
+		return
+	}
+	if c.f.Mem.AcquireThen(c.p, c.steps[4]) {
+		c.storeHeld()
+	}
+}
+
+func (c *Call) storeHeld() {
+	c.f.Mem.OccupyThen(c.p, sim.Time(params.UncachedStoreCost(params.MemoryBus)), c.store)
+}
+
+func (c *Call) storeDone() {
+	if c.loc == params.CacheBus {
+		c.dev.RegWrite(c.reg, c.val)
+	} else {
+		c.f.stored(c.loc, c.dev, c.reg, c.val)
+	}
+	c.dev = nil
+	c.then()
 }

@@ -313,6 +313,15 @@ func (m *Machine) Run(horizon sim.Time) sim.Time {
 // spin probes (sim.Engine.Probed), summed over shards.
 func (m *Machine) Probed() uint64 { return m.shards.Probed() }
 
+// Resumes returns how many coroutine resumes the engines' Run loops
+// made (sim.Engine.Resumes), summed over shards.
+func (m *Machine) Resumes() uint64 { return m.shards.Resumes() }
+
+// SelfWakes returns how many coroutine wakes the engines returned
+// inline to the parking process (sim.Engine.SelfWakes), summed over
+// shards.
+func (m *Machine) SelfWakes() uint64 { return m.shards.SelfWakes() }
+
 // Stop unwinds device processes; call once after Run.
 func (m *Machine) Stop() { m.shards.Stop() }
 

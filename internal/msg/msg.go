@@ -267,6 +267,7 @@ func (ms *Messenger) drainOne(p *sim.Process) bool {
 		// (ack bookkeeping never touches the NI, so this is safe even
 		// inside a blocked send) and never surfaced to user space.
 		ms.rel.onAckFrame(p, m)
+		ms.putMsg(m)
 		return true
 	}
 	// Copy into the user-space buffer.
@@ -318,6 +319,7 @@ func (ms *Messenger) poll(p *sim.Process, from pollPoint) bool {
 		}
 		if ms.rel != nil && m.IsAck {
 			ms.rel.onAckFrame(p, m)
+			ms.putMsg(m)
 			return true
 		}
 		// Copy payload from the NI queue image to the user buffer.
@@ -355,10 +357,15 @@ func (ms *Messenger) getMsg() *network.Msg {
 	return m
 }
 
-// putMsg recycles a dead frame. With the reliable transport active
+// putMsg recycles a dead frame. A fault-injected duplicate copy goes
+// back to the fabric's pool. With the reliable transport active other
 // frames outlive delivery in retransmit and reorder buffers, so the
 // pool is bypassed and the collector owns them as before.
 func (ms *Messenger) putMsg(m *network.Msg) {
+	if m.Dup {
+		network.FreeDup(m)
+		return
+	}
 	if ms.rel != nil {
 		return
 	}
@@ -373,11 +380,14 @@ func (ms *Messenger) relDeliver(p *sim.Process, m *network.Msg) bool {
 	if !ms.rel.onData(p, m) {
 		return true // consumed by the transport (dup/out-of-order/corrupt)
 	}
+	src := m.Src
 	ms.accept(p, m)
-	for next := ms.rel.nextReady(m.Src); next != nil; next = ms.rel.nextReady(m.Src) {
+	ms.putMsg(m)
+	for next := ms.rel.nextReady(src); next != nil; next = ms.rel.nextReady(src) {
 		ms.accept(p, next)
+		ms.putMsg(next)
 	}
-	ms.rel.ackProgress(p, m.Src)
+	ms.rel.ackProgress(p, src)
 	return true
 }
 

@@ -372,6 +372,7 @@ func (r *rel) onData(p *sim.Process, m *network.Msg) bool {
 	if m.Checksum != HeaderChecksum(m) {
 		// Injected corruption: discard; the sender's timeout recovers.
 		r.checksumBad.Inc()
+		r.ms.putMsg(m)
 		return false
 	}
 	pe := r.peer(m.Src)
@@ -385,12 +386,14 @@ func (r *rel) onData(p *sim.Process, m *network.Msg) bool {
 		// suppress, and re-ack so a sender missing the ack advances.
 		r.dupSupp.Inc()
 		r.sendAck(p, m.Src, pe)
+		r.ms.putMsg(m)
 		return false
 	default:
 		if pe.ooo == nil {
 			pe.ooo = make(map[uint64]*network.Msg)
 		}
-		if _, dup := pe.ooo[m.Seq]; dup {
+		_, dup := pe.ooo[m.Seq]
+		if dup {
 			r.dupSupp.Inc()
 		} else {
 			pe.ooo[m.Seq] = m
@@ -398,6 +401,9 @@ func (r *rel) onData(p *sim.Process, m *network.Msg) bool {
 		}
 		// Ack immediately: tells the sender where the stream stands.
 		r.sendAck(p, m.Src, pe)
+		if dup {
+			r.ms.putMsg(m)
+		}
 		return false
 	}
 }

@@ -184,10 +184,23 @@ func TestConformanceWindowIsPerDestination(t *testing.T) {
 }
 
 // countingPort accepts everything and only counts, so delivery in the
-// alloc test cannot allocate.
-type countingPort struct{ n int }
+// alloc test cannot allocate. Like a messaging layer done with each
+// frame soon after acceptance, it frees the previous frame's duplicate
+// copy at the next delivery (the fabric still reads a frame it has
+// just delivered).
+type countingPort struct {
+	n    int
+	last *Msg
+}
 
-func (c *countingPort) NetDeliver(m *Msg) bool { c.n++; return true }
+func (c *countingPort) NetDeliver(m *Msg) bool {
+	c.n++
+	if c.last != nil {
+		FreeDup(c.last)
+	}
+	c.last = m
+	return true
+}
 
 // TestInjectDeliverAckZeroAlloc pins the steady-state
 // inject->deliver->ack cycle at zero allocations for both fabrics

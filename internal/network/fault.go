@@ -22,6 +22,7 @@ func (ep *endpoints) AttachFaults(in *fault.Injector) {
 	ep.inj = in
 	ep.pauseWake = make([]bool, ep.n)
 	ep.late = make([]sim.TimedFIFO[*Msg], ep.n)
+	ep.dups = make([][]*Msg, ep.n)
 	ep.lateFns = make([]func(), ep.n)
 	for dst := range ep.lateFns {
 		ep.lateFns[dst] = func() {
@@ -73,9 +74,7 @@ func (ep *endpoints) passFaults(m *Msg) bool {
 		m.Checksum ^= CorruptMask
 	}
 	if pl.Dup {
-		d := *m
-		d.Dup = true
-		ep.landLate(eng, &d, 0)
+		ep.landLate(eng, ep.dupOf(m), 0)
 	}
 	if pl.Delay > 0 {
 		// Reordering: m lands Delay cycles late, behind messages that
@@ -84,6 +83,33 @@ func (ep *endpoints) passFaults(m *Msg) bool {
 		return false
 	}
 	return true
+}
+
+// dupOf returns a duplicate copy of m drawn from its destination's
+// pool; the copy's consumer returns it with FreeDup.
+func (ep *endpoints) dupOf(m *Msg) *Msg {
+	pool := &ep.dups[m.Dst]
+	var d *Msg
+	if n := len(*pool); n > 0 {
+		d = (*pool)[n-1]
+		*pool = (*pool)[:n-1]
+	} else {
+		d = new(Msg)
+	}
+	*d = *m
+	d.Dup, d.pool = true, pool
+	return d
+}
+
+// FreeDup returns a fault-injected duplicate copy to its destination's
+// pool for reuse; any other frame is left alone. Call it where the
+// last reference to the frame is dropped: the messaging layer does
+// once it has dispatched or discarded the frame.
+func FreeDup(m *Msg) {
+	if pool := m.pool; pool != nil {
+		*m = Msg{}
+		*pool = append(*pool, m)
+	}
 }
 
 // landLate queues m on its destination's late queue to reach the
@@ -107,11 +133,24 @@ func (ep *endpoints) stallPaused(dst int) {
 	})
 }
 
-// admitFaults stalls the sending device process while its own node is
-// paused — a paused NI neither delivers nor injects.
+// admitFaults stalls the sending process while its own node is paused
+// — a paused NI neither delivers nor injects.
 func (ep *endpoints) admitFaults(p *sim.Process, m *Msg) {
-	for ep.inj.PausedAt(m.Src, p.Now()) {
-		ep.inj.NotePaused()
-		p.Sleep(ep.inj.PauseEnd(m.Src) - p.Now())
+	for d := ep.pausedFor(m); d > 0; d = ep.pausedFor(m) {
+		p.Sleep(d)
 	}
+}
+
+// pausedFor returns how long m's sender must wait for its node's pause
+// to end, counting the stall, or 0 when the node is not paused.
+func (ep *endpoints) pausedFor(m *Msg) sim.Time {
+	if ep.inj == nil {
+		return 0
+	}
+	now := ep.engAt(m.Src).Now()
+	if !ep.inj.PausedAt(m.Src, now) {
+		return 0
+	}
+	ep.inj.NotePaused()
+	return ep.inj.PauseEnd(m.Src) - now
 }

@@ -207,9 +207,10 @@ func TestFaultCrashDropsBothDirections(t *testing.T) {
 // that closes mid-measurement cost no per-message closure. (Duplicate
 // copies are the one exception: each copy is a new Msg.)
 func TestFaultEnabledAllocBudget(t *testing.T) {
-	// Half the frames are delayed so every window holds delays
-	// (AllocsPerRun truncates to whole allocations per run). Each
-	// degrade window opens and closes inside the measured runs.
+	// Half the frames are delayed and half duplicated, so every window
+	// holds delays and duplicate copies (AllocsPerRun truncates to
+	// whole allocations per run). Each degrade window opens and closes
+	// inside the measured runs.
 	degrade := map[string][2]uint64{"flat": {20_000, 60_000}, "torus": {200_000, 600_000}}
 	forEachImpl(t, func(t *testing.T, c implCase) {
 		e := sim.NewEngine()
@@ -217,7 +218,7 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 		ic := c.build(e, st, c.nodes)
 		from, until := degrade[c.name][0], degrade[c.name][1]
 		ic.AttachFaults(fault.New(st, c.nodes, params.Faults{
-			DropProb: 0.01, DelayProb: 0.5, Seed: 9,
+			DropProb: 0.01, DelayProb: 0.5, DupProb: 0.5, Seed: 9,
 			DegradeFrom: from, DegradeUntil: until, DegradeLatencyX: 3, DegradeBandwidthX: 2,
 		}))
 		port := &countingPort{}

@@ -70,6 +70,9 @@ type Msg struct {
 	// edge: duplicates return no window credit and are never re-planned
 	// for faults.
 	Dup bool
+	// pool is the per-destination pool a duplicate copy was drawn from
+	// (FreeDup), nil on every other frame.
+	pool *[]*Msg
 
 	// xkey is the sharded engine's deterministic merge tiebreak,
 	// assigned per admission (sharded machines only): the source node
@@ -122,10 +125,13 @@ type Interconnect interface {
 	// CanInject reports whether src may inject to dst without
 	// blocking on the sliding window.
 	CanInject(src, dst int) bool
-	// Inject sends m, blocking the calling (device) process while the
-	// sliding window to m.Dst is full. Delivery is attempted on
-	// arrival and retried when the destination port unblocks.
+	// Inject sends m, blocking the calling process while the sliding
+	// window to m.Dst is full. Delivery is attempted on arrival and
+	// retried when the destination port unblocks.
 	Inject(p *sim.Process, m *Msg)
+	// Injector returns driven process p's handle for the callback form
+	// of Inject; then is p's step once a waiting injection completes.
+	Injector(p *sim.Process, then func()) *Injector
 	// Unblock tells the fabric that dst's NI freed buffer space; any
 	// waiting arrivals are re-offered.
 	Unblock(dst int)
@@ -209,6 +215,9 @@ type endpoints struct {
 	// (fault mode only).
 	late    []sim.TimedFIFO[*Msg]
 	lateFns []func()
+	// dups[dst] pools duplicate copies bound for dst (fault mode only);
+	// dst's messaging layer frees them (FreeDup).
+	dups [][]*Msg
 
 	// sh is the sharded engine coordinator, nil on serial machines —
 	// the serial path pays one nil check per hook site and is
@@ -316,27 +325,44 @@ func (ep *endpoints) CanInject(src, dst int) bool {
 	return ep.InFlight(src, dst) < ep.window
 }
 
-// admit blocks p while the window to m.Dst is full, then charges the
-// message against the window and the traffic counters.
+// admit blocks p while m's node is paused (admitFaults) and while the
+// window to m.Dst is full, then charges the message against the window
+// and the traffic counters.
 func (ep *endpoints) admit(p *sim.Process, m *Msg) {
-	if ep.rec != nil {
-		ep.noteMsg(m.Src, trace.KInject, -1, m)
-	}
-	if ep.inj != nil {
-		ep.admitFaults(p, m)
-	}
+	ep.noteInject(m)
+	ep.admitFaults(p, m)
 	w := ep.openWindow(m.Src, m.Dst)
-	for int(w.inFlight) >= ep.window {
-		ep.windowStalls.Inc()
+	for ep.full(w) {
 		w.free.Wait(p)
 		// Credits may have drained the window and recycled its slot
 		// while p was parked, so look it up again.
 		w = ep.openWindow(m.Src, m.Dst)
 	}
+	ep.charge(w, m, p.Now())
+}
+
+// noteInject records m's injection attempt in the lifecycle trace.
+func (ep *endpoints) noteInject(m *Msg) {
+	if ep.rec != nil {
+		ep.noteMsg(m.Src, trace.KInject, -1, m)
+	}
+}
+
+// full reports, and counts, a window with no credit left.
+func (ep *endpoints) full(w *window) bool {
+	if int(w.inFlight) < ep.window {
+		return false
+	}
+	ep.windowStalls.Inc()
+	return true
+}
+
+// charge admits m at now against window w and the traffic counters.
+func (ep *endpoints) charge(w *window, m *Msg, now sim.Time) {
 	w.inFlight++
 	ep.msgs.Inc()
 	ep.bytes.Add(uint64(m.Size + params.HeaderBytes))
-	m.SentAt = p.Now()
+	m.SentAt = now
 	if ep.sh != nil {
 		// The merge tiebreak: source node over a per-source monotonic
 		// stamp, assigned on the source's shard. Re-admissions (the
@@ -347,6 +373,73 @@ func (ep *endpoints) admit(p *sim.Process, m *Msg) {
 	}
 	if ep.rec != nil {
 		ep.noteMsg(m.Src, trace.KAdmit, -1, m)
+	}
+}
+
+// Injector is a driven process's handle for the callback form of
+// Inject: admission runs the same steps as the blocking form and takes
+// the same (time, seq) wakes. It carries one message at a time; its
+// wake steps are method values bound once, so injecting allocates
+// nothing.
+type Injector struct {
+	ep     *endpoints
+	launch func(*Msg) // the fabric's transit after admission
+	p      *sim.Process
+	then   func()
+	m      *Msg
+	steps  [2]func() // paused, windowed
+}
+
+// newInjector builds p's Injector for a fabric whose transit is launch.
+func (ep *endpoints) newInjector(p *sim.Process, then func(), launch func(*Msg)) *Injector {
+	in := &Injector{ep: ep, launch: launch, p: p, then: then}
+	in.steps = [2]func(){in.paused, in.windowed}
+	return in
+}
+
+// Process returns the driven process the Injector belongs to.
+func (in *Injector) Process() *sim.Process { return in.p }
+
+// Inject sends m. It reports true when m was admitted and launched at
+// once; otherwise p waits — for its node's pause to end or for window
+// credit — and runs then as its step once m has been launched.
+func (in *Injector) Inject(m *Msg) bool {
+	in.m = m
+	in.ep.noteInject(m)
+	return in.admit(true)
+}
+
+// admit launches in.m unless it must wait, and reports whether it did.
+// Like the blocking form, it looks at the pause only until the first
+// wait for window credit.
+func (in *Injector) admit(pause bool) bool {
+	ep, m := in.ep, in.m
+	if pause {
+		if d := ep.pausedFor(m); d > 0 {
+			in.p.After(d, in.steps[0])
+			return false
+		}
+	}
+	w := ep.openWindow(m.Src, m.Dst)
+	if ep.full(w) {
+		w.free.Await(in.p, in.steps[1])
+		return false
+	}
+	ep.charge(w, m, in.p.Now())
+	in.m = nil
+	in.launch(m)
+	return true
+}
+
+func (in *Injector) paused() {
+	if in.admit(true) {
+		in.then()
+	}
+}
+
+func (in *Injector) windowed() {
+	if in.admit(false) {
+		in.then()
 	}
 }
 
@@ -449,12 +542,22 @@ func New(e *sim.Engine, st *sim.Stats, n int) *Flat {
 	return f
 }
 
-// Inject sends m, blocking the calling (device) process while the
-// sliding window to m.Dst is full. Transit takes the network latency
-// (scaled inside a degrade window); delivery is attempted on arrival
-// and retried when the destination port unblocks.
+// Inject sends m, blocking the calling process while the sliding
+// window to m.Dst is full. Transit takes the network latency (scaled
+// inside a degrade window); delivery is attempted on arrival and
+// retried when the destination port unblocks.
 func (f *Flat) Inject(p *sim.Process, m *Msg) {
 	f.admit(p, m)
+	f.launch(m)
+}
+
+// Injector returns p's handle for the callback form of Inject.
+func (f *Flat) Injector(p *sim.Process, then func()) *Injector {
+	return f.newInjector(p, then, f.launch)
+}
+
+// launch starts admitted m's transit.
+func (f *Flat) launch(m *Msg) {
 	now, lat := f.eng.Now(), f.latency
 	if f.inj != nil {
 		lat = f.inj.LatencyAt(now, lat)

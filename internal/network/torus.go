@@ -189,8 +189,16 @@ func (t *Torus) AttachShards(sh *sim.ShardSet) {
 // traversal at the source router.
 func (t *Torus) Inject(p *sim.Process, m *Msg) {
 	t.admit(p, m)
-	t.forward(m, m.Src)
+	t.launch(m)
 }
+
+// Injector returns p's handle for the callback form of Inject.
+func (t *Torus) Injector(p *sim.Process, then func()) *Injector {
+	return t.newInjector(p, then, t.launch)
+}
+
+// launch starts admitted m's traversal at the source router.
+func (t *Torus) launch(m *Msg) { t.forward(m, m.Src) }
 
 // forward routes m one step from node: eject if this is the
 // destination, otherwise claim (or queue on) the dimension-order

@@ -30,39 +30,44 @@ type cni4 struct {
 	name string
 	ctr  niCounters
 
-	// Send side.
+	// Send side: the send engine pulls block pulled of the staged
+	// message next.
 	sendBusy   bool // CDR occupied by a message being composed/pulled
 	sendStaged *network.Msg
-	sendFIFO   []*network.Msg // pulled, awaiting injection
+	sendFIFO   *outQ // pulled, awaiting injection
 	sendCap    int
-	sendWork   *sim.Cond
-	injectWork *sim.Cond
+	sendWork   sim.Cond
+	send       *bus.Call
+	sendFn     func()
+	pulled     int
 
-	// Receive side.
+	// Receive side: a pop recalls CDR block inv next.
 	recvFIFO    []*network.Msg // arrived, behind the CDR
 	recvCap     int
 	recvCur     *network.Msg // message currently exposed in the CDR
 	recvReady   bool         // status register value
 	recvPopReq  bool         // processor posted the pop store
-	recvWork    *sim.Cond
+	recvWork    sim.Cond
 	procCDRCopy [params.BlocksPerNetMsg]bool // proc caches recv CDR block?
+	recv        *bus.Call
+	recvFn      func()
+	recalled    func()
+	inv         int
 }
 
 func newCNI4(d Deps) *cni4 {
 	n := &cni4{
-		d:          d,
-		name:       d.name(),
-		ctr:        d.counters(),
-		sendCap:    params.CNI4DeviceFIFOMsgs,
-		recvCap:    params.CNI4DeviceFIFOMsgs,
-		sendWork:   sim.NewCond(),
-		injectWork: sim.NewCond(),
-		recvWork:   sim.NewCond(),
+		d:       d,
+		name:    d.name(),
+		ctr:     d.counters(),
+		sendCap: params.CNI4DeviceFIFOMsgs,
+		recvCap: params.CNI4DeviceFIFOMsgs,
 	}
 	d.Fabric.Attach(n, d.Loc)
-	d.Eng.Spawn(n.name+".send", n.sendEngine)
-	d.Eng.Spawn(n.name+".recv", n.recvEngine)
-	d.Eng.Spawn(n.name+".inject", n.injector)
+	n.sendFn, n.recvFn, n.recalled = n.sendEngine, n.recvEngine, n.recalledBlock
+	n.send = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".send", n.sendFn))
+	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
+	n.sendFIFO = newOutQ(d, n.name+".inject")
 	return n
 }
 
@@ -112,7 +117,7 @@ func (n *cni4) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
 func (n *cni4) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if !n.sendBusy && len(n.sendFIFO) < n.sendCap {
+		if !n.sendBusy && n.sendFIFO.Len() < n.sendCap {
 			return 1
 		}
 		return 0
@@ -165,32 +170,22 @@ func (n *cni4) TrySend(p *sim.Process, m *network.Msg) bool {
 	return true
 }
 
-// sendEngine pulls committed messages out of the processor cache.
-func (n *cni4) sendEngine(p *sim.Process) {
-	for {
-		for n.sendStaged == nil {
-			n.sendWork.Wait(p)
-		}
-		m := n.sendStaged
-		for b := 0; b < m.Blocks; b++ {
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: n.sendBlock(b), Initiator: n})
-		}
+// sendEngine pulls committed messages out of the processor cache, one
+// block per step, a driven process.
+func (n *cni4) sendEngine() {
+	m := n.sendStaged
+	switch {
+	case m == nil:
+		n.sendWork.Await(n.send.Process(), n.sendFn)
+	case n.pulled < m.Blocks:
+		n.pulled++
+		n.send.Do(bus.Tx{Kind: bus.CR, Addr: n.sendBlock(n.pulled - 1), Initiator: n}, n.sendFn)
+	default:
+		n.pulled = 0
 		n.sendStaged = nil
-		n.sendFIFO = append(n.sendFIFO, m)
+		n.sendFIFO.push(m)
 		n.sendBusy = false
-		n.injectWork.Signal()
-	}
-}
-
-// injector drains pulled messages into the network.
-func (n *cni4) injector(p *sim.Process) {
-	for {
-		for len(n.sendFIFO) == 0 {
-			n.injectWork.Wait(p)
-		}
-		m := n.sendFIFO[0]
-		n.d.Net.Inject(p, m)
-		n.sendFIFO = n.sendFIFO[1:]
+		n.sendWork.Await(n.send.Process(), n.sendFn)
 	}
 }
 
@@ -222,30 +217,44 @@ func (n *cni4) TryRecv(p *sim.Process) *network.Msg {
 }
 
 // recvEngine loads arrived messages into the CDR and performs the
-// device half of the clear handshake.
-func (n *cni4) recvEngine(p *sim.Process) {
-	for {
-		for !(n.recvPopReq || (n.recvCur == nil && len(n.recvFIFO) > 0)) {
-			n.recvWork.Wait(p)
+// device half of the clear handshake, a driven process.
+func (n *cni4) recvEngine() {
+	if n.recvPopReq {
+		n.recvPopReq = false
+		n.inv = 0
+		if !n.recall() {
+			return
 		}
-		if n.recvPopReq {
-			n.recvPopReq = false
-			// Invalidate the processor's cached copies of the CDR.
-			for b := 0; b < params.BlocksPerNetMsg; b++ {
-				if n.procCDRCopy[b] {
-					n.d.Fabric.Do(p, bus.Tx{Kind: bus.CI, Addr: n.recvBlock(b), Initiator: n})
-					n.procCDRCopy[b] = false
-				}
-			}
-			n.recvCur = nil
-			n.d.Net.Unblock(n.d.NodeID)
+	}
+	if n.recvCur == nil && len(n.recvFIFO) > 0 {
+		n.recvCur = n.recvFIFO[0]
+		n.recvFIFO = n.recvFIFO[1:]
+		// Loading the CDR is device-internal (the device is home).
+		n.recvReady = true
+	}
+	n.recvWork.Await(n.recv.Process(), n.recvFn)
+}
+
+// recall invalidates the processor's cached copies of the CDR, from
+// block inv on, one block per step, and then retires the popped
+// message. It reports whether the pop finished without a bus wait.
+func (n *cni4) recall() bool {
+	for ; n.inv < params.BlocksPerNetMsg; n.inv++ {
+		if n.procCDRCopy[n.inv] {
+			n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.recvBlock(n.inv), Initiator: n}, n.recalled)
+			return false
 		}
-		if n.recvCur == nil && len(n.recvFIFO) > 0 {
-			n.recvCur = n.recvFIFO[0]
-			n.recvFIFO = n.recvFIFO[1:]
-			// Loading the CDR is device-internal (the device is home).
-			n.recvReady = true
-		}
+	}
+	n.recvCur = nil
+	n.d.Net.Unblock(n.d.NodeID)
+	return true
+}
+
+func (n *cni4) recalledBlock() {
+	n.procCDRCopy[n.inv] = false
+	n.inv++
+	if n.recall() {
+		n.recvEngine()
 	}
 }
 

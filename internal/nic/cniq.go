@@ -45,10 +45,14 @@ type cniq struct {
 	sendCommitted sim.FIFO[*network.Msg] // message-ready received, awaiting pull
 	sendPulled    map[uint64]bool        // block already at the device (hint pull / WB)
 	sendHints     sim.FIFO[uint64]       // virtual-polling pull hints (block addrs)
-	injectFIFO    sim.FIFO[*network.Msg]
-	sendWork      *sim.Cond
-	injectWork    *sim.Cond
-	injectSpace   *sim.Cond
+	injectFIFO    *outQ
+	sendWork      sim.Cond
+	// The send engine is a driven process; sendAt is its state.
+	send   *bus.Call
+	sendFn func()
+	sendAt sendState
+	pullAt uint64 // hint block being pulled
+	pullB  int    // next block of the head committed message to pull
 
 	// ---- receive queue: device produces, processor consumes ----
 	recvTailPos  uint64                 // device tail (monotonic)
@@ -56,8 +60,14 @@ type cniq struct {
 	recvProcHead uint64                 // processor head (monotonic)
 	recvStage    sim.FIFO[*network.Msg] // accepted from the wire, awaiting entry write
 	recvEntries  sim.FIFO[*network.Msg] // visible to the processor
-	recvWork     *sim.Cond
-	recvHeadMove *sim.Cond // snooped CRI on the head-pointer block
+	recvWork     sim.Cond
+	recvHeadMove sim.Cond // snooped CRI on the head-pointer block
+	// The receive engine is a driven process; recvAt is its state.
+	recv   *bus.Call
+	recvFn func()
+	recvAt recvState
+	writeB int    // next of the staged message's block writes (recvWrite)
+	wAddr  uint64 // the block being written
 
 	// procCopies tracks which of this NI's blocks the processor cache
 	// holds, so the device knows when publishing requires invalidation.
@@ -82,20 +92,15 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 	qblocks := d.Cfg.QueueBlocks()
 	total := d.Cfg.TotalQueueBlocks()
 	n := &cniq{
-		d:            d,
-		kind:         d.Cfg.NI,
-		name:         d.name(),
-		ctr:          d.counters(),
-		memHomed:     memHomed,
-		entries:      total / params.BlocksPerNetMsg,
-		sendPulled:   make(map[uint64]bool),
-		procCopies:   make(map[uint64]bool),
-		live:         make(map[uint64]bool),
-		sendWork:     sim.NewCond(),
-		injectWork:   sim.NewCond(),
-		injectSpace:  sim.NewCond(),
-		recvWork:     sim.NewCond(),
-		recvHeadMove: sim.NewCond(),
+		d:          d,
+		kind:       d.Cfg.NI,
+		name:       d.name(),
+		ctr:        d.counters(),
+		memHomed:   memHomed,
+		entries:    total / params.BlocksPerNetMsg,
+		sendPulled: make(map[uint64]bool),
+		procCopies: make(map[uint64]bool),
+		live:       make(map[uint64]bool),
 	}
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")
@@ -109,9 +114,10 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 		n.dc.pin(n.recvTailAddr())
 	}
 	d.Fabric.Attach(n, d.Loc)
-	d.Eng.Spawn(n.name+".send", n.sendEngine)
-	d.Eng.Spawn(n.name+".inject", n.injector)
-	d.Eng.Spawn(n.name+".recv", n.recvEngine)
+	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
+	n.send = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".send", n.sendFn))
+	n.injectFIFO = newOutQ(d, n.name+".inject")
+	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
 	return n
 }
 
@@ -273,72 +279,90 @@ func (n *cniq) TrySend(p *sim.Process, m *network.Msg) bool {
 	return true
 }
 
-// sendEngine is the device's pull side: it services virtual-polling
-// hints eagerly and drains committed messages into the inject FIFO,
-// advancing the send head pointer.
-func (n *cniq) sendEngine(p *sim.Process) {
+// sendState is where the send engine resumes.
+type sendState uint8
+
+const (
+	sendIdle      sendState = iota // serve a hint, or pull the head committed message
+	sendHinted                     // a hint pull of pullAt completed
+	sendPulling                    // pull the head message's blocks from pullB on
+	sendPulled                     // the pull of block pullB completed
+	sendQueue                      // hand the pulled message to the inject FIFO
+	sendPublished                  // the head pointer's invalidation completed
+)
+
+// sendEngine is the device's pull side, a driven process: it services
+// virtual-polling hints eagerly and drains committed messages into the
+// inject FIFO, advancing the send head pointer. Each bus transaction
+// ends a step; sendAt says where the next one resumes.
+func (n *cniq) sendEngine() {
 	for {
-		if n.sendHints.Len() > 0 {
-			addr := n.sendHints.Pop()
-			if !n.sendPulled[addr] {
-				n.d.Fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n})
-				n.sendPulled[addr] = true
-				n.ctr.sendHintPull.Inc()
+		switch n.sendAt {
+		case sendIdle:
+			if n.sendHints.Len() > 0 {
+				if addr := n.sendHints.Pop(); !n.sendPulled[addr] {
+					n.pullAt, n.sendAt = addr, sendHinted
+					n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.sendFn)
+					return
+				}
+				continue
 			}
-			continue
-		}
-		if n.sendCommitted.Len() == 0 {
-			n.sendWork.Wait(p)
-			continue
-		}
-		m := n.sendCommitted.Peek()
-		for b := 0; b < m.Blocks; b++ {
-			addr := n.sendEntryAddr(n.sendHeadPos, b)
-			if !n.sendPulled[addr] {
-				n.d.Fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n})
-				n.ctr.sendPull.Inc()
+			if n.sendCommitted.Len() == 0 {
+				n.sendWork.Await(n.send.Process(), n.sendFn)
+				return
 			}
+			n.pullB, n.sendAt = 0, sendPulling
+		case sendHinted:
+			n.sendPulled[n.pullAt] = true
+			n.ctr.sendHintPull.Inc()
+			n.sendAt = sendIdle
+		case sendPulling:
+			m := n.sendCommitted.Peek()
+			for ; n.pullB < m.Blocks; n.pullB++ {
+				if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.sendPulled[addr] {
+					n.sendAt = sendPulled
+					n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.sendFn)
+					return
+				}
+			}
+			// Entry consumed: forget pull state for its blocks.
+			for b := 0; b < params.BlocksPerNetMsg; b++ {
+				delete(n.sendPulled, n.sendEntryAddr(n.sendHeadPos, b))
+			}
+			n.sendAt = sendQueue
+		case sendPulled:
+			n.ctr.sendPull.Inc()
+			n.pullB++
+			n.sendAt = sendPulling
+		case sendQueue:
+			if n.injectFIFO.Len() >= injectFIFOCap {
+				n.injectFIFO.space.Await(n.send.Process(), n.sendFn)
+				return
+			}
+			n.injectFIFO.push(n.sendCommitted.Pop())
+			n.sendHeadPos++
+			// Publish the head pointer: invalidate the processor's copy
+			// if it holds one.
+			if addr := n.sendHeadAddr(); n.procCopies[addr] {
+				n.sendAt = sendPublished
+				n.send.Do(bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n}, n.sendFn)
+				return
+			}
+			n.ownHeadPointer()
+		case sendPublished:
+			n.procCopies[n.sendHeadAddr()] = false
+			n.ownHeadPointer()
 		}
-		// Entry consumed: forget pull state for its blocks.
-		for b := 0; b < params.BlocksPerNetMsg; b++ {
-			delete(n.sendPulled, n.sendEntryAddr(n.sendHeadPos, b))
-		}
-		n.sendCommitted.Pop()
-		for n.injectFIFO.Len() >= injectFIFOCap {
-			n.injectSpace.Wait(p)
-		}
-		n.injectFIFO.Push(m)
-		n.injectWork.Signal()
-		n.sendHeadPos++
-		n.publishPointer(p, n.sendHeadAddr())
 	}
 }
 
-// publishPointer performs the bus work for a device write to a
-// pointer block: invalidate the processor's copy if it holds one.
-// (For the memory-homed design the pointer blocks are pinned in the
-// device, so the write itself stays internal either way.)
-func (n *cniq) publishPointer(p *sim.Process, addr uint64) {
-	if n.procCopies[addr] {
-		n.d.Fabric.Do(p, bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n})
-		n.procCopies[addr] = false
-	}
+// ownHeadPointer ends a head-pointer publish: the memory-homed design
+// re-owns its pinned pointer line (the write itself stays internal).
+func (n *cniq) ownHeadPointer() {
 	if n.memHomed {
-		n.dc.setState(addr, cache.Modified) // re-own the pinned line
+		n.dc.setState(n.sendHeadAddr(), cache.Modified)
 	}
-}
-
-// injector drains the inject FIFO into the network.
-func (n *cniq) injector(p *sim.Process) {
-	for {
-		for n.injectFIFO.Len() == 0 {
-			n.injectWork.Wait(p)
-		}
-		m := n.injectFIFO.Peek()
-		n.d.Net.Inject(p, m)
-		n.injectFIFO.Pop()
-		n.injectSpace.Signal()
-	}
+	n.sendAt = sendIdle
 }
 
 // NetDeliver implements network.Port: accept into the landing buffers.
@@ -351,101 +375,149 @@ func (n *cniq) NetDeliver(m *network.Msg) bool {
 	return true
 }
 
-// recvEngine writes arrived messages into receive-queue entries:
-// lazy full check against the processor head, one block write per
-// used block (invalidation traffic + CNI16Qm device-cache handling),
-// valid word last.
-func (n *cniq) recvEngine(p *sim.Process) {
+// recvState is where the receive engine resumes.
+type recvState uint8
+
+const (
+	recvIdle        recvState = iota // take the next staged message
+	recvRoom                         // lazy full check (device side)
+	recvRefreshed                    // the head-pointer refresh read completed
+	recvWrite                        // start block write writeB
+	recvEvicted                      // the victim's overflow writeback completed
+	recvInvalidate                   // invalidate the processor's copy of wAddr
+	recvInvalidated                  // that invalidation completed
+	recvWritten                      // wAddr is written; push an update
+	recvPushed                       // the update push completed
+)
+
+// recvEngine writes arrived messages into receive-queue entries, a
+// driven process: lazy full check against the processor head, one
+// block write per used block (invalidation traffic + CNI16Qm
+// device-cache handling), valid word last. Each bus transaction ends a
+// step; recvAt says where the next one resumes.
+func (n *cniq) recvEngine() {
 	for {
-		if n.recvStage.Len() == 0 {
-			n.recvWork.Wait(p)
-			continue
-		}
-		m := n.recvStage.Peek()
-		for n.recvTailPos-n.recvShadow >= uint64(n.entries) {
+		switch n.recvAt {
+		case recvIdle:
+			if n.recvStage.Len() == 0 {
+				n.recvWork.Await(n.recv.Process(), n.recvFn)
+				return
+			}
+			n.recvAt = recvRoom
+		case recvRoom:
+			if n.recvTailPos-n.recvShadow < uint64(n.entries) {
+				n.writeB, n.recvAt = 0, recvWrite
+				continue
+			}
 			// Shadow says full: refresh by reading the processor's head
 			// pointer block (lazy pointers, device side).
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: n.recvHeadAddr(), Initiator: n})
+			n.recvAt = recvRefreshed
+			n.recv.Do(bus.Tx{Kind: bus.CR, Addr: n.recvHeadAddr(), Initiator: n}, n.recvFn)
+			return
+		case recvRefreshed:
 			n.ctr.recvHeadRefresh.Inc()
 			n.recvShadow = n.recvProcHead
+			n.recvAt = recvRoom
 			if n.recvTailPos-n.recvShadow >= uint64(n.entries) {
 				// Truly full: sleep until the snooped coherence traffic
 				// says the processor advanced its head (the refresh
 				// above downgraded the processor's copy, so the next
 				// head increment is a bus-visible invalidation).
 				n.ctr.recvQFull.Inc()
-				n.recvHeadMove.Wait(p)
+				n.recvHeadMove.Await(n.recv.Process(), n.recvFn)
+				return
 			}
-		}
-		// Write payload blocks first, the valid word (block 0) last, so
-		// a racing poll sees the old sense until the entry is complete.
-		for i := 1; i < m.Blocks; i++ {
-			n.devWriteBlock(p, n.recvEntryAddr(n.recvTailPos, i))
-			if n.d.Cfg.UpdateProtocol {
-				n.pushUpdate(p, n.recvEntryAddr(n.recvTailPos, i))
+		case recvWrite:
+			addr, ok := n.recvWriteAddr(n.writeB)
+			if !ok {
+				m := n.recvStage.Pop()
+				n.recvEntries.Push(m)
+				n.recvTailPos++
+				n.recvAt = recvIdle
+				n.d.Net.Unblock(n.d.NodeID)
+				continue
 			}
-		}
-		if n.d.Cfg.NoValidBits {
-			// Ablation: receiver polls the tail pointer instead, so the
-			// device must publish it for every message.
-			n.devWriteBlock(p, n.recvTailAddr())
-		}
-		n.devWriteBlock(p, n.recvEntryAddr(n.recvTailPos, 0))
-		if n.d.Cfg.UpdateProtocol {
-			n.pushUpdate(p, n.recvEntryAddr(n.recvTailPos, 0))
-		}
-		n.recvStage.Pop()
-		n.recvEntries.Push(m)
-		n.recvTailPos++
-		n.d.Net.Unblock(n.d.NodeID)
-	}
-}
-
-// devWriteBlock performs the bus work for the device writing one of
-// its queue blocks.
-func (n *cniq) devWriteBlock(p *sim.Process, addr uint64) {
-	if n.memHomed {
-		// Memory-homed: the device cache takes ownership. Evict the
-		// victim first — a live victim (unread message) is the §5.1.2
-		// overflow writeback; a dead one is dropped silently. The write
-		// itself needs a bus invalidation only when the processor holds
-		// a copy (the device's duplicate snoop tags tell it; the device
-		// is the only writer of these blocks, so a silent upgrade is
-		// safe and mirrors the device-homed accounting).
-		if victim, dirty := n.dc.ensure(addr); dirty && n.live[victim] {
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.WB, Addr: victim, Initiator: n})
+			n.wAddr, n.recvAt = addr, recvInvalidate
+			if n.memHomed {
+				// Memory-homed: the device cache takes ownership. Evict
+				// the victim first — a live victim (unread message) is
+				// the §5.1.2 overflow writeback; a dead one is dropped
+				// silently.
+				if victim, dirty := n.dc.ensure(addr); dirty && n.live[victim] {
+					n.recvAt = recvEvicted
+					n.recv.Do(bus.Tx{Kind: bus.WB, Addr: victim, Initiator: n}, n.recvFn)
+					return
+				}
+			}
+		case recvEvicted:
 			n.ctr.recvOverflowWB.Inc()
+			n.recvAt = recvInvalidate
+		case recvInvalidate:
+			// The write itself is internal (device-homed) or a silent
+			// upgrade (memory-homed: the device's duplicate snoop tags
+			// say whether the processor holds a copy, and the device is
+			// the only writer of these blocks); a processor copy is
+			// invalidated, unless the update-protocol extension will
+			// refresh it instead.
+			n.recvAt = recvWritten
+			if n.procCopies[n.wAddr] && !n.d.Cfg.UpdateProtocol {
+				n.recvAt = recvInvalidated
+				n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.wAddr, Initiator: n}, n.recvFn)
+				return
+			}
+		case recvInvalidated:
+			n.procCopies[n.wAddr] = false
+			n.recvAt = recvWritten
+		case recvWritten:
+			if n.memHomed {
+				n.live[n.wAddr] = true
+				n.dc.setState(n.wAddr, cache.Modified)
+			}
+			n.writeB++
+			n.recvAt = recvWrite
+			if n.d.Cfg.UpdateProtocol && n.wAddr != n.recvTailAddr() {
+				// Update-protocol extension: broadcast the fresh
+				// contents so the processor's invalidated frame refills
+				// and its next poll hits.
+				n.recvAt = recvPushed
+				n.recv.Do(bus.Tx{Kind: bus.UP, Addr: n.wAddr, Initiator: n}, n.recvFn)
+				return
+			}
+		case recvPushed:
+			n.procCopies[n.wAddr] = true
+			if n.memHomed && n.dc.stateOf(n.wAddr) == cache.Modified {
+				// The processor now shares the block: our dirty copy is
+				// Owned.
+				n.dc.setState(n.wAddr, cache.Owned)
+			}
+			n.ctr.recvUpdate.Inc()
+			n.recvAt = recvWrite
 		}
-		if n.procCopies[addr] && !n.d.Cfg.UpdateProtocol {
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n})
-			n.procCopies[addr] = false
-		}
-		n.live[addr] = true
-		n.dc.setState(addr, cache.Modified)
-		return
-	}
-	// Device-homed: the write is internal; invalidate the processor's
-	// stale copy if it holds one. Under the update-protocol extension
-	// the subsequent push refreshes the copy instead of invalidating.
-	if n.procCopies[addr] && !n.d.Cfg.UpdateProtocol {
-		n.d.Fabric.Do(p, bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n})
-		n.procCopies[addr] = false
 	}
 }
 
-// pushUpdate implements the optional update-protocol extension: after
-// writing a block, broadcast the fresh contents so the processor's
-// invalidated frame refills and its next poll hits.
-func (n *cniq) pushUpdate(p *sim.Process, addr uint64) {
-	n.d.Fabric.Do(p, bus.Tx{Kind: bus.UP, Addr: addr, Initiator: n})
-	n.procCopies[addr] = true
-	if n.memHomed {
-		// The processor now shares the block: our dirty copy is Owned.
-		if n.dc.stateOf(addr) == cache.Modified {
-			n.dc.setState(addr, cache.Owned)
+// recvWriteAddr returns the i'th block the receive engine writes for
+// the staged message, or false past the last: payload blocks first,
+// then the tail pointer when the receiver polls it (NoValidBits), and
+// the valid word (block 0) last, so a racing poll sees the old sense
+// until the entry is complete.
+func (n *cniq) recvWriteAddr(i int) (uint64, bool) {
+	last := n.recvStage.Peek().Blocks - 1
+	if n.d.Cfg.NoValidBits {
+		if i == last {
+			return n.recvTailAddr(), true
+		}
+		if i > last {
+			i--
 		}
 	}
-	n.ctr.recvUpdate.Inc()
+	switch {
+	case i < last:
+		return n.recvEntryAddr(n.recvTailPos, i+1), true
+	case i == last:
+		return n.recvEntryAddr(n.recvTailPos, 0), true
+	}
+	return 0, false
 }
 
 // TryRecv implements NI: the CQ receive protocol (§2.2, §3): poll the

@@ -33,8 +33,14 @@ type dmaNI struct {
 	deposited  []*network.Msg // in memory, awaiting processor pickup
 	pending    int            // completions not yet taken (interrupt coalescing)
 
-	sendWork *sim.Cond
-	recvWork *sim.Cond
+	// The send and receive engines are driven processes: send pulls
+	// block pulled of the head descriptor next, and recv issues bus
+	// transaction deposit of the head arrival's CI/WB pairs next.
+	sendWork, recvWork sim.Cond
+	send, recv         *bus.Call
+	inj                *network.Injector
+	sendFn, recvFn     func()
+	pulled, deposit    int
 
 	// Ring cursors: successive messages occupy successive buffer
 	// slots, as real descriptor rings do (reusing one address would
@@ -53,16 +59,12 @@ func slotAddr(seq uint64, b int) uint64 {
 }
 
 func newDMA(d Deps) *dmaNI {
-	n := &dmaNI{
-		d:        d,
-		name:     d.name(),
-		ctr:      d.counters(),
-		sendWork: sim.NewCond(),
-		recvWork: sim.NewCond(),
-	}
+	n := &dmaNI{d: d, name: d.name(), ctr: d.counters()}
 	d.Fabric.Attach(n, d.Loc)
-	d.Eng.Spawn(n.name+".send", n.sendEngine)
-	d.Eng.Spawn(n.name+".recv", n.recvEngine)
+	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
+	sp := d.Eng.Drive(n.name+".send", n.sendFn)
+	n.send, n.inj = bus.NewCall(d.Fabric, sp), d.Net.Injector(sp, n.sent)
+	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
 	return n
 }
 
@@ -140,21 +142,29 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 }
 
 // sendEngine pulls posted messages from the node's memory system
-// (cache-to-cache when the data is still cached, else from memory)
-// and injects them.
-func (n *dmaNI) sendEngine(p *sim.Process) {
-	for {
-		for len(n.sendQ) == 0 {
-			n.sendWork.Wait(p)
-		}
-		m := n.sendQ[0]
-		for b := 0; b < m.Blocks; b++ {
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: slotAddr(n.sendSeq, b), Initiator: n})
-		}
-		n.sendSeq++
-		n.d.Net.Inject(p, m)
-		n.sendQ = n.sendQ[1:]
+// (cache-to-cache when the data is still cached, else from memory),
+// one block per step, and injects them.
+func (n *dmaNI) sendEngine() {
+	if len(n.sendQ) == 0 {
+		n.sendWork.Await(n.send.Process(), n.sendFn)
+		return
 	}
+	m := n.sendQ[0]
+	if n.pulled < m.Blocks {
+		n.pulled++
+		n.send.Do(bus.Tx{Kind: bus.CR, Addr: slotAddr(n.sendSeq, n.pulled-1), Initiator: n}, n.sendFn)
+		return
+	}
+	n.pulled = 0
+	n.sendSeq++
+	if n.inj.Inject(m) {
+		n.sent()
+	}
+}
+
+func (n *dmaNI) sent() {
+	n.sendQ = n.sendQ[1:]
+	n.sendEngine()
 }
 
 // machineUserBuf is the DRAM address the DMA engine reads/writes; the
@@ -172,27 +182,33 @@ func (n *dmaNI) NetDeliver(m *network.Msg) bool {
 	return true
 }
 
-// recvEngine deposits arrived messages into main memory and raises a
-// completion (the interrupt is charged to the processor at pickup).
-func (n *dmaNI) recvEngine(p *sim.Process) {
-	for {
-		for len(n.recvFIFO) == 0 {
-			n.recvWork.Wait(p)
-		}
-		m := n.recvFIFO[0]
-		for b := 0; b < m.Blocks; b++ {
-			// Invalidate any stale processor copy, then write the
-			// block to memory.
-			addr := slotAddr(n.recvSeq, b)
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n})
-			n.d.Fabric.Do(p, bus.Tx{Kind: bus.WB, Addr: addr, Initiator: n})
-		}
-		n.recvSeq++
-		n.recvFIFO = n.recvFIFO[1:]
-		n.deposited = append(n.deposited, m)
-		n.pending++
-		n.d.Net.Unblock(n.d.NodeID)
+// recvEngine deposits arrived messages into main memory, one bus
+// transaction per step, and raises a completion (the interrupt is
+// charged to the processor at pickup).
+func (n *dmaNI) recvEngine() {
+	if len(n.recvFIFO) == 0 {
+		n.recvWork.Await(n.recv.Process(), n.recvFn)
+		return
 	}
+	m := n.recvFIFO[0]
+	if k := n.deposit; k < 2*m.Blocks {
+		// Invalidate any stale processor copy, then write the block
+		// to memory.
+		kind := bus.CI
+		if k%2 == 1 {
+			kind = bus.WB
+		}
+		n.deposit++
+		n.recv.Do(bus.Tx{Kind: kind, Addr: slotAddr(n.recvSeq, k/2), Initiator: n}, n.recvFn)
+		return
+	}
+	n.deposit = 0
+	n.recvSeq++
+	n.recvFIFO = n.recvFIFO[1:]
+	n.deposited = append(n.deposited, m)
+	n.pending++
+	n.d.Net.Unblock(n.d.NodeID)
+	n.recvEngine()
 }
 
 // TryRecv picks up one completed message: status poll, interrupt

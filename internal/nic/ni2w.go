@@ -21,23 +21,16 @@ type ni2w struct {
 	ctr  niCounters
 
 	// Both FIFOs hold at most params.NI2wFIFOMsgs messages.
-	sendFIFO []*network.Msg // committed, awaiting injection
+	sendFIFO *outQ          // committed, awaiting injection
 	stageQ   []*network.Msg // composed, commit store still in flight
 
 	recvFIFO []*network.Msg
-
-	injectWork *sim.Cond
 }
 
 func newNI2w(d Deps) *ni2w {
-	n := &ni2w{
-		d:          d,
-		name:       d.name(),
-		ctr:        d.counters(),
-		injectWork: sim.NewCond(),
-	}
+	n := &ni2w{d: d, name: d.name(), ctr: d.counters()}
 	d.Fabric.Attach(n, d.Loc)
-	d.Eng.Spawn(n.name+".inject", n.injector)
+	n.sendFIFO = newOutQ(d, n.name+".inject")
 	return n
 }
 
@@ -56,7 +49,7 @@ func (n *ni2w) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 func (n *ni2w) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if len(n.sendFIFO)+len(n.stageQ) < params.NI2wFIFOMsgs {
+		if n.sendFIFO.Len()+len(n.stageQ) < params.NI2wFIFOMsgs {
 			return 1
 		}
 		return 0
@@ -82,12 +75,11 @@ func (n *ni2w) RegWrite(reg, val uint64) {
 		if len(n.stageQ) == 0 {
 			panic("ni2w: commit without staged message")
 		}
-		if len(n.sendFIFO) >= params.NI2wFIFOMsgs {
+		if n.sendFIFO.Len() >= params.NI2wFIFOMsgs {
 			panic("ni2w: send FIFO overflow (software skipped the status check)")
 		}
-		n.sendFIFO = append(n.sendFIFO, n.stageQ[0])
+		n.sendFIFO.push(n.stageQ[0])
 		n.stageQ = n.stageQ[1:]
-		n.injectWork.Signal()
 	}
 }
 
@@ -141,16 +133,4 @@ func (n *ni2w) NetDeliver(m *network.Msg) bool {
 	}
 	n.recvFIFO = append(n.recvFIFO, m)
 	return true
-}
-
-// injector drains the send FIFO into the network.
-func (n *ni2w) injector(p *sim.Process) {
-	for {
-		for len(n.sendFIFO) == 0 {
-			n.injectWork.Wait(p)
-		}
-		m := n.sendFIFO[0]
-		n.d.Net.Inject(p, m) // blocks while the sliding window is full
-		n.sendFIFO = n.sendFIFO[1:]
-	}
 }

@@ -32,15 +32,18 @@ type CPU struct {
 	name  string
 
 	sbQ     sim.FIFO[pendingStore]
-	sbWork  *sim.Cond
-	sbSpace *sim.Cond
+	sbWork  sim.Cond
+	sbSpace sim.Cond
+	// The store buffer's drain is a driven process (drainStoreBuffer)
+	// issuing its stores through sb.
+	sb               *bus.Call
+	drainFn, retired func()
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
 }
 
-// New creates a CPU with its cache and starts the store-buffer drain
-// process.
+// New creates a CPU with its cache and starts the store-buffer drain.
 func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, c *cache.Cache, id int, name string) *CPU {
 	cpu := &CPU{
 		ID:           id,
@@ -49,12 +52,11 @@ func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, c *cache.Cache, id int, na
 		fab:          f,
 		cache:        c,
 		name:         name,
-		sbWork:       sim.NewCond(),
-		sbSpace:      sim.NewCond(),
 		sbFull:       st.Counter(name + ".sb.full"),
 		membarStalls: st.Counter(name + ".membar.stall"),
 	}
-	e.Spawn(name+".sbdrain", cpu.drainStoreBuffer)
+	cpu.drainFn, cpu.retired = cpu.drainStoreBuffer, cpu.retire
+	cpu.sb = bus.NewCall(f, e.Drive(name+".sbdrain", cpu.drainFn))
 	return cpu
 }
 
@@ -120,15 +122,19 @@ func (c *CPU) Membar(p *sim.Process) {
 	}
 }
 
-// drainStoreBuffer is the store buffer's bus engine.
-func (c *CPU) drainStoreBuffer(p *sim.Process) {
-	for {
-		for c.sbQ.Len() == 0 {
-			c.sbWork.Wait(p)
-		}
-		e := c.sbQ.Peek()
-		c.fab.UncachedStore(p, e.dev, e.reg, e.val)
-		c.sbQ.Pop()
-		c.sbSpace.Broadcast()
+// drainStoreBuffer is the store buffer's bus engine, a driven process:
+// it issues the oldest buffered store, and retire retires it.
+func (c *CPU) drainStoreBuffer() {
+	if c.sbQ.Len() == 0 {
+		c.sbWork.Await(c.sb.Process(), c.drainFn)
+		return
 	}
+	e := c.sbQ.Peek()
+	c.sb.UncachedStore(e.dev, e.reg, e.val, c.retired)
+}
+
+func (c *CPU) retire() {
+	c.sbQ.Pop()
+	c.sbSpace.Broadcast()
+	c.drainStoreBuffer()
 }

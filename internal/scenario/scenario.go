@@ -102,7 +102,17 @@ func (m *Machine) EventsScheduled() uint64 { return m.m.Eng.Scheduled() }
 // and the poll load's.
 func (m *Machine) Probed() uint64 { return m.m.Probed() }
 
-// Close unwinds the machine's device processes. Call once, after the
+// Resumes returns how many coroutine resumes the machine's engines made
+// (sim.Engine.Resumes), on every shard: each costs two coroutine
+// switches.
+func (m *Machine) Resumes() uint64 { return m.m.Resumes() }
+
+// SelfWakes returns how many process wakes the machine's engines
+// returned inline to the parking process, with no switch
+// (sim.Engine.SelfWakes), on every shard.
+func (m *Machine) SelfWakes() uint64 { return m.m.SelfWakes() }
+
+// Close unwinds the machine's app processes. Call once, after the
 // final Run.
 func (m *Machine) Close() { m.m.Stop() }
 

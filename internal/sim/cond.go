@@ -7,7 +7,7 @@ package sim
 // resumption), but no mutex is required. The zero value is ready to
 // use; a waiter wakes on its own process's engine.
 type Cond struct {
-	waiters FIFO[*Process]
+	waiters FIFO[waiter]
 }
 
 // NewCond returns a new condition variable.
@@ -15,22 +15,29 @@ func NewCond() *Cond { return &Cond{} }
 
 // Wait parks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Process) {
-	c.waiters.Push(p)
+	c.Await(p, nil)
 	p.park()
 }
+
+// Await queues driven process p, which runs fn as its step when Signal
+// or Broadcast wakes it — at the (time, seq) a coroutine in Wait would
+// resume at.
+func (c *Cond) Await(p *Process, fn func()) { c.waiters.Push(waiter{p, fn}) }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
 	if c.waiters.Len() == 0 {
 		return
 	}
-	c.waiters.Pop().scheduleWake(0)
+	w := c.waiters.Pop()
+	w.p.wake(0, w.fn)
 }
 
 // Broadcast wakes every waiting process in FIFO order.
 func (c *Cond) Broadcast() {
 	for c.waiters.Len() > 0 {
-		c.waiters.Pop().scheduleWake(0)
+		w := c.waiters.Pop()
+		w.p.wake(0, w.fn)
 	}
 }
 

@@ -35,8 +35,8 @@ const Forever Time = 1<<63 - 1
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()   // used when p == nil
-	p   *Process // wake this process instead of calling fn
+	fn  func()   // the callback, or driven process p's step; nil resumes p's coroutine
+	p   *Process // the process the event wakes; nil for a plain callback
 }
 
 // before reports whether e fires before o in deterministic
@@ -316,7 +316,10 @@ type Engine struct {
 	horizon Time // active Run's bound; valid while events dispatch
 	stopped bool
 	procs   []*Process // every spawned process, for Stop to unwind
+	cur     *Process   // the process of the event dispatched last; nil for a plain callback
 	probed  uint64     // spinning wakes a probe handled without a resume
+	resumes uint64     // coroutine resumes Run made
+	selfs   uint64     // coroutine wakes next returned inline
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -339,6 +342,14 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 // the engine handled by running their probe instead of resuming them.
 func (e *Engine) Probed() uint64 { return e.probed }
 
+// Resumes reports how many coroutine resumes Run made: each costs two
+// coroutine switches.
+func (e *Engine) Resumes() uint64 { return e.resumes }
+
+// SelfWakes reports how many coroutine wakes a parking process's own
+// dispatch loop (Engine.next) returned inline, with no switch.
+func (e *Engine) SelfWakes() uint64 { return e.selfs }
+
 // Schedule runs fn after delay cycles. A delay of zero runs fn after
 // all work at the current instant that was scheduled earlier.
 func (e *Engine) Schedule(delay Time, fn func()) {
@@ -354,18 +365,18 @@ func (e *Engine) ScheduleAt(at Time, fn func()) {
 	e.events.push(event{at: at, seq: e.seq, fn: fn})
 }
 
-// scheduleProc enqueues a direct process-wake event: dispatching it
-// resumes p without allocating a closure.
-func (e *Engine) scheduleProc(delay Time, p *Process) {
+// scheduleProc enqueues a wake of p: resuming its coroutine when fn is
+// nil, else running fn as its step. Neither allocates.
+func (e *Engine) scheduleProc(delay Time, p *Process, fn func()) {
 	e.seq++
-	e.events.push(event{at: e.now + delay, seq: e.seq, p: p})
+	e.events.push(event{at: e.now + delay, seq: e.seq, fn: fn, p: p})
 }
 
 // Run executes events until the event queue is empty or the clock would
 // pass horizon. It returns the time of the last executed event.
 // Processes blocked on conditions when the queue drains remain parked;
-// call Stop to unwind them. A panic in a process body comes back out of
-// Run as a *ProcessPanic.
+// call Stop to unwind them. A panic in a process body or a driven
+// step comes back out of Run as a *ProcessPanic.
 //
 // Run resumes a process by calling its coroutine's next. The process
 // keeps dispatching events itself when it next parks (Engine.next), so
@@ -380,6 +391,7 @@ func (e *Engine) Run(horizon Time) Time {
 		panic("sim: Run after Stop")
 	}
 	e.horizon = horizon
+	defer e.recoverStep()
 	for {
 		top := e.events.min()
 		if top == nil || top.at > horizon {
@@ -392,15 +404,33 @@ func (e *Engine) Run(horizon Time) Time {
 			e.events.grow()
 		}
 		ev := e.events.pop()
-		e.now = ev.at
+		e.now, e.cur = ev.at, ev.p
 		if ev.p == nil {
 			ev.fn()
 			continue
 		}
 		ev.p.waking = false
+		if ev.fn != nil {
+			ev.fn()
+			continue
+		}
+		e.resumes++
 		ev.p.next() // a finished process's next returns at once
 	}
 	return e.now
+}
+
+// recoverStep re-raises a panic in a driven step that Run dispatched as
+// a *ProcessPanic naming the step's process. Other panics pass through
+// untouched: a coroutine's already is one, and a plain callback's has
+// no process to name.
+func (e *Engine) recoverStep() {
+	if e.cur == nil || e.cur.next != nil {
+		return
+	}
+	if r := recover(); r != nil {
+		panic(e.panicked(e.cur, r))
+	}
 }
 
 // probe runs the probe of the spinning process whose wake is the

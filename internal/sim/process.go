@@ -25,15 +25,18 @@ func (pp *ProcessPanic) Error() string {
 	return fmt.Sprintf("sim: process %q panicked at cycle %d: %v\n\n%s", pp.Process, pp.At, pp.Value, pp.Stack)
 }
 
-// Process is a cooperative simulated thread of control, run as a stdlib
-// coroutine (iter.Pull). Exactly one process (or event callback)
-// executes at a time; a process gives up control by sleeping or waiting
-// on a Cond, and the engine resumes it when its wake event fires.
+// Process is a cooperative simulated thread of control. Exactly one
+// process (or event callback) executes at a time. A process made by
+// Spawn runs as a stdlib coroutine (iter.Pull): it gives up control by
+// sleeping or waiting on a Cond, and the engine resumes it when its
+// wake event fires. A driven process (Drive) has no coroutine: its
+// body is a state machine of prebuilt callbacks, each a step the
+// engine runs at the wake the coroutine would have resumed at.
 type Process struct {
 	eng  *Engine
 	name string
 
-	next   func() (struct{}, bool) // Run resumes the coroutine
+	next   func() (struct{}, bool) // Run resumes the coroutine; nil for a driven process
 	stop   func()                  // Stop unwinds the coroutine
 	yield  func(struct{}) bool     // the coroutine suspends back to Run
 	waking bool                    // a wake event is already scheduled
@@ -66,7 +69,21 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 		body(p)
 	})
 	e.procs = append(e.procs, p)
-	p.scheduleWake(0)
+	p.wake(0, nil)
+	return p
+}
+
+// Drive creates a driven process named name and schedules first as its
+// first step at the current time, the activation Spawn schedules for a
+// coroutine. A step must not block: it arranges the process's next wake
+// (After, Cond.Await, FIFOMutex.Acquire), naming the callback to run
+// then, and returns. Each wake takes the (time, seq) key the same wait
+// in a coroutine would, so a driven body keeps a coroutine's schedule
+// without its stack or its two switches per wake. A panic in a step
+// comes out of Run as a *ProcessPanic naming the process.
+func (e *Engine) Drive(name string, first func()) *Process {
+	p := &Process{eng: e, name: name}
+	p.wake(0, first)
 	return p
 }
 
@@ -81,7 +98,20 @@ func (p *Process) unwind() {
 	if _, ok := r.(errAborted); ok {
 		return
 	}
-	panic(&ProcessPanic{Process: p.name, At: p.eng.now, Value: r, Stack: debug.Stack()})
+	panic(p.eng.panicked(p, r))
+}
+
+// panicked wraps r, raised while self was running, as a ProcessPanic.
+// It names the process whose event was dispatched last — a driven
+// step that self ran inline while parking, or self.
+func (e *Engine) panicked(self *Process, r any) *ProcessPanic {
+	if pp, ok := r.(*ProcessPanic); ok {
+		return pp
+	}
+	if e.cur != nil {
+		self = e.cur
+	}
+	return &ProcessPanic{Process: self.name, At: e.now, Value: r, Stack: debug.Stack()}
 }
 
 // Name returns the process name given at Spawn.
@@ -106,24 +136,38 @@ func (p *Process) park() {
 	}
 }
 
-// scheduleWake arranges for the process to resume after delay cycles.
-// It is idempotent per park: a second wake for the same park is a bug.
-// The wake is a direct process event, not a closure — waking a process
-// allocates nothing and dispatches without an indirect func call.
-func (p *Process) scheduleWake(delay Time) {
+// waiter is what a Cond or FIFOMutex wakes: process p, resumed when fn
+// is nil, or else fn run as p's step.
+type waiter struct {
+	p  *Process
+	fn func()
+}
+
+// wake arranges p's next wake after delay cycles: resuming its
+// coroutine when fn is nil, else running fn as its step. A process has
+// one wake pending at a time; a second is a bug. A coroutine's wake is
+// a direct process event, not a closure, and a step is a prebuilt
+// callback, so waking allocates nothing.
+func (p *Process) wake(delay Time, fn func()) {
 	if p.waking {
 		panic(fmt.Sprintf("sim: double wake of process %q", p.name))
 	}
 	p.waking = true
-	p.eng.scheduleProc(delay, p)
+	p.eng.scheduleProc(delay, p, fn)
 }
 
+// After runs fn as driven process p's next step delay cycles from now:
+// a driven Sleep. After(0, fn) runs fn after the work already scheduled
+// at the current instant.
+func (p *Process) After(delay Time, fn func()) { p.wake(delay, fn) }
+
 // next dispatches events in (time, seq) order for the parking process
-// self, without leaving its coroutine: fn events and the probes of
-// spinning processes run inline, and when self's own wake comes first
-// next pops it and returns true, so self continues with no switch. It
-// returns false, leaving the event queued for Run, at another
-// process's wake, at the horizon, or when the queue drains. The pops are
+// self, without leaving its coroutine: fn events — callbacks and driven
+// steps — and the probes of spinning processes run inline, and when
+// self's own wake comes first next pops it and returns true (a self
+// wake), so self continues with no switch. It returns false, leaving
+// the event queued for Run, at another coroutine's wake, at the
+// horizon, or when the queue drains. The pops are
 // the ones Run would make, in the same order, so schedules are
 // bit-identical to dispatching everything from Run.
 func (e *Engine) next(self *Process) bool {
@@ -136,7 +180,7 @@ func (e *Engine) next(self *Process) bool {
 		// frame at its old size: fn events run on the parking process's
 		// coroutine stack below this frame, and one more spill slot here
 		// doubled enough stacks to add 1.2 MB on a 1024-node machine.
-		if top.p != nil {
+		if top.fn == nil {
 			if top.p.spin != nil && e.probe() {
 				continue
 			}
@@ -145,12 +189,16 @@ func (e *Engine) next(self *Process) bool {
 			}
 		}
 		ev := e.events.pop()
-		e.now = ev.at
-		if ev.p == nil {
+		e.now, e.cur = ev.at, ev.p
+		if ev.fn != nil {
+			if ev.p != nil {
+				ev.p.waking = false
+			}
 			ev.fn()
 			continue
 		}
 		self.waking = false
+		e.selfs++
 		return true
 	}
 }
@@ -165,7 +213,7 @@ func (e *Engine) next(self *Process) bool {
 // what that iteration would, with no simulated operation of its own.
 func (p *Process) Spin(first Time, s Spinner) {
 	p.spin = s
-	p.scheduleWake(first)
+	p.wake(first, nil)
 	p.park()
 	p.spin = nil
 }
@@ -173,6 +221,6 @@ func (p *Process) Spin(first Time, s Spinner) {
 // Sleep suspends the process for d cycles. Sleep(0) yields to events
 // scheduled earlier at the current instant and resumes in order.
 func (p *Process) Sleep(d Time) {
-	p.scheduleWake(d)
+	p.wake(d, nil)
 	p.park()
 }

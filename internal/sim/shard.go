@@ -227,10 +227,19 @@ func (s *ShardSet) Cross(from int, ev CrossEvent) {
 }
 
 // Probed sums every shard engine's Probed count.
-func (s *ShardSet) Probed() uint64 {
+func (s *ShardSet) Probed() uint64 { return s.sum((*Engine).Probed) }
+
+// Resumes sums every shard engine's Resumes count.
+func (s *ShardSet) Resumes() uint64 { return s.sum((*Engine).Resumes) }
+
+// SelfWakes sums every shard engine's SelfWakes count.
+func (s *ShardSet) SelfWakes() uint64 { return s.sum((*Engine).SelfWakes) }
+
+// sum totals count over every shard engine.
+func (s *ShardSet) sum(count func(*Engine) uint64) uint64 {
 	var n uint64
 	for _, e := range s.engines {
-		n += e.Probed()
+		n += count(e)
 	}
 	return n
 }
