@@ -117,7 +117,7 @@ func (n *cni4) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
 func (n *cni4) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if !n.sendBusy && n.sendFIFO.Len() < n.sendCap {
+		if !n.sendBusy && n.sendFIFO.msgs.Len() < n.sendCap {
 			return 1
 		}
 		return 0

@@ -50,7 +50,7 @@ type cniq struct {
 	// The send engine is a driven process; sendAt is its state.
 	send   *bus.Call
 	sendFn func()
-	sendAt sendState
+	sendAt engineAt
 	pullAt uint64 // hint block being pulled
 	pullB  int    // next block of the head committed message to pull
 
@@ -65,8 +65,8 @@ type cniq struct {
 	// The receive engine is a driven process; recvAt is its state.
 	recv   *bus.Call
 	recvFn func()
-	recvAt recvState
-	writeB int    // next of the staged message's block writes (recvWrite)
+	recvAt engineAt
+	writeB int    // next of the staged message's block writes (recvWriteAddr)
 	wAddr  uint64 // the block being written
 
 	// procCopies tracks which of this NI's blocks the processor cache
@@ -101,6 +101,7 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 		sendPulled: make(map[uint64]bool),
 		procCopies: make(map[uint64]bool),
 		live:       make(map[uint64]bool),
+		recvAt:     recvIdle,
 	}
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")
@@ -279,30 +280,38 @@ func (n *cniq) TrySend(p *sim.Process, m *network.Msg) bool {
 	return true
 }
 
-// sendState is where the send engine resumes.
-type sendState uint8
+// engineAt is where a driven CQ engine resumes: each bus transaction
+// ends a step, and the step it names resumes after the transaction.
+type engineAt uint8
 
 const (
-	sendIdle      sendState = iota // serve a hint, or pull the head committed message
-	sendHinted                     // a hint pull of pullAt completed
+	sendIdle       engineAt = iota // serve a hint, or start the head committed message
+	sendHinted                     // the hint pull of pullAt completed
 	sendPulling                    // pull the head message's blocks from pullB on
 	sendPulled                     // the pull of block pullB completed
-	sendQueue                      // hand the pulled message to the inject FIFO
-	sendPublished                  // the head pointer's invalidation completed
+	sendQueue                      // hand the message to the inject FIFO
+	sendPublished                  // the head pointer is published
+	recvIdle                       // take the next staged message
+	recvRoom                       // lazy full check (device side)
+	recvRefreshed                  // the head-pointer refresh read completed
+	recvWrite                      // start block write writeB, or finish the entry
+	recvEvicted                    // the victim's overflow writeback completed
+	recvInvalidate                 // invalidate the processor's copy of wAddr
+	recvWritten                    // wAddr is written
+	recvPushed                     // the update push of wAddr completed
 )
 
 // sendEngine is the device's pull side, a driven process: it services
 // virtual-polling hints eagerly and drains committed messages into the
-// inject FIFO, advancing the send head pointer. Each bus transaction
-// ends a step; sendAt says where the next one resumes.
+// inject FIFO, advancing the send head pointer.
 func (n *cniq) sendEngine() {
 	for {
 		switch n.sendAt {
 		case sendIdle:
 			if n.sendHints.Len() > 0 {
 				if addr := n.sendHints.Pop(); !n.sendPulled[addr] {
-					n.pullAt, n.sendAt = addr, sendHinted
-					n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.sendFn)
+					n.pullAt = addr
+					n.sendDo(bus.CR, addr, sendHinted)
 					return
 				}
 				continue
@@ -317,13 +326,13 @@ func (n *cniq) sendEngine() {
 			n.ctr.sendHintPull.Inc()
 			n.sendAt = sendIdle
 		case sendPulling:
-			m := n.sendCommitted.Peek()
-			for ; n.pullB < m.Blocks; n.pullB++ {
+			if n.pullB < n.sendCommitted.Peek().Blocks {
 				if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.sendPulled[addr] {
-					n.sendAt = sendPulled
-					n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.sendFn)
+					n.sendDo(bus.CR, addr, sendPulled)
 					return
 				}
+				n.pullB++
+				continue
 			}
 			// Entry consumed: forget pull state for its blocks.
 			for b := 0; b < params.BlocksPerNetMsg; b++ {
@@ -335,7 +344,7 @@ func (n *cniq) sendEngine() {
 			n.pullB++
 			n.sendAt = sendPulling
 		case sendQueue:
-			if n.injectFIFO.Len() >= injectFIFOCap {
+			if n.injectFIFO.msgs.Len() >= injectFIFOCap {
 				n.injectFIFO.space.Await(n.send.Process(), n.sendFn)
 				return
 			}
@@ -344,25 +353,24 @@ func (n *cniq) sendEngine() {
 			// Publish the head pointer: invalidate the processor's copy
 			// if it holds one.
 			if addr := n.sendHeadAddr(); n.procCopies[addr] {
-				n.sendAt = sendPublished
-				n.send.Do(bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n}, n.sendFn)
+				n.sendDo(bus.CI, addr, sendPublished)
 				return
 			}
-			n.ownHeadPointer()
+			n.sendAt = sendPublished
 		case sendPublished:
 			n.procCopies[n.sendHeadAddr()] = false
-			n.ownHeadPointer()
+			if n.memHomed {
+				n.dc.setState(n.sendHeadAddr(), cache.Modified) // re-own the pinned line
+			}
+			n.sendAt = sendIdle
 		}
 	}
 }
 
-// ownHeadPointer ends a head-pointer publish: the memory-homed design
-// re-owns its pinned pointer line (the write itself stays internal).
-func (n *cniq) ownHeadPointer() {
-	if n.memHomed {
-		n.dc.setState(n.sendHeadAddr(), cache.Modified)
-	}
-	n.sendAt = sendIdle
+// sendDo issues the send engine's bus transaction, resuming at next.
+func (n *cniq) sendDo(kind bus.Kind, addr uint64, next engineAt) {
+	n.sendAt = next
+	n.send.Do(bus.Tx{Kind: kind, Addr: addr, Initiator: n}, n.sendFn)
 }
 
 // NetDeliver implements network.Port: accept into the landing buffers.
@@ -375,26 +383,10 @@ func (n *cniq) NetDeliver(m *network.Msg) bool {
 	return true
 }
 
-// recvState is where the receive engine resumes.
-type recvState uint8
-
-const (
-	recvIdle        recvState = iota // take the next staged message
-	recvRoom                         // lazy full check (device side)
-	recvRefreshed                    // the head-pointer refresh read completed
-	recvWrite                        // start block write writeB
-	recvEvicted                      // the victim's overflow writeback completed
-	recvInvalidate                   // invalidate the processor's copy of wAddr
-	recvInvalidated                  // that invalidation completed
-	recvWritten                      // wAddr is written; push an update
-	recvPushed                       // the update push completed
-)
-
 // recvEngine writes arrived messages into receive-queue entries, a
 // driven process: lazy full check against the processor head, one
 // block write per used block (invalidation traffic + CNI16Qm
-// device-cache handling), valid word last. Each bus transaction ends a
-// step; recvAt says where the next one resumes.
+// device-cache handling), valid word last.
 func (n *cniq) recvEngine() {
 	for {
 		switch n.recvAt {
@@ -411,8 +403,7 @@ func (n *cniq) recvEngine() {
 			}
 			// Shadow says full: refresh by reading the processor's head
 			// pointer block (lazy pointers, device side).
-			n.recvAt = recvRefreshed
-			n.recv.Do(bus.Tx{Kind: bus.CR, Addr: n.recvHeadAddr(), Initiator: n}, n.recvFn)
+			n.recvDo(bus.CR, n.recvHeadAddr(), recvRefreshed)
 			return
 		case recvRefreshed:
 			n.ctr.recvHeadRefresh.Inc()
@@ -430,22 +421,19 @@ func (n *cniq) recvEngine() {
 		case recvWrite:
 			addr, ok := n.recvWriteAddr(n.writeB)
 			if !ok {
-				m := n.recvStage.Pop()
-				n.recvEntries.Push(m)
+				n.recvEntries.Push(n.recvStage.Pop())
 				n.recvTailPos++
 				n.recvAt = recvIdle
 				n.d.Net.Unblock(n.d.NodeID)
 				continue
 			}
 			n.wAddr, n.recvAt = addr, recvInvalidate
+			// Memory-homed: the device cache takes ownership. Evict the
+			// victim first — a live victim (unread message) is the
+			// §5.1.2 overflow writeback; a dead one is dropped silently.
 			if n.memHomed {
-				// Memory-homed: the device cache takes ownership. Evict
-				// the victim first — a live victim (unread message) is
-				// the §5.1.2 overflow writeback; a dead one is dropped
-				// silently.
 				if victim, dirty := n.dc.ensure(addr); dirty && n.live[victim] {
-					n.recvAt = recvEvicted
-					n.recv.Do(bus.Tx{Kind: bus.WB, Addr: victim, Initiator: n}, n.recvFn)
+					n.recvDo(bus.WB, victim, recvEvicted)
 					return
 				}
 			}
@@ -455,20 +443,18 @@ func (n *cniq) recvEngine() {
 		case recvInvalidate:
 			// The write itself is internal (device-homed) or a silent
 			// upgrade (memory-homed: the device's duplicate snoop tags
-			// say whether the processor holds a copy, and the device is
-			// the only writer of these blocks); a processor copy is
-			// invalidated, unless the update-protocol extension will
-			// refresh it instead.
-			n.recvAt = recvWritten
+			// tell it, and it is the only writer of these blocks). A
+			// processor copy goes stale and is invalidated — unless the
+			// update-protocol extension will refresh it instead.
 			if n.procCopies[n.wAddr] && !n.d.Cfg.UpdateProtocol {
-				n.recvAt = recvInvalidated
-				n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.wAddr, Initiator: n}, n.recvFn)
+				n.recvDo(bus.CI, n.wAddr, recvWritten)
 				return
 			}
-		case recvInvalidated:
-			n.procCopies[n.wAddr] = false
 			n.recvAt = recvWritten
 		case recvWritten:
+			if !n.d.Cfg.UpdateProtocol {
+				n.procCopies[n.wAddr] = false
+			}
 			if n.memHomed {
 				n.live[n.wAddr] = true
 				n.dc.setState(n.wAddr, cache.Modified)
@@ -479,16 +465,13 @@ func (n *cniq) recvEngine() {
 				// Update-protocol extension: broadcast the fresh
 				// contents so the processor's invalidated frame refills
 				// and its next poll hits.
-				n.recvAt = recvPushed
-				n.recv.Do(bus.Tx{Kind: bus.UP, Addr: n.wAddr, Initiator: n}, n.recvFn)
+				n.recvDo(bus.UP, n.wAddr, recvPushed)
 				return
 			}
 		case recvPushed:
 			n.procCopies[n.wAddr] = true
 			if n.memHomed && n.dc.stateOf(n.wAddr) == cache.Modified {
-				// The processor now shares the block: our dirty copy is
-				// Owned.
-				n.dc.setState(n.wAddr, cache.Owned)
+				n.dc.setState(n.wAddr, cache.Owned) // the processor now shares it
 			}
 			n.ctr.recvUpdate.Inc()
 			n.recvAt = recvWrite
@@ -496,25 +479,25 @@ func (n *cniq) recvEngine() {
 	}
 }
 
+// recvDo issues the receive engine's bus transaction, resuming at next.
+func (n *cniq) recvDo(kind bus.Kind, addr uint64, next engineAt) {
+	n.recvAt = next
+	n.recv.Do(bus.Tx{Kind: kind, Addr: addr, Initiator: n}, n.recvFn)
+}
+
 // recvWriteAddr returns the i'th block the receive engine writes for
 // the staged message, or false past the last: payload blocks first,
-// then the tail pointer when the receiver polls it (NoValidBits), and
-// the valid word (block 0) last, so a racing poll sees the old sense
-// until the entry is complete.
+// the tail pointer when the receiver polls it (NoValidBits), and the
+// valid word (block 0) last, so a racing poll sees the old sense until
+// the entry is complete.
 func (n *cniq) recvWriteAddr(i int) (uint64, bool) {
 	last := n.recvStage.Peek().Blocks - 1
-	if n.d.Cfg.NoValidBits {
-		if i == last {
-			return n.recvTailAddr(), true
-		}
-		if i > last {
-			i--
-		}
-	}
 	switch {
 	case i < last:
 		return n.recvEntryAddr(n.recvTailPos, i+1), true
-	case i == last:
+	case i == last && n.d.Cfg.NoValidBits:
+		return n.recvTailAddr(), true
+	case i == last || i == last+1 && n.d.Cfg.NoValidBits:
 		return n.recvEntryAddr(n.recvTailPos, 0), true
 	}
 	return 0, false

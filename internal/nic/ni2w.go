@@ -49,7 +49,7 @@ func (n *ni2w) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 func (n *ni2w) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if n.sendFIFO.Len()+len(n.stageQ) < params.NI2wFIFOMsgs {
+		if n.sendFIFO.msgs.Len()+len(n.stageQ) < params.NI2wFIFOMsgs {
 			return 1
 		}
 		return 0
@@ -75,7 +75,7 @@ func (n *ni2w) RegWrite(reg, val uint64) {
 		if len(n.stageQ) == 0 {
 			panic("ni2w: commit without staged message")
 		}
-		if n.sendFIFO.Len() >= params.NI2wFIFOMsgs {
+		if n.sendFIFO.msgs.Len() >= params.NI2wFIFOMsgs {
 			panic("ni2w: send FIFO overflow (software skipped the status check)")
 		}
 		n.sendFIFO.push(n.stageQ[0])

@@ -30,20 +30,16 @@ func (q *outQ) push(m *network.Msg) {
 	q.work.Signal()
 }
 
-// Len reports the queued messages.
-func (q *outQ) Len() int { return q.msgs.Len() }
-
-// inject is the engine's step: it injects queued messages until one
-// waits for the fabric (sent resumes) or the queue is empty.
+// inject is the engine's step: it sends queued messages until one
+// waits for the fabric (sent resumes then) or the FIFO is empty.
 func (q *outQ) inject() {
-	for q.msgs.Len() > 0 {
-		if !q.net.Inject(q.msgs.Peek()) {
-			return
-		}
+	for q.msgs.Len() > 0 && q.net.Inject(q.msgs.Peek()) {
 		q.msgs.Pop()
 		q.space.Signal()
 	}
-	q.work.Await(q.net.Process(), q.step)
+	if q.msgs.Len() == 0 {
+		q.work.Await(q.net.Process(), q.step)
+	}
 }
 
 func (q *outQ) sent() {

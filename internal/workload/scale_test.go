@@ -74,13 +74,14 @@ const stackProbeRun = "^TestStackScaleProbe$"
 
 // stackPerNodeBudget bounds the goroutine stack memory of the
 // scale-1k point, per node, as TestStackScaleProbe measures it with
-// the go1.24 linux/amd64 toolchain: 16,672 B per node before the
-// calendar ring (16,736 in one run of three), plus 2%. Fn events run
-// on the stacks of parked processes below Engine.next, so a frame that
-// grows on that path shows up here multiplied by thousands of
-// processes; an Engine.next frame 16 bytes larger measures 17,088 B
-// per node.
-const stackPerNodeBudget = 16672 * 102 / 100
+// the go1.24 linux/amd64 toolchain: 4,416 B per node (three runs of
+// three) once the NI engines, store-buffer drain and I/O bridge became
+// driven processes and only app processes kept coroutine stacks, plus
+// 2% (16,672 B while each node ran five coroutines). Fn events and
+// driven steps run on the stacks of parked app processes below
+// Engine.next, so a frame that grows on that path shows up here
+// multiplied by thousands of processes.
+const stackPerNodeBudget = 4416 * 102 / 100
 
 var stackPerNodeLine = regexp.MustCompile(`stack in use: (\d+) B per node`)
 
