@@ -64,7 +64,8 @@ type Fabric struct {
 	bridgeSpace sim.Cond // signalled when bridgeQ frees an entry
 	bridgeWaits uint64   // posted writes that found bridgeQ full
 	bridge      *sim.Process
-	bridgeSteps [3]func() // bridgeDrain, bridgeHeld, bridgeWrote
+	// The bridge's steps, bound once as method values.
+	drainFn, heldFn, wroteFn func()
 
 	// txFree recycles transaction boxes: the Tx escapes through the
 	// SnoopTx interface call, so without a free list every coherent
@@ -113,8 +114,8 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	}
 	if withIO {
 		f.IO = New(st, name+".iobus")
-		f.bridgeSteps = [3]func(){f.bridgeDrain, f.bridgeHeld, f.bridgeWrote}
-		f.bridge = e.Drive(name+".bridge", f.bridgeSteps[0])
+		f.drainFn, f.heldFn, f.wroteFn = f.bridgeDrain, f.bridgeHeld, f.bridgeWrote
+		f.bridge = e.Drive(name+".bridge", f.drainFn)
 	}
 	return f
 }
@@ -353,16 +354,16 @@ func (f *Fabric) BridgeFullWaits() uint64 { return f.bridgeWaits }
 // order (bridgeHeld and bridgeWrote are its later steps).
 func (f *Fabric) bridgeDrain() {
 	if f.bridgeQ.Len() == 0 {
-		f.bridgeCond.Await(f.bridge, f.bridgeSteps[0])
+		f.bridgeCond.Await(f.bridge, f.drainFn)
 		return
 	}
-	if f.IO.AcquireThen(f.bridge, f.bridgeSteps[1]) {
+	if f.IO.AcquireThen(f.bridge, f.heldFn) {
 		f.bridgeHeld()
 	}
 }
 
 func (f *Fabric) bridgeHeld() {
-	f.IO.OccupyThen(f.bridge, sim.Time(params.UncachedStoreCost(params.IOBus)), f.bridgeSteps[2])
+	f.IO.OccupyThen(f.bridge, sim.Time(params.UncachedStoreCost(params.IOBus)), f.wroteFn)
 }
 
 func (f *Fabric) bridgeWrote() {
@@ -390,15 +391,15 @@ type Call struct {
 	dev      Device
 	reg, val uint64
 
-	steps [5]func() // doHeld, doBuses, doDone, storeSpace, storeHeld
-	store func()    // storeDone
+	// The phases, bound once as method values.
+	doHeldFn, doBusesFn, doDoneFn, spaceFn, storeHeldFn, storeDoneFn func()
 }
 
 // NewCall returns driven process p's handle on f's buses.
 func NewCall(f *Fabric, p *sim.Process) *Call {
 	c := &Call{f: f, p: p}
-	c.steps = [5]func(){c.doHeld, c.doBuses, c.doDone, c.storeSpace, c.storeHeld}
-	c.store = c.storeDone
+	c.doHeldFn, c.doBusesFn, c.doDoneFn = c.doHeld, c.doBuses, c.doDone
+	c.spaceFn, c.storeHeldFn, c.storeDoneFn = c.storeSpace, c.storeHeld, c.storeDone
 	return c
 }
 
@@ -408,20 +409,20 @@ func (c *Call) Process() *sim.Process { return c.p }
 // Do runs tx, as Fabric.Do does, then runs then.
 func (c *Call) Do(tx Tx, then func()) {
 	c.x, c.then = c.f.begin(tx), then
-	if c.f.Mem.AcquireThen(c.p, c.steps[0]) {
+	if c.f.Mem.AcquireThen(c.p, c.doHeldFn) {
 		c.doHeld()
 	}
 }
 
 func (c *Call) doHeld() {
-	if !c.x.crossing || c.f.IO.AcquireThen(c.p, c.steps[1]) {
+	if !c.x.crossing || c.f.IO.AcquireThen(c.p, c.doBusesFn) {
 		c.doBuses()
 	}
 }
 
 func (c *Call) doBuses() {
 	dur, _ := c.f.transfer(c.x)
-	c.p.After(dur, c.steps[2])
+	c.p.After(dur, c.doDoneFn)
 }
 
 func (c *Call) doDone() {
@@ -436,7 +437,7 @@ func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
 	c.loc, c.dev, c.reg, c.val, c.then = c.f.locOf(dev), dev, reg, val, then
 	c.f.uncStore[c.loc].Inc()
 	if c.loc == params.CacheBus {
-		c.p.After(sim.Time(params.UncachedStoreCost(c.loc)), c.store)
+		c.p.After(sim.Time(params.UncachedStoreCost(c.loc)), c.storeDoneFn)
 		return
 	}
 	c.storeSpace()
@@ -444,16 +445,16 @@ func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
 
 func (c *Call) storeSpace() {
 	if c.loc == params.IOBus && c.f.bridgeFull() {
-		c.f.bridgeSpace.Await(c.p, c.steps[3])
+		c.f.bridgeSpace.Await(c.p, c.spaceFn)
 		return
 	}
-	if c.f.Mem.AcquireThen(c.p, c.steps[4]) {
+	if c.f.Mem.AcquireThen(c.p, c.storeHeldFn) {
 		c.storeHeld()
 	}
 }
 
 func (c *Call) storeHeld() {
-	c.f.Mem.OccupyThen(c.p, sim.Time(params.UncachedStoreCost(params.MemoryBus)), c.store)
+	c.f.Mem.OccupyThen(c.p, sim.Time(params.UncachedStoreCost(params.MemoryBus)), c.storeDoneFn)
 }
 
 func (c *Call) storeDone() {

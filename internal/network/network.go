@@ -387,13 +387,14 @@ type Injector struct {
 	p      *sim.Process
 	then   func()
 	m      *Msg
-	steps  [2]func() // paused, windowed
+	// The wake steps, bound once as method values.
+	pausedFn, windowedFn func()
 }
 
 // newInjector builds p's Injector for a fabric whose transit is launch.
 func (ep *endpoints) newInjector(p *sim.Process, then func(), launch func(*Msg)) *Injector {
 	in := &Injector{ep: ep, launch: launch, p: p, then: then}
-	in.steps = [2]func(){in.paused, in.windowed}
+	in.pausedFn, in.windowedFn = in.paused, in.windowed
 	return in
 }
 
@@ -416,13 +417,13 @@ func (in *Injector) admit(pause bool) bool {
 	ep, m := in.ep, in.m
 	if pause {
 		if d := ep.pausedFor(m); d > 0 {
-			in.p.After(d, in.steps[0])
+			in.p.After(d, in.pausedFn)
 			return false
 		}
 	}
 	w := ep.openWindow(m.Src, m.Dst)
 	if ep.full(w) {
-		w.free.Await(in.p, in.steps[1])
+		w.free.Await(in.p, in.windowedFn)
 		return false
 	}
 	ep.charge(w, m, in.p.Now())

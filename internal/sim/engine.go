@@ -441,7 +441,7 @@ func (e *Engine) recoverStep() {
 // reports false.
 func (e *Engine) probe() bool {
 	top := e.events.min()
-	e.now = top.at
+	e.now, e.cur = top.at, top.p
 	delay, resume := top.p.spin.Probe()
 	if resume {
 		return false
