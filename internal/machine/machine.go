@@ -322,7 +322,7 @@ func (m *Machine) Resumes() uint64 { return m.shards.Resumes() }
 // shards.
 func (m *Machine) SelfWakes() uint64 { return m.shards.SelfWakes() }
 
-// Stop unwinds device processes; call once after Run.
+// Stop unwinds the app processes; call once after Run.
 func (m *Machine) Stop() { m.shards.Stop() }
 
 // MemBusOccupancy returns total busy cycles summed over all nodes'
