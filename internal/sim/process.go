@@ -114,7 +114,7 @@ func (e *Engine) panicked(self *Process, r any) *ProcessPanic {
 	return &ProcessPanic{Process: self.name, At: e.now, Value: r, Stack: debug.Stack()}
 }
 
-// Name returns the process name given at Spawn.
+// Name returns the process name given at Spawn or Drive.
 func (p *Process) Name() string { return p.name }
 
 // Engine returns the engine the process runs on.
