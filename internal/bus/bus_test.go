@@ -168,7 +168,7 @@ func TestUncachedCacheBusBypassesBuses(t *testing.T) {
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
 		f.UncachedLoad(p, dev, 0)
-		f.UncachedStore(p, dev, 0, 1)
+		store(f, p, dev, 0, 1)
 		dur = p.Now() - start
 	})
 	e.RunAll()
@@ -178,6 +178,14 @@ func TestUncachedCacheBusBypassesBuses(t *testing.T) {
 	if f.Mem.Busy().Total() != 0 {
 		t.Error("cache-bus access must not occupy the memory bus")
 	}
+}
+
+// store makes an uncached store from coroutine p through a Call and
+// parks p until it completes.
+func store(f *Fabric, p *sim.Process, dev Device, reg, val uint64) {
+	var done sim.Cond
+	NewCall(f, p).UncachedStore(dev, reg, val, done.Signal)
+	done.Wait(p)
 }
 
 func ioFabric(t *testing.T) (*sim.Engine, *Fabric, *stubAgent) {
@@ -224,7 +232,7 @@ func TestPostedStoreReleasesMemoryBusEarly(t *testing.T) {
 	var issueDur sim.Time
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		f.UncachedStore(p, dev, 8, 5)
+		store(f, p, dev, 8, 5)
 		issueDur = p.Now() - start
 	})
 	e.RunAll()
@@ -247,7 +255,7 @@ func TestBridgePreservesStoreOrder(t *testing.T) {
 	f.Attach(dev, params.IOBus)
 	e.Spawn("t", func(p *sim.Process) {
 		for i := uint64(0); i < 12; i++ { // more than the bridge buffer
-			f.UncachedStore(p, dev, i, i)
+			store(f, p, dev, i, i)
 		}
 	})
 	e.RunAll()

@@ -300,51 +300,6 @@ func (f *Fabric) UncachedLoad(p *sim.Process, dev Device, reg uint64) uint64 {
 	panic("bus: bad device location")
 }
 
-// UncachedStore performs one 8-byte uncached store to a device
-// register. The processor's store-buffer drain issues stores through
-// Call.UncachedStore, so the architectural "postedness" is upstream;
-// here the store occupies the memory bus and, for I/O-bus devices, is
-// buffered in the bridge (the memory bus is released as soon as the
-// bridge accepts the write).
-func (f *Fabric) UncachedStore(p *sim.Process, dev Device, reg, val uint64) {
-	loc := f.locOf(dev)
-	f.uncStore[loc].Inc()
-	if loc == params.CacheBus {
-		p.Sleep(sim.Time(params.UncachedStoreCost(loc)))
-		dev.RegWrite(reg, val)
-		return
-	}
-	for loc == params.IOBus && f.bridgeFull() {
-		f.bridgeSpace.Wait(p)
-	}
-	f.Mem.Acquire(p)
-	f.Mem.Occupy(p, sim.Time(params.UncachedStoreCost(params.MemoryBus)))
-	f.stored(loc, dev, reg, val)
-}
-
-// bridgeFull reports, and counts, a posted write finding the bridge's
-// buffer full.
-func (f *Fabric) bridgeFull() bool {
-	if f.bridgeQ.Len() < params.BridgeBufferDepth {
-		return false
-	}
-	f.bridgeWaits++
-	return true
-}
-
-// stored completes an uncached store that has held the memory bus for
-// its occupancy: a memory-bus device takes the write, the bridge
-// buffers an I/O-bus device's, and the memory bus is released.
-func (f *Fabric) stored(loc params.BusKind, dev Device, reg, val uint64) {
-	if loc == params.IOBus {
-		f.bridgeQ.Push(postedWrite{dev, reg, val})
-		f.bridgeCond.Signal()
-	} else {
-		dev.RegWrite(reg, val)
-	}
-	f.Mem.Release()
-}
-
 // BridgeFullWaits reports how many times a posted write waited for
 // space in the I/O bridge's buffer.
 func (f *Fabric) BridgeFullWaits() uint64 { return f.bridgeWaits }
@@ -376,10 +331,10 @@ func (f *Fabric) bridgeWrote() {
 }
 
 // Call is a driven process's handle on its node's buses: the callback
-// form of Do and UncachedStore. Each operation runs the same body as
-// the blocking form and takes the same (time, seq) wakes, then runs
-// its then callback as the process's step where the blocking call
-// would return. A Call carries one operation at a time; its phases are
+// form of Do, and the one way to make an uncached store. Do runs the
+// same body as Fabric.Do and takes the same (time, seq) wakes, then
+// runs its then callback as the process's step where Fabric.Do would
+// return. A Call carries one operation at a time; its phases are
 // method values bound once, so issuing one allocates nothing.
 type Call struct {
 	f    *Fabric
@@ -431,8 +386,12 @@ func (c *Call) doDone() {
 	c.then()
 }
 
-// UncachedStore stores val to dev's register reg, as
-// Fabric.UncachedStore does, then runs then.
+// UncachedStore performs one 8-byte uncached store of val to dev's
+// register reg, then runs then. The processor's store buffer issues
+// its stores here, so the architectural "postedness" is upstream; the
+// store occupies the memory bus and, for an I/O-bus device, waits for
+// room in the bridge's buffer, which takes the write and releases the
+// memory bus at once.
 func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
 	c.loc, c.dev, c.reg, c.val, c.then = c.f.locOf(dev), dev, reg, val, then
 	c.f.uncStore[c.loc].Inc()
@@ -444,7 +403,8 @@ func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
 }
 
 func (c *Call) storeSpace() {
-	if c.loc == params.IOBus && c.f.bridgeFull() {
+	if c.loc == params.IOBus && c.f.bridgeQ.Len() >= params.BridgeBufferDepth {
+		c.f.bridgeWaits++
 		c.f.bridgeSpace.Await(c.p, c.spaceFn)
 		return
 	}
@@ -458,10 +418,14 @@ func (c *Call) storeHeld() {
 }
 
 func (c *Call) storeDone() {
-	if c.loc == params.CacheBus {
-		c.dev.RegWrite(c.reg, c.val)
+	if c.loc == params.IOBus {
+		c.f.bridgeQ.Push(postedWrite{c.dev, c.reg, c.val})
+		c.f.bridgeCond.Signal()
 	} else {
-		c.f.stored(c.loc, c.dev, c.reg, c.val)
+		c.dev.RegWrite(c.reg, c.val)
+	}
+	if c.loc != params.CacheBus {
+		c.f.Mem.Release()
 	}
 	c.dev = nil
 	c.then()

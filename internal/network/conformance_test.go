@@ -56,7 +56,7 @@ func TestConformanceDelivery(t *testing.T) {
 		dst := c.nodes - 1
 		e.Spawn("src", func(p *sim.Process) {
 			for i := 0; i < 3; i++ {
-				ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2, ID: uint64(i)})
+				inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2, ID: uint64(i)})
 			}
 		})
 		e.RunAll()
@@ -84,7 +84,7 @@ func TestConformanceBackpressure(t *testing.T) {
 		ports[dst].accept = false
 		e.Spawn("src", func(p *sim.Process) {
 			for i := 0; i < 3; i++ {
-				ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: uint64(i)})
+				inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: uint64(i)})
 			}
 		})
 		e.RunAll()
@@ -132,7 +132,7 @@ func TestConformanceWindowStall(t *testing.T) {
 				if i < params.NetWindow && !ic.CanInject(0, dst) {
 					t.Errorf("CanInject false with %d in flight", i)
 				}
-				ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1})
+				inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1})
 				injected++
 			}
 		})
@@ -171,9 +171,9 @@ func TestConformanceWindowIsPerDestination(t *testing.T) {
 		var done sim.Time
 		e.Spawn("src", func(p *sim.Process) {
 			for i := 0; i < params.NetWindow; i++ {
-				ic.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+				inject(ic, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 			}
-			ic.Inject(p, &Msg{Src: 0, Dst: 3, Size: 8, Blocks: 1})
+			inject(ic, p, &Msg{Src: 0, Dst: 3, Size: 8, Blocks: 1})
 			done = p.Now()
 		})
 		e.RunAll()
@@ -219,10 +219,11 @@ func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
 		kick := sim.NewCond()
 		e.Spawn("src", func(p *sim.Process) {
+			send := sender(ic, p)
 			for {
 				kick.Wait(p)
 				for i := 0; i < params.NetWindow; i++ {
-					ic.Inject(p, m)
+					send(m)
 				}
 			}
 		})
@@ -268,10 +269,11 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
 	kick := sim.NewCond()
 	e.Spawn("src", func(p *sim.Process) {
+		send := sender(tor, p)
 		for {
 			kick.Wait(p)
 			for i := 0; i < params.NetWindow; i++ {
-				tor.Inject(p, m)
+				send(m)
 			}
 		}
 	})
@@ -314,10 +316,11 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
 		kick := sim.NewCond()
 		e.Spawn("src", func(p *sim.Process) {
+			send := sender(ic, p)
 			for {
 				kick.Wait(p)
 				for i := 0; i < params.NetWindow; i++ {
-					ic.Inject(p, m)
+					send(m)
 				}
 			}
 		})
@@ -367,10 +370,11 @@ func TestTraceFaultPathZeroAlloc(t *testing.T) {
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
 	kick := sim.NewCond()
 	e.Spawn("src", func(p *sim.Process) {
+		send := sender(tor, p)
 		for {
 			kick.Wait(p)
 			for i := 0; i < params.NetWindow; i++ {
-				tor.Inject(p, m)
+				send(m)
 			}
 		}
 	})
@@ -399,7 +403,7 @@ func TestFlatScheduleUnchanged(t *testing.T) {
 	e, nw, ports := rig(2)
 	var ackAt sim.Time
 	e.Spawn("src", func(p *sim.Process) {
-		nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+		inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 		for nw.InFlight(0, 1) != 0 {
 			p.Sleep(1)
 		}

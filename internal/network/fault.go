@@ -133,14 +133,6 @@ func (ep *endpoints) stallPaused(dst int) {
 	})
 }
 
-// admitFaults stalls the sending process while its own node is paused
-// — a paused NI neither delivers nor injects.
-func (ep *endpoints) admitFaults(p *sim.Process, m *Msg) {
-	for d := ep.pausedFor(m); d > 0; d = ep.pausedFor(m) {
-		p.Sleep(d)
-	}
-}
-
 // pausedFor returns how long m's sender must wait for its node's pause
 // to end, counting the stall, or 0 when the node is not paused.
 func (ep *endpoints) pausedFor(m *Msg) sim.Time {

@@ -26,7 +26,7 @@ func TestFaultDropReturnsCredit(t *testing.T) {
 		const sends = 2 * params.NetWindow
 		e.Spawn("src", func(p *sim.Process) {
 			for i := 0; i < sends; i++ {
-				ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1})
+				inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1})
 			}
 		})
 		e.RunAll()
@@ -49,7 +49,7 @@ func TestFaultCorruptScramblesChecksum(t *testing.T) {
 		e, st, ic, ports := faultRig(c, params.Faults{CorruptProb: 1, Seed: 5})
 		dst := c.nodes - 1
 		e.Spawn("src", func(p *sim.Process) {
-			ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, Checksum: 41})
+			inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, Checksum: 41})
 		})
 		e.RunAll()
 		if len(ports[dst].got) != 1 {
@@ -71,7 +71,7 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 		e, st, ic, ports := faultRig(c, params.Faults{DupProb: 1, Seed: 5})
 		dst := c.nodes - 1
 		e.Spawn("src", func(p *sim.Process) {
-			ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 9})
+			inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 9})
 		})
 		e.RunAll()
 		if len(ports[dst].got) != 2 {
@@ -98,7 +98,7 @@ func TestFaultDelayLandsLate(t *testing.T) {
 		return New(e, st, n)
 	}}, params.Faults{DelayProb: 1, DelayCycles: 300, Seed: 5})
 	e.Spawn("src", func(p *sim.Process) {
-		ic.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+		inject(ic, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 	})
 	e.Schedule(params.NetLatency+299, func() {
 		if len(ports[1].got) != 0 {
@@ -129,7 +129,7 @@ func TestFaultPauseStallsDelivery(t *testing.T) {
 		e.Spawn("src", func(p *sim.Process) {
 			p.Sleep(10) // inside the pause window
 			for i := 0; i < 3; i++ {
-				ic.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: uint64(i)})
+				inject(ic, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: uint64(i)})
 			}
 		})
 		e.Schedule(until-1, func() {
@@ -162,7 +162,7 @@ func TestFaultPauseStallsInjection(t *testing.T) {
 		})
 		var sentAt sim.Time
 		e.Spawn("src", func(p *sim.Process) {
-			ic.Inject(p, &Msg{Src: 0, Dst: c.nodes - 1, Size: 8, Blocks: 1})
+			inject(ic, p, &Msg{Src: 0, Dst: c.nodes - 1, Size: 8, Blocks: 1})
 			sentAt = p.Now()
 		})
 		e.RunAll()
@@ -182,10 +182,10 @@ func TestFaultCrashDropsBothDirections(t *testing.T) {
 			Crashes: []params.FaultCrash{{Node: dead, At: 0}},
 		})
 		e.Spawn("src", func(p *sim.Process) {
-			ic.Inject(p, &Msg{Src: 0, Dst: dead, Size: 8, Blocks: 1})
+			inject(ic, p, &Msg{Src: 0, Dst: dead, Size: 8, Blocks: 1})
 		})
 		e.Spawn("dead", func(p *sim.Process) {
-			ic.Inject(p, &Msg{Src: dead, Dst: 0, Size: 8, Blocks: 1})
+			inject(ic, p, &Msg{Src: dead, Dst: 0, Size: 8, Blocks: 1})
 		})
 		e.RunAll()
 		if n := len(ports[dead].got) + len(ports[0].got); n != 0 {
@@ -204,8 +204,9 @@ func TestFaultCrashDropsBothDirections(t *testing.T) {
 // zero allocations per window on both fabrics: transit, link flight and
 // the fault edge's delayed frames all ride arrival-ordered queues
 // drained by pre-built callbacks, so drops, delays and a degrade window
-// that closes mid-measurement cost no per-message closure. (Duplicate
-// copies are the one exception: each copy is a new Msg.)
+// that closes mid-measurement cost no per-message closure. Duplicate
+// copies come from a per-destination pool (dupOf), and countingPort
+// returns each one with FreeDup as a consumer done with it does.
 func TestFaultEnabledAllocBudget(t *testing.T) {
 	// Half the frames are delayed and half duplicated, so every window
 	// holds delays and duplicate copies (AllocsPerRun truncates to
@@ -229,10 +230,11 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
 		kick := sim.NewCond()
 		e.Spawn("src", func(p *sim.Process) {
+			send := sender(ic, p)
 			for {
 				kick.Wait(p)
 				for i := 0; i < params.NetWindow; i++ {
-					ic.Inject(p, m)
+					send(m)
 				}
 			}
 		})

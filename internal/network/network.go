@@ -125,12 +125,11 @@ type Interconnect interface {
 	// CanInject reports whether src may inject to dst without
 	// blocking on the sliding window.
 	CanInject(src, dst int) bool
-	// Inject sends m, blocking the calling process while the sliding
-	// window to m.Dst is full. Delivery is attempted on arrival and
-	// retried when the destination port unblocks.
-	Inject(p *sim.Process, m *Msg)
-	// Injector returns driven process p's handle for the callback form
-	// of Inject; then is p's step once a waiting injection completes.
+	// Injector returns process p's handle for sending: a message waits
+	// while p's node is paused and while the sliding window to its
+	// destination is full, then is delivered on arrival or retried
+	// when the destination port unblocks. then is p's step once a
+	// waiting injection completes.
 	Injector(p *sim.Process, then func()) *Injector
 	// Unblock tells the fabric that dst's NI freed buffer space; any
 	// waiting arrivals are re-offered.
@@ -325,62 +324,10 @@ func (ep *endpoints) CanInject(src, dst int) bool {
 	return ep.InFlight(src, dst) < ep.window
 }
 
-// admit blocks p while m's node is paused (admitFaults) and while the
-// window to m.Dst is full, then charges the message against the window
-// and the traffic counters.
-func (ep *endpoints) admit(p *sim.Process, m *Msg) {
-	ep.noteInject(m)
-	ep.admitFaults(p, m)
-	w := ep.openWindow(m.Src, m.Dst)
-	for ep.full(w) {
-		w.free.Wait(p)
-		// Credits may have drained the window and recycled its slot
-		// while p was parked, so look it up again.
-		w = ep.openWindow(m.Src, m.Dst)
-	}
-	ep.charge(w, m, p.Now())
-}
-
-// noteInject records m's injection attempt in the lifecycle trace.
-func (ep *endpoints) noteInject(m *Msg) {
-	if ep.rec != nil {
-		ep.noteMsg(m.Src, trace.KInject, -1, m)
-	}
-}
-
-// full reports, and counts, a window with no credit left.
-func (ep *endpoints) full(w *window) bool {
-	if int(w.inFlight) < ep.window {
-		return false
-	}
-	ep.windowStalls.Inc()
-	return true
-}
-
-// charge admits m at now against window w and the traffic counters.
-func (ep *endpoints) charge(w *window, m *Msg, now sim.Time) {
-	w.inFlight++
-	ep.msgs.Inc()
-	ep.bytes.Add(uint64(m.Size + params.HeaderBytes))
-	m.SentAt = now
-	if ep.sh != nil {
-		// The merge tiebreak: source node over a per-source monotonic
-		// stamp, assigned on the source's shard. Re-admissions (the
-		// transport's retransmits) re-stamp; in-flight cross events
-		// copied the old value and are unaffected.
-		ep.stamp[m.Src]++
-		m.xkey = uint64(m.Src+1)<<40 | ep.stamp[m.Src]&(1<<40-1)
-	}
-	if ep.rec != nil {
-		ep.noteMsg(m.Src, trace.KAdmit, -1, m)
-	}
-}
-
-// Injector is a driven process's handle for the callback form of
-// Inject: admission runs the same steps as the blocking form and takes
-// the same (time, seq) wakes. It carries one message at a time; its
-// wake steps are method values bound once, so injecting allocates
-// nothing.
+// Injector is a process's handle for sending into the fabric: it
+// admits one message at a time, waiting out its node's pause and then
+// for window credit. Its wake steps are method values bound once, so
+// injecting allocates nothing.
 type Injector struct {
 	ep     *endpoints
 	launch func(*Msg) // the fabric's transit after admission
@@ -398,7 +345,7 @@ func (ep *endpoints) newInjector(p *sim.Process, then func(), launch func(*Msg))
 	return in
 }
 
-// Process returns the driven process the Injector belongs to.
+// Process returns the process the Injector belongs to.
 func (in *Injector) Process() *sim.Process { return in.p }
 
 // Inject sends m. It reports true when m was admitted and launched at
@@ -406,13 +353,15 @@ func (in *Injector) Process() *sim.Process { return in.p }
 // credit — and runs then as its step once m has been launched.
 func (in *Injector) Inject(m *Msg) bool {
 	in.m = m
-	in.ep.noteInject(m)
+	if in.ep.rec != nil {
+		in.ep.noteMsg(m.Src, trace.KInject, -1, m)
+	}
 	return in.admit(true)
 }
 
 // admit launches in.m unless it must wait, and reports whether it did.
-// Like the blocking form, it looks at the pause only until the first
-// wait for window credit.
+// It looks at the pause only until the first wait for window credit:
+// a sender already queued for credit is past its node's pause check.
 func (in *Injector) admit(pause bool) bool {
 	ep, m := in.ep, in.m
 	if pause {
@@ -422,11 +371,26 @@ func (in *Injector) admit(pause bool) bool {
 		}
 	}
 	w := ep.openWindow(m.Src, m.Dst)
-	if ep.full(w) {
+	if int(w.inFlight) >= ep.window {
+		ep.windowStalls.Inc()
 		w.free.Await(in.p, in.windowedFn)
 		return false
 	}
-	ep.charge(w, m, in.p.Now())
+	w.inFlight++
+	ep.msgs.Inc()
+	ep.bytes.Add(uint64(m.Size + params.HeaderBytes))
+	m.SentAt = in.p.Now()
+	if ep.sh != nil {
+		// The merge tiebreak: source node over a per-source monotonic
+		// stamp, assigned on the source's shard. Re-admissions (the
+		// transport's retransmits) re-stamp; in-flight cross events
+		// copied the old value and are unaffected.
+		ep.stamp[m.Src]++
+		m.xkey = uint64(m.Src+1)<<40 | ep.stamp[m.Src]&(1<<40-1)
+	}
+	if ep.rec != nil {
+		ep.noteMsg(m.Src, trace.KAdmit, -1, m)
+	}
 	in.m = nil
 	in.launch(m)
 	return true
@@ -543,16 +507,8 @@ func New(e *sim.Engine, st *sim.Stats, n int) *Flat {
 	return f
 }
 
-// Inject sends m, blocking the calling process while the sliding
-// window to m.Dst is full. Transit takes the network latency (scaled
-// inside a degrade window); delivery is attempted on arrival and
-// retried when the destination port unblocks.
-func (f *Flat) Inject(p *sim.Process, m *Msg) {
-	f.admit(p, m)
-	f.launch(m)
-}
-
-// Injector returns p's handle for the callback form of Inject.
+// Injector returns p's sending handle: transit takes the network
+// latency (scaled inside a degrade window).
 func (f *Flat) Injector(p *sim.Process, then func()) *Injector {
 	return f.newInjector(p, then, f.launch)
 }

@@ -21,6 +21,22 @@ func (f *fakePort) NetDeliver(m *Msg) bool {
 	return true
 }
 
+// sender returns a blocking send for coroutine p: each call injects
+// through p's Injector and, when the message must wait for its node's
+// pause or for window credit, parks p until it has been launched.
+func sender(ic Interconnect, p *sim.Process) func(*Msg) {
+	var done sim.Cond
+	in := ic.Injector(p, done.Signal)
+	return func(m *Msg) {
+		if !in.Inject(m) {
+			done.Wait(p)
+		}
+	}
+}
+
+// inject sends m from coroutine p through a one-off sender.
+func inject(ic Interconnect, p *sim.Process, m *Msg) { sender(ic, p)(m) }
+
 func rig(n int) (*sim.Engine, *Flat, []*fakePort) {
 	e := sim.NewEngine()
 	st := sim.NewStats(e)
@@ -73,7 +89,7 @@ func TestDeliveryAfterLatency(t *testing.T) {
 	arrived := sim.Forever
 	e.Spawn("src", func(p *sim.Process) {
 		sent = p.Now()
-		nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 64, Blocks: 2})
+		inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 64, Blocks: 2})
 	})
 	e.Schedule(params.NetLatency-1, func() {
 		if len(ports[1].got) != 0 {
@@ -103,7 +119,7 @@ func TestWindowBlocksFifthMessage(t *testing.T) {
 	var times []sim.Time
 	e.Spawn("src", func(p *sim.Process) {
 		for i := 0; i < params.NetWindow+1; i++ {
-			nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+			inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 			times = append(times, p.Now())
 		}
 	})
@@ -125,10 +141,10 @@ func TestWindowIsPerDestination(t *testing.T) {
 	var done sim.Time
 	e.Spawn("src", func(p *sim.Process) {
 		for i := 0; i < params.NetWindow; i++ {
-			nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+			inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 		}
 		// A different destination must not block.
-		nw.Inject(p, &Msg{Src: 0, Dst: 2, Size: 8, Blocks: 1})
+		inject(nw, p, &Msg{Src: 0, Dst: 2, Size: 8, Blocks: 1})
 		done = p.Now()
 	})
 	e.RunAll()
@@ -142,7 +158,7 @@ func TestBackpressureRedeliversInOrder(t *testing.T) {
 	ports[1].accept = false
 	e.Spawn("src", func(p *sim.Process) {
 		for i := 0; i < 3; i++ {
-			nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1, ID: uint64(i)})
+			inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1, ID: uint64(i)})
 		}
 	})
 	e.Run(sim.Time(10_000))
@@ -170,7 +186,7 @@ func TestAckOnlyAfterAcceptance(t *testing.T) {
 	e, nw, ports := rig(2)
 	ports[1].accept = false
 	e.Spawn("src", func(p *sim.Process) {
-		nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+		inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 	})
 	e.RunAll()
 	if nw.InFlight(0, 1) != 1 {
@@ -189,7 +205,7 @@ func TestNetworkStats(t *testing.T) {
 	st := sim.NewStats(e)
 	_ = st
 	e.Spawn("src", func(p *sim.Process) {
-		nw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 100, Blocks: 2})
+		inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 100, Blocks: 2})
 	})
 	e.RunAll()
 	if nw.Nodes() != 2 {

@@ -184,15 +184,8 @@ func (t *Torus) AttachShards(sh *sim.ShardSet) {
 	})
 }
 
-// Inject sends m, blocking the calling (device) process while the
-// sliding window to m.Dst is full, then starts the hop-by-hop
-// traversal at the source router.
-func (t *Torus) Inject(p *sim.Process, m *Msg) {
-	t.admit(p, m)
-	t.launch(m)
-}
-
-// Injector returns p's handle for the callback form of Inject.
+// Injector returns p's sending handle: an admitted message starts
+// its hop-by-hop traversal at the source router.
 func (t *Torus) Injector(p *sim.Process, then func()) *Injector {
 	return t.newInjector(p, then, t.launch)
 }

@@ -103,7 +103,7 @@ func TestTorusUnloadedLatency(t *testing.T) {
 	var arrived sim.Time
 	ports[dst].accept = true
 	e.Spawn("src", func(p *sim.Process) {
-		tw.Inject(p, &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2})
+		inject(tw, p, &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2})
 	})
 	e.Spawn("watch", func(p *sim.Process) {
 		for len(ports[dst].got) == 0 {
@@ -128,8 +128,8 @@ func TestTorusLinkContentionSerialises(t *testing.T) {
 	e, tw, ports := torusRig(16)
 	dst := 2 // two +x hops from node 0
 	e.Spawn("src", func(p *sim.Process) {
-		tw.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 1})
-		tw.Inject(p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 2})
+		inject(tw, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 1})
+		inject(tw, p, &Msg{Src: 0, Dst: dst, Size: 8, Blocks: 1, ID: 2})
 	})
 	var t1, t2 sim.Time
 	e.Spawn("watch", func(p *sim.Process) {
@@ -158,12 +158,12 @@ func TestTorusDisjointFlowsDoNotInteract(t *testing.T) {
 	arrival := func(withOther bool) sim.Time {
 		e, tw, ports := torusRig(16)
 		e.Spawn("src", func(p *sim.Process) {
-			tw.Inject(p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
+			inject(tw, p, &Msg{Src: 0, Dst: 1, Size: 8, Blocks: 1})
 		})
 		if withOther {
 			e.Spawn("other", func(p *sim.Process) {
 				// (2,1) -> (3,1): +x link in row 1, disjoint from 0->1.
-				tw.Inject(p, &Msg{Src: 6, Dst: 7, Size: 8, Blocks: 1})
+				inject(tw, p, &Msg{Src: 6, Dst: 7, Size: 8, Blocks: 1})
 			})
 		}
 		var at sim.Time

@@ -92,7 +92,7 @@ func windowSlotsRecycle(t *testing.T, shards int) {
 			}
 			send := func(p *sim.Process, dst, count int) {
 				for b := 0; b < count; b++ {
-					tor.Inject(p, &Msg{Src: src, Dst: dst, Size: 8, Blocks: 1})
+					inject(tor, p, &Msg{Src: src, Dst: dst, Size: 8, Blocks: 1})
 					injected[src]++
 				}
 				reached[src][dst] = true
