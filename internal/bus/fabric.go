@@ -114,7 +114,8 @@ func NewFabric(e *sim.Engine, st *sim.Stats, name string, withIO bool) *Fabric {
 	}
 	if withIO {
 		f.IO = New(st, name+".iobus")
-		f.drainFn, f.heldFn, f.wroteFn = f.bridgeDrain, f.bridgeHeld, f.bridgeWrote
+		f.drainFn, f.wroteFn = f.bridgeDrain, f.bridgeWrote
+		f.heldFn = func() { f.IO.OccupyThen(f.bridge, sim.Time(params.UncachedStoreCost(params.IOBus)), f.wroteFn) }
 		f.bridge = e.Drive(name+".bridge", f.drainFn)
 	}
 	return f
@@ -306,19 +307,13 @@ func (f *Fabric) BridgeFullWaits() uint64 { return f.bridgeWaits }
 
 // bridgeDrain is the I/O bridge's posted-write engine, a driven
 // process: it forwards buffered uncached stores onto the I/O bus in
-// order (bridgeHeld and bridgeWrote are its later steps).
+// order, each holding the bus for its occupancy (heldFn, bridgeWrote).
 func (f *Fabric) bridgeDrain() {
 	if f.bridgeQ.Len() == 0 {
 		f.bridgeCond.Await(f.bridge, f.drainFn)
-		return
+	} else if f.IO.AcquireThen(f.bridge, f.heldFn) {
+		f.heldFn()
 	}
-	if f.IO.AcquireThen(f.bridge, f.heldFn) {
-		f.bridgeHeld()
-	}
-}
-
-func (f *Fabric) bridgeHeld() {
-	f.IO.OccupyThen(f.bridge, sim.Time(params.UncachedStoreCost(params.IOBus)), f.wroteFn)
 }
 
 func (f *Fabric) bridgeWrote() {

@@ -41,7 +41,7 @@ type cni4 struct {
 	sendFn     func()
 	pulled     int
 
-	// Receive side: a pop recalls CDR block inv next.
+	// Receive side: a pop recalls CDR block inv next (recvEngine).
 	recvFIFO    []*network.Msg // arrived, behind the CDR
 	recvCap     int
 	recvCur     *network.Msg // message currently exposed in the CDR
@@ -64,7 +64,8 @@ func newCNI4(d Deps) *cni4 {
 		recvCap: params.CNI4DeviceFIFOMsgs,
 	}
 	d.Fabric.Attach(n, d.Loc)
-	n.sendFn, n.recvFn, n.recalled = n.sendEngine, n.recvEngine, n.recalledBlock
+	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
+	n.recalled = func() { n.procCDRCopy[n.inv] = false; n.inv++; n.recvEngine() }
 	n.send = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".send", n.sendFn))
 	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
 	n.sendFIFO = newOutQ(d, n.name+".inject")
@@ -217,14 +218,20 @@ func (n *cni4) TryRecv(p *sim.Process) *network.Msg {
 }
 
 // recvEngine loads arrived messages into the CDR and performs the
-// device half of the clear handshake, a driven process.
+// device half of the clear handshake, a driven process: a pop
+// invalidates the processor's cached copies of the CDR, from block inv
+// on, one bus transaction per step.
 func (n *cni4) recvEngine() {
 	if n.recvPopReq {
-		n.recvPopReq = false
-		n.inv = 0
-		if !n.recall() {
-			return
+		for ; n.inv < params.BlocksPerNetMsg; n.inv++ {
+			if n.procCDRCopy[n.inv] {
+				n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.recvBlock(n.inv), Initiator: n}, n.recalled)
+				return
+			}
 		}
+		n.recvPopReq, n.inv = false, 0
+		n.recvCur = nil
+		n.d.Net.Unblock(n.d.NodeID)
 	}
 	if n.recvCur == nil && len(n.recvFIFO) > 0 {
 		n.recvCur = n.recvFIFO[0]
@@ -233,29 +240,6 @@ func (n *cni4) recvEngine() {
 		n.recvReady = true
 	}
 	n.recvWork.Await(n.recv.Process(), n.recvFn)
-}
-
-// recall invalidates the processor's cached copies of the CDR, from
-// block inv on, one block per step, and then retires the popped
-// message. It reports whether the pop finished without a bus wait.
-func (n *cni4) recall() bool {
-	for ; n.inv < params.BlocksPerNetMsg; n.inv++ {
-		if n.procCDRCopy[n.inv] {
-			n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.recvBlock(n.inv), Initiator: n}, n.recalled)
-			return false
-		}
-	}
-	n.recvCur = nil
-	n.d.Net.Unblock(n.d.NodeID)
-	return true
-}
-
-func (n *cni4) recalledBlock() {
-	n.procCDRCopy[n.inv] = false
-	n.inv++
-	if n.recall() {
-		n.recvEngine()
-	}
 }
 
 // NetDeliver implements network.Port.

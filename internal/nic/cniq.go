@@ -45,14 +45,15 @@ type cniq struct {
 	sendCommitted sim.FIFO[*network.Msg] // message-ready received, awaiting pull
 	sendPulled    map[uint64]bool        // block already at the device (hint pull / WB)
 	sendHints     sim.FIFO[uint64]       // virtual-polling pull hints (block addrs)
+	sendReady     *network.Msg           // pulled, awaiting inject FIFO space
 	injectFIFO    *outQ
 	sendWork      sim.Cond
-	// The send engine is a driven process; sendAt is its state.
-	send   *bus.Call
-	sendFn func()
-	sendAt engineAt
-	pullAt uint64 // hint block being pulled
-	pullB  int    // next block of the head committed message to pull
+	// The send engine is a driven process pulling block pullB of the
+	// head committed message, or hint block pullAt, next.
+	send                                    *bus.Call
+	sendFn, hintedFn, pulledFn, publishedFn func()
+	pullAt                                  uint64
+	pullB                                   int
 
 	// ---- receive queue: device produces, processor consumes ----
 	recvTailPos  uint64                 // device tail (monotonic)
@@ -62,12 +63,12 @@ type cniq struct {
 	recvEntries  sim.FIFO[*network.Msg] // visible to the processor
 	recvWork     sim.Cond
 	recvHeadMove sim.Cond // snooped CRI on the head-pointer block
-	// The receive engine is a driven process; recvAt is its state.
-	recv   *bus.Call
-	recvFn func()
-	recvAt engineAt
-	writeB int    // next of the staged message's block writes (recvWriteAddr)
-	wAddr  uint64 // the block being written
+	// The receive engine is a driven process making block write
+	// writeB, of block wAddr, of the staged message next.
+	recv                                                    *bus.Call
+	recvFn, refreshedFn, evictedFn, invalidatedFn, pushedFn func()
+	writeB                                                  int
+	wAddr                                                   uint64
 
 	// procCopies tracks which of this NI's blocks the processor cache
 	// holds, so the device knows when publishing requires invalidation.
@@ -101,7 +102,7 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 		sendPulled: make(map[uint64]bool),
 		procCopies: make(map[uint64]bool),
 		live:       make(map[uint64]bool),
-		recvAt:     recvIdle,
+		writeB:     1,
 	}
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")
@@ -115,7 +116,14 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 		n.dc.pin(n.recvTailAddr())
 	}
 	d.Fabric.Attach(n, d.Loc)
-	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
+	// A bus transaction ends an engine's step; its completion books it
+	// and steps the engine again.
+	n.sendFn, n.publishedFn = n.sendEngine, n.published
+	n.hintedFn = func() { n.sendPulled[n.pullAt] = true; n.ctr.sendHintPull.Inc(); n.sendEngine() }
+	n.pulledFn = func() { n.ctr.sendPull.Inc(); n.pullB++; n.sendEngine() }
+	n.recvFn, n.refreshedFn, n.pushedFn = n.recvEngine, n.refreshed, n.pushed
+	n.evictedFn = func() { n.ctr.recvOverflowWB.Inc(); n.recvEngine() }
+	n.invalidatedFn = func() { n.procCopies[n.wAddr] = false; n.recvEngine() }
 	n.send = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".send", n.sendFn))
 	n.injectFIFO = newOutQ(d, n.name+".inject")
 	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
@@ -280,97 +288,61 @@ func (n *cniq) TrySend(p *sim.Process, m *network.Msg) bool {
 	return true
 }
 
-// engineAt is where a driven CQ engine resumes: each bus transaction
-// ends a step, and the step it names resumes after the transaction.
-type engineAt uint8
-
-const (
-	sendIdle       engineAt = iota // serve a hint, or start the head committed message
-	sendHinted                     // the hint pull of pullAt completed
-	sendPulling                    // pull the head message's blocks from pullB on
-	sendPulled                     // the pull of block pullB completed
-	sendQueue                      // hand the message to the inject FIFO
-	sendPublished                  // the head pointer is published
-	recvIdle                       // take the next staged message
-	recvRoom                       // lazy full check (device side)
-	recvRefreshed                  // the head-pointer refresh read completed
-	recvWrite                      // start block write writeB, or finish the entry
-	recvEvicted                    // the victim's overflow writeback completed
-	recvInvalidate                 // invalidate the processor's copy of wAddr
-	recvWritten                    // wAddr is written
-	recvPushed                     // the update push of wAddr completed
-)
-
 // sendEngine is the device's pull side, a driven process: it services
 // virtual-polling hints eagerly and drains committed messages into the
 // inject FIFO, advancing the send head pointer.
 func (n *cniq) sendEngine() {
 	for {
-		switch n.sendAt {
-		case sendIdle:
-			if n.sendHints.Len() > 0 {
-				if addr := n.sendHints.Pop(); !n.sendPulled[addr] {
-					n.pullAt = addr
-					n.sendDo(bus.CR, addr, sendHinted)
-					return
-				}
-				continue
-			}
-			if n.sendCommitted.Len() == 0 {
-				n.sendWork.Await(n.send.Process(), n.sendFn)
-				return
-			}
-			n.pullB, n.sendAt = 0, sendPulling
-		case sendHinted:
-			n.sendPulled[n.pullAt] = true
-			n.ctr.sendHintPull.Inc()
-			n.sendAt = sendIdle
-		case sendPulling:
-			if n.pullB < n.sendCommitted.Peek().Blocks {
-				if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.sendPulled[addr] {
-					n.sendDo(bus.CR, addr, sendPulled)
-					return
-				}
-				n.pullB++
-				continue
-			}
-			// Entry consumed: forget pull state for its blocks.
-			for b := 0; b < params.BlocksPerNetMsg; b++ {
-				delete(n.sendPulled, n.sendEntryAddr(n.sendHeadPos, b))
-			}
-			n.sendAt = sendQueue
-		case sendPulled:
-			n.ctr.sendPull.Inc()
-			n.pullB++
-			n.sendAt = sendPulling
-		case sendQueue:
+		switch {
+		case n.sendReady != nil:
 			if n.injectFIFO.msgs.Len() >= injectFIFOCap {
 				n.injectFIFO.space.Await(n.send.Process(), n.sendFn)
 				return
 			}
-			n.injectFIFO.push(n.sendCommitted.Pop())
+			n.injectFIFO.push(n.sendReady)
+			n.sendReady = nil
 			n.sendHeadPos++
 			// Publish the head pointer: invalidate the processor's copy
 			// if it holds one.
 			if addr := n.sendHeadAddr(); n.procCopies[addr] {
-				n.sendDo(bus.CI, addr, sendPublished)
+				n.send.Do(bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n}, n.publishedFn)
+			} else {
+				n.published()
+			}
+			return
+		case n.pullB == 0 && n.sendHints.Len() > 0:
+			if n.pullAt = n.sendHints.Pop(); !n.sendPulled[n.pullAt] {
+				n.send.Do(bus.Tx{Kind: bus.CR, Addr: n.pullAt, Initiator: n}, n.hintedFn)
 				return
 			}
-			n.sendAt = sendPublished
-		case sendPublished:
-			n.procCopies[n.sendHeadAddr()] = false
-			if n.memHomed {
-				n.dc.setState(n.sendHeadAddr(), cache.Modified) // re-own the pinned line
+		case n.sendCommitted.Len() == 0:
+			n.sendWork.Await(n.send.Process(), n.sendFn)
+			return
+		case n.pullB < n.sendCommitted.Peek().Blocks:
+			if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.sendPulled[addr] {
+				n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.pulledFn)
+				return
 			}
-			n.sendAt = sendIdle
+			n.pullB++
+		default:
+			// Entry consumed: forget pull state for its blocks.
+			for b := 0; b < params.BlocksPerNetMsg; b++ {
+				delete(n.sendPulled, n.sendEntryAddr(n.sendHeadPos, b))
+			}
+			n.pullB = 0
+			n.sendReady = n.sendCommitted.Pop()
 		}
 	}
 }
 
-// sendDo issues the send engine's bus transaction, resuming at next.
-func (n *cniq) sendDo(kind bus.Kind, addr uint64, next engineAt) {
-	n.sendAt = next
-	n.send.Do(bus.Tx{Kind: kind, Addr: addr, Initiator: n}, n.sendFn)
+// published re-owns the memory-homed design's pinned head-pointer
+// line once the processor's copy is gone.
+func (n *cniq) published() {
+	n.procCopies[n.sendHeadAddr()] = false
+	if n.memHomed {
+		n.dc.setState(n.sendHeadAddr(), cache.Modified)
+	}
+	n.sendEngine()
 }
 
 // NetDeliver implements network.Port: accept into the landing buffers.
@@ -384,123 +356,84 @@ func (n *cniq) NetDeliver(m *network.Msg) bool {
 }
 
 // recvEngine writes arrived messages into receive-queue entries, a
-// driven process: lazy full check against the processor head, one
-// block write per used block (invalidation traffic + CNI16Qm
-// device-cache handling), valid word last.
+// driven process: lazy full check against the processor head, then
+// block writes writeB = 1, 2, ... (invalidation traffic + CNI16Qm
+// device-cache handling): payload blocks, the tail pointer when the
+// receiver polls it (NoValidBits), the valid word (block 0) last.
 func (n *cniq) recvEngine() {
-	for {
-		switch n.recvAt {
-		case recvIdle:
-			if n.recvStage.Len() == 0 {
-				n.recvWork.Await(n.recv.Process(), n.recvFn)
-				return
-			}
-			n.recvAt = recvRoom
-		case recvRoom:
-			if n.recvTailPos-n.recvShadow < uint64(n.entries) {
-				n.writeB, n.recvAt = 0, recvWrite
-				continue
-			}
+	for n.recvStage.Len() > 0 {
+		if n.recvTailPos-n.recvShadow >= uint64(n.entries) {
 			// Shadow says full: refresh by reading the processor's head
 			// pointer block (lazy pointers, device side).
-			n.recvDo(bus.CR, n.recvHeadAddr(), recvRefreshed)
+			n.recv.Do(bus.Tx{Kind: bus.CR, Addr: n.recvHeadAddr(), Initiator: n}, n.refreshedFn)
 			return
-		case recvRefreshed:
-			n.ctr.recvHeadRefresh.Inc()
-			n.recvShadow = n.recvProcHead
-			n.recvAt = recvRoom
-			if n.recvTailPos-n.recvShadow >= uint64(n.entries) {
-				// Truly full: sleep until the snooped coherence traffic
-				// says the processor advanced its head (the refresh
-				// above downgraded the processor's copy, so the next
-				// head increment is a bus-visible invalidation).
-				n.ctr.recvQFull.Inc()
-				n.recvHeadMove.Await(n.recv.Process(), n.recvFn)
+		}
+		b, last := n.writeB, n.recvStage.Peek().Blocks // last: the valid word's write
+		if n.d.Cfg.NoValidBits {
+			last++
+		}
+		if b > last {
+			n.writeB = 1
+			n.recvEntries.Push(n.recvStage.Pop())
+			n.recvTailPos++
+			n.d.Net.Unblock(n.d.NodeID)
+			continue
+		}
+		n.wAddr = n.recvEntryAddr(n.recvTailPos, b%last) // block 0 at b == last
+		if n.d.Cfg.NoValidBits && b == last-1 {
+			n.wAddr = n.recvTailAddr()
+		}
+		// Memory-homed: the device cache takes ownership. Evict the
+		// victim first — a live victim (unread message) is the §5.1.2
+		// overflow writeback; a dead one is dropped silently.
+		if n.memHomed {
+			if victim, dirty := n.dc.ensure(n.wAddr); dirty && n.live[victim] {
+				n.recv.Do(bus.Tx{Kind: bus.WB, Addr: victim, Initiator: n}, n.evictedFn)
 				return
 			}
-		case recvWrite:
-			addr, ok := n.recvWriteAddr(n.writeB)
-			if !ok {
-				n.recvEntries.Push(n.recvStage.Pop())
-				n.recvTailPos++
-				n.recvAt = recvIdle
-				n.d.Net.Unblock(n.d.NodeID)
-				continue
-			}
-			n.wAddr, n.recvAt = addr, recvInvalidate
-			// Memory-homed: the device cache takes ownership. Evict the
-			// victim first — a live victim (unread message) is the
-			// §5.1.2 overflow writeback; a dead one is dropped silently.
-			if n.memHomed {
-				if victim, dirty := n.dc.ensure(addr); dirty && n.live[victim] {
-					n.recvDo(bus.WB, victim, recvEvicted)
-					return
-				}
-			}
-		case recvEvicted:
-			n.ctr.recvOverflowWB.Inc()
-			n.recvAt = recvInvalidate
-		case recvInvalidate:
-			// The write itself is internal (device-homed) or a silent
-			// upgrade (memory-homed: the device's duplicate snoop tags
-			// tell it, and it is the only writer of these blocks). A
-			// processor copy goes stale and is invalidated — unless the
-			// update-protocol extension will refresh it instead.
-			if n.procCopies[n.wAddr] && !n.d.Cfg.UpdateProtocol {
-				n.recvDo(bus.CI, n.wAddr, recvWritten)
-				return
-			}
-			n.recvAt = recvWritten
-		case recvWritten:
-			if !n.d.Cfg.UpdateProtocol {
-				n.procCopies[n.wAddr] = false
-			}
-			if n.memHomed {
-				n.live[n.wAddr] = true
-				n.dc.setState(n.wAddr, cache.Modified)
-			}
-			n.writeB++
-			n.recvAt = recvWrite
-			if n.d.Cfg.UpdateProtocol && n.wAddr != n.recvTailAddr() {
-				// Update-protocol extension: broadcast the fresh
-				// contents so the processor's invalidated frame refills
-				// and its next poll hits.
-				n.recvDo(bus.UP, n.wAddr, recvPushed)
-				return
-			}
-		case recvPushed:
-			n.procCopies[n.wAddr] = true
-			if n.memHomed && n.dc.stateOf(n.wAddr) == cache.Modified {
-				n.dc.setState(n.wAddr, cache.Owned) // the processor now shares it
-			}
-			n.ctr.recvUpdate.Inc()
-			n.recvAt = recvWrite
+		}
+		// The write itself is internal or a silent upgrade; a stale
+		// processor copy is invalidated, unless the update protocol
+		// refreshes it (so the processor's next poll hits).
+		if n.procCopies[n.wAddr] && !n.d.Cfg.UpdateProtocol {
+			n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.wAddr, Initiator: n}, n.invalidatedFn)
+			return
+		}
+		if n.memHomed {
+			n.live[n.wAddr] = true
+			n.dc.setState(n.wAddr, cache.Modified)
+		}
+		n.writeB++
+		if n.d.Cfg.UpdateProtocol && n.wAddr != n.recvTailAddr() {
+			n.recv.Do(bus.Tx{Kind: bus.UP, Addr: n.wAddr, Initiator: n}, n.pushedFn)
+			return
 		}
 	}
+	n.recvWork.Await(n.recv.Process(), n.recvFn)
 }
 
-// recvDo issues the receive engine's bus transaction, resuming at next.
-func (n *cniq) recvDo(kind bus.Kind, addr uint64, next engineAt) {
-	n.recvAt = next
-	n.recv.Do(bus.Tx{Kind: kind, Addr: addr, Initiator: n}, n.recvFn)
-}
-
-// recvWriteAddr returns the i'th block the receive engine writes for
-// the staged message, or false past the last: payload blocks first,
-// the tail pointer when the receiver polls it (NoValidBits), and the
-// valid word (block 0) last, so a racing poll sees the old sense until
-// the entry is complete.
-func (n *cniq) recvWriteAddr(i int) (uint64, bool) {
-	last := n.recvStage.Peek().Blocks - 1
-	switch {
-	case i < last:
-		return n.recvEntryAddr(n.recvTailPos, i+1), true
-	case i == last && n.d.Cfg.NoValidBits:
-		return n.recvTailAddr(), true
-	case i == last || i == last+1 && n.d.Cfg.NoValidBits:
-		return n.recvEntryAddr(n.recvTailPos, 0), true
+func (n *cniq) refreshed() {
+	n.ctr.recvHeadRefresh.Inc()
+	n.recvShadow = n.recvProcHead
+	if n.recvTailPos-n.recvShadow >= uint64(n.entries) {
+		// Truly full: sleep until the snooped coherence traffic says
+		// the processor advanced its head (the refresh above
+		// downgraded the processor's copy, so the next head increment
+		// is a bus-visible invalidation).
+		n.ctr.recvQFull.Inc()
+		n.recvHeadMove.Await(n.recv.Process(), n.recvFn)
+		return
 	}
-	return 0, false
+	n.recvEngine()
+}
+
+func (n *cniq) pushed() {
+	n.procCopies[n.wAddr] = true
+	if n.memHomed && n.dc.stateOf(n.wAddr) == cache.Modified {
+		n.dc.setState(n.wAddr, cache.Owned) // the processor now shares it
+	}
+	n.ctr.recvUpdate.Inc()
+	n.recvEngine()
 }
 
 // TryRecv implements NI: the CQ receive protocol (§2.2, §3): poll the

@@ -63,7 +63,8 @@ func newDMA(d Deps) *dmaNI {
 	d.Fabric.Attach(n, d.Loc)
 	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
 	sp := d.Eng.Drive(n.name+".send", n.sendFn)
-	n.send, n.inj = bus.NewCall(d.Fabric, sp), d.Net.Injector(sp, n.sent)
+	n.send = bus.NewCall(d.Fabric, sp)
+	n.inj = d.Net.Injector(sp, func() { n.sendQ = n.sendQ[1:]; n.sendEngine() })
 	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
 	return n
 }
@@ -145,26 +146,21 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 // (cache-to-cache when the data is still cached, else from memory),
 // one block per step, and injects them.
 func (n *dmaNI) sendEngine() {
-	if len(n.sendQ) == 0 {
-		n.sendWork.Await(n.send.Process(), n.sendFn)
-		return
+	for len(n.sendQ) > 0 {
+		m := n.sendQ[0]
+		if n.pulled < m.Blocks {
+			n.pulled++
+			n.send.Do(bus.Tx{Kind: bus.CR, Addr: slotAddr(n.sendSeq, n.pulled-1), Initiator: n}, n.sendFn)
+			return
+		}
+		n.pulled = 0
+		n.sendSeq++
+		if !n.inj.Inject(m) {
+			return // the Injector pops m once it is launched
+		}
+		n.sendQ = n.sendQ[1:]
 	}
-	m := n.sendQ[0]
-	if n.pulled < m.Blocks {
-		n.pulled++
-		n.send.Do(bus.Tx{Kind: bus.CR, Addr: slotAddr(n.sendSeq, n.pulled-1), Initiator: n}, n.sendFn)
-		return
-	}
-	n.pulled = 0
-	n.sendSeq++
-	if n.inj.Inject(m) {
-		n.sent()
-	}
-}
-
-func (n *dmaNI) sent() {
-	n.sendQ = n.sendQ[1:]
-	n.sendEngine()
+	n.sendWork.Await(n.send.Process(), n.sendFn)
 }
 
 // machineUserBuf is the DRAM address the DMA engine reads/writes; the
@@ -186,29 +182,23 @@ func (n *dmaNI) NetDeliver(m *network.Msg) bool {
 // transaction per step, and raises a completion (the interrupt is
 // charged to the processor at pickup).
 func (n *dmaNI) recvEngine() {
-	if len(n.recvFIFO) == 0 {
-		n.recvWork.Await(n.recv.Process(), n.recvFn)
-		return
-	}
-	m := n.recvFIFO[0]
-	if k := n.deposit; k < 2*m.Blocks {
-		// Invalidate any stale processor copy, then write the block
-		// to memory.
-		kind := bus.CI
-		if k%2 == 1 {
-			kind = bus.WB
+	for len(n.recvFIFO) > 0 {
+		m := n.recvFIFO[0]
+		if k := n.deposit; k < 2*m.Blocks {
+			// Invalidate any stale processor copy, then write the
+			// block to memory.
+			n.deposit++
+			n.recv.Do(bus.Tx{Kind: [2]bus.Kind{bus.CI, bus.WB}[k%2], Addr: slotAddr(n.recvSeq, k/2), Initiator: n}, n.recvFn)
+			return
 		}
-		n.deposit++
-		n.recv.Do(bus.Tx{Kind: kind, Addr: slotAddr(n.recvSeq, k/2), Initiator: n}, n.recvFn)
-		return
+		n.deposit = 0
+		n.recvSeq++
+		n.recvFIFO = n.recvFIFO[1:]
+		n.deposited = append(n.deposited, m)
+		n.pending++
+		n.d.Net.Unblock(n.d.NodeID)
 	}
-	n.deposit = 0
-	n.recvSeq++
-	n.recvFIFO = n.recvFIFO[1:]
-	n.deposited = append(n.deposited, m)
-	n.pending++
-	n.d.Net.Unblock(n.d.NodeID)
-	n.recvEngine()
+	n.recvWork.Await(n.recv.Process(), n.recvFn)
 }
 
 // TryRecv picks up one completed message: status poll, interrupt

@@ -9,18 +9,17 @@ import (
 // driven process that drains the FIFO into the network in order,
 // waiting for window credit as the fabric requires.
 type outQ struct {
-	msgs  sim.FIFO[*network.Msg]
-	work  sim.Cond // signalled when a message is queued
-	space sim.Cond // signalled when the engine sends one
-	net   *network.Injector
-	step  func()
+	msgs        sim.FIFO[*network.Msg]
+	work, space sim.Cond // a message was queued; one was sent
+	net         *network.Injector
+	step        func()
 }
 
 // newOutQ starts d's inject engine, named name.
 func newOutQ(d Deps, name string) *outQ {
 	q := &outQ{}
 	q.step = q.inject
-	q.net = d.Net.Injector(d.Eng.Drive(name, q.step), q.sent)
+	q.net = d.Net.Injector(d.Eng.Drive(name, q.step), func() { q.msgs.Pop(); q.space.Signal(); q.inject() })
 	return q
 }
 
@@ -31,7 +30,8 @@ func (q *outQ) push(m *network.Msg) {
 }
 
 // inject is the engine's step: it sends queued messages until one
-// waits for the fabric (sent resumes then) or the FIFO is empty.
+// waits for the fabric (the Injector's then callback retires it and
+// steps again) or the FIFO is empty.
 func (q *outQ) inject() {
 	for q.msgs.Len() > 0 && q.net.Inject(q.msgs.Peek()) {
 		q.msgs.Pop()
@@ -40,10 +40,4 @@ func (q *outQ) inject() {
 	if q.msgs.Len() == 0 {
 		q.work.Await(q.net.Process(), q.step)
 	}
-}
-
-func (q *outQ) sent() {
-	q.msgs.Pop()
-	q.space.Signal()
-	q.inject()
 }

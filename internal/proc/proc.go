@@ -55,7 +55,8 @@ func New(e *sim.Engine, st *sim.Stats, f *bus.Fabric, c *cache.Cache, id int, na
 		sbFull:       st.Counter(name + ".sb.full"),
 		membarStalls: st.Counter(name + ".membar.stall"),
 	}
-	cpu.drainFn, cpu.retired = cpu.drainStoreBuffer, cpu.retire
+	cpu.drainFn = cpu.drainStoreBuffer
+	cpu.retired = func() { cpu.sbQ.Pop(); cpu.sbSpace.Broadcast(); cpu.drainStoreBuffer() }
 	cpu.sb = bus.NewCall(f, e.Drive(name+".sbdrain", cpu.drainFn))
 	return cpu
 }
@@ -123,18 +124,12 @@ func (c *CPU) Membar(p *sim.Process) {
 }
 
 // drainStoreBuffer is the store buffer's bus engine, a driven process:
-// it issues the oldest buffered store, and retire retires it.
+// it issues the oldest buffered store, which retired retires.
 func (c *CPU) drainStoreBuffer() {
 	if c.sbQ.Len() == 0 {
 		c.sbWork.Await(c.sb.Process(), c.drainFn)
-		return
+	} else {
+		e := c.sbQ.Peek()
+		c.sb.UncachedStore(e.dev, e.reg, e.val, c.retired)
 	}
-	e := c.sbQ.Peek()
-	c.sb.UncachedStore(e.dev, e.reg, e.val, c.retired)
-}
-
-func (c *CPU) retire() {
-	c.sbQ.Pop()
-	c.sbSpace.Broadcast()
-	c.drainStoreBuffer()
 }
