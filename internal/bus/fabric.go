@@ -64,7 +64,7 @@ type Fabric struct {
 	bridgeSpace sim.Cond // signalled when bridgeQ frees an entry
 	bridgeWaits uint64   // posted writes that found bridgeQ full
 	bridge      *sim.Process
-	// The bridge's steps, bound once as method values.
+	// The bridge's steps, bound once at construction.
 	drainFn, heldFn, wroteFn func()
 
 	// txFree recycles transaction boxes: the Tx escapes through the
@@ -325,7 +325,7 @@ func (f *Fabric) bridgeWrote() {
 	f.bridgeDrain()
 }
 
-// Call is a driven process's handle on its node's buses: the callback
+// Call is a process's handle on its node's buses: the callback
 // form of Do, and the one way to make an uncached store. Do runs the
 // same body as Fabric.Do and takes the same (time, seq) wakes, then
 // runs its then callback as the process's step where Fabric.Do would
@@ -345,7 +345,7 @@ type Call struct {
 	doHeldFn, doBusesFn, doDoneFn, spaceFn, storeHeldFn, storeDoneFn func()
 }
 
-// NewCall returns driven process p's handle on f's buses.
+// NewCall returns process p's handle on f's buses.
 func NewCall(f *Fabric, p *sim.Process) *Call {
 	c := &Call{f: f, p: p}
 	c.doHeldFn, c.doBusesFn, c.doDoneFn = c.doHeld, c.doBuses, c.doDone
@@ -353,7 +353,7 @@ func NewCall(f *Fabric, p *sim.Process) *Call {
 	return c
 }
 
-// Process returns the driven process the Call belongs to.
+// Process returns the process the Call belongs to.
 func (c *Call) Process() *sim.Process { return c.p }
 
 // Do runs tx, as Fabric.Do does, then runs then.
