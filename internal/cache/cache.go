@@ -137,20 +137,11 @@ func (c *Cache) LoadHit(addr uint64) bool {
 // Stores to Modified/Exclusive lines hit; anything else issues a
 // coherent read-invalidate (see DESIGN.md bandwidth calibration).
 func (c *Cache) Store(p *sim.Process, addr uint64) {
-	blk, l := c.frame(addr)
-	if l.holds(blk) {
-		switch l.state {
-		case Modified:
-			c.storeHit.Inc()
-			p.Sleep(params.HitCycles)
-			return
-		case Exclusive:
-			c.storeHit.Inc()
-			l.state = Modified
-			p.Sleep(params.HitCycles)
-			return
-		}
+	if c.StoreHit(addr) {
+		p.Sleep(params.HitCycles)
+		return
 	}
+	blk, l := c.frame(addr)
 	c.storeMiss.Inc()
 	if !l.holds(blk) {
 		c.evict(p, l)
@@ -158,6 +149,20 @@ func (c *Cache) Store(p *sim.Process, addr uint64) {
 	c.fabric.Do(p, bus.Tx{Kind: bus.CRI, Addr: blk * params.BlockBytes, Initiator: c})
 	l.retag(blk)
 	l.state = Modified
+}
+
+// StoreHit is Store's hit check without its time: when addr's block is
+// Modified or Exclusive it counts the store hit and leaves the line
+// Modified, as Store does, and reports true; otherwise it changes
+// nothing and reports false.
+func (c *Cache) StoreHit(addr uint64) bool {
+	blk, l := c.frame(addr)
+	if l.holds(blk) && (l.state == Modified || l.state == Exclusive) {
+		c.storeHit.Inc()
+		l.state = Modified
+		return true
+	}
+	return false
 }
 
 // evict writes back the current occupant of l if it is dirty.

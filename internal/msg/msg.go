@@ -77,6 +77,10 @@ type Messenger struct {
 	// Sent/Received count dispatched user messages (diagnostics).
 	Sent     uint64
 	Received uint64
+	// QuietProbed counts the wakes of idle polls that quietSpin's probe
+	// re-armed without resuming the process (diagnostics: the engine's
+	// Probed count also holds other probes, such as cache-hit runs).
+	QuietProbed uint64
 
 	sendBlocks *sim.Counter
 	swBuffered *sim.Counter
@@ -500,6 +504,7 @@ func (s *quietSpin) Probe() (sim.Time, bool) {
 			return 0, true
 		}
 		s.loaded = true
+		ms.QuietProbed++
 		return params.HitCycles, false
 	}
 	if !ms.quiet.RecvEmpty() || s.pred() {
@@ -507,6 +512,7 @@ func (s *quietSpin) Probe() (sim.Time, bool) {
 	}
 	ms.quiet.CountEmptyPoll()
 	s.loaded = false
+	ms.QuietProbed++
 	return PollLoopCycles, false
 }
 

@@ -39,6 +39,8 @@ type CPU struct {
 	sb               *bus.Call
 	drainFn, retired func()
 
+	runFree []*hitRun // hitRuns no range is using (getRun)
+
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
 }
@@ -79,16 +81,91 @@ func (c *CPU) Store(p *sim.Process, addr uint64) { c.cache.Store(p, addr) }
 
 // LoadRange issues word loads covering [addr, addr+bytes).
 func (c *CPU) LoadRange(p *sim.Process, addr uint64, bytes int) {
-	for off := 0; off < bytes; off += 8 {
-		c.cache.Load(p, addr+uint64(off))
-	}
+	c.wordRange(p, addr, bytes, false)
 }
 
 // StoreRange issues word stores covering [addr, addr+bytes).
 func (c *CPU) StoreRange(p *sim.Process, addr uint64, bytes int) {
-	for off := 0; off < bytes; off += 8 {
-		c.cache.Store(p, addr+uint64(off))
+	c.wordRange(p, addr, bytes, true)
+}
+
+// wordRange issues one cachable access per 8-byte word of [addr,
+// addr+bytes): loads, or stores when store is set. Each word costs what
+// Load or Store would charge it, but a run of hits is one Spin: the
+// process checks the first hit itself, and a hitRun probe checks each
+// later word at the wake where the process would have, so the process
+// resumes once per run of hits instead of once per word. A hit with no
+// word after it just sleeps. A miss takes Cache.Load or Cache.Store's
+// miss path on the process.
+func (c *CPU) wordRange(p *sim.Process, addr uint64, bytes int, store bool) {
+	var r *hitRun
+	for a, end := addr, addr+uint64(max(bytes, 0)); a < end; {
+		switch {
+		case !c.hit(a, store):
+			if store {
+				c.cache.Store(p, a)
+			} else {
+				c.cache.Load(p, a)
+			}
+			a += 8
+		case end-a <= 8:
+			p.Sleep(params.HitCycles)
+			a = end
+		default:
+			if r == nil {
+				r = c.getRun()
+			}
+			r.addr, r.end, r.store = a+8, end, store
+			p.Spin(params.HitCycles, r)
+			a = r.addr
+		}
 	}
+	if r != nil {
+		c.runFree = append(c.runFree, r)
+	}
+}
+
+// hit is Load's or Store's hit check at addr, without its time.
+func (c *CPU) hit(addr uint64, store bool) bool {
+	if store {
+		return c.cache.StoreHit(addr)
+	}
+	return c.cache.LoadHit(addr)
+}
+
+// getRun takes a hitRun from the CPU's pool: several processes may be
+// in a range on one CPU at once, so each range gets its own.
+func (c *CPU) getRun() *hitRun {
+	n := len(c.runFree)
+	if n == 0 {
+		return &hitRun{cpu: c}
+	}
+	r := c.runFree[n-1]
+	c.runFree = c.runFree[:n-1]
+	return r
+}
+
+// hitRun runs the hit words of one range as engine probes
+// (sim.Process.Spin). At each wake — the end of the previous word's
+// hit — it checks the next word as the process would: on a hit it
+// counts it and re-arms HitCycles later, the process's Sleep; at the
+// end of the range or on a miss it resumes the process there, having
+// changed nothing. A snoop that lands mid-run is seen at the same word
+// as in a per-word loop, since each probe runs at that wake's own
+// (time, seq) position.
+type hitRun struct {
+	cpu       *CPU
+	addr, end uint64 // the word the pending wake checks, and the range's end
+	store     bool
+}
+
+// Probe implements sim.Spinner.
+func (r *hitRun) Probe() (sim.Time, bool) {
+	if r.addr >= r.end || !r.cpu.hit(r.addr, r.store) {
+		return 0, true
+	}
+	r.addr += 8
+	return params.HitCycles, false
 }
 
 // UncachedLoad performs a blocking uncached 8-byte load from a device

@@ -195,3 +195,7 @@ func (ep *Endpoint) Sent() uint64 { return ep.node.Msgr.Sent }
 // Received returns how many user messages this endpoint has
 // delivered to handlers.
 func (ep *Endpoint) Received() uint64 { return ep.node.Msgr.Received }
+
+// QuietProbed returns how many idle-poll wakes of this endpoint's
+// PollUntil and Recv the engine ran as probes (msg.Messenger.QuietProbed).
+func (ep *Endpoint) QuietProbed() uint64 { return ep.node.Msgr.QuietProbed }

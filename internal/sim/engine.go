@@ -9,7 +9,10 @@
 // is a coroutine that runs only while the engine has resumed it — the
 // engine does not proceed until that process parks or terminates, so at
 // most one process runs at any instant. Two runs with the same inputs
-// therefore produce identical schedules.
+// therefore produce identical schedules. A loop that only re-checks
+// state at each wake (an idle poll, a run of cache hits) may park in
+// Process.Spin: the engine then runs its checks as probes at the same
+// (time, seq) keys, without resuming the process.
 //
 // An Engine is not safe for concurrent use from outside the simulation;
 // all interaction must happen from event callbacks or processes.
@@ -339,7 +342,8 @@ func (e *Engine) Pending() int { return e.events.len() }
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
 // Probed reports how many wakes of spinning processes (Process.Spin)
-// the engine handled by running their probe instead of resuming them.
+// the engine handled by running their probe instead of resuming them:
+// idle polls and cache-hit runs alike.
 func (e *Engine) Probed() uint64 { return e.probed }
 
 // Resumes reports how many coroutine resumes Run made: each costs two
@@ -375,8 +379,8 @@ func (e *Engine) scheduleProc(delay Time, p *Process, fn func()) {
 // Run executes events until the event queue is empty or the clock would
 // pass horizon. It returns the time of the last executed event.
 // Processes blocked on conditions when the queue drains remain parked;
-// call Stop to unwind them. A panic in a process body or a driven
-// step comes back out of Run as a *ProcessPanic.
+// call Stop to unwind them. A panic in a process body, a driven step
+// or a probe comes back out of Run as a *ProcessPanic.
 //
 // Run resumes a process by calling its coroutine's next. The process
 // keeps dispatching events itself when it next parks (Engine.next), so
@@ -420,12 +424,13 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
-// recoverStep re-raises a panic in a driven step that Run dispatched as
-// a *ProcessPanic naming the step's process. Other panics pass through
-// untouched: a coroutine's already is one, and a plain callback's has
-// no process to name.
+// recoverStep re-raises a panic in a driven step or a probe that Run
+// dispatched as a *ProcessPanic naming the step's process or the
+// spinning one. A coroutine's panic already is one, which panicked
+// passes on as it is; a plain callback's passes through untouched, as
+// it has no process to name.
 func (e *Engine) recoverStep() {
-	if e.cur == nil || e.cur.next != nil {
+	if e.cur == nil {
 		return
 	}
 	if r := recover(); r != nil {

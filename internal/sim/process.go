@@ -43,8 +43,9 @@ type Process struct {
 	spin   Spinner                 // non-nil while parked in Spin
 }
 
-// Spinner is the engine-side half of a process's idle loop (see
-// Process.Spin).
+// Spinner is the engine-side half of a loop a process hands to the
+// engine (see Process.Spin): the messaging layer's idle polls, and the
+// processor's runs of cache-hit words in a load or store range.
 type Spinner interface {
 	// Probe runs at each wake of the spinning process, at the wake's
 	// own (time, seq) position, without resuming the process. It
@@ -53,8 +54,8 @@ type Spinner interface {
 	// resume the process at this wake. A probe that resumes must change
 	// nothing: Engine.next may run it, leave the wake for Run, and Run
 	// runs it again. Probe runs on the stack of whoever is dispatching
-	// (Run, or another process parking on the same engine), so a panic
-	// in it surfaces there.
+	// (Run, or a process parking on the same engine); a panic in it
+	// comes out of Run as a *ProcessPanic naming the spinning process.
 	Probe() (delay Time, resume bool)
 }
 
@@ -203,14 +204,15 @@ func (e *Engine) next(self *Process) bool {
 	}
 }
 
-// Spin parks the process in an idle loop run by the engine: its wake
-// fires first cycles from now, and at each wake the engine calls
-// s.Probe in place of resuming the process, re-arming the wake for as
-// long as the probe continues. Spin returns at the wake whose probe
-// resumes. Every wake takes the (time, seq) key the equivalent Sleep
-// loop would, so the schedule is identical to the process sleeping
-// through each iteration itself; the probe must therefore do exactly
-// what that iteration would, with no simulated operation of its own.
+// Spin parks the process in a loop run by the engine — an idle poll,
+// or a run of cache hits: its wake fires first cycles from now, and at
+// each wake the engine calls s.Probe in place of resuming the process,
+// re-arming the wake for as long as the probe continues. Spin returns
+// at the wake whose probe resumes. Every wake takes the (time, seq) key
+// the equivalent Sleep loop would, so the schedule is identical to the
+// process sleeping through each iteration itself; the probe must
+// therefore do exactly what that iteration would, with no simulated
+// operation of its own (no bus transaction, no wait).
 func (p *Process) Spin(first Time, s Spinner) {
 	p.spin = s
 	p.wake(first, nil)

@@ -230,3 +230,37 @@ func BenchmarkSpinProbe16(b *testing.B) {
 	}
 	e.Stop()
 }
+
+// boomAt is a Spinner that continues one cycle at a time and panics
+// with "boom" at its first wake at or after cycle at.
+type boomAt struct {
+	p  *Process
+	at Time
+}
+
+func (b *boomAt) Probe() (Time, bool) {
+	if b.p.Now() >= b.at {
+		panic("boom")
+	}
+	return 1, false
+}
+
+// TestSpinProbePanicReachesRunCaller checks that a panic in a probe
+// comes out of Run as a *ProcessPanic naming the spinning process and
+// the cycle, both when Run dispatched the probe (the other process has
+// finished, so nothing parks) and when the spinning process's own park
+// ran it.
+func TestSpinProbePanicReachesRunCaller(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		other Time // how long the other process sleeps before it returns
+	}{{"from Run", 5}, {"inline", 100}} {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.Spawn("node0.app", func(p *Process) { p.Sleep(c.other) })
+			e.Spawn("node3.app", func(p *Process) { p.Spin(1, &boomAt{p: p, at: 6}) })
+			checkProcessPanic(t, recoverRun(func() { e.RunAll() }), "node3.app", 6, "boom")
+			e.Stop()
+		})
+	}
+}
