@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -197,15 +198,28 @@ func shard4kSpeedup() (eps, epsSerial, speedup float64, delivered uint64) {
 
 // traceOverhead measures the telemetry tax: the torus loadsweep point
 // with and without the full trace spec (recorder + default-period
-// sampler), best of three each to damp host scheduling noise. It also
-// returns the traced run's delivered count so --check can pin trace
-// inertness on the heaviest path.
+// sampler), as the median over 11 back-to-back pairs of the traced
+// run's extra wall time. Single runs of this 16-35 ms point swing by
+// tens of percent on a shared host, so the two sides of a pair run
+// close together, in the opposite order to the last pair's, and drift
+// and warm-up fall on both. It also returns the traced run's delivered
+// count so --check can pin trace inertness on the heaviest path.
 func traceOverhead() (pct float64, tracedDelivered uint64) {
 	spec := cni.TraceSpec{Enabled: true, SampleEvery: cni.TraceSampleDefault}
-	offSecs, offDelivered := fastest(func() (float64, uint64) { return torusLoadsweepRun(cni.TraceSpec{}) })
-	onSecs, tracedDelivered := fastest(func() (float64, uint64) { return torusLoadsweepRun(spec) })
-	off, on := float64(offDelivered)/offSecs, float64(tracedDelivered)/onSecs
-	return (off/on - 1) * 100, tracedDelivered
+	pcts := make([]float64, 11)
+	for i := range pcts {
+		var offSecs, onSecs float64
+		if i%2 == 0 {
+			offSecs, _ = torusLoadsweepRun(cni.TraceSpec{})
+			onSecs, tracedDelivered = torusLoadsweepRun(spec)
+		} else {
+			onSecs, tracedDelivered = torusLoadsweepRun(spec)
+			offSecs, _ = torusLoadsweepRun(cni.TraceSpec{})
+		}
+		pcts[i] = (onSecs/offSecs - 1) * 100
+	}
+	slices.Sort(pcts)
+	return pcts[len(pcts)/2], tracedDelivered
 }
 
 func timeTable(f func() *harness.Table) float64 {

@@ -459,10 +459,6 @@ func (ep *endpoints) InFlight(src, dst int) int {
 	return 0
 }
 
-// DeliveryLatency exposes the fabric's delivery-latency histogram
-// (also reachable as the "net.delivery" histogram in Stats).
-func (ep *endpoints) DeliveryLatency() *sim.Histogram { return ep.deliveryHist }
-
 // TotalInFlight sums unacked messages over every (src, dst) window —
 // the sliding-window occupancy gauge the trace sampler reads.
 func (ep *endpoints) TotalInFlight() int {

@@ -473,11 +473,11 @@ func (e *Engine) nextAt() Time {
 }
 
 // pushCross enqueues an event with an externally assigned sequence
-// number. The sharded coordinator materialises cross-shard events with
-// ranks above every engine-local sequence (shard.go's class-1 band),
-// so the merged (time, seq) order is identical for any shard count.
-// Such a rank is not in push order, so the event goes on the heap,
-// never into a ring FIFO.
+// number. The sharded coordinator pushes cross-shard events with
+// sequence numbers above every engine-local one (shard.go's class-1
+// band, class1Base+Key), so the merged (time, seq) order is identical
+// for any shard count. Such a number is not in push order, so the
+// event goes on the heap, never into a ring FIFO.
 func (e *Engine) pushCross(at Time, seq uint64, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: cross event at %d before now %d", at, e.now))

@@ -252,21 +252,20 @@ func testQueueFourShards(t *testing.T, seed int64, budget int) {
 			k := qkey{at: at, seq: e.Scheduled() + 1}
 			logs[i].made = append(logs[i].made, k)
 			e.ScheduleAt(at, func() { logs[i].ran = append(logs[i].ran, k) })
-			key := uint64(i)<<32 | n
+			// A fabric key at the top of the real range: a high
+			// source node's xkey, shifted for the kind bit.
+			key := ((uint64(65000+i)+1)<<40|n)<<1 | 1
 			n++
 			sent[i][dst] = append(sent[i][dst], qkey{at: at, cross: true, seq: key})
 			s.Cross(i, CrossEvent{At: at, Key: key, Node: int32(dst)})
 		})
 	}
 	// next is the earliest pending event on any shard, cross events
-	// not yet materialised included, or Forever when all are done.
+	// included, or Forever when all are done.
 	next := func() Time {
 		t := Forever
 		for i := range logs {
 			t = min(t, s.engines[i].nextAt())
-			if s.pending[i].len() > 0 {
-				t = min(t, s.pending[i].a[0].At)
-			}
 			for _, ev := range s.inboxes[i] {
 				t = min(t, ev.At)
 			}

@@ -13,25 +13,23 @@ import "runtime"
 // on the delay of any event one shard can create on another. Any
 // cross-shard event created during the epoch therefore fires at
 // S+L or later — provably after the epoch — so it is routed through a
-// deterministic-merge inbox and materialised at the next barrier
-// instead of being pushed into a foreign queue mid-epoch.
+// per-source inbox and pushed onto its destination engine at the next
+// barrier instead of into a foreign queue mid-epoch.
 //
 // Determinism (shard-count invariance): cross-shard events are
 // ordered by (At, Key), where Key is a fabric-assigned tiebreak unique
-// per (At). At each barrier the coordinator drains the inboxes into
-// per-destination-shard pending heaps and materialises the events due
-// this epoch in sorted (At, Key) order, assigning each a sequence
-// number in the class-1 band (class1Base + a per-shard monotonic
-// rank), and pushes it onto the destination engine's heap: class-1
-// events never enter the calendar ring, whose per-cycle FIFOs hold
-// only local events, in push (= seq) order. Engine-local events keep
-// their ordinary sequence numbers, which stay far below class1Base.
-// The merged (time, seq) dispatch order is therefore a pure function
-// of (At, Key) and of each node's own event-creation order — never of
-// the shard count — so a ShardSet with one shard is byte-identical to
-// the same ShardSet with eight.
-// (Epoch windows never overlap in time, so ranks assigned at earlier
-// barriers order correctly against later ones.)
+// per (At). At each barrier the coordinator drains the inboxes and
+// pushes every event onto its destination engine's heap with the
+// sequence number class1Base+Key: class-1 events never enter the
+// calendar ring, whose per-cycle FIFOs hold only local events, in
+// push (= seq) order. Engine-local events keep their ordinary sequence
+// numbers, which stay far below class1Base. Each engine's own heap
+// therefore dispatches cross events in (At, Key) order, after every
+// local event of the same instant, and the merged (time, seq) order is
+// a pure function of (At, Key) and of each node's own event-creation
+// order — never of the shard count — so a ShardSet with one shard is
+// byte-identical to the same ShardSet with eight. The coordinator
+// holds no event state between barriers.
 //
 // Note the one-shard ShardSet whose fabric routes cross events, not
 // the plain serial Engine, is the reference ordering: the serial
@@ -42,11 +40,11 @@ import "runtime"
 // Forever lookahead whose fabric never calls Cross runs each Run as a
 // single epoch, in exactly the serial Engine's order.
 
-// class1Base is the sequence-number floor of materialised cross-shard
-// events. Engine-local sequence numbers are per-event increments and
-// stay far below 2^48 for any practical run, so at equal times every
-// local event precedes every cross event — a rule that is independent
-// of shard count and of when either event was created.
+// class1Base is the sequence-number floor of cross-shard events.
+// Engine-local sequence numbers are per-event increments and stay far
+// below 2^48 for any practical run, so at equal times every local
+// event precedes every cross event — a rule that is independent of
+// shard count and of when either event was created.
 const class1Base uint64 = 1 << 48
 
 // CrossEvent is one cross-shard occurrence: a fabric message arriving
@@ -55,7 +53,10 @@ type CrossEvent struct {
 	// At is the absolute fire time.
 	At Time
 	// Key is the deterministic tiebreak: events with equal At must
-	// carry distinct Keys, and (At, Key) defines the merge order.
+	// carry distinct Keys, and (At, Key) defines the merge order. Key
+	// must stay below 2^64 - 2^48, so that class1Base+Key does not
+	// wrap; the fabric's xkey<<1|kind keys do up to about 8M nodes,
+	// where xkey<<1 itself would wrap.
 	Key uint64
 	// Kind and Node are routing tags for the dispatcher: Node is the
 	// node the event fires at (it selects the destination shard). Aux
@@ -68,69 +69,11 @@ type CrossEvent struct {
 	Msg any
 }
 
-// xfire is a pooled carrier for one materialised cross event: the
-// closure is built once and reused, so steady-state materialisation
-// allocates nothing.
+// xfire is a pooled carrier for one pushed cross event: the closure is
+// built once and reused, so steady-state collection allocates nothing.
 type xfire struct {
 	ev CrossEvent
 	fn func()
-}
-
-// crossHeap is a 4-ary min-heap of CrossEvents ordered by (At, Key).
-type crossHeap struct {
-	a []CrossEvent
-}
-
-func (h *crossHeap) len() int { return len(h.a) }
-
-func crossBefore(x, y *CrossEvent) bool {
-	if x.At != y.At {
-		return x.At < y.At
-	}
-	return x.Key < y.Key
-}
-
-func (h *crossHeap) push(ev CrossEvent) {
-	h.a = append(h.a, ev)
-	i := len(h.a) - 1
-	for i > 0 {
-		parent := (i - 1) >> 2
-		if !crossBefore(&h.a[i], &h.a[parent]) {
-			break
-		}
-		h.a[i], h.a[parent] = h.a[parent], h.a[i]
-		i = parent
-	}
-}
-
-func (h *crossHeap) pop() CrossEvent {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a[n] = CrossEvent{}
-	h.a = h.a[:n]
-	i := 0
-	for {
-		first := i<<2 + 1
-		if first >= n {
-			return top
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if crossBefore(&h.a[c], &h.a[min]) {
-				min = c
-			}
-		}
-		if !crossBefore(&h.a[min], &h.a[i]) {
-			return top
-		}
-		h.a[i], h.a[min] = h.a[min], h.a[i]
-		i = min
-	}
 }
 
 // ShardSet is a group of Engines executing one simulation under
@@ -150,11 +93,6 @@ type ShardSet struct {
 	// the coordinator at the barrier (the epoch channels order the
 	// accesses), so no locks are needed.
 	inboxes [][]CrossEvent
-	// pending[dstShard] holds collected events not yet due, in
-	// (At, Key) order; rank[dstShard] is the monotonic class-1
-	// materialisation counter.
-	pending []crossHeap
-	rank    []uint64
 	// free[dstShard] pools xfire carriers: the coordinator pops at
 	// barriers, the shard's dispatch pushes back mid-epoch.
 	free [][]*xfire
@@ -188,8 +126,6 @@ func NewShardSet(nodes, shards int, lookahead Time) *ShardSet {
 		engines:   make([]*Engine, shards),
 		shardOf:   make([]int32, nodes),
 		inboxes:   make([][]CrossEvent, shards),
-		pending:   make([]crossHeap, shards),
-		rank:      make([]uint64, shards),
 		free:      make([][]*xfire, shards),
 	}
 	for i := range s.engines {
@@ -248,25 +184,13 @@ func (s *ShardSet) sum(count func(*Engine) uint64) uint64 {
 // shard's clock has been aligned to the global maximum.
 func (s *ShardSet) Now() Time { return s.engines[0].Now() }
 
-// collect drains every shard inbox into the destination shards'
-// pending heaps. Runs only at barriers.
+// collect drains every shard inbox onto the destination engines,
+// each event with sequence number class1Base+Key. Runs only at
+// barriers.
 func (s *ShardSet) collect() {
 	for i := range s.inboxes {
 		for _, ev := range s.inboxes[i] {
-			s.pending[int(s.shardOf[ev.Node])].push(ev)
-		}
-		s.inboxes[i] = s.inboxes[i][:0]
-	}
-}
-
-// materialise pushes every pending cross event due by end onto its
-// destination engine, in (At, Key) order, with class-1 sequence
-// numbers. Runs only at barriers.
-func (s *ShardSet) materialise(end Time) {
-	for d := range s.pending {
-		h := &s.pending[d]
-		for h.len() > 0 && h.a[0].At <= end {
-			ev := h.pop()
+			d := int(s.shardOf[ev.Node])
 			var x *xfire
 			if n := len(s.free[d]); n > 0 {
 				x = s.free[d][n-1]
@@ -275,16 +199,16 @@ func (s *ShardSet) materialise(end Time) {
 				x = s.newCarrier(d)
 			}
 			x.ev = ev
-			s.engines[d].pushCross(ev.At, class1Base+s.rank[d], x.fn)
-			s.rank[d]++
+			s.engines[d].pushCross(ev.At, class1Base+ev.Key, x.fn)
 		}
+		s.inboxes[i] = s.inboxes[i][:0]
 	}
 }
 
 // newCarrier builds a carrier for destination shard d whose closure
 // returns it to d's free list after dispatch. It is a method, not
-// inline in materialise, so the closure's capture of d cannot move
-// materialise's loop variable to the heap on every call.
+// inline in collect, so the closure's capture of d cannot move
+// collect's loop variable to the heap on every call.
 func (s *ShardSet) newCarrier(d int) *xfire {
 	x := &xfire{}
 	x.fn = func() {
@@ -345,8 +269,8 @@ func (s *ShardSet) runEpoch(end Time) {
 // Run executes events until no work remains or the clock would pass
 // horizon, in conservative epochs of lookahead cycles. It returns the
 // final simulation time (the global maximum across shards, to which
-// every shard's clock is aligned). Pending cross events beyond the
-// horizon survive for a later Run.
+// every shard's clock is aligned). Events beyond the horizon, cross
+// events included, stay on their engines for a later Run.
 func (s *ShardSet) Run(horizon Time) Time {
 	if s.stopped {
 		panic("sim: Run after Stop")
@@ -359,11 +283,6 @@ func (s *ShardSet) Run(horizon Time) Time {
 				S = t
 			}
 		}
-		for i := range s.pending {
-			if s.pending[i].len() > 0 && s.pending[i].a[0].At < S {
-				S = s.pending[i].a[0].At
-			}
-		}
 		if S == Forever || S > horizon {
 			break
 		}
@@ -371,7 +290,6 @@ func (s *ShardSet) Run(horizon Time) Time {
 		if end > horizon {
 			end = horizon
 		}
-		s.materialise(end)
 		s.runEpoch(end)
 	}
 	max := Time(0)
