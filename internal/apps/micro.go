@@ -37,16 +37,48 @@ func RoundTrip(cfg params.Config, size, rounds int) sim.Time {
 // optimisations buy bus cycles rather than critical-path latency.
 func RoundTripDetail(cfg params.Config, size, rounds int) (sim.Time, uint64) {
 	cfg.Nodes = 2
+	return pingPong(cfg, 1, size, rounds, nil)
+}
+
+// Bandwidth measures sustainable process-to-process bandwidth (§5.1.2,
+// Fig 7): node 0 streams messages of the given payload size, node 1
+// consumes as fast as it can. Returns MB/s of user payload delivered
+// (steady state: a warmup prefix is excluded).
+//
+// The consumer arrives a little late (§5.1.2: the send rate exceeds
+// the reception rate), letting the stream pile into the NI — which is
+// what differentiates the designs' buffering.
+func Bandwidth(cfg params.Config, size, messages int) float64 {
+	cfg.Nodes = 2
+	return stream(cfg, 1, size, messages, 4000, nil)
+}
+
+// background is a congestion background (see add): the compute gap
+// between background sends and the traffic pattern.
+type background struct {
+	gap     int
+	pattern BgPattern
+}
+
+// pingPong is the ping-pong loop behind RoundTrip and ProbeRTT: node 0
+// sends warmup+rounds size-byte pings to dst, polling for each pong,
+// dst's handler echoes the payload size back, and dst polls until the
+// last pong has landed. bg, when non-nil, is appended after the probe
+// programs, so the simulated schedule keeps the probe's wake ordering,
+// and runs until node 0 is done. Returns the steady-state round trip
+// in cycles and the memory-bus cycles per round, summed over nodes.
+func pingPong(cfg params.Config, dst, size, rounds int, bg *background) (sim.Time, uint64) {
 	m := build(cfg)
 	defer m.Close()
 
 	pongs := 0
-	m.Endpoint(1).Handle(hPing, func(d *scenario.Delivery) {
+	m.Endpoint(dst).Handle(hPing, func(d *scenario.Delivery) {
 		d.EP.SendTo(d.Src, hPong, d.Size, nil)
 	})
 	m.Endpoint(0).Handle(hPong, func(d *scenario.Delivery) { pongs++ })
 
 	const warmup = 2
+	done := false
 	var start, end sim.Time
 	var busAtStart, busAtEnd sim.Time
 	sc := scenario.New().
@@ -56,16 +88,20 @@ func RoundTripDetail(cfg params.Config, size, rounds int) (sim.Time, uint64) {
 					start = ep.Clock()
 					busAtStart = m.BusOccupancy()
 				}
-				ep.SendTo(1, hPing, size, nil)
+				ep.SendTo(dst, hPing, size, nil)
 				want := r + 1
 				ep.PollUntil(func() bool { return pongs == want })
 			}
 			end = ep.Clock()
 			busAtEnd = m.BusOccupancy()
+			done = true
 		}).
-		At(1, func(ep *scenario.Endpoint) {
+		At(dst, func(ep *scenario.Endpoint) {
 			ep.PollUntil(func() bool { return pongs == warmup+rounds })
 		})
+	if bg != nil {
+		bg.add(m, sc, &done)
+	}
 	m.Run(sc)
 	if StatsDump != nil {
 		StatsDump(cfg, m.Stats())
@@ -73,22 +109,22 @@ func RoundTripDetail(cfg params.Config, size, rounds int) (sim.Time, uint64) {
 	return (end - start) / sim.Time(rounds), uint64(busAtEnd-busAtStart) / uint64(rounds)
 }
 
-// Bandwidth measures sustainable process-to-process bandwidth (§5.1.2,
-// Fig 7): node 0 streams messages of the given payload size, node 1
-// consumes as fast as it can. Returns MB/s of user payload delivered
-// (steady state: a warmup prefix is excluded).
-func Bandwidth(cfg params.Config, size, messages int) float64 {
-	cfg.Nodes = 2
+// stream is the stream loop behind Bandwidth and ProbeBandwidth: node
+// 0 sends warmup+messages size-byte messages to dst back to back, and
+// dst starts polling delay cycles in, reading each delivered payload
+// (the paper's measurement ends with data "in the receiving
+// processor's cache" — and used) plus per-message bookkeeping. bg is
+// as in pingPong, running until dst has the last message. Returns MB/s
+// of user payload delivered after a one-fifth warmup prefix.
+func stream(cfg params.Config, dst, size, messages int, delay sim.Time, bg *background) float64 {
 	m := build(cfg)
 	defer m.Close()
 
-	warmup := messages / 5
+	warmup := max(1, messages/5) // start must fire even for tiny runs
 	received := 0
+	done := false
 	var start, end sim.Time
-	m.Endpoint(1).Handle(hStream, func(d *scenario.Delivery) {
-		// The consuming process reads the delivered payload (the
-		// paper's measurement ends with data "in the receiving
-		// processor's cache" — and used) plus per-message bookkeeping.
+	m.Endpoint(dst).Handle(hStream, func(d *scenario.Delivery) {
 		d.EP.Load(0x4000, d.Size)
 		d.EP.Compute(40)
 		received++
@@ -102,16 +138,19 @@ func Bandwidth(cfg params.Config, size, messages int) float64 {
 	sc := scenario.New().
 		At(0, func(ep *scenario.Endpoint) {
 			for i := 0; i < warmup+messages; i++ {
-				ep.SendTo(1, hStream, size, nil)
+				ep.SendTo(dst, hStream, size, nil)
 			}
 		}).
-		At(1, func(ep *scenario.Endpoint) {
-			// The consumer arrives a little late (§5.1.2: the send rate
-			// exceeds the reception rate), letting the stream pile into
-			// the NI — which is what differentiates the designs' buffering.
-			ep.Compute(4000)
+		At(dst, func(ep *scenario.Endpoint) {
+			if delay > 0 {
+				ep.Compute(delay)
+			}
 			ep.PollUntil(func() bool { return received == warmup+messages })
+			done = true
 		})
+	if bg != nil {
+		bg.add(m, sc, &done)
+	}
 	m.Run(sc)
 	if end <= start {
 		return 0
@@ -165,26 +204,26 @@ func HotspotNode(nodes int) int {
 	return ProbeDst(nodes) - w
 }
 
-// addBackground appends the congestion background traffic to sc on
-// every node except the probe endpoints (and, for BgHotspot, the
-// hotspot sink): each sender streams full-payload messages at the
-// given gap until *done flips. Append it after the probe programs so
-// the simulated schedule keeps the probe's wake ordering. A negative
-// gap adds nothing.
-func addBackground(m *scenario.Machine, sc *scenario.Scenario, gap int, pattern BgPattern, done *bool) {
+// add appends the congestion background traffic to sc on every node
+// except the probe endpoints (and, for BgHotspot, the hotspot sink):
+// each sender streams full-payload messages at the given gap until
+// *done flips. Append it after the probe programs so the simulated
+// schedule keeps the probe's wake ordering. A negative gap adds no
+// senders.
+func (bg *background) add(m *scenario.Machine, sc *scenario.Scenario, done *bool) {
 	nodes := m.Nodes()
 	probeDst := ProbeDst(nodes)
 	hot := HotspotNode(nodes)
 	bgAlive := 0
 	sending := make([]bool, nodes)
 	targets := make([]int, 0, nodes)
-	if gap >= 0 {
+	if bg.gap >= 0 {
 		for id := 1; id < nodes; id++ {
-			if id == probeDst || (pattern == BgHotspot && id == hot) {
+			if id == probeDst || (bg.pattern == BgHotspot && id == hot) {
 				continue
 			}
 			target := hot
-			if pattern == BgAllToAll {
+			if bg.pattern == BgAllToAll {
 				target = antipode(id, nodes)
 				if target == 0 || target == probeDst || target == id {
 					continue // the probe pair maps to itself; skip partners of excluded nodes
@@ -198,7 +237,7 @@ func addBackground(m *scenario.Machine, sc *scenario.Scenario, gap int, pattern 
 				for !*done {
 					ep.SendTo(target, hBgSink, params.MaxPayloadBytes, nil)
 					ep.Drain()
-					ep.Compute(sim.Time(gap))
+					ep.Compute(sim.Time(bg.gap))
 				}
 				// Keep draining after the measurement so no partner is
 				// left blocked on a full window mid-send; the last
@@ -215,7 +254,7 @@ func addBackground(m *scenario.Machine, sc *scenario.Scenario, gap int, pattern 
 		// including the 16-node harness configuration — this set is
 		// empty and the simulated schedule is untouched.)
 		for _, tgt := range targets {
-			if sending[tgt] || (pattern == BgHotspot && tgt == hot) {
+			if sending[tgt] || (bg.pattern == BgHotspot && tgt == hot) {
 				continue
 			}
 			sending[tgt] = true // drain at most once
@@ -227,7 +266,7 @@ func addBackground(m *scenario.Machine, sc *scenario.Scenario, gap int, pattern 
 	}
 	// The hotspot sink keeps draining until every background sender
 	// has finished its final (possibly flow-controlled) send.
-	if pattern == BgHotspot {
+	if bg.pattern == BgHotspot {
 		m.Endpoint(hot).Handle(hBgSink, func(d *scenario.Delivery) {})
 		sc.At(hot, func(ep *scenario.Endpoint) {
 			ep.PollUntil(func() bool { return *done && bgAlive == 0 })
@@ -250,41 +289,8 @@ func ProbeRTT(cfg params.Config, size, rounds, gap int, pattern BgPattern) sim.T
 	if cfg.Nodes < 4 {
 		panic("apps: ProbeRTT needs at least 4 nodes")
 	}
-	m := build(cfg)
-	defer m.Close()
-	probeDst := ProbeDst(cfg.Nodes)
-
-	pongs := 0
-	m.Endpoint(probeDst).Handle(hPing, func(d *scenario.Delivery) {
-		d.EP.SendTo(d.Src, hPong, d.Size, nil)
-	})
-	m.Endpoint(0).Handle(hPong, func(d *scenario.Delivery) { pongs++ })
-
-	done := false
-	const warmup = 2
-	var start, end sim.Time
-	sc := scenario.New().
-		At(0, func(ep *scenario.Endpoint) {
-			for r := 0; r < warmup+rounds; r++ {
-				if r == warmup {
-					start = ep.Clock()
-				}
-				ep.SendTo(probeDst, hPing, size, nil)
-				want := r + 1
-				ep.PollUntil(func() bool { return pongs == want })
-			}
-			end = ep.Clock()
-			done = true
-		}).
-		At(probeDst, func(ep *scenario.Endpoint) {
-			ep.PollUntil(func() bool { return done })
-		})
-	addBackground(m, sc, gap, pattern, &done)
-	m.Run(sc)
-	if StatsDump != nil {
-		StatsDump(cfg, m.Stats())
-	}
-	return (end - start) / sim.Time(rounds)
+	rtt, _ := pingPong(cfg, ProbeDst(cfg.Nodes), size, rounds, &background{gap, pattern})
+	return rtt
 }
 
 // ProbeBandwidth measures the delivered bandwidth of a victim stream
@@ -297,46 +303,7 @@ func ProbeBandwidth(cfg params.Config, size, messages, gap int, pattern BgPatter
 	if cfg.Nodes < 4 {
 		panic("apps: ProbeBandwidth needs at least 4 nodes")
 	}
-	m := build(cfg)
-	defer m.Close()
-	probeDst := ProbeDst(cfg.Nodes)
-
-	warmup := messages / 5
-	if warmup < 1 {
-		warmup = 1 // start must fire even for tiny runs
-	}
-	received := 0
-	done := false
-	var start, end sim.Time
-	m.Endpoint(probeDst).Handle(hStream, func(d *scenario.Delivery) {
-		d.EP.Load(0x4000, d.Size)
-		d.EP.Compute(40)
-		received++
-		if received == warmup {
-			start = d.EP.Clock()
-		}
-		if received == warmup+messages {
-			end = d.EP.Clock()
-		}
-	})
-	sc := scenario.New().
-		At(0, func(ep *scenario.Endpoint) {
-			for i := 0; i < warmup+messages; i++ {
-				ep.SendTo(probeDst, hStream, size, nil)
-			}
-		}).
-		At(probeDst, func(ep *scenario.Endpoint) {
-			ep.PollUntil(func() bool { return received == warmup+messages })
-			done = true
-		})
-	addBackground(m, sc, gap, pattern, &done)
-	m.Run(sc)
-	if end <= start {
-		return 0
-	}
-	bytes := float64(size) * float64(messages)
-	seconds := float64(end-start) / (params.CPUMHz * 1e6)
-	return bytes / seconds / 1e6
+	return stream(cfg, ProbeDst(cfg.Nodes), size, messages, 0, &background{gap, pattern})
 }
 
 // HotspotIncast streams perSender size-byte messages from every other
@@ -434,7 +401,7 @@ func AllToAllExchange(cfg params.Config, size, rounds int) sim.Time {
 // Table 2 costs this lands near the paper's 144 MB/s.
 func LocalQueueBandwidth() float64 {
 	eng := sim.NewEngine()
-	st := sim.NewStats(eng)
+	st := sim.NewStats()
 	fab := bus.NewFabric(eng, st, "lq", false)
 	mem := cache.NewMemory(fab, "lq.mem")
 	fab.AddRegion(bus.Region{Name: "dram", Base: 0, Size: 1 << 30, Home: mem, Loc: params.MemoryBus, Cachable: true})

@@ -34,7 +34,7 @@ func (s *stubAgent) RegWrite(reg, val uint64)  { s.regs[reg] = val; s.writes = a
 func memFabric(t *testing.T) (*sim.Engine, *Fabric, *stubAgent, *stubAgent) {
 	t.Helper()
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f := NewFabric(e, st, "t", false)
 	home := newStub("home", params.ClassMemory)
 	f.Attach(home, params.MemoryBus)
@@ -191,7 +191,7 @@ func store(f *Fabric, p *sim.Process, dev Device, reg, val uint64) {
 func ioFabric(t *testing.T) (*sim.Engine, *Fabric, *stubAgent) {
 	t.Helper()
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f := NewFabric(e, st, "t", true)
 	home := newStub("home", params.ClassMemory)
 	f.Attach(home, params.MemoryBus)

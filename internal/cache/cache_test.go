@@ -23,7 +23,7 @@ type rig struct {
 func newRig(t *testing.T, cacheBytes int) *rig {
 	t.Helper()
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f := bus.NewFabric(e, st, "n0", false)
 	m := NewMemory(f, "n0.mem")
 	f.AddRegion(bus.Region{Name: "dram", Base: 0, Size: 1 << 30, Home: m, Loc: params.MemoryBus, Cachable: true})

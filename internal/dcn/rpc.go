@@ -17,7 +17,7 @@ const (
 	rpcPollQuantum = 256
 	// rpcIssueBatch bounds how many due arrivals a front-end issues
 	// before draining replies again, so deep overload cannot starve
-	// the serving side (see workload.addClosedPopulation).
+	// the serving side (see workload.addClosed).
 	rpcIssueBatch = 64
 	// rpcRetryCycles is how long a front-end sleeps before retrying a
 	// refused leg admission when it has nothing to drain.

@@ -9,7 +9,7 @@ import (
 
 func newInj(seed uint64, f params.Faults) (*sim.Engine, *sim.Stats, *Injector) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f.Seed = seed
 	return e, st, New(st, 4, f)
 }

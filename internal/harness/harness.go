@@ -88,44 +88,28 @@ func fig6Config(ni params.NIKind, bus params.BusKind) params.Config {
 	return params.Config{Nodes: 2, NI: ni, Bus: bus}
 }
 
-// Fig6 reproduces Figure 6a/6b: process-to-process round-trip latency
-// (microseconds) for each NI at each message size, on the given bus.
-func Fig6(bus params.BusKind) *Table {
-	nis := Fig8NIsMemory
+// figNIs lists a figure's NIs on bus: Figure 8a's on the memory bus,
+// 8b's (no CNI16Qm, §2.3) on the I/O bus.
+func figNIs(bus params.BusKind) []params.NIKind {
 	if bus == params.IOBus {
-		nis = Fig8NIsIO
+		return Fig8NIsIO
 	}
-	t := &Table{
-		Title:  fmt.Sprintf("Figure 6 (%s bus): round-trip message latency, microseconds", bus),
-		Header: append([]string{"bytes"}, niNames(nis)...),
-	}
-	cells := grid(len(Fig6Sizes), len(nis), func(r, c int) string {
-		rtt := apps.RoundTrip(fig6Config(nis[c], bus), Fig6Sizes[r], rttRounds)
-		return fmt.Sprintf("%.2f", machine.Microseconds(rtt))
-	})
-	for r, size := range Fig6Sizes {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
-	}
-	return t
+	return Fig8NIsMemory
 }
 
-// Fig6Alt reproduces Figure 6c: NI2w on the cache bus vs CNI16Qm on
-// the memory bus vs CNI512Q on the I/O bus.
-func Fig6Alt() *Table {
-	t := &Table{
-		Title:  "Figure 6c (alternate buses): round-trip latency, microseconds",
-		Header: []string{"bytes", "NI2w@cache", "CNI16Qm@memory", "CNI512Q@io"},
+// niConfigs builds one nodes-node config per NI on bus.
+func niConfigs(nis []params.NIKind, bus params.BusKind, nodes int) []params.Config {
+	cfgs := make([]params.Config, 0, len(nis))
+	for _, ni := range nis {
+		cfgs = append(cfgs, params.Config{Nodes: nodes, NI: ni, Bus: bus})
 	}
-	cfgs := altConfigs()
-	cells := grid(len(Fig6Sizes), len(cfgs), func(r, c int) string {
-		rtt := apps.RoundTrip(cfgs[c], Fig6Sizes[r], rttRounds)
-		return fmt.Sprintf("%.2f", machine.Microseconds(rtt))
-	})
-	for r, size := range Fig6Sizes {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
-	}
-	return t
+	return cfgs
 }
+
+// altHeads and altConfigs are the alternate-bus figures' (6c, 7c, 8c)
+// columns: NI2w on the cache bus vs CNI16Qm on the memory bus vs
+// CNI512Q on the I/O bus.
+var altHeads = []string{"NI2w@cache", "CNI16Qm@memory", "CNI512Q@io"}
 
 func altConfigs() []params.Config {
 	return []params.Config{
@@ -133,6 +117,42 @@ func altConfigs() []params.Config {
 		{Nodes: 2, NI: params.CNI16Qm, Bus: params.MemoryBus},
 		{Nodes: 2, NI: params.CNI512Q, Bus: params.IOBus},
 	}
+}
+
+// sizeTable measures a message sizes × columns figure: a row per size,
+// cell(c, size) for each of header's columns, all cells in parallel.
+func sizeTable(title string, header []string, sizes []int, cell func(c, size int) string) *Table {
+	t := &Table{Title: title, Header: append([]string{"bytes"}, header...)}
+	cells := grid(len(sizes), len(header), func(r, c int) string { return cell(c, sizes[r]) })
+	for r, size := range sizes {
+		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
+	}
+	return t
+}
+
+// rttCell formats RoundTrip's steady-state latency in microseconds.
+func rttCell(cfg params.Config, size int) string {
+	return fmt.Sprintf("%.2f", machine.Microseconds(apps.RoundTrip(cfg, size, rttRounds)))
+}
+
+// Fig6 reproduces Figure 6a/6b: process-to-process round-trip latency
+// (microseconds) for each NI at each message size, on the given bus.
+func Fig6(bus params.BusKind) *Table {
+	nis := figNIs(bus)
+	return fig6(fmt.Sprintf("Figure 6 (%s bus): round-trip message latency, microseconds", bus),
+		niNames(nis), niConfigs(nis, bus, 2))
+}
+
+// Fig6Alt reproduces Figure 6c: NI2w on the cache bus vs CNI16Qm on
+// the memory bus vs CNI512Q on the I/O bus.
+func Fig6Alt() *Table {
+	return fig6("Figure 6c (alternate buses): round-trip latency, microseconds", altHeads, altConfigs())
+}
+
+// fig6 measures round-trip latency per message size, a column per
+// config.
+func fig6(title string, header []string, cfgs []params.Config) *Table {
+	return sizeTable(title, header, Fig6Sizes, func(c, size int) string { return rttCell(cfgs[c], size) })
 }
 
 // bwMessages picks a message count that exercises steady state without
@@ -148,57 +168,39 @@ func bwMessages(size int) int {
 	return n
 }
 
+// bandwidth runs Bandwidth at size with bwMessages' message count.
+func bandwidth(cfg params.Config, size int) float64 {
+	return apps.Bandwidth(cfg, size, bwMessages(size))
+}
+
 // Fig7 reproduces Figure 7a/7b: bandwidth relative to the local
 // cachable-queue bound, per NI per message size. On the memory bus the
 // CNI16Qm-with-snarfing series of Fig 7a is included.
 func Fig7(bus params.BusKind) *Table {
-	nis := Fig8NIsMemory
-	if bus == params.IOBus {
-		nis = Fig8NIsIO
-	}
-	bound := apps.LocalQueueBandwidth()
-	header := append([]string{"bytes"}, niNames(nis)...)
-	withSnarf := bus == params.MemoryBus
-	cfgs := make([]params.Config, 0, len(nis)+1)
-	for _, ni := range nis {
-		cfgs = append(cfgs, fig6Config(ni, bus))
-	}
-	if withSnarf {
+	nis := figNIs(bus)
+	header, cfgs := niNames(nis), niConfigs(nis, bus, 2)
+	if bus == params.MemoryBus {
 		header = append(header, "CNI16Qm+snarf")
 		cfg := fig6Config(params.CNI16Qm, bus)
 		cfg.Snarfing = true
 		cfgs = append(cfgs, cfg)
 	}
-	t := &Table{
-		Title:  fmt.Sprintf("Figure 7 (%s bus): bandwidth relative to local-queue bound (%.0f MB/s)", bus, bound),
-		Header: header,
-	}
-	cells := grid(len(Fig7Sizes), len(cfgs), func(r, c int) string {
-		bw := apps.Bandwidth(cfgs[c], Fig7Sizes[r], bwMessages(Fig7Sizes[r]))
-		return fmt.Sprintf("%.2f", bw/bound)
-	})
-	for r, size := range Fig7Sizes {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
-	}
-	return t
+	return fig7(fmt.Sprintf("Figure 7 (%s bus)", bus), header, cfgs)
 }
 
 // Fig7Alt reproduces Figure 7c: alternate buses, relative bandwidth.
 func Fig7Alt() *Table {
+	return fig7("Figure 7c (alternate buses)", altHeads, altConfigs())
+}
+
+// fig7 measures bandwidth relative to the local-queue bound per
+// message size, a column per config.
+func fig7(figure string, header []string, cfgs []params.Config) *Table {
 	bound := apps.LocalQueueBandwidth()
-	t := &Table{
-		Title:  fmt.Sprintf("Figure 7c (alternate buses): bandwidth relative to local-queue bound (%.0f MB/s)", bound),
-		Header: []string{"bytes", "NI2w@cache", "CNI16Qm@memory", "CNI512Q@io"},
-	}
-	cfgs := altConfigs()
-	cells := grid(len(Fig7Sizes), len(cfgs), func(r, c int) string {
-		bw := apps.Bandwidth(cfgs[c], Fig7Sizes[r], bwMessages(Fig7Sizes[r]))
-		return fmt.Sprintf("%.2f", bw/bound)
+	title := fmt.Sprintf("%s: bandwidth relative to local-queue bound (%.0f MB/s)", figure, bound)
+	return sizeTable(title, header, Fig7Sizes, func(c, size int) string {
+		return fmt.Sprintf("%.2f", bandwidth(cfgs[c], size)/bound)
 	})
-	for r, size := range Fig7Sizes {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
-	}
-	return t
 }
 
 func niNames(nis []params.NIKind) []string {
@@ -212,19 +214,12 @@ func niNames(nis []params.NIKind) []string {
 // Fig8 reproduces Figure 8a/8b: per-macrobenchmark speedup over NI2w
 // on the memory bus. appNames limits the run (nil = all five).
 func Fig8(bus params.BusKind, appNames []string) *Table {
-	nis := Fig8NIsMemory
-	if bus == params.IOBus {
-		nis = Fig8NIsIO
-	}
-	cfgs := make([]params.Config, 0, len(nis))
-	for _, ni := range nis {
-		cfgs = append(cfgs, params.Config{Nodes: 16, NI: ni, Bus: bus})
-	}
+	nis := figNIs(bus)
 	t := &Table{
 		Title:  fmt.Sprintf("Figure 8 (%s bus): speedup over NI2w on the memory bus", bus),
 		Header: append([]string{"benchmark"}, niNames(nis)...),
 	}
-	t.Rows = speedupRows(selectApps(appNames), cfgs)
+	t.Rows, _ = relRows(selectApps(appNames), niConfigs(nis, bus, 16), apps.Result.SpeedupOver)
 	return t
 }
 
@@ -233,35 +228,42 @@ func Fig8(bus params.BusKind, appNames []string) *Table {
 func Fig8Alt(appNames []string) *Table {
 	t := &Table{
 		Title:  "Figure 8c (alternate buses): speedup over NI2w on the memory bus",
-		Header: []string{"benchmark", "NI2w@cache", "CNI16Qm@memory", "CNI512Q@io"},
+		Header: append([]string{"benchmark"}, altHeads...),
 	}
 	cfgs := altConfigs()
 	for i := range cfgs {
 		cfgs[i].Nodes = 16
 	}
-	t.Rows = speedupRows(selectApps(appNames), cfgs)
+	t.Rows, _ = relRows(selectApps(appNames), cfgs, apps.Result.SpeedupOver)
 	return t
 }
 
-// speedupRows runs every (benchmark, config) cell plus the per-app
-// NI2w@memory baseline concurrently, then renders speedup rows in the
-// apps' order. Each cell constructs a private App instance so no state
-// is shared between host workers.
-func speedupRows(sel []apps.App, cfgs []params.Config) [][]string {
+// relRows runs every (benchmark, config) cell plus the per-app
+// NI2w@memory baseline concurrently, then renders a row per app, in
+// the apps' order, of rel(result, baseline) for each config. It also
+// returns each config's mean rel over the apps. Each cell constructs
+// a private App instance so no state is shared between host workers.
+func relRows(sel []apps.App, cfgs []params.Config, rel func(r, base apps.Result) float64) ([][]string, []float64) {
 	base := params.Config{Nodes: 16, NI: params.NI2w, Bus: params.MemoryBus}
 	runs := append([]params.Config{base}, cfgs...)
 	results := grid(len(sel), len(runs), func(r, c int) apps.Result {
 		return freshApp(sel[r].Name()).Run(runs[c])
 	})
 	rows := make([][]string, 0, len(sel))
+	means := make([]float64, len(cfgs))
 	for r, app := range sel {
 		row := []string{app.Name()}
-		for c := 1; c < len(runs); c++ {
-			row = append(row, fmt.Sprintf("%.2f", results[r][c].SpeedupOver(results[r][0])))
+		for c := range cfgs {
+			v := rel(results[r][c+1], results[r][0])
+			means[c] += v
+			row = append(row, fmt.Sprintf("%.2f", v))
 		}
 		rows = append(rows, row)
 	}
-	return rows
+	for c := range means {
+		means[c] /= float64(len(sel))
+	}
+	return rows, means
 }
 
 // freshApp returns a private instance of the named benchmark.
@@ -297,31 +299,15 @@ func Occupancy(appNames []string) *Table {
 		Title:  "Section 5.2: memory-bus occupancy relative to NI2w (memory bus), lower is better",
 		Header: append([]string{"benchmark"}, niNames(Fig8NIsMemory)...),
 	}
-	sums := make([]float64, len(Fig8NIsMemory))
-	sel := selectApps(appNames)
-	runs := make([]params.Config, 0, len(Fig8NIsMemory)+1)
-	runs = append(runs, params.Config{Nodes: 16, NI: params.NI2w, Bus: params.MemoryBus})
-	for _, ni := range Fig8NIsMemory {
-		runs = append(runs, params.Config{Nodes: 16, NI: ni, Bus: params.MemoryBus})
-	}
-	results := grid(len(sel), len(runs), func(r, c int) apps.Result {
-		return freshApp(sel[r].Name()).Run(runs[c])
-	})
-	for r, app := range sel {
-		base := results[r][0]
-		row := []string{app.Name()}
-		for i := range Fig8NIsMemory {
-			rel := float64(results[r][i+1].MemBusOccupancy) / float64(base.MemBusOccupancy)
-			sums[i] += rel
-			row = append(row, fmt.Sprintf("%.2f", rel))
-		}
-		t.Rows = append(t.Rows, row)
-	}
+	rows, means := relRows(selectApps(appNames), niConfigs(Fig8NIsMemory, params.MemoryBus, 16),
+		func(r, base apps.Result) float64 {
+			return float64(r.MemBusOccupancy) / float64(base.MemBusOccupancy)
+		})
 	avg := []string{"average"}
-	for _, s := range sums {
-		avg = append(avg, fmt.Sprintf("%.2f", s/float64(len(sel))))
+	for _, m := range means {
+		avg = append(avg, fmt.Sprintf("%.2f", m))
 	}
-	t.Rows = append(t.Rows, avg)
+	t.Rows = append(rows, avg)
 	return t
 }
 
@@ -354,7 +340,7 @@ func AblationCQ() *Table {
 		cfg.QueueBlocksOverride = 32
 		v.mod(&cfg)
 		rtt, busCyc := apps.RoundTripDetail(cfg, 64, 24)
-		bw := apps.Bandwidth(cfg, 1024, bwMessages(1024))
+		bw := bandwidth(cfg, 1024)
 		return []string{
 			v.name,
 			fmt.Sprintf("%.2f", machine.Microseconds(rtt)),
@@ -374,26 +360,17 @@ func AblationCQ() *Table {
 // its interrupt notification and DRAM delivery lose on fine-grain
 // latency.
 func DMAComparison() *Table {
-	t := &Table{
-		Title: "Extension: CNI vs user-level DMA (memory bus)",
-		Note: "RTT in microseconds; bandwidth in MB/s. The DMA NI posts 4-word\n" +
-			"descriptors, delivers to DRAM, and notifies via a 1000-cycle interrupt.",
-		Header: []string{"bytes", "NI2w RTT", "CNI512Q RTT", "DMA RTT", "NI2w BW", "CNI512Q BW", "DMA BW"},
-	}
-	sizes := []int{16, 256, 1024, 4096}
 	nis := []params.NIKind{params.NI2w, params.CNI512Q, params.DMA}
-	cells := grid(len(sizes), 2*len(nis), func(r, c int) string {
-		size := sizes[r]
-		if c < len(nis) {
-			rtt := apps.RoundTrip(fig6Config(nis[c], params.MemoryBus), size, rttRounds)
-			return fmt.Sprintf("%.2f", machine.Microseconds(rtt))
-		}
-		bw := apps.Bandwidth(fig6Config(nis[c-len(nis)], params.MemoryBus), size, bwMessages(size))
-		return fmt.Sprintf("%.0f", bw)
-	})
-	for r, size := range sizes {
-		t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d", size)}, cells[r]...))
-	}
+	t := sizeTable("Extension: CNI vs user-level DMA (memory bus)",
+		[]string{"NI2w RTT", "CNI512Q RTT", "DMA RTT", "NI2w BW", "CNI512Q BW", "DMA BW"},
+		[]int{16, 256, 1024, 4096}, func(c, size int) string {
+			if c < len(nis) {
+				return rttCell(fig6Config(nis[c], params.MemoryBus), size)
+			}
+			return fmt.Sprintf("%.0f", bandwidth(fig6Config(nis[c-len(nis)], params.MemoryBus), size))
+		})
+	t.Note = "RTT in microseconds; bandwidth in MB/s. The DMA NI posts 4-word\n" +
+		"descriptors, delivers to DRAM, and notifies via a 1000-cycle interrupt."
 	return t
 }
 
@@ -408,13 +385,7 @@ func SweepQueueSize() *Table {
 	t.Rows = runCells(len(sizes), func(i int) []string {
 		cfg := fig6Config(params.CNI512Q, params.MemoryBus)
 		cfg.QueueBlocksOverride = sizes[i]
-		rtt := apps.RoundTrip(cfg, 64, rttRounds)
-		bw := apps.Bandwidth(cfg, 1024, bwMessages(1024))
-		return []string{
-			fmt.Sprintf("%d", sizes[i]),
-			fmt.Sprintf("%.2f", machine.Microseconds(rtt)),
-			fmt.Sprintf("%.0f", bw),
-		}
+		return []string{fmt.Sprintf("%d", sizes[i]), rttCell(cfg, 64), fmt.Sprintf("%.0f", bandwidth(cfg, 1024))}
 	})
 	return t
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -42,18 +43,17 @@ func TestLoadSweepTorusSaturatesBelowFlat(t *testing.T) {
 	}
 }
 
-// TestLoadSweepSerialParallelIdentical extends PR 1's parallel-harness
-// contract to the new table: fanning rows out over host cores must be
-// byte-identical to a serial run.
+// TestLoadSweepSerialParallelIdentical extends the parallel-harness
+// contract to the load sweep: fanning rows out over host cores must be
+// byte-identical to a serial run, which runCells makes at GOMAXPROCS 1.
 func TestLoadSweepSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load sweep in -short mode")
 	}
 	opt := SweepOptions{NIs: []params.NIKind{params.CNI16Q}}
 	par, _, _ := LoadSweep(opt)
-	Serial = true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ser, _, _ := LoadSweep(opt)
-	Serial = false
 	if par.String() != ser.String() {
 		t.Fatalf("parallel and serial sweeps differ:\n--- parallel\n%s--- serial\n%s", par.String(), ser.String())
 	}

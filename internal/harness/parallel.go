@@ -14,10 +14,6 @@ import (
 // serial run: parallelism only changes which host core evaluates a
 // cell, never the simulated schedule inside it.
 
-// Serial forces single-threaded cell evaluation (for A/B timing and
-// debugging; the output is identical either way).
-var Serial = false
-
 // CellPanic is a panic raised while measuring one sweep cell, re-raised
 // on the sweep's calling goroutine with the cell's label.
 type CellPanic struct {
@@ -41,16 +37,9 @@ func (cp *CellPanic) Unwrap() error {
 // lowest-index panic — the one a serial run would hit — is re-raised.
 func runCells[T any](n int, run func(i int) T) []T {
 	out := make([]T, n)
-	workers := runtime.GOMAXPROCS(0)
-	if Serial || workers > n {
-		// Degenerate pools keep ordering trivially; n below GOMAXPROCS
-		// still fans out one worker per cell.
-		if Serial {
-			workers = 1
-		} else {
-			workers = n
-		}
-	}
+	// n below GOMAXPROCS fans out one worker per cell; at GOMAXPROCS 1
+	// the cells run inline.
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			out[i] = run(i)

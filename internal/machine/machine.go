@@ -120,7 +120,7 @@ func New(cfg params.Config) *Machine {
 	}
 	shards := sim.NewShardSet(cfg.Nodes, count, lookahead)
 	eng := shards.Engine(0)
-	st := sim.NewStats(eng)
+	st := sim.NewStats()
 	m := &Machine{
 		Cfg:    cfg,
 		Eng:    eng,
@@ -168,7 +168,6 @@ func New(cfg params.Config) *Machine {
 		}
 		n.Msgr.ShareFramePool(pools[si])
 	}
-	st.SetEngine(eng)
 	if cfg.Trace.SampleEvery > 0 {
 		m.Smp = trace.NewSampler(eng, sim.Time(cfg.Trace.SampleEvery))
 		m.registerSamples()
@@ -239,8 +238,6 @@ func (m *Machine) nodeEng(id int) *sim.Engine { return m.shards.Engine(id) }
 func (m *Machine) buildNode(id int) *Node {
 	cfg := m.Cfg
 	eng := m.nodeEng(id)
-	// Node-local busy trackers must read their own shard's clock.
-	m.Stats.SetEngine(eng)
 	name := fmt.Sprintf("node%d", id)
 	withIO := cfg.Bus == params.IOBus
 	fab := bus.NewFabric(eng, m.Stats, name, withIO)
@@ -308,6 +305,10 @@ func (m *Machine) Run(horizon sim.Time) sim.Time {
 	}
 	return m.shards.Run(horizon)
 }
+
+// Scheduled returns how many events the engines have scheduled since
+// construction (sim.Engine.Scheduled), summed over shards.
+func (m *Machine) Scheduled() uint64 { return m.shards.Scheduled() }
 
 // Probed returns how many process wakes the engines handled as
 // spin probes (sim.Engine.Probed), summed over shards.

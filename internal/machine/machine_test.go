@@ -276,6 +276,37 @@ func TestShardDriverForEveryMachine(t *testing.T) {
 	}
 }
 
+// TestShardScheduledSumsEngines: Scheduled counts every shard engine's
+// events, which on a one-shard machine are Eng's alone.
+func TestShardScheduledSumsEngines(t *testing.T) {
+	for _, c := range []struct{ nodes, shards int }{{16, 0}, {64, 4}} {
+		m := New(params.Config{Nodes: c.nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
+			Topology: params.TopoTorus, Shards: c.shards})
+		for id := range m.Nodes {
+			m.Spawn(id, func(p *sim.Process, n *Node) {
+				n.Msgr.Send(p, (id+1)%c.nodes, 1, 64, nil)
+			})
+			m.Nodes[id].Msgr.Register(1, func(*msg.Context) {})
+		}
+		m.Run(20_000)
+		var sum uint64
+		seen := map[*sim.Engine]bool{}
+		for id := range m.Nodes {
+			if e := m.shards.Engine(id); !seen[e] {
+				seen[e] = true
+				sum += e.Scheduled()
+			}
+		}
+		if got := m.Scheduled(); got != sum || got == 0 {
+			t.Errorf("%d nodes, Shards=%d: Scheduled = %d, want the engines' sum %d", c.nodes, c.shards, got, sum)
+		}
+		if c.shards == 0 && m.Scheduled() != m.Eng.Scheduled() {
+			t.Errorf("16 nodes: Scheduled = %d, want Eng's %d", m.Scheduled(), m.Eng.Scheduled())
+		}
+		m.Stop()
+	}
+}
+
 // TestAddressMapFitsCacheTags: the cache stores 32-bit block numbers
 // as tags, so every region of the node address map must end below
 // 2^32 blocks.

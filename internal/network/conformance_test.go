@@ -34,7 +34,7 @@ func implementations() []implCase {
 // node.
 func confRig(c implCase) (*sim.Engine, *sim.Stats, Interconnect, []*fakePort) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	ic := c.build(e, st, c.nodes)
 	ports := make([]*fakePort, c.nodes)
 	for i := range ports {
@@ -163,7 +163,7 @@ func TestConformanceWindowIsPerDestination(t *testing.T) {
 		// Build with 4 nodes so a distinct second destination exists on
 		// every fabric.
 		e := sim.NewEngine()
-		st := sim.NewStats(e)
+		st := sim.NewStats()
 		ic := c.build(e, st, 4)
 		for i := 0; i < 4; i++ {
 			ic.Register(i, &fakePort{accept: true})
@@ -209,7 +209,7 @@ func (c *countingPort) NetDeliver(m *Msg) bool {
 func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, c implCase) {
 		e := sim.NewEngine()
-		st := sim.NewStats(e)
+		st := sim.NewStats()
 		ic := c.build(e, st, c.nodes)
 		port := &countingPort{}
 		for i := 0; i < c.nodes; i++ {
@@ -254,7 +254,7 @@ func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 // per-link flight queues and pre-built callbacks as without faults.
 func TestTorusFaultPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	tor := NewTorus(e, st, 4)
 	tor.AttachFaults(fault.New(st, 4, params.Faults{
 		Seed:              1,
@@ -304,7 +304,7 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 func TestTraceHotPathZeroAlloc(t *testing.T) {
 	forEachImpl(t, func(t *testing.T, c implCase) {
 		e := sim.NewEngine()
-		st := sim.NewStats(e)
+		st := sim.NewStats()
 		ic := c.build(e, st, c.nodes)
 		rec := trace.NewRecorder(e, c.nodes, 256)
 		ic.AttachTrace(rec)
@@ -354,7 +354,7 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 // zero allocations per event on the torus.
 func TestTraceFaultPathZeroAlloc(t *testing.T) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	tor := NewTorus(e, st, 4)
 	tor.AttachFaults(fault.New(st, 4, params.Faults{
 		Seed:              1,
@@ -420,7 +420,7 @@ func TestFlatScheduleUnchanged(t *testing.T) {
 
 func ExampleInterconnect() {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	var ic Interconnect = NewTorus(e, st, 16)
 	fmt.Println(ic.Nodes())
 	// Output: 16

@@ -215,7 +215,7 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 	degrade := map[string][2]uint64{"flat": {20_000, 60_000}, "torus": {200_000, 600_000}}
 	forEachImpl(t, func(t *testing.T, c implCase) {
 		e := sim.NewEngine()
-		st := sim.NewStats(e)
+		st := sim.NewStats()
 		ic := c.build(e, st, c.nodes)
 		from, until := degrade[c.name][0], degrade[c.name][1]
 		ic.AttachFaults(fault.New(st, c.nodes, params.Faults{

@@ -39,7 +39,7 @@ func inject(ic Interconnect, p *sim.Process, m *Msg) { sender(ic, p)(m) }
 
 func rig(n int) (*sim.Engine, *Flat, []*fakePort) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	nw := New(e, st, n)
 	ports := make([]*fakePort, n)
 	for i := range ports {
@@ -202,7 +202,7 @@ func TestAckOnlyAfterAcceptance(t *testing.T) {
 
 func TestNetworkStats(t *testing.T) {
 	e, nw, _ := rig(2)
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	_ = st
 	e.Spawn("src", func(p *sim.Process) {
 		inject(nw, p, &Msg{Src: 0, Dst: 1, Size: 100, Blocks: 2})

@@ -9,7 +9,7 @@ import (
 
 func torusRig(n int) (*sim.Engine, *Torus, []*fakePort) {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	tw := NewTorus(e, st, n)
 	ports := make([]*fakePort, n)
 	for i := range ports {

@@ -57,7 +57,7 @@ func windowSlotsRecycle(t *testing.T, shards int) {
 	}
 	sh := sim.NewShardSet(n, shards, lookahead)
 	defer sh.Stop()
-	st := sim.NewStats(sh.Engine(0))
+	st := sim.NewStats()
 	tor := NewTorus(sh.Engine(0), st, n)
 	if shards > 1 {
 		tor.AttachShards(sh)

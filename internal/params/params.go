@@ -253,21 +253,20 @@ type Workload struct {
 	// BurstOnCycles (ArrivalBursty) is the mean ON-period length.
 	BurstOnCycles float64
 	// Clients (ArrivalClosed) is the number of request/reply clients
-	// per node. Clients <= 1 runs the original one-session-per-node
-	// loop; Clients > 1 (or any weight configuration below) runs the
-	// aggregated weighted population model (internal/workload
-	// Population), which scales to millions of clients per machine.
+	// per node, run as one aggregated weighted population
+	// (internal/workload Population), which scales to millions of
+	// clients per machine.
 	Clients int
 	// ThinkCycles (ArrivalClosed) is the mean think time between a
 	// reply and the next request.
 	ThinkCycles int
-	// ClientZipfS (ArrivalClosed populations) skews the per-client
+	// ClientZipfS (ArrivalClosed) skews the per-client
 	// request weights: client c issues with weight proportional to
 	// 1/(c+1)^ClientZipfS, so a small hot subset of a large population
 	// carries most of the traffic. 0 is a uniform population; Validate
 	// caps it at MaxZipfS like the destination skew.
 	ClientZipfS float64
-	// ClientWeights (ArrivalClosed populations), when non-empty, is an
+	// ClientWeights (ArrivalClosed), when non-empty, is an
 	// explicit per-client weight vector: client c gets
 	// ClientWeights[c mod len(ClientWeights)] (the vector tiles across
 	// populations larger than itself). Overrides ClientZipfS.
@@ -340,16 +339,6 @@ func (w Workload) Validate() error {
 		}
 	}
 	return nil
-}
-
-// PopulationActive reports whether the closed loop runs the aggregated
-// weighted-population model instead of the original per-session slots:
-// more than one client per node, or any weight configuration. A
-// Clients <= 1 spec with no weights keeps the legacy path, so existing
-// single-session runs stay byte-identical.
-func (w Workload) PopulationActive() bool {
-	return w.Arrival == ArrivalClosed &&
-		(w.Clients > 1 || w.ClientZipfS > 0 || len(w.ClientWeights) > 0)
 }
 
 // FaultPause stalls one node's NI for the cycle window [From, Until):

@@ -28,7 +28,7 @@ func (d *echoDev) RegWrite(reg, val uint64) {
 func rig(t *testing.T) (*sim.Engine, *CPU, *echoDev) {
 	t.Helper()
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f := bus.NewFabric(e, st, "t", false)
 	mem := cache.NewMemory(f, "mem")
 	f.AddRegion(bus.Region{Name: "dram", Base: 0, Size: 1 << 24, Home: mem, Loc: params.MemoryBus, Cachable: true})

@@ -48,7 +48,7 @@ type pair struct {
 
 func newPair() *pair {
 	e := sim.NewEngine()
-	st := sim.NewStats(e)
+	st := sim.NewStats()
 	f := bus.NewFabric(e, st, "t", false)
 	mem := cache.NewMemory(f, "mem")
 	f.AddRegion(bus.Region{Name: "dram", Base: 0, Size: 1 << 24, Home: mem, Loc: params.MemoryBus, Cachable: true})

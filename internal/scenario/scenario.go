@@ -91,10 +91,9 @@ func (m *Machine) Stats() *sim.Stats { return m.m.Stats }
 // pins drive windows with; measurement runs use RunUntil.
 func (m *Machine) Advance(horizon sim.Time) { m.m.Run(horizon) }
 
-// EventsScheduled returns how many events the machine's engine has
-// scheduled since construction (shard 0's engine on a sharded
-// machine).
-func (m *Machine) EventsScheduled() uint64 { return m.m.Eng.Scheduled() }
+// EventsScheduled returns how many events the machine's engines have
+// scheduled since construction, on every shard.
+func (m *Machine) EventsScheduled() uint64 { return m.m.Scheduled() }
 
 // Probed returns how many idle-poll wakes the machine's engines ran as
 // probes without resuming the polling process (sim.Engine.Probed), on

@@ -78,8 +78,7 @@ func TestProcessSwitchZeroAlloc(t *testing.T) {
 }
 
 func TestCounterAddZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	c := s.Counter("x.cycles")
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(7)
@@ -91,12 +90,9 @@ func TestCounterAddZeroAlloc(t *testing.T) {
 }
 
 func TestBusyTrackerZeroAlloc(t *testing.T) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	b := s.Busy("bus")
 	allocs := testing.AllocsPerRun(1000, func() {
-		b.SetBusy()
-		b.SetIdle()
 		b.AddBusy(3)
 	})
 	if allocs != 0 {

@@ -142,8 +142,7 @@ func BenchmarkBoxedHeapBaseline(b *testing.B) {
 }
 
 func BenchmarkStatsCounterAdd(b *testing.B) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	c := s.Counter("bench.cycles")
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -158,8 +157,7 @@ func BenchmarkStatsCounterAdd(b *testing.B) {
 func BenchmarkStatsStringKeyAdd(b *testing.B) {
 	// The pattern the interned handles replaced: concatenate a name and
 	// hash it per increment.
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	name := "bus.mem0"
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -163,8 +163,7 @@ func TestStopUnwindsParkedProcesses(t *testing.T) {
 }
 
 func TestStatsCounters(t *testing.T) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	s.Inc("x")
 	s.Add("x", 4)
 	s.Inc("y")
@@ -178,19 +177,15 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestBusyTracker(t *testing.T) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	b := s.Busy("bus")
-	e.Schedule(10, func() { b.SetBusy() })
-	e.Schedule(30, func() { b.SetIdle() })
-	e.Schedule(40, func() { b.AddBusy(5) })
-	e.Schedule(100, func() {})
-	e.RunAll()
+	b.AddBusy(20)
+	b.AddBusy(5)
 	if b.Total() != 25 {
 		t.Fatalf("Total = %d, want 25", b.Total())
 	}
-	if u := b.Utilisation(); u != 0.25 {
-		t.Fatalf("Utilisation = %v, want 0.25", u)
+	if s.Busy("bus") != b {
+		t.Fatal("Busy does not intern its tracker")
 	}
 }
 

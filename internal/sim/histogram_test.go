@@ -134,8 +134,7 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 }
 
 func TestStatsHistogramInterning(t *testing.T) {
-	e := NewEngine()
-	s := NewStats(e)
+	s := NewStats()
 	h1 := s.Histogram("lat")
 	h2 := s.Histogram("lat")
 	if h1 != h2 {

@@ -162,6 +162,9 @@ func (s *ShardSet) Cross(from int, ev CrossEvent) {
 	s.inboxes[src] = append(s.inboxes[src], ev)
 }
 
+// Scheduled sums every shard engine's Scheduled count.
+func (s *ShardSet) Scheduled() uint64 { return s.sum((*Engine).Scheduled) }
+
 // Probed sums every shard engine's Probed count.
 func (s *ShardSet) Probed() uint64 { return s.sum((*Engine).Probed) }
 

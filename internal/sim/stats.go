@@ -58,28 +58,20 @@ func (c *Counter) Value() uint64 {
 // increment through it; the string-keyed Add/Inc/Get remain for tests
 // and one-off accounting.
 type Stats struct {
-	eng        *Engine
 	concurrent bool
 	counters   map[string]*Counter
 	busy       map[string]*BusyTracker
 	hists      map[string]*Histogram
 }
 
-// NewStats returns an empty Stats bound to the engine's clock.
-func NewStats(e *Engine) *Stats {
+// NewStats returns an empty Stats.
+func NewStats() *Stats {
 	return &Stats{
-		eng:      e,
 		counters: make(map[string]*Counter),
 		busy:     make(map[string]*BusyTracker),
 		hists:    make(map[string]*Histogram),
 	}
 }
-
-// SetEngine rebinds the clock used by busy trackers created from now
-// on. Sharded machines point it at each node's shard engine while
-// building that node, so per-node trackers read their own shard's
-// clock; on a serial machine it is a no-op.
-func (s *Stats) SetEngine(e *Engine) { s.eng = e }
 
 // MarkConcurrent switches every counter and histogram — existing and
 // future — to atomic recording, for machines whose shards run on
@@ -135,7 +127,7 @@ func (s *Stats) Counters() []string {
 func (s *Stats) Busy(name string) *BusyTracker {
 	b, ok := s.busy[name]
 	if !ok {
-		b = &BusyTracker{eng: s.eng}
+		b = &BusyTracker{}
 		s.busy[name] = b
 	}
 	return b
@@ -175,51 +167,15 @@ func (s *Stats) String() string {
 	return b.String()
 }
 
-// BusyTracker integrates the time a resource spends busy, used for bus
-// occupancy measurements (paper §5.2).
+// BusyTracker accumulates the time a resource spends busy, used for
+// bus occupancy measurements (paper §5.2). Substrates hold a resource
+// for a known duration and account it in one AddBusy call.
 type BusyTracker struct {
-	eng       *Engine
-	busySince Time
-	isBusy    bool
-	total     Time
+	total Time
 }
 
-// SetBusy marks the resource busy from now.
-func (b *BusyTracker) SetBusy() {
-	if b.isBusy {
-		return
-	}
-	b.isBusy = true
-	b.busySince = b.eng.now
-}
-
-// SetIdle marks the resource idle from now, accumulating busy time.
-func (b *BusyTracker) SetIdle() {
-	if !b.isBusy {
-		return
-	}
-	b.isBusy = false
-	b.total += b.eng.now - b.busySince
-}
-
-// AddBusy accumulates d cycles of busy time directly. Substrates that
-// hold a resource for a known duration may account it in one call
-// instead of bracketing with SetBusy/SetIdle.
+// AddBusy accumulates d cycles of busy time.
 func (b *BusyTracker) AddBusy(d Time) { b.total += d }
 
-// Total returns accumulated busy cycles (closing an open interval).
-func (b *BusyTracker) Total() Time {
-	if b.isBusy {
-		b.total += b.eng.now - b.busySince
-		b.busySince = b.eng.now
-	}
-	return b.total
-}
-
-// Utilisation returns busy time as a fraction of elapsed time.
-func (b *BusyTracker) Utilisation() float64 {
-	if b.eng.now == 0 {
-		return 0
-	}
-	return float64(b.Total()) / float64(b.eng.now)
-}
+// Total returns the accumulated busy cycles.
+func (b *BusyTracker) Total() Time { return b.total }

@@ -18,7 +18,7 @@ func popCfg(clients int, zipfS float64) params.Config {
 
 // TestPopulationDeterministic: the aggregated-population closed loop
 // keeps the subsystem's bit-for-bit reproducibility, even at a
-// population far beyond what per-session slots could simulate.
+// population far beyond what one simulated session per client could carry.
 func TestPopulationDeterministic(t *testing.T) {
 	t.Parallel()
 	cfg := popCfg(100_000, 1.0)
@@ -54,28 +54,6 @@ func TestPopulationScalesOfferedLoad(t *testing.T) {
 	huge := Run(popCfg(1_000_000, 0), 5_000, 20_000)
 	if huge.Delivered == 0 {
 		t.Error("million-client population delivered nothing")
-	}
-}
-
-// TestPopulationLegacyPathPreserved: Clients <= 1 with no weight
-// configuration must keep using the original per-session slot path
-// bit for bit (the PopulationActive gate).
-func TestPopulationLegacyPathPreserved(t *testing.T) {
-	t.Parallel()
-	wl := params.DefaultWorkload()
-	wl.Arrival = params.ArrivalClosed
-	wl.Clients = 1
-	if wl.PopulationActive() {
-		t.Fatal("Clients=1 without weights must not activate the population model")
-	}
-	wl.Clients = 2
-	if !wl.PopulationActive() {
-		t.Error("Clients=2 should activate the population model")
-	}
-	wl.Clients = 1
-	wl.ClientZipfS = 0.8
-	if !wl.PopulationActive() {
-		t.Error("a weight configuration should activate the population model")
 	}
 }
 

@@ -72,16 +72,16 @@ func TestMemoryScale(t *testing.T) {
 // fresh test process with; TestStackScaleProbe measures only under it.
 const stackProbeRun = "^TestStackScaleProbe$"
 
-// stackPerNodeBudget bounds the goroutine stack memory of the
-// scale-1k point, per node, as TestStackScaleProbe measures it with
-// the go1.24 linux/amd64 toolchain: 4,416 B per node (three runs of
-// three) once the NI engines, store-buffer drain and I/O bridge became
-// driven processes and only app processes kept coroutine stacks, plus
-// 2% (16,672 B while each node ran five coroutines). Fn events and
-// driven steps run on the stacks of parked app processes below
-// Engine.next, so a frame that grows on that path shows up here
-// multiplied by thousands of processes.
-const stackPerNodeBudget = 4416 * 102 / 100
+// stackPerNodeBudget bounds the goroutine stack memory the scale-1k
+// point's machine adds, per node, as TestStackScaleProbe measures it
+// with the go1.24 linux/amd64 toolchain: 4,128 B per node (fourteen
+// runs of fourteen; the process's own stacks, about 288 B per node,
+// are read before the build and left out) with only app processes on
+// coroutine stacks, plus 2%. Fn events and driven steps run on the
+// stacks of parked app processes below Engine.next, so a frame that
+// grows on that path shows up here multiplied by thousands of
+// processes.
+const stackPerNodeBudget = 4128 * 102 / 100
 
 var stackPerNodeLine = regexp.MustCompile(`stack in use: (\d+) B per node`)
 
@@ -127,7 +127,9 @@ func TestStackScale(t *testing.T) {
 // TestStackScaleProbe is TestStackScale's measurement. It runs only as
 // the first machine of the fresh process TestStackScale starts: one
 // P, so no epoch workers, and no collection during the run, so no
-// stack shrinks and StackInuse at the end is its peak.
+// stack shrinks and StackInuse at the end is its peak. The stacks in
+// use before the machine is built are the test process's own and are
+// subtracted.
 func TestStackScaleProbe(t *testing.T) {
 	if flag.Lookup("test.run").Value.String() != stackProbeRun {
 		t.Skip("measures only in the fresh process TestStackScale starts")
@@ -141,12 +143,13 @@ func TestStackScaleProbe(t *testing.T) {
 		Topology: params.TopoTorus, Shards: 32, Workload: &wl}
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	r := newRun(cfg, 2000, 2000)
 	defer r.m.Close()
 	sc := scenario.New()
 	r.addOpen(sc)
 	r.m.RunUntil(sc, r.endAt)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	fmt.Printf("stack in use: %d B per node\n", ms.StackInuse/nodes)
+	runtime.ReadMemStats(&after)
+	fmt.Printf("stack in use: %d B per node\n", (after.StackInuse-before.StackInuse)/nodes)
 }

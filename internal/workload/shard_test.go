@@ -142,3 +142,29 @@ func TestShardGatingStaysSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestShardEventsScheduledCountsEveryShard: a sharded machine's
+// EventsScheduled counts the events of every shard's engine, so the
+// same 64-node torus run reports the same count at every shard count.
+func TestShardEventsScheduledCountsEveryShard(t *testing.T) {
+	t.Parallel()
+	var ref uint64
+	for _, shards := range []int{1, 4, 16} {
+		r := newRun(shardCfg(64, shards, false), 2000, 6000)
+		sc := scenario.New()
+		r.addOpen(sc)
+		r.m.RunUntil(sc, r.endAt)
+		got := r.m.EventsScheduled()
+		r.m.Close()
+		if shards == 1 {
+			ref = got
+			if ref == 0 {
+				t.Fatal("the one-shard run scheduled no events")
+			}
+			continue
+		}
+		if got != ref {
+			t.Errorf("Shards=%d: %d events scheduled, want %d as at Shards=1", shards, got, ref)
+		}
+	}
+}

@@ -27,7 +27,7 @@
 // when a backlogged sender finally issued it) to handler dispatch at
 // the destination, so sender-side queueing under overload shows up in
 // the tail instead of vanishing. Closed-loop latency is the client's
-// request/reply round trip.
+// request/reply round trip, timed from the request's scheduled arrival.
 package workload
 
 import (
@@ -59,7 +59,7 @@ const (
 	// replyBytes is the closed-loop reply payload.
 	replyBytes = 64
 	// popIssueBatch bounds how many due population arrivals a node
-	// issues before draining replies again (see addClosedPopulation).
+	// issues before draining replies again (see addClosed).
 	popIssueBatch = 64
 )
 
@@ -405,91 +405,6 @@ func (r *run) addOpen(sc *scenario.Scenario) {
 	}
 }
 
-// clientSlot is one closed-loop client session. The request carries
-// the pointer and the server echoes it back, routing the reply to
-// the right session; the node's single process multiplexes all of
-// its sessions, because the machine model has one processor context
-// per node (the NI software protocols are not reentrant).
-type clientSlot struct {
-	start   sim.Time
-	readyAt sim.Time // think-time expiry for the next request
-	pending bool
-}
-
-// addClosed adds the closed-loop servers and client multiplexers.
-// Population configurations (params.Workload.PopulationActive) use the
-// aggregated weighted-population arrival process; the original
-// per-session slots below are kept verbatim for Clients <= 1 so
-// existing single-session runs stay byte-identical.
-func (r *run) addClosed(sc *scenario.Scenario) {
-	if r.wl.PopulationActive() {
-		r.addClosedPopulation(sc)
-		return
-	}
-	for id := 0; id < r.n; id++ {
-		at := id
-		g := r.gens[id]
-		ep := r.m.Endpoint(id)
-		ep.Handle(hReq, func(d *scenario.Delivery) {
-			d.EP.Load(0x4000, d.Size)
-			d.EP.Compute(serviceCycles)
-			r.delivered[at]++
-			if d.EP.Clock() > r.warmEnd {
-				r.winBytes[at] += uint64(d.Size)
-			}
-			d.EP.SendTo(d.Src, hRep, replyBytes, d.Payload)
-		})
-		ep.Handle(hRep, func(d *scenario.Delivery) {
-			sl := d.Payload.(*clientSlot)
-			sl.pending = false
-			now := d.EP.Clock()
-			if now > r.warmEnd {
-				r.hists[at].Record(now - sl.start)
-			}
-			sl.readyAt = now + sim.Time(g.exp(g.think)) + 1
-		})
-	}
-	for id := 0; id < r.n; id++ {
-		self := id
-		g := r.gens[id]
-		sc.At(id, func(ep *scenario.Endpoint) {
-			slots := make([]*clientSlot, r.wl.Clients)
-			for i := range slots {
-				slots[i] = &clientSlot{}
-			}
-			for ep.Clock() < r.endAt {
-				issued := false
-				for _, sl := range slots {
-					if !sl.pending && ep.Clock() >= sl.readyAt {
-						sl.start = ep.Clock()
-						sl.pending = true
-						r.sent[self]++
-						ep.SendTo(g.pickDst(self), hReq, g.pickSize(), sl)
-						issued = true
-					}
-				}
-				if ep.Drain() > 0 || issued {
-					continue
-				}
-				// Every session is thinking or awaiting a reply: sleep
-				// to the next think expiry, bounded by the poll quantum
-				// so pending replies are still drained promptly.
-				wait := sim.Time(pollQuantum)
-				for _, sl := range slots {
-					if !sl.pending && sl.readyAt > ep.Clock() {
-						if d := sl.readyAt - ep.Clock(); d < wait {
-							wait = d
-						}
-					}
-				}
-				if wait > 0 {
-					ep.Sleep(wait)
-				}
-			}
-		})
-	}
-}
-
 // popReq is one in-flight population request: the issuing client's
 // weight (returned to the thinking pool on reply) and the intended
 // arrival instant the round trip is timed from. Requests are recycled
@@ -499,19 +414,16 @@ type popReq struct {
 	start  sim.Time
 }
 
-// addClosedPopulation runs the closed loop as one aggregated weighted
-// population per node (see Population): each node carries wl.Clients
-// weighted clients behind a single arrival process, so the per-arrival
-// cost is O(log Clients) and a machine can carry millions of clients.
-// Latency is coordinated-omission-free: a request is timed from its
-// scheduled arrival instant even when the sender was backlogged, so
-// sender-side queueing under overload lands in the tail.
-func (r *run) addClosedPopulation(sc *scenario.Scenario) {
-	clients := r.wl.Clients
-	if clients < 1 {
-		clients = 1
-	}
-	set := NewClientSet(ClientWeights(r.wl, clients))
+// addClosed adds the closed-loop servers and clients: one aggregated
+// weighted population per node (see Population), so each node carries
+// wl.Clients weighted clients behind a single arrival process, the
+// per-arrival cost is O(log Clients) and a machine can carry millions
+// of clients. One client per node is the population of one client of
+// weight 1. Latency is coordinated-omission-free: a request is timed
+// from its scheduled arrival instant even when the sender was
+// backlogged, so sender-side queueing under overload lands in the tail.
+func (r *run) addClosed(sc *scenario.Scenario) {
+	set := NewClientSet(ClientWeights(r.wl, r.wl.Clients))
 	pops := make([]*Population, r.n)
 	free := make([][]*popReq, r.n)
 	for id := 0; id < r.n; id++ {
