@@ -209,7 +209,7 @@ func HotspotNode(nodes int) int {
 // each sender streams full-payload messages at the given gap until
 // *done flips. Append it after the probe programs so the simulated
 // schedule keeps the probe's wake ordering. A negative gap adds no
-// senders.
+// background at all: no senders and no sink.
 func (bg *background) add(m *scenario.Machine, sc *scenario.Scenario, done *bool) {
 	nodes := m.Nodes()
 	probeDst := ProbeDst(nodes)
@@ -263,14 +263,14 @@ func (bg *background) add(m *scenario.Machine, sc *scenario.Scenario, done *bool
 				ep.PollUntil(func() bool { return *done && bgAlive == 0 })
 			})
 		}
-	}
-	// The hotspot sink keeps draining until every background sender
-	// has finished its final (possibly flow-controlled) send.
-	if bg.pattern == BgHotspot {
-		m.Endpoint(hot).Handle(hBgSink, func(d *scenario.Delivery) {})
-		sc.At(hot, func(ep *scenario.Endpoint) {
-			ep.PollUntil(func() bool { return *done && bgAlive == 0 })
-		})
+		// The hotspot sink keeps draining until every background sender
+		// has finished its final (possibly flow-controlled) send.
+		if bg.pattern == BgHotspot {
+			m.Endpoint(hot).Handle(hBgSink, func(d *scenario.Delivery) {})
+			sc.At(hot, func(ep *scenario.Endpoint) {
+				ep.PollUntil(func() bool { return *done && bgAlive == 0 })
+			})
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/params"
+	"repro/internal/workload"
 )
 
 func rpcCfg(topo params.Topology) params.Config {
@@ -40,6 +41,42 @@ func TestRPCDeterministic(t *testing.T) {
 		}
 		if a.Completed == 0 || a.Latency.Count() == 0 {
 			t.Errorf("%v: no calls completed (report %+v)", topo, a)
+		}
+	}
+}
+
+// TestRPCPopulationSetsShared: the client population spreads as
+// evenly as it divides, every node keeps at least one client, and
+// nodes of equal client count share one read-only set — at most two
+// sets per machine, whatever the client count.
+func TestRPCPopulationSetsShared(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ clients, nodes, wantSets int }{
+		{1_000_000, 16, 1},
+		{1_000_003, 16, 2},
+		{5, 16, 1}, // 5 nodes of one client, 11 clamped up to one
+	} {
+		spec := quickSpec()
+		spec.Clients, spec.ClientZipfS = c.clients, 0.9
+		sets := nodeClientSets(spec, c.nodes)
+		distinct := map[*workload.ClientSet]bool{}
+		total := 0
+		for id, s := range sets {
+			distinct[s] = true
+			total += s.Clients()
+			want := c.clients / c.nodes
+			if id < c.clients%c.nodes {
+				want++
+			}
+			if want = max(want, 1); s.Clients() != want {
+				t.Errorf("%d clients: node %d holds %d, want %d", c.clients, id, s.Clients(), want)
+			}
+		}
+		if len(distinct) != c.wantSets {
+			t.Errorf("%d clients on %d nodes: %d distinct sets, want %d", c.clients, c.nodes, len(distinct), c.wantSets)
+		}
+		if c.clients >= c.nodes && total != c.clients {
+			t.Errorf("%d clients: sets hold %d in total", c.clients, total)
 		}
 	}
 }

@@ -289,26 +289,16 @@ func RunRPCOn(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time) (RPCRep
 	r.cHedges = st.Counter("rpc.hedges")
 	r.cWins = st.Counter("rpc.hedge_wins")
 
-	// Spread the client population across front-ends; every node is
-	// both a front-end and a backend.
-	perNode := spec.Clients / r.n
-	extra := spec.Clients % r.n
-	wl := params.Workload{ClientZipfS: spec.ClientZipfS}
+	// Every node is both a front-end and a backend.
+	sets := nodeClientSets(spec, r.n)
 	sc := scenario.New()
 	for id := 0; id < r.n; id++ {
-		clients := perNode
-		if id < extra {
-			clients++
-		}
-		if clients < 1 {
-			clients = 1
-		}
 		nd := &rpcNode{
 			self: id,
 			rng:  apps.NewRand(spec.Seed ^ uint64(id+1)*0x9E3779B97F4A7C15),
 		}
 		r.nodes = append(r.nodes, nd)
-		set := workload.NewClientSet(workload.ClientWeights(wl, clients))
+		set := sets[id]
 		r.installHandlers(id)
 		self := id
 		sc.At(id, func(ep *scenario.Endpoint) {
@@ -344,6 +334,29 @@ func RunRPCOn(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time) (RPCRep
 		Straggler:   *r.strag,
 	}
 	return rep, nil
+}
+
+// nodeClientSets spreads spec's client population across n
+// front-ends, perNode or perNode+1 clients each (at least one), and
+// returns each node's client set. Nodes with equal counts share one
+// read-only set, so there are at most two.
+func nodeClientSets(spec RPCSpec, n int) []*workload.ClientSet {
+	perNode, extra := spec.Clients/n, spec.Clients%n
+	wl := params.Workload{ClientZipfS: spec.ClientZipfS}
+	byCount := map[int]*workload.ClientSet{}
+	sets := make([]*workload.ClientSet, n)
+	for id := range sets {
+		clients := perNode
+		if id < extra {
+			clients++
+		}
+		clients = max(clients, 1)
+		if byCount[clients] == nil {
+			byCount[clients] = workload.NewClientSet(wl, clients)
+		}
+		sets[id] = byCount[clients]
+	}
+	return sets
 }
 
 // installHandlers wires the server and join handlers on node id.

@@ -40,6 +40,9 @@ type Context struct {
 	Size int
 	// Payload is the logical content the sender attached.
 	Payload any
+	// Stamp is the sender's intended-arrival instant (SendStamped); 0
+	// on plain sends.
+	Stamp sim.Time
 }
 
 // Handler is an active-message handler, run on the receiving node's
@@ -58,6 +61,7 @@ type partial struct {
 	size    int
 	handler int
 	payload any
+	stamp   sim.Time
 }
 
 // Messenger is one node's messaging endpoint.
@@ -169,7 +173,13 @@ func (ms *Messenger) Register(id int, h Handler) { ms.handlers[id] = h }
 // to the NI, draining incoming messages to user space whenever the NI
 // cannot accept (software flow control, §4.1).
 func (ms *Messenger) Send(p *sim.Process, dst, handler, size int, payload any) {
-	ms.sendFrags(p, dst, handler, size, payload, true)
+	ms.sendFrags(p, dst, handler, size, payload, 0, true)
+}
+
+// SendStamped is Send carrying an intended-arrival instant that the
+// receiving handler reads as Context.Stamp.
+func (ms *Messenger) SendStamped(p *sim.Process, dst, handler, size int, stamp sim.Time) {
+	ms.sendFrags(p, dst, handler, size, nil, stamp, true)
 }
 
 // TrySend is Send without the blocking flow control: it attempts to
@@ -181,7 +191,7 @@ func (ms *Messenger) Send(p *sim.Process, dst, handler, size int, payload any) {
 // go through the same blocking flow-control path Send uses, so a
 // multi-fragment message is never left half-sent.
 func (ms *Messenger) TrySend(p *sim.Process, dst, handler, size int, payload any) bool {
-	return ms.sendFrags(p, dst, handler, size, payload, false)
+	return ms.sendFrags(p, dst, handler, size, payload, 0, false)
 }
 
 // sendFrags fragments and transmits one user message. With block
@@ -189,7 +199,7 @@ func (ms *Messenger) TrySend(p *sim.Process, dst, handler, size int, payload any
 // refusal abandons the whole send (reported false); once the first
 // fragment is admitted — or always, with block true — the remaining
 // fragments ride the blocking flow control.
-func (ms *Messenger) sendFrags(p *sim.Process, dst, handler, size int, payload any, block bool) bool {
+func (ms *Messenger) sendFrags(p *sim.Process, dst, handler, size int, payload any, stamp sim.Time, block bool) bool {
 	if dst == ms.node {
 		panic("msg: self-send not supported; use local queues")
 	}
@@ -216,6 +226,7 @@ func (ms *Messenger) sendFrags(p *sim.Process, dst, handler, size int, payload a
 			Size:       fsize,
 			Blocks:     network.MsgBlocks(fsize),
 			Payload:    payload,
+			Stamp:      stamp,
 			Frag:       f,
 			FragTotal:  frags,
 			ID:         id,
@@ -406,7 +417,7 @@ func (ms *Messenger) accept(p *sim.Process, m *network.Msg) {
 		} else {
 			pa = new(partial)
 		}
-		*pa = partial{total: m.FragTotal, handler: m.Handler, payload: m.Payload, size: m.TotalBytes}
+		*pa = partial{total: m.FragTotal, handler: m.Handler, payload: m.Payload, stamp: m.Stamp, size: m.TotalBytes}
 		ms.partial[k] = pa
 	}
 	pa.got++
@@ -422,12 +433,12 @@ func (ms *Messenger) accept(p *sim.Process, m *network.Msg) {
 	if !ok {
 		panic(fmt.Sprintf("msg: node %d has no handler %d", ms.node, pa.handler))
 	}
-	src, size, payload := m.Src, pa.size, pa.payload
+	src, size, payload, stamp := m.Src, pa.size, pa.payload, pa.stamp
 	pa.payload = nil
 	ms.partialFree = append(ms.partialFree, pa)
 	ms.cpu.Compute(p, DispatchCycles)
 	ctx := ms.getCtx()
-	*ctx = Context{P: p, CPU: ms.cpu, M: ms, Src: src, Size: size, Payload: payload}
+	*ctx = Context{P: p, CPU: ms.cpu, M: ms, Src: src, Size: size, Payload: payload, Stamp: stamp}
 	h(ctx)
 	ms.putCtx(ctx)
 }

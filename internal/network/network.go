@@ -41,6 +41,10 @@ type Msg struct {
 	Blocks int
 	// Payload carries app-level data end to end.
 	Payload any
+	// Stamp carries the sender's intended-arrival instant end to end
+	// (the open-loop workload's latency origin); 0 on plain sends. A
+	// typed field, so stamped traffic boxes nothing.
+	Stamp sim.Time
 	// Frag/FragTotal sequence multi-network-message user messages.
 	Frag, FragTotal int
 	// ID is the sender-local user-message id fragments share.

@@ -45,6 +45,9 @@ type Delivery struct {
 	Size int
 	// Payload is the logical content the sender attached.
 	Payload any
+	// Stamp is the sender's intended-arrival instant (SendStamped); 0
+	// for every other send.
+	Stamp sim.Time
 }
 
 // Endpoint is one node's interface to the simulated machine. Its
@@ -98,7 +101,7 @@ func (ep *Endpoint) Handle(id int, h Handler) {
 		} else {
 			d = new(Delivery)
 		}
-		*d = Delivery{EP: ep, Src: c.Src, Size: c.Size, Payload: c.Payload}
+		*d = Delivery{EP: ep, Src: c.Src, Size: c.Size, Payload: c.Payload, Stamp: c.Stamp}
 		h(d)
 		d.Payload = nil
 		ep.dlvFree = append(ep.dlvFree, d)
@@ -147,6 +150,13 @@ func (ep *Endpoint) TryRecv() (Message, bool) {
 // Send; the paper's benchmarks are written with it.
 func (ep *Endpoint) SendTo(dst, handler, size int, payload any) {
 	ep.node.Msgr.Send(ep.p, dst, handler, size, payload)
+}
+
+// SendStamped is SendTo with no payload, carrying an intended-arrival
+// instant that the handler reads as Delivery.Stamp: a typed field of
+// the frame, so stamped traffic allocates nothing per message.
+func (ep *Endpoint) SendStamped(dst, handler, size int, stamp sim.Time) {
+	ep.node.Msgr.SendStamped(ep.p, dst, handler, size, stamp)
 }
 
 // TrySendTo is TrySend aimed at an explicit handler.

@@ -31,6 +31,10 @@ import (
 // negligible, and the weight conservation above keeps the aggregate
 // rate exact either way. All draws come from the node's seeded
 // generator, so runs are byte-for-byte reproducible.
+//
+// A Population is a few words per node; the client count shows up
+// only in the shared ClientSet, at 0 B per client for a uniform
+// population and 8 B per client for a skewed one.
 type Population struct {
 	set       *ClientSet
 	think     float64
@@ -39,59 +43,63 @@ type Population struct {
 	nextAt    sim.Time
 }
 
-// ClientSet is the shared shape of a client population: the per-client
-// weights and their cumulative distribution. Build one per machine and
-// hand it to every node's Population — the slices are read-only after
-// construction, so sharing costs nothing and a million-client set is
-// stored once.
+// ClientSet is the shared shape of a client population, built from the
+// population spec rather than a per-client vector. A uniform set stores
+// nothing per client; a Zipf or tiled set stores only its weight CDF
+// (8 B per client) and recomputes a drawn client's weight from the
+// spec. Build one per distinct client count and hand it to every
+// node's Population — it is read-only after construction, so sharing
+// costs nothing and a million-client set is stored at most once.
 type ClientSet struct {
-	weights []float64
-	cdf     []float64
-	total   float64
+	n     int
+	tiled []float64 // the spec's ClientWeights, tiled across clients
+	zipfS float64
+	cdf   []float64 // nil for a uniform set
+	total float64
 }
 
-// NewClientSet builds the shared population shape from a per-client
-// weight vector (every weight must be positive).
-func NewClientSet(weights []float64) *ClientSet {
-	s := &ClientSet{weights: weights, cdf: make([]float64, len(weights))}
-	for _, w := range weights {
-		s.total += w
+// NewClientSet builds the population shape of wl's spec at clients
+// clients: the tiled ClientWeights vector when set, else
+// Zipf(ClientZipfS) weights (client 0 hottest), else a uniform
+// population of unit weights.
+func NewClientSet(wl params.Workload, clients int) *ClientSet {
+	s := &ClientSet{n: clients, tiled: wl.ClientWeights, zipfS: wl.ClientZipfS}
+	if len(s.tiled) == 0 && s.zipfS == 0 {
+		s.total = float64(clients) // exactly the sum of clients ones
+		return s
+	}
+	s.cdf = make([]float64, clients)
+	for i := range s.cdf {
+		s.cdf[i] = s.weight(i)
+		s.total += s.cdf[i]
 	}
 	cum := 0.0
-	for i, w := range weights {
+	for i, w := range s.cdf {
 		cum += w / s.total
 		s.cdf[i] = cum
 	}
-	if n := len(s.cdf); n > 0 {
-		s.cdf[n-1] = 1 // guard against rounding
+	if clients > 0 {
+		s.cdf[clients-1] = 1 // guard against rounding
 	}
 	return s
 }
 
+// weight returns client i's weight under the spec.
+func (s *ClientSet) weight(i int) float64 {
+	switch {
+	case len(s.tiled) > 0:
+		return s.tiled[i%len(s.tiled)]
+	case s.zipfS > 0:
+		return math.Pow(float64(i+1), -s.zipfS)
+	}
+	return 1
+}
+
 // Clients returns the population size.
-func (s *ClientSet) Clients() int { return len(s.weights) }
+func (s *ClientSet) Clients() int { return s.n }
 
 // TotalWeight returns the summed client weight.
 func (s *ClientSet) TotalWeight() float64 { return s.total }
-
-// ClientWeights renders params.Workload's population spec as an
-// explicit weight vector of length clients: the tiled ClientWeights
-// vector when set, else Zipf(ClientZipfS) weights (client 0 hottest),
-// else a uniform population.
-func ClientWeights(wl params.Workload, clients int) []float64 {
-	w := make([]float64, clients)
-	for i := range w {
-		switch {
-		case len(wl.ClientWeights) > 0:
-			w[i] = wl.ClientWeights[i%len(wl.ClientWeights)]
-		case wl.ClientZipfS > 0:
-			w[i] = math.Pow(float64(i+1), -wl.ClientZipfS)
-		default:
-			w[i] = 1
-		}
-	}
-	return w
-}
 
 // Population binds one node's arrival state to the shared set. think
 // is the mean think time of a unit-weight client; the first arrival is
@@ -132,17 +140,20 @@ func (p *Population) NextAt() sim.Time { return p.nextAt }
 // lands). Take must only be called when NextAt is due; the steady
 // state path does not allocate.
 func (p *Population) Take() float64 {
-	u := p.rng.Float()
-	lo, hi := 0, len(p.set.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p.set.cdf[mid] <= u {
-			lo = mid + 1
-		} else {
-			hi = mid
+	u := p.rng.Float() // drawn for a uniform set too: the stream must not move
+	w := 1.0
+	if cdf := p.set.cdf; cdf != nil {
+		lo, hi := 0, len(cdf)-1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if cdf[mid] <= u {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
 		}
+		w = p.set.weight(lo)
 	}
-	w := p.set.weights[lo]
 	at := p.nextAt
 	p.thinkingW -= w
 	if p.thinkingW < 0 {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -57,25 +59,116 @@ func TestPopulationScalesOfferedLoad(t *testing.T) {
 	}
 }
 
+// refClientWeights is the per-client weight vector the population
+// spec stands for: the tiled ClientWeights vector when set, else
+// Zipf(ClientZipfS) weights (client 0 hottest), else unit weights.
+// ClientSet once materialised it; it lives on as the reference the
+// vector-free set is checked against.
+func refClientWeights(wl params.Workload, clients int) []float64 {
+	w := make([]float64, clients)
+	for i := range w {
+		switch {
+		case len(wl.ClientWeights) > 0:
+			w[i] = wl.ClientWeights[i%len(wl.ClientWeights)]
+		case wl.ClientZipfS > 0:
+			w[i] = math.Pow(float64(i+1), -wl.ClientZipfS)
+		default:
+			w[i] = 1
+		}
+	}
+	return w
+}
+
+// refPopulation is the vector-backed population: explicit weights,
+// their CDF, and the arrival process over them, as Population ran
+// before ClientSet stopped storing weights.
+type refPopulation struct {
+	weights, cdf []float64
+	total, think float64
+	rng          *apps.Rand
+	thinkingW    float64
+	nextAt       sim.Time
+}
+
+func newRefPopulation(weights []float64, think float64, rng *apps.Rand, now sim.Time) *refPopulation {
+	p := &refPopulation{weights: weights, cdf: make([]float64, len(weights)), think: think, rng: rng}
+	for _, w := range weights {
+		p.total += w
+	}
+	cum := 0.0
+	for i, w := range weights {
+		cum += w / p.total
+		p.cdf[i] = cum
+	}
+	if n := len(p.cdf); n > 0 {
+		p.cdf[n-1] = 1
+	}
+	p.thinkingW = p.total
+	p.schedule(now)
+	return p
+}
+
+func (p *refPopulation) schedule(now sim.Time) {
+	if p.thinkingW <= 0 {
+		p.nextAt = sim.Forever
+		return
+	}
+	g := -p.think / p.thinkingW * math.Log(1-p.rng.Float())
+	if g < 1 {
+		g = 1
+	}
+	p.nextAt = now + sim.Time(g)
+}
+
+func (p *refPopulation) take() float64 {
+	u := p.rng.Float()
+	lo, hi := 0, len(p.cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if p.cdf[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	w := p.weights[lo]
+	p.thinkingW -= w
+	if p.thinkingW < 0 {
+		p.thinkingW = 0
+	}
+	p.schedule(p.nextAt)
+	return w
+}
+
+func (p *refPopulation) ret(w float64, now sim.Time) {
+	p.thinkingW += w
+	if p.thinkingW > p.total {
+		p.thinkingW = p.total
+	}
+	if p.nextAt == sim.Forever {
+		p.schedule(now)
+	}
+}
+
 // TestClientWeights: the params spec renders to the right vectors.
 func TestClientWeights(t *testing.T) {
 	t.Parallel()
 	wl := params.Workload{}
-	u := ClientWeights(wl, 4)
+	u := refClientWeights(wl, 4)
 	for i, w := range u {
 		if w != 1 {
 			t.Errorf("uniform weight[%d] = %v, want 1", i, w)
 		}
 	}
 	wl.ClientZipfS = 1.0
-	z := ClientWeights(wl, 4)
+	z := refClientWeights(wl, 4)
 	for i := 1; i < len(z); i++ {
 		if z[i] >= z[i-1] {
 			t.Errorf("zipf weights must decrease: w[%d]=%v >= w[%d]=%v", i, z[i], i-1, z[i-1])
 		}
 	}
 	wl.ClientWeights = []float64{3, 1}
-	tiled := ClientWeights(wl, 5)
+	tiled := refClientWeights(wl, 5)
 	want := []float64{3, 1, 3, 1, 3}
 	for i := range want {
 		if tiled[i] != want[i] {
@@ -84,12 +177,98 @@ func TestClientWeights(t *testing.T) {
 	}
 }
 
+// TestClientSetMatchesVectorReference drives the vector-free set and
+// the vector-backed reference through one seeded sequence of Take and
+// Return calls: every issued weight, every next arrival and the final
+// thinking weight must match bit for bit, so the sets change no RNG
+// draw and no output.
+func TestClientSetMatchesVectorReference(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct {
+		name    string
+		wl      params.Workload
+		clients int
+	}{
+		{"uniform-1", params.Workload{}, 1},
+		{"uniform-7", params.Workload{}, 7},
+		{"uniform-62500", params.Workload{}, 62_500},
+		{"zipf-0.9", params.Workload{ClientZipfS: 0.9}, 10_000},
+		{"zipf-1.2", params.Workload{ClientZipfS: 1.2}, 10_000},
+		{"tiled-3-1", params.Workload{ClientWeights: []float64{3, 1}}, 5},
+	} {
+		set := NewClientSet(c.wl, c.clients)
+		if set.Clients() != c.clients {
+			t.Errorf("%s: Clients() = %d, want %d", c.name, set.Clients(), c.clients)
+		}
+		const think = 5000
+		p := set.Population(think, apps.NewRand(99), 0)
+		ref := newRefPopulation(refClientWeights(c.wl, c.clients), think, apps.NewRand(99), 0)
+		if set.TotalWeight() != ref.total || p.NextAt() != ref.nextAt {
+			t.Fatalf("%s: built total %v next %d, reference %v next %d",
+				c.name, set.TotalWeight(), p.NextAt(), ref.total, ref.nextAt)
+		}
+		// The driver decides from the set's own state, so both sides
+		// see one call sequence; issued weights return oldest first.
+		driver := apps.NewRand(7)
+		var held sim.FIFO[float64]
+		var now sim.Time
+		for i := 0; i < 20_000; i++ {
+			if p.NextAt() != sim.Forever && (held.Len() == 0 || driver.Float() < 0.5) {
+				now = p.NextAt()
+				w, rw := p.Take(), ref.take()
+				if w != rw {
+					t.Fatalf("%s: call %d: Take = %v, reference %v", c.name, i, w, rw)
+				}
+				held.Push(w)
+			} else {
+				now += sim.Time(driver.Intn(2 * think))
+				w := held.Pop()
+				p.Return(w, now)
+				ref.ret(w, now)
+			}
+			if p.NextAt() != ref.nextAt {
+				t.Fatalf("%s: call %d: NextAt = %d, reference %d", c.name, i, p.NextAt(), ref.nextAt)
+			}
+		}
+		if p.thinkingW != ref.thinkingW {
+			t.Errorf("%s: final thinking weight %v, reference %v", c.name, p.thinkingW, ref.thinkingW)
+		}
+	}
+}
+
+// TestClientSetMemory pins the per-client cost of a population: a
+// uniform set stores nothing per client and a Zipf set only its
+// 8-byte CDF entry. 2^20 clients make the CDF whole allocator pages,
+// and the least of three builds drops the runtime's own background
+// allocations from the count.
+func TestClientSetMemory(t *testing.T) {
+	const clients = 1 << 20
+	built := func(wl params.Workload) uint64 {
+		least := ^uint64(0)
+		for i := 0; i < 3; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			set := NewClientSet(wl, clients)
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(set)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	if got := built(params.Workload{}); got >= 1024 {
+		t.Errorf("1M-client uniform set allocates %d B, want under 1 KB", got)
+	}
+	if got, max := built(params.Workload{ClientZipfS: 0.9}), uint64(8*clients+1024); got > max {
+		t.Errorf("1M-client Zipf set allocates %d B, want at most %d (8 B per client + 1 KB)", got, max)
+	}
+}
+
 // TestPopulationWeightAccounting exercises the arrival process
 // directly: size-biased draws conserve weight, an exhausted population
 // parks at Forever, and Return restarts it.
 func TestPopulationWeightAccounting(t *testing.T) {
 	t.Parallel()
-	set := NewClientSet([]float64{5, 3, 2})
+	set := NewClientSet(params.Workload{ClientWeights: []float64{5, 3, 2}}, 3)
 	if set.Clients() != 3 || set.TotalWeight() != 10 {
 		t.Fatalf("set shape wrong: %d clients, total %v", set.Clients(), set.TotalWeight())
 	}
@@ -124,8 +303,7 @@ func TestPopulationWeightAccounting(t *testing.T) {
 // above the population mean.
 func TestPopulationZipfSkewsIssuers(t *testing.T) {
 	t.Parallel()
-	weights := ClientWeights(params.Workload{ClientZipfS: 1.2}, 1000)
-	set := NewClientSet(weights)
+	set := NewClientSet(params.Workload{ClientZipfS: 1.2}, 1000)
 	p := set.Population(1e12, apps.NewRand(7), 0) // think huge: pool never empties
 	var sum float64
 	const draws = 4096
@@ -144,7 +322,7 @@ func TestPopulationZipfSkewsIssuers(t *testing.T) {
 // steady-state population arrival path — at zero allocations,
 // extending the generator alloc sweep to the population model.
 func TestPopulationArrivalPathZeroAlloc(t *testing.T) {
-	set := NewClientSet(ClientWeights(params.Workload{ClientZipfS: 0.9}, 100_000))
+	set := NewClientSet(params.Workload{ClientZipfS: 0.9}, 100_000)
 	p := set.Population(2000, apps.NewRand(3), 0)
 	var now sim.Time
 	allocs := testing.AllocsPerRun(1000, func() {

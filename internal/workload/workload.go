@@ -184,17 +184,7 @@ type run struct {
 	gens    []*gen
 	warmEnd sim.Time
 	endAt   sim.Time
-
-	// stamps carries intended-arrival timestamps from the open-loop
-	// sender to the destination's handler (serial machines). Sharded
-	// machines instead carry the stamp in the message payload (sharded
-	// below): a pair's queue is pushed on the source shard and popped
-	// on the destination shard, which would race across shards.
-	stamps stamps
-	hists  []sim.Histogram
-
-	// sharded mirrors scenario.Machine.Sharded for the hot paths.
-	sharded bool
+	hists   []sim.Histogram
 
 	// Tallies are per-node (writer = the node's own shard) and summed
 	// into the Report after the run; a node's handler bumps its own
@@ -244,10 +234,6 @@ func newRun(cfg params.Config, warm, measure sim.Time) *run {
 		n:       cfg.Nodes,
 		warmEnd: warm,
 		endAt:   warm + measure,
-	}
-	r.sharded = m.Sharded()
-	if !r.sharded {
-		r.stamps = make(stamps, r.n)
 	}
 	r.hists = make([]sim.Histogram, r.n)
 	r.sent = make([]uint64, r.n)
@@ -358,16 +344,10 @@ func (r *run) addOpen(sc *scenario.Scenario) {
 			// receiver's cache, as in the bandwidth microbenchmark).
 			d.EP.Load(0x4000, d.Size)
 			d.EP.Compute(serviceCycles)
-			var intended sim.Time
-			if r.sharded {
-				intended = d.Payload.(sim.Time)
-			} else {
-				intended = r.stamps.Pop(d.Src, at)
-			}
 			r.delivered[at]++
 			now := d.EP.Clock()
 			if now > r.warmEnd {
-				r.hists[at].Record(now - intended)
+				r.hists[at].Record(now - d.Stamp)
 				r.winBytes[at] += uint64(d.Size)
 			}
 		})
@@ -381,14 +361,10 @@ func (r *run) addOpen(sc *scenario.Scenario) {
 				if ep.Clock() >= next {
 					dst := g.pickDst(self)
 					size := g.pickSize()
-					var payload any
-					if r.sharded {
-						payload = next
-					} else {
-						r.stamps.Push(self, dst, next)
-					}
 					r.sent[self]++
-					ep.SendTo(dst, hOpen, size, payload)
+					// The intended arrival rides in the frame as the
+					// delivery's Stamp, the latency origin.
+					ep.SendStamped(dst, hOpen, size, next)
 					next += g.nextGap()
 					continue
 				}
@@ -423,7 +399,7 @@ type popReq struct {
 // from its scheduled arrival instant even when the sender was
 // backlogged, so sender-side queueing under overload lands in the tail.
 func (r *run) addClosed(sc *scenario.Scenario) {
-	set := NewClientSet(ClientWeights(r.wl, r.wl.Clients))
+	set := NewClientSet(r.wl, r.wl.Clients)
 	pops := make([]*Population, r.n)
 	free := make([][]*popReq, r.n)
 	for id := 0; id < r.n; id++ {
