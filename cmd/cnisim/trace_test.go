@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -113,6 +114,42 @@ func TestTraceSampleEveryZero(t *testing.T) {
 		})
 		if got := strings.Contains(stderr, " 0 samples,"); got != c.zero {
 			t.Errorf("cnisim %v: wrote zero samples = %v, want %v\n%s", c.args, got, c.zero, stderr)
+		}
+	}
+}
+
+// TestTraceShardedSampling pins sampling on sharded machines: a
+// sampled loadsweep point at --shards=4 exits cleanly and writes the
+// same trace bytes and stdout as at --shards=1, on the default fabric
+// and on the torus, whose 64 nodes really run four shards.
+func TestTraceShardedSampling(t *testing.T) {
+	for _, topo := range []string{"", "--topology=torus"} {
+		var want []byte
+		var wantOut string
+		for _, shards := range []string{"1", "4"} {
+			path := filepath.Join(t.TempDir(), "t.json")
+			args := []string{"--trace=" + path, "--sample-every=200", "loadsweep", "--load=20", "--nodes=64", "--shards=" + shards}
+			if topo != "" {
+				args = append(args, topo)
+			}
+			var err error
+			out := captureStdout(t, func() {
+				captureStderr(t, func() { err = cli(args) })
+			})
+			if err != nil {
+				t.Fatalf("cnisim %v: %v", args, err)
+			}
+			got, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatalf("cnisim %v: %v", args, rerr)
+			}
+			if want == nil {
+				want, wantOut = got, out
+				continue
+			}
+			if !bytes.Equal(got, want) || out != wantOut {
+				t.Errorf("cnisim %v: trace (%d bytes) or stdout differs from --shards=1 (%d bytes)", args, len(got), len(want))
+			}
 		}
 	}
 }

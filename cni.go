@@ -190,8 +190,10 @@ type FaultCrash = params.FaultCrash
 // TraceSpec configures the zero-overhead telemetry subsystem
 // (internal/trace): Enabled turns on message-lifecycle recording into
 // per-node rings, SampleEvery > 0 adds the periodic time-series
-// sampler. The zero value wires nothing and leaves every simulation
-// byte-identical to an untraced build. Attach one to Config.Trace;
+// sampler, which reads the machine between slices of its run. The zero
+// value wires nothing and leaves every simulation byte-identical to an
+// untraced build; a traced one dispatches the same events in the same
+// order, on sharded machines too. Attach one to Config.Trace;
 // read the handles back with Machine.TraceRecorder /
 // Machine.TraceSampler and export Perfetto-loadable Chrome trace JSON
 // with Machine.WriteTrace. (The name Trace is already taken by the

@@ -197,7 +197,7 @@ func TestQuietPollProbeCoverage(t *testing.T) {
 			quiet += m.Endpoint(id).QuietProbed()
 		}
 		pct := 100 * float64(quiet/2) / float64(empty)
-		t.Logf("%s: %d empty polls, %d quiet-poll probes (%.1f%%), %d probed wakes in all", c.ni, empty, quiet, pct, m.Probed())
+		t.Logf("%s: %d empty polls, %d quiet-poll probes (%.1f%%), %d probed wakes in all", c.ni, empty, quiet, pct, m.EngineCounters().Probed)
 		if c.minPct == 0 && quiet != 0 {
 			t.Errorf("%s: %d quiet-poll probes on an uncached-poll NI", c.ni, quiet)
 		}

@@ -35,8 +35,8 @@ func TestOnlyAppsAreCoroutines(t *testing.T) {
 			if n := runtime.NumGoroutine() - base; n != cfg.Nodes {
 				t.Errorf("%s: %d goroutines with %d app processes", cfg.Name(), n, cfg.Nodes)
 			}
-			if m.Resumes() != uint64(cfg.Nodes) {
-				t.Errorf("%s: %d coroutine resumes, want one per app", cfg.Name(), m.Resumes())
+			if r := m.Counters().Resumes; r != uint64(cfg.Nodes) {
+				t.Errorf("%s: %d coroutine resumes, want one per app", cfg.Name(), r)
 			}
 			m.Stop()
 		}
@@ -86,8 +86,8 @@ func TestDeviceStepPanicNamesDevice(t *testing.T) {
 			case !strings.Contains(pp.Error(), c.value):
 				t.Errorf("%s inline=%v: %v, want the device's own panic %q", c.name, inline, pp.Value, c.value)
 			}
-			if wantResumes := uint64(1); inline && m.Resumes() != wantResumes {
-				t.Errorf("%s inline: %d resumes, want %d: the step did not run on the app's stack", c.name, m.Resumes(), wantResumes)
+			if r := m.Counters().Resumes; inline && r != 1 {
+				t.Errorf("%s inline: %d resumes, want 1: the step did not run on the app's stack", c.name, r)
 			}
 			m.Stop()
 		}

@@ -79,6 +79,9 @@ type Machine struct {
 	// Cfg.Trace activates them (internal/trace).
 	Rec *trace.Recorder
 	Smp *trace.Sampler
+	// sampleAt is the next row's due time, 0 when none is due: Run
+	// sets it one period past the clock and clears it at quiescence.
+	sampleAt sim.Time
 }
 
 // useShards reports whether cfg selects the sharded event order: an
@@ -169,7 +172,7 @@ func New(cfg params.Config) *Machine {
 		n.Msgr.ShareFramePool(pools[si])
 	}
 	if cfg.Trace.SampleEvery > 0 {
-		m.Smp = trace.NewSampler(eng, sim.Time(cfg.Trace.SampleEvery))
+		m.Smp = &trace.Sampler{}
 		m.registerSamples()
 	}
 	return m
@@ -296,32 +299,35 @@ func (m *Machine) Sharded() bool { return useShards(m.Cfg) }
 func (m *Machine) Now() sim.Time { return m.shards.Now() }
 
 // Run drains the event queue (or stops at horizon) and returns the
-// final simulated time in cycles. The sampler, when configured, is
-// re-armed here so back-to-back runs keep sampling (its tick stops
-// itself at quiescence to let the queue drain).
+// final simulated time in cycles. With a sampler it runs in slices,
+// one to each sample time at or below horizon, and records a row
+// between slices while every shard is stopped, so a sampled run
+// dispatches the same events in the same order, and ends at the same
+// time, as an unsampled one. Sampling stops once no engine holds an
+// event; the next Run then samples one period past its start, while a
+// run stopped at horizon leaves its next row due for the next Run.
 func (m *Machine) Run(horizon sim.Time) sim.Time {
-	if m.Smp != nil {
-		m.Smp.Ensure()
+	if m.Smp == nil {
+		return m.shards.Run(horizon)
+	}
+	every := sim.Time(m.Cfg.Trace.SampleEvery)
+	if m.sampleAt == 0 {
+		m.sampleAt = m.shards.Now() + every
+	}
+	for m.sampleAt <= horizon {
+		end := m.shards.Run(m.sampleAt)
+		m.Smp.Sample(m.sampleAt)
+		if m.shards.NextAt() == sim.Forever {
+			m.sampleAt = 0
+			return end
+		}
+		m.sampleAt += every
 	}
 	return m.shards.Run(horizon)
 }
 
-// Scheduled returns how many events the engines have scheduled since
-// construction (sim.Engine.Scheduled), summed over shards.
-func (m *Machine) Scheduled() uint64 { return m.shards.Scheduled() }
-
-// Probed returns how many process wakes the engines handled as
-// spin probes (sim.Engine.Probed), summed over shards.
-func (m *Machine) Probed() uint64 { return m.shards.Probed() }
-
-// Resumes returns how many coroutine resumes the engines' Run loops
-// made (sim.Engine.Resumes), summed over shards.
-func (m *Machine) Resumes() uint64 { return m.shards.Resumes() }
-
-// SelfWakes returns how many coroutine wakes the engines returned
-// inline to the parking process (sim.Engine.SelfWakes), summed over
-// shards.
-func (m *Machine) SelfWakes() uint64 { return m.shards.SelfWakes() }
+// Counters returns the engine counters summed over shards.
+func (m *Machine) Counters() sim.EngineCounters { return m.shards.Counters() }
 
 // Stop unwinds the app processes; call once after Run.
 func (m *Machine) Stop() { m.shards.Stop() }

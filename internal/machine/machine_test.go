@@ -276,8 +276,8 @@ func TestShardDriverForEveryMachine(t *testing.T) {
 	}
 }
 
-// TestShardScheduledSumsEngines: Scheduled counts every shard engine's
-// events, which on a one-shard machine are Eng's alone.
+// TestShardScheduledSumsEngines: Counters().Scheduled counts every
+// shard engine's events, which on a one-shard machine are Eng's alone.
 func TestShardScheduledSumsEngines(t *testing.T) {
 	for _, c := range []struct{ nodes, shards int }{{16, 0}, {64, 4}} {
 		m := New(params.Config{Nodes: c.nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
@@ -297,11 +297,12 @@ func TestShardScheduledSumsEngines(t *testing.T) {
 				sum += e.Scheduled()
 			}
 		}
-		if got := m.Scheduled(); got != sum || got == 0 {
+		got := m.Counters().Scheduled
+		if got != sum || got == 0 {
 			t.Errorf("%d nodes, Shards=%d: Scheduled = %d, want the engines' sum %d", c.nodes, c.shards, got, sum)
 		}
-		if c.shards == 0 && m.Scheduled() != m.Eng.Scheduled() {
-			t.Errorf("16 nodes: Scheduled = %d, want Eng's %d", m.Scheduled(), m.Eng.Scheduled())
+		if c.shards == 0 && got != m.Eng.Scheduled() {
+			t.Errorf("16 nodes: Scheduled = %d, want Eng's %d", got, m.Eng.Scheduled())
 		}
 		m.Stop()
 	}

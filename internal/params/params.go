@@ -517,9 +517,12 @@ type Trace struct {
 	RingSize int
 	// SampleEvery, when nonzero, runs the time-series sampler every
 	// SampleEvery cycles: link occupancy, queue depths, window
-	// occupancy, retransmit backlog, and counter deltas, exportable as
-	// columnar JSON/CSV. Sampling alone (Enabled false) still builds
-	// the recorder so hook records and samples export together.
+	// occupancy, retransmit backlog, and counter deltas, exported as
+	// counter tracks of the Chrome trace. Each row reads the state
+	// after every event of its cycle, between slices of the machine's
+	// Run, so sampling moves no event and works at every Shards value.
+	// Sampling alone (Enabled false) still builds the recorder so hook
+	// records and samples export together.
 	SampleEvery uint64
 }
 
@@ -776,7 +779,8 @@ type Config struct {
 	// nodes into that many shards (clamped to the node count):
 	// contiguous node groups, each with its own event heap,
 	// synchronised in epochs of the torus hop latency (DESIGN.md §14).
-	// Results are byte-identical for every Shards >= 1 value. Every
+	// Results, trace exports and sampled series included, are
+	// byte-identical for every Shards >= 1 value. Every
 	// machine runs on the same shard driver; Flat and paper-scale
 	// (<= 16 node) machines, and every machine with Shards == 0, run
 	// one shard that never crosses, in the serial event order.
@@ -846,9 +850,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("params: Shards must be >= 0, have %d", c.Shards)
-	}
-	if c.Shards > 1 && c.Trace.SampleEvery > 0 {
-		return fmt.Errorf("params: the trace sampler reads cross-shard gauges and needs a single event loop; use Shards <= 1 with Trace.SampleEvery")
 	}
 	if c.Workload != nil {
 		if err := c.Workload.Validate(); err != nil {

@@ -99,7 +99,7 @@ func run(build func(m *pair, rng ranger), rng ranger) outcome {
 	build(m, rng)
 	end := m.e.RunAll()
 	m.e.Stop()
-	return outcome{m.e.Scheduled(), end, m.log, m.st.String(), m.e.Probed()}
+	return outcome{m.e.Scheduled(), end, m.log, m.st.String(), m.e.Counters().Probed}
 }
 
 // TestRangeProbesMatchPerWordLoop pins the range probes' contract:
@@ -186,7 +186,7 @@ func TestRangeProbesZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("steady-state ranges allocate %.1f objects per 500 cycles, want 0", allocs)
 	}
-	if m.e.Probed() == 0 {
+	if m.e.Counters().Probed == 0 {
 		t.Error("no wake ran as a probe")
 	}
 	m.e.Stop()

@@ -35,10 +35,10 @@ type Machine struct {
 // Build constructs a simulated machine for cfg. Unlike the low-level
 // machine constructor it reports invalid configurations as errors.
 func Build(cfg params.Config) (*Machine, error) {
+	capture := applyDefaultTrace(&cfg)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	capture := applyDefaultTrace(&cfg)
 	sm := &Machine{m: machine.New(cfg)}
 	if capture {
 		captureTrace(sm)
@@ -93,23 +93,14 @@ func (m *Machine) Advance(horizon sim.Time) { m.m.Run(horizon) }
 
 // EventsScheduled returns how many events the machine's engines have
 // scheduled since construction, on every shard.
-func (m *Machine) EventsScheduled() uint64 { return m.m.Scheduled() }
+func (m *Machine) EventsScheduled() uint64 { return m.m.Counters().Scheduled }
 
-// Probed returns how many idle-poll wakes the machine's engines ran as
-// probes without resuming the polling process (sim.Engine.Probed), on
-// every shard. Each probed empty poll is two: the loop overhead's wake
-// and the poll load's.
-func (m *Machine) Probed() uint64 { return m.m.Probed() }
-
-// Resumes returns how many coroutine resumes the machine's engines made
-// (sim.Engine.Resumes), on every shard: each costs two coroutine
-// switches.
-func (m *Machine) Resumes() uint64 { return m.m.Resumes() }
-
-// SelfWakes returns how many process wakes the machine's engines
-// returned inline to the parking process, with no switch
-// (sim.Engine.SelfWakes), on every shard.
-func (m *Machine) SelfWakes() uint64 { return m.m.SelfWakes() }
+// EngineCounters returns what the machine's engines did since
+// construction, summed over shards (sim.EngineCounters): events
+// scheduled, wakes run as probes (each probed empty poll is two: the
+// loop overhead's wake and the poll load's), coroutine resumes, and
+// wakes returned inline to the parking process.
+func (m *Machine) EngineCounters() sim.EngineCounters { return m.m.Counters() }
 
 // Close unwinds the machine's app processes. Call once, after the
 // final Run.

@@ -20,6 +20,22 @@ func TestBuildRejectsInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsInvalidDefaultTrace: a config that is invalid only
+// under the default trace spec comes back from Build as an error; the
+// machine constructor would panic on it.
+func TestBuildRejectsInvalidDefaultTrace(t *testing.T) {
+	SetDefaultTrace(params.Trace{Enabled: true, RingSize: -1})
+	defer SetDefaultTrace(params.Trace{})
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Build panicked: %v", r)
+		}
+	}()
+	if _, err := Build(cfg2()); err == nil || !strings.Contains(err.Error(), "RingSize") {
+		t.Fatalf("Build under an invalid default trace: err = %v, want the RingSize error", err)
+	}
+}
+
 func TestSendRecvAndTrace(t *testing.T) {
 	m, err := Build(cfg2())
 	if err != nil {

@@ -123,9 +123,10 @@ func TestDrivenStepsKeepCoroutineOrder(t *testing.T) {
 		t.Fatalf("driven run ended at %d after %d events, coroutine run at %d after %d",
 			de.Now(), de.Scheduled(), ce.Now(), ce.Scheduled())
 	}
-	if de.Resumes()+de.SelfWakes() >= ce.Resumes()+ce.SelfWakes() {
+	dc, cc := de.Counters(), ce.Counters()
+	if dc.Resumes+dc.SelfWakes >= cc.Resumes+cc.SelfWakes {
 		t.Fatalf("driven run woke coroutines %d times, the coroutine run %d: the subject still counts",
-			de.Resumes()+de.SelfWakes(), ce.Resumes()+ce.SelfWakes())
+			dc.Resumes+dc.SelfWakes, cc.Resumes+cc.SelfWakes)
 	}
 }
 
@@ -154,8 +155,8 @@ func TestDrivenStepPanicReachesRunCaller(t *testing.T) {
 		e.Spawn("node3.app", func(p *Process) { p.Sleep(100) })
 		arm(e)
 		checkProcessPanic(t, recoverRun(func() { e.RunAll() }), "node3.ni.recv", 42, boom)
-		if e.Resumes() != 1 {
-			t.Errorf("%d resumes, want 1: the step did not run on the app's stack", e.Resumes())
+		if r := e.Counters().Resumes; r != 1 {
+			t.Errorf("%d resumes, want 1: the step did not run on the app's stack", r)
 		}
 		e.Stop()
 	})

@@ -333,26 +333,32 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of scheduled events.
-func (e *Engine) Pending() int { return e.events.len() }
-
 // Scheduled reports the number of events ever scheduled on this
 // engine — the denominator for per-event cost accounting (the
 // steady-state allocation pins divide by it).
 func (e *Engine) Scheduled() uint64 { return e.seq }
 
-// Probed reports how many wakes of spinning processes (Process.Spin)
-// the engine handled by running their probe instead of resuming them:
-// idle polls and cache-hit runs alike.
-func (e *Engine) Probed() uint64 { return e.probed }
+// EngineCounters is a snapshot of what engines did since construction.
+// ShardSet.Counters sums it over shards.
+type EngineCounters struct {
+	// Scheduled is the events ever scheduled (Engine.Scheduled).
+	Scheduled uint64
+	// Probed is the wakes of spinning processes (Process.Spin) handled
+	// by running their probe instead of resuming them: idle polls and
+	// cache-hit runs alike.
+	Probed uint64
+	// Resumes is the coroutine resumes Run made, two coroutine
+	// switches each.
+	Resumes uint64
+	// SelfWakes is the coroutine wakes a parking process's own dispatch
+	// loop (Engine.next) returned inline, with no switch.
+	SelfWakes uint64
+}
 
-// Resumes reports how many coroutine resumes Run made: each costs two
-// coroutine switches.
-func (e *Engine) Resumes() uint64 { return e.resumes }
-
-// SelfWakes reports how many coroutine wakes a parking process's own
-// dispatch loop (Engine.next) returned inline, with no switch.
-func (e *Engine) SelfWakes() uint64 { return e.selfs }
+// Counters returns the engine's counters.
+func (e *Engine) Counters() EngineCounters {
+	return EngineCounters{Scheduled: e.seq, Probed: e.probed, Resumes: e.resumes, SelfWakes: e.selfs}
+}
 
 // Schedule runs fn after delay cycles. A delay of zero runs fn after
 // all work at the current instant that was scheduled earlier.

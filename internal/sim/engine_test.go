@@ -62,8 +62,8 @@ func TestRunHorizon(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran %d events before horizon, want 1", ran)
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.events.len() != 1 {
+		t.Fatalf("pending = %d, want 1", e.events.len())
 	}
 	e.RunAll()
 	if ran != 2 {
@@ -296,8 +296,8 @@ func TestStopLeavesNoGoroutines(t *testing.T) {
 		t.Error("spinner resumed")
 	})
 	e.Run(10)
-	if e.Probed() != 10 {
-		t.Errorf("probed %d spinner wakes by cycle 10, want 10", e.Probed())
+	if e.Counters().Probed != 10 {
+		t.Errorf("probed %d spinner wakes by cycle 10, want 10", e.Counters().Probed)
 	}
 	e.Spawn("unrun", func(p *Process) { t.Error("unrun process ran") })
 	e.Stop()

@@ -114,7 +114,7 @@ func queueWorkload(e *Engine, rng *rand.Rand, log *queueLog, budget int, cross f
 			return
 		}
 		n := 1
-		if e.Pending() < 24 {
+		if e.events.len() < 24 {
 			n = 2
 		}
 		if rng.Intn(300) == 0 {
@@ -195,12 +195,12 @@ func TestEventQueueMatchesReference(t *testing.T) {
 				e.pushCross(k.at, class1Base+rank, func() { log.ran = append(log.ran, k) })
 				rank++
 			})
-			for e.Pending() > 0 {
+			for e.events.len() > 0 {
 				e.Run(e.nextAt() + Time(rng.Intn(3*ringSize)))
 			}
 			log.check(t, "engine")
-			if e.Now() < 20*ringSize || e.Probed() == 0 || rank == 0 {
-				t.Errorf("ran to cycle %d with %d probes and %d cross events; want many laps of each", e.Now(), e.Probed(), rank)
+			if e.Now() < 20*ringSize || e.Counters().Probed == 0 || rank == 0 {
+				t.Errorf("ran to cycle %d with %d probes and %d cross events; want many laps of each", e.Now(), e.Counters().Probed, rank)
 			}
 			if len(e.events.slab) <= ringSize+1 {
 				t.Errorf("the ring's slab never grew from %d entries; want bursts that fill it", len(e.events.slab))
@@ -213,7 +213,7 @@ func TestEventQueueMatchesReference(t *testing.T) {
 			e := s.Engine(0)
 			log := &queueLog{}
 			queueWorkload(e, rng, log, budget, nil)
-			for e.Pending() > 0 {
+			for e.events.len() > 0 {
 				s.Run(e.nextAt() + Time(rng.Intn(3*ringSize)))
 			}
 			log.check(t, "one shard")
@@ -294,7 +294,7 @@ func testQueueFourShards(t *testing.T, seed int64, budget int) {
 		}
 		logs[i].check(t, fmt.Sprintf("shard %d of 4", i))
 	}
-	if s.Probed() == 0 {
+	if s.Counters().Probed == 0 {
 		t.Error("no wake ran as a probe")
 	}
 	s.Stop()

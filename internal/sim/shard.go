@@ -162,25 +162,29 @@ func (s *ShardSet) Cross(from int, ev CrossEvent) {
 	s.inboxes[src] = append(s.inboxes[src], ev)
 }
 
-// Scheduled sums every shard engine's Scheduled count.
-func (s *ShardSet) Scheduled() uint64 { return s.sum((*Engine).Scheduled) }
-
-// Probed sums every shard engine's Probed count.
-func (s *ShardSet) Probed() uint64 { return s.sum((*Engine).Probed) }
-
-// Resumes sums every shard engine's Resumes count.
-func (s *ShardSet) Resumes() uint64 { return s.sum((*Engine).Resumes) }
-
-// SelfWakes sums every shard engine's SelfWakes count.
-func (s *ShardSet) SelfWakes() uint64 { return s.sum((*Engine).SelfWakes) }
-
-// sum totals count over every shard engine.
-func (s *ShardSet) sum(count func(*Engine) uint64) uint64 {
-	var n uint64
+// Counters sums every shard engine's counters.
+func (s *ShardSet) Counters() EngineCounters {
+	var c EngineCounters
 	for _, e := range s.engines {
-		n += count(e)
+		ec := e.Counters()
+		c.Scheduled += ec.Scheduled
+		c.Probed += ec.Probed
+		c.Resumes += ec.Resumes
+		c.SelfWakes += ec.SelfWakes
 	}
-	return n
+	return c
+}
+
+// NextAt returns the time of the earliest event on any engine, or
+// Forever when none is pending. Between Runs every cross event is
+// already on its destination engine (Run collects the inboxes before
+// it stops), so the engines' queues are all the work left.
+func (s *ShardSet) NextAt() Time {
+	S := Forever
+	for _, e := range s.engines {
+		S = min(S, e.nextAt())
+	}
+	return S
 }
 
 // Now returns the current simulation time. After Run returns, every
@@ -280,12 +284,7 @@ func (s *ShardSet) Run(horizon Time) Time {
 	}
 	for {
 		s.collect()
-		S := Forever
-		for _, e := range s.engines {
-			if t := e.nextAt(); t < S {
-				S = t
-			}
-		}
+		S := s.NextAt()
 		if S == Forever || S > horizon {
 			break
 		}

@@ -96,8 +96,8 @@ func TestSpinMatchesSleepLoop(t *testing.T) {
 	ref := NewEngine()
 	spinWorkload(ref, &want, false)
 	ref.RunAll()
-	if len(want) < 100 || ref.Probed() != 0 {
-		t.Fatalf("sleep loop logged %d dispatches with %d probes", len(want), ref.Probed())
+	if len(want) < 100 || ref.Counters().Probed != 0 {
+		t.Fatalf("sleep loop logged %d dispatches with %d probes", len(want), ref.Counters().Probed)
 	}
 
 	check := func(name string, e *Engine, got []string) {
@@ -108,7 +108,7 @@ func TestSpinMatchesSleepLoop(t *testing.T) {
 		if e.Scheduled() != ref.Scheduled() || e.Now() != ref.Now() {
 			t.Errorf("%s: scheduled %d events, ended at %d; sleep loop %d, %d", name, e.Scheduled(), e.Now(), ref.Scheduled(), ref.Now())
 		}
-		if e.Probed() == 0 {
+		if e.Counters().Probed == 0 {
 			t.Errorf("%s: no wake ran as a probe", name)
 		}
 	}
@@ -136,8 +136,8 @@ func TestSpinMatchesSleepLoop(t *testing.T) {
 	for i := range logs {
 		check(fmt.Sprintf("shard %d of 4", i), four.Engine(i), logs[i])
 	}
-	if four.Probed() != 4*four.Engine(0).Probed() {
-		t.Errorf("ShardSet.Probed = %d, want 4 x %d", four.Probed(), four.Engine(0).Probed())
+	if four.Counters().Probed != 4*four.Engine(0).Counters().Probed {
+		t.Errorf("ShardSet.Counters().Probed = %d, want 4 x %d", four.Counters().Probed, four.Engine(0).Counters().Probed)
 	}
 	four.Stop()
 }
@@ -183,8 +183,8 @@ func BenchmarkSpinProbe(b *testing.B) {
 	b.ResetTimer()
 	e.RunAll()
 	b.StopTimer()
-	if e.Probed() != uint64(b.N) {
-		b.Fatalf("probed %d wakes, want %d", e.Probed(), b.N)
+	if e.Counters().Probed != uint64(b.N) {
+		b.Fatalf("probed %d wakes, want %d", e.Counters().Probed, b.N)
 	}
 	e.Stop()
 }
@@ -225,8 +225,8 @@ func BenchmarkSpinProbe16(b *testing.B) {
 	b.ResetTimer()
 	e.RunAll()
 	b.StopTimer()
-	if e.Probed() != uint64(b.N) {
-		b.Fatalf("probed %d wakes, want %d", e.Probed(), b.N)
+	if e.Counters().Probed != uint64(b.N) {
+		b.Fatalf("probed %d wakes, want %d", e.Counters().Probed, b.N)
 	}
 	e.Stop()
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/params"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -183,50 +184,90 @@ func TestTraceByteDeterminism(t *testing.T) {
 }
 
 // TestTraceRecorderInert pins the other half of the zero-overhead
-// contract: a recorder-only trace (no sampler) leaves the run result
-// — end time, every counter delta, every histogram — exactly as an
-// untraced build, because hooks neither consume simulated time nor
-// schedule events.
+// contract: a traced run — recorder only, or recorder and sampler —
+// leaves the run result (end time, every counter delta, every
+// histogram, bus occupancy) and the scheduled and probed counts
+// exactly as an untraced run, because hooks neither consume simulated
+// time nor schedule events and the sampler reads between slices of
+// Run.
 func TestTraceRecorderInert(t *testing.T) {
 	for _, f := range []params.Faults{{}, {Seed: 3, DropProb: 0.02, Transport: true}} {
 		m0, tr0, got0 := goldenScenario(t, params.Trace{}, f)
 		m0.Close()
-		m1, tr1, got1 := goldenScenario(t, params.Trace{Enabled: true}, f)
-		m1.Close()
-		if got0 != got1 {
-			t.Errorf("faults=%+v: deliveries diverged: %v vs %v", f, got0, got1)
-		}
-		if !reflect.DeepEqual(tr0, tr1) {
-			t.Errorf("faults=%+v: traced run result diverged from untraced:\nuntraced: %+v\ntraced:   %+v", f, tr0, tr1)
+		for _, spec := range []params.Trace{{Enabled: true}, {Enabled: true, SampleEvery: 500}, {SampleEvery: 7}} {
+			m1, tr1, got1 := goldenScenario(t, spec, f)
+			m1.Close()
+			if got0 != got1 {
+				t.Errorf("faults=%+v trace=%+v: deliveries diverged: %v vs %v", f, spec, got0, got1)
+			}
+			if !reflect.DeepEqual(tr0, tr1) {
+				t.Errorf("faults=%+v trace=%+v: traced run result diverged from untraced:\nuntraced: %+v\ntraced:   %+v", f, spec, tr0, tr1)
+			}
+			if c0, c1 := m0.EngineCounters(), m1.EngineCounters(); c0.Scheduled != c1.Scheduled || c0.Probed != c1.Probed {
+				t.Errorf("faults=%+v trace=%+v: engine counters %+v, untraced %+v", f, spec, c1, c0)
+			}
+			if spec.SampleEvery > 0 && m1.TraceSampler().Rows() == 0 {
+				t.Errorf("faults=%+v trace=%+v: no samples", f, spec)
+			}
 		}
 	}
 }
 
-// TestTraceSamplerInert pins the sampler's behavioural footprint: all
-// simulation results (deliveries, counter deltas, histograms) are
-// unchanged; only the run's reported end time may extend to the last
-// tick.
-func TestTraceSamplerInert(t *testing.T) {
-	m0, tr0, got0 := goldenScenario(t, params.Trace{}, params.Faults{})
-	m0.Close()
-	m1, tr1, got1 := goldenScenario(t, params.Trace{Enabled: true, SampleEvery: 500}, params.Faults{})
-	m1.Close()
-	if got0 != got1 {
-		t.Errorf("deliveries diverged: %v vs %v", got0, got1)
+// TestSamplerReArms pins the run loop's sampling across back-to-back
+// runs: rows fall one period apart from each run's start, the last one
+// at or past the run's end, and the next run samples again. A run
+// stopped at a horizon leaves its next row due, so stepping the first
+// run through horizons 250 cycles apart records the same rows.
+func TestSamplerReArms(t *testing.T) {
+	const every = 100
+	build := func() (*scenario.Machine, *scenario.Scenario) {
+		m, err := scenario.Build(params.Config{Nodes: 4, NI: params.CNI512Q, Bus: params.MemoryBus,
+			Topology: params.TopoTorus, Trace: params.Trace{SampleEvery: every}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, scenario.New().
+			At(0, func(ep *scenario.Endpoint) { ep.Send(3, 400, nil) }).
+			At(3, func(ep *scenario.Endpoint) { ep.Recv() })
 	}
-	if !reflect.DeepEqual(tr0.Counters, tr1.Counters) {
-		t.Errorf("counters diverged:\nuntraced: %v\nsampled:  %v", tr0.Counters, tr1.Counters)
+	m, sc := build()
+	defer m.Close()
+	s := m.TraceSampler()
+	from := 0
+	for run := 0; run < 2; run++ {
+		tr := m.Run(sc)
+		ts := s.Times()[from:]
+		if len(ts) == 0 {
+			t.Fatalf("run %d [%d, %d]: no rows", run, tr.Start, tr.End)
+		}
+		for i, at := range ts {
+			if want := uint64(tr.Start) + uint64(i+1)*every; at != want {
+				t.Fatalf("run %d: row %d at %d, want %d", run, i, at, want)
+			}
+		}
+		if last := ts[len(ts)-1]; last < uint64(tr.End) || last >= uint64(tr.End)+every {
+			t.Errorf("run %d ended at %d, last row at %d: want one row within a period past the end", run, tr.End, last)
+		}
+		if run == 0 {
+			from = s.Rows()
+		}
 	}
-	if !reflect.DeepEqual(tr0.Histograms, tr1.Histograms) {
-		t.Error("histograms diverged under sampling")
+
+	stepped, sc := build()
+	defer stepped.Close()
+	last := sim.Time(s.Times()[from-1])
+	stepped.RunUntil(sc, 250)
+	for h := sim.Time(500); h < last; h += 250 {
+		stepped.Advance(h)
 	}
-	if tr0.BusOccupancy != tr1.BusOccupancy {
-		t.Errorf("bus occupancy diverged: %d vs %d", tr0.BusOccupancy, tr1.BusOccupancy)
+	stepped.Advance(last)
+	got := stepped.TraceSampler()
+	if !reflect.DeepEqual(got.Times(), s.Times()[:from]) {
+		t.Fatalf("stepped rows at %v, want %v", got.Times(), s.Times()[:from])
 	}
-	if tr1.End < tr0.End {
-		t.Errorf("sampled run ended at %d, before the untraced %d", tr1.End, tr0.End)
-	}
-	if d := tr1.End - tr0.End; d >= 500 {
-		t.Errorf("sampled end overshot by %d cycles, more than one period", d)
+	for c := 0; c < s.Columns(); c++ {
+		if !reflect.DeepEqual(got.Values(c), s.Values(c)[:from]) {
+			t.Errorf("column %s: stepped %v, want %v", s.ColumnName(c), got.Values(c), s.Values(c)[:from])
+		}
 	}
 }

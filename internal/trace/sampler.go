@@ -4,31 +4,18 @@ import (
 	"repro/internal/sim"
 )
 
-// Sampler snapshots registered columns at a fixed period into
-// columnar series. It is pure observation: the tick event consumes no
-// simulated time, schedules nothing a process can see, and only
-// *relabels* the engine's event sequence numbers — a monotone shift
-// that preserves the relative order of every other event, so an
-// enabled sampler leaves simulation behaviour (counters, latencies,
-// delivered counts) exactly as a disabled one does. The one visible
-// effect: a run's reported end time can extend to the last tick.
-//
-// The tick re-schedules itself only while other events remain
-// pending; a quiescent engine's final tick simply stops, so RunAll
-// still terminates. Machines re-arm the sampler (Ensure) at the start
-// of every Run, covering back-to-back scenario runs.
+// Sampler snapshots registered columns into columnar series. It is
+// pure observation and no part of the event order: the machine's run
+// loop (machine.Machine.Run) stops every engine at each sample time
+// and calls Sample, so a sampled run schedules, dispatches and ends
+// exactly as an unsampled one, on any number of shards. The zero value
+// has no columns; register them before the first Sample.
 type Sampler struct {
-	eng   *sim.Engine
-	every sim.Time
-
 	cols []column
 	// times and vals are the columnar series: times[i] is row i's
 	// cycle stamp, vals[c][i] column c's sample.
 	times []uint64
 	vals  [][]float64
-
-	tickFn func()
-	armed  bool
 }
 
 // column is one registered series.
@@ -38,17 +25,6 @@ type column struct {
 	// delta turns a monotone probe (counter) into per-interval deltas.
 	delta bool
 	last  float64
-}
-
-// NewSampler builds a sampler ticking every `every` cycles. Columns
-// are registered before the first run; Ensure arms the first tick.
-func NewSampler(eng *sim.Engine, every sim.Time) *Sampler {
-	if every < 1 {
-		every = 1
-	}
-	s := &Sampler{eng: eng, every: every}
-	s.tickFn = func() { s.tick() }
-	return s
 }
 
 // Gauge registers a point-in-time column (queue depth, busy links).
@@ -67,23 +43,11 @@ func (s *Sampler) Counter(name string, c *sim.Counter) {
 	s.Delta(name, func() float64 { return float64(c.Value()) })
 }
 
-// Ensure arms the next tick if none is pending. Called by the machine
-// at the start of every Run so sequential scenario runs keep
-// sampling.
-func (s *Sampler) Ensure() {
-	if s.armed {
-		return
-	}
-	s.armed = true
-	s.eng.Schedule(s.every, s.tickFn)
-}
-
-// tick records one row and re-arms while other work remains. The
-// pending check is what keeps RunAll terminating: with no other
-// events left there is nothing more to observe.
-func (s *Sampler) tick() {
-	s.armed = false
-	s.times = append(s.times, uint64(s.eng.Now()))
+// Sample records one row stamped at: every column's probe, deltas
+// against the previous row. The caller must hold the whole simulation
+// still while it runs.
+func (s *Sampler) Sample(at sim.Time) {
+	s.times = append(s.times, uint64(at))
 	if s.vals == nil {
 		s.vals = make([][]float64, len(s.cols))
 	}
@@ -94,10 +58,6 @@ func (s *Sampler) tick() {
 			v, c.last = v-c.last, v
 		}
 		s.vals[i] = append(s.vals[i], v)
-	}
-	if s.eng.Pending() > 0 {
-		s.armed = true
-		s.eng.Schedule(s.every, s.tickFn)
 	}
 }
 
@@ -117,7 +77,7 @@ func (s *Sampler) Header() []string {
 // Times returns the row cycle stamps.
 func (s *Sampler) Times() []uint64 { return s.times }
 
-// Values returns column c's series (nil before the first tick).
+// Values returns column c's series (nil before the first Sample).
 func (s *Sampler) Values(c int) []float64 {
 	if c >= len(s.vals) {
 		return nil

@@ -102,21 +102,19 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
-// TestSamplerColumns pins the columnar semantics: gauges sample
-// point-in-time values, deltas report per-interval increments, and the
-// tick stops itself at quiescence so RunAll terminates.
+// TestSamplerColumns pins the columnar semantics: each Sample records
+// one row stamped with its time, gauges read point-in-time values and
+// deltas report the increment since the previous row.
 func TestSamplerColumns(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewSampler(e, 10)
+	var s Sampler
 	g, n := 0.0, 0.0
 	s.Gauge("g", func() float64 { return g })
 	s.Delta("d", func() float64 { return n })
-	e.Schedule(5, func() { g, n = 1, 3 })
-	e.Schedule(25, func() { g, n = 2, 10 })
-	s.Ensure()
-	e.RunAll()
-	// Ticks at 10 and 20 observe the t=5 state, the tick at 30 the
-	// t=25 state; with nothing else pending at 30 the sampler stops.
+	g, n = 1, 3
+	s.Sample(10)
+	s.Sample(20)
+	g, n = 2, 10
+	s.Sample(30)
 	if s.Rows() != 3 {
 		t.Fatalf("Rows = %d, want 3 (times %v)", s.Rows(), s.Times())
 	}
@@ -134,33 +132,12 @@ func TestSamplerColumns(t *testing.T) {
 	}
 }
 
-// TestSamplerReArms pins Ensure's contract for back-to-back runs: a
-// sampler that stopped at quiescence resumes on the next Ensure.
-func TestSamplerReArms(t *testing.T) {
-	e := sim.NewEngine()
-	s := NewSampler(e, 10)
-	s.Gauge("g", func() float64 { return 0 })
-	e.Schedule(5, func() {})
-	s.Ensure()
-	e.RunAll()
-	first := s.Rows()
-	if first == 0 {
-		t.Fatal("no rows from the first run")
-	}
-	e.Schedule(15, func() {})
-	s.Ensure()
-	e.RunAll()
-	if s.Rows() <= first {
-		t.Errorf("Rows = %d after second run, want > %d", s.Rows(), first)
-	}
-}
-
 // TestSamplerValuesBeforeTick pins the nil-safety of Values on a
-// sampler that never ticked (exporting an idle machine).
+// sampler that never sampled (exporting an idle machine).
 func TestSamplerValuesBeforeTick(t *testing.T) {
-	s := NewSampler(sim.NewEngine(), 10)
+	var s Sampler
 	s.Gauge("g", func() float64 { return 0 })
 	if v := s.Values(0); v != nil {
-		t.Errorf("Values before first tick = %v, want nil", v)
+		t.Errorf("Values before first Sample = %v, want nil", v)
 	}
 }

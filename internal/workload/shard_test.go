@@ -10,8 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// shardCfg builds a traced torus workload configuration at the given
-// node and shard count; faults adds the full injector menu (drops,
+// shardCfg builds a traced and sampled torus workload configuration
+// at the given node and shard count; faults adds the full injector menu (drops,
 // corruption, duplicates, delays, a degrade window, a pause, and a
 // crash) so the determinism check covers the fault path too.
 func shardCfg(nodes, shards int, faults bool) params.Config {
@@ -20,7 +20,7 @@ func shardCfg(nodes, shards int, faults bool) params.Config {
 	cfg := params.Config{
 		Nodes: nodes, NI: params.CNI16Q, Bus: params.MemoryBus,
 		Topology: params.TopoTorus, Shards: shards, Workload: &wl,
-		Trace: params.Trace{Enabled: true, RingSize: 512},
+		Trace: params.Trace{Enabled: true, RingSize: 512, SampleEvery: 500},
 	}
 	if faults {
 		cfg.Faults = params.Faults{
@@ -34,9 +34,9 @@ func shardCfg(nodes, shards int, faults bool) params.Config {
 	return cfg
 }
 
-// runTraced is Run plus a byte export of the lifecycle rings, so the
-// shard-count comparison covers every record and timestamp, not just
-// the aggregate report.
+// runTraced is Run plus a byte export of the lifecycle rings and the
+// sampled series, so the shard-count comparison covers every record,
+// timestamp and gauge row, not just the aggregate report.
 func runTraced(t *testing.T, cfg params.Config, warm, measure sim.Time) (Report, []byte) {
 	t.Helper()
 	r := newRun(cfg, warm, measure)
@@ -65,8 +65,11 @@ func runTraced(t *testing.T, cfg params.Config, warm, measure sim.Time) (Report,
 	for id := range r.hists {
 		rep.Latency.Merge(&r.hists[id])
 	}
+	if cfg.Trace.SampleEvery > 0 && r.m.TraceSampler().Rows() == 0 {
+		t.Fatal("the sampled run recorded no rows")
+	}
 	var buf bytes.Buffer
-	if _, err := trace.WriteChrome(&buf, trace.Capture{Label: "shard", Rec: r.m.TraceRecorder()}); err != nil {
+	if _, err := trace.WriteChrome(&buf, trace.Capture{Label: "shard", Rec: r.m.TraceRecorder(), Smp: r.m.TraceSampler()}); err != nil {
 		t.Fatalf("trace export: %v", err)
 	}
 	return rep, buf.Bytes()
@@ -76,7 +79,10 @@ func runTraced(t *testing.T, cfg params.Config, warm, measure sim.Time) (Report,
 // never changes results. A single-shard ShardSet executes serially
 // (no worker goroutines, one heap) and is the reference ordering;
 // 2/4/8 shards must reproduce its workload report AND its per-node
-// lifecycle trace byte for byte, with the full fault menu active.
+// lifecycle trace and sampled series byte for byte, with the full
+// fault menu active. The sampler reads gauges between slices of Run,
+// so with GOMAXPROCS > 1 the race detector also checks those reads
+// against the live epoch workers.
 func TestShardDeterminism(t *testing.T) {
 	t.Parallel()
 	sizes := []int{64, 256}
