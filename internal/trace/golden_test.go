@@ -184,17 +184,32 @@ func TestTraceByteDeterminism(t *testing.T) {
 }
 
 // TestTraceRecorderInert pins the other half of the zero-overhead
-// contract: a traced run — recorder only, or recorder and sampler —
-// leaves the run result (end time, every counter delta, every
-// histogram, bus occupancy) and the scheduled and probed counts
-// exactly as an untraced run, because hooks neither consume simulated
-// time nor schedule events and the sampler reads between slices of
-// Run.
+// contract: a recorder-only trace (no sampler) leaves the run result
+// — end time, every counter delta, every histogram — and the scheduled
+// and probed counts exactly as an untraced build, because hooks
+// neither consume simulated time nor schedule events.
 func TestTraceRecorderInert(t *testing.T) {
+	assertTraceInert(t, params.Trace{Enabled: true})
+}
+
+// TestTraceSamplerInert pins the sampler's behavioural footprint: it
+// reads between slices of Run and schedules nothing, so a sampled run
+// — with or without the recorder, at a period that divides the run or
+// not — leaves the run result (end time included) and the scheduled
+// and probed counts exactly as an untraced run, and records rows.
+func TestTraceSamplerInert(t *testing.T) {
+	assertTraceInert(t, params.Trace{Enabled: true, SampleEvery: 500}, params.Trace{SampleEvery: 7})
+}
+
+// assertTraceInert runs the golden scenario untraced and under each
+// spec, with and without faults, and requires identical deliveries,
+// run results and scheduled/probed counts.
+func assertTraceInert(t *testing.T, specs ...params.Trace) {
+	t.Helper()
 	for _, f := range []params.Faults{{}, {Seed: 3, DropProb: 0.02, Transport: true}} {
 		m0, tr0, got0 := goldenScenario(t, params.Trace{}, f)
 		m0.Close()
-		for _, spec := range []params.Trace{{Enabled: true}, {Enabled: true, SampleEvery: 500}, {SampleEvery: 7}} {
+		for _, spec := range specs {
 			m1, tr1, got1 := goldenScenario(t, spec, f)
 			m1.Close()
 			if got0 != got1 {
