@@ -118,39 +118,36 @@ func TestTraceSampleEveryZero(t *testing.T) {
 	}
 }
 
-// TestTraceShardedSampling pins sampling on sharded machines: a
-// sampled loadsweep point at --shards=4 exits cleanly and writes the
-// same trace bytes and stdout as at --shards=1, on the default fabric
-// and on the torus, whose 64 nodes really run four shards.
+// TestTraceShardedSampling pins sampling on sharded machines. A
+// sampled loadsweep point at --shards=4 exits cleanly and writes
+// sampled rows; on the default fabric the 64 nodes stay one shard, so
+// the torus point, whose 64 nodes really run four shards, must also
+// write the same trace bytes and stdout as at --shards=1.
 func TestTraceShardedSampling(t *testing.T) {
-	for _, topo := range []string{"", "--topology=torus"} {
-		var want []byte
-		var wantOut string
-		for _, shards := range []string{"1", "4"} {
-			path := filepath.Join(t.TempDir(), "t.json")
-			args := []string{"--trace=" + path, "--sample-every=200", "loadsweep", "--load=20", "--nodes=64", "--shards=" + shards}
-			if topo != "" {
-				args = append(args, topo)
-			}
-			var err error
-			out := captureStdout(t, func() {
-				captureStderr(t, func() { err = cli(args) })
-			})
-			if err != nil {
-				t.Fatalf("cnisim %v: %v", args, err)
-			}
-			got, rerr := os.ReadFile(path)
-			if rerr != nil {
-				t.Fatalf("cnisim %v: %v", args, rerr)
-			}
-			if want == nil {
-				want, wantOut = got, out
-				continue
-			}
-			if !bytes.Equal(got, want) || out != wantOut {
-				t.Errorf("cnisim %v: trace (%d bytes) or stdout differs from --shards=1 (%d bytes)", args, len(got), len(want))
-			}
+	sampled := func(shards string, extra ...string) ([]byte, string) {
+		path := filepath.Join(t.TempDir(), "t.json")
+		args := append([]string{"--trace=" + path, "--sample-every=200", "loadsweep", "--load=20", "--nodes=64", "--shards=" + shards}, extra...)
+		var err error
+		var stderr string
+		out := captureStdout(t, func() {
+			stderr = captureStderr(t, func() { err = cli(args) })
+		})
+		if err != nil {
+			t.Fatalf("cnisim %v: %v", args, err)
 		}
+		if strings.Contains(stderr, " 0 samples,") {
+			t.Errorf("cnisim %v wrote no samples:\n%s", args, stderr)
+		}
+		got, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("cnisim %v: %v", args, rerr)
+		}
+		return got, out
+	}
+	sampled("4")
+	want, wantOut := sampled("1", "--topology=torus")
+	if got, out := sampled("4", "--topology=torus"); !bytes.Equal(got, want) || out != wantOut {
+		t.Errorf("torus --shards=4: trace (%d bytes) or stdout differs from --shards=1 (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -113,8 +113,9 @@ func TestTransitOrderPinned(t *testing.T) {
 					Topology: fab.topo, Shards: shards, Workload: &wl, Faults: fs.f,
 					Trace: params.Trace{Enabled: true, RingSize: 1 << 16},
 				}
-				rep, chrome := runTraced(t, cfg, 2000, 12_000)
-				ov := overtakes(t, chrome)
+				run := runTraced(t, cfg, 2000, 12_000)
+				rep := run.rep
+				ov := overtakes(t, run.rings)
 				if fs.name == "degrade-close" {
 					overtaken[fab.topo] += ov
 				}
