@@ -297,14 +297,16 @@ func (ms *Messenger) drainOne(p *sim.Process) bool {
 // user message. It reports whether a network message was consumed.
 func (ms *Messenger) Poll(p *sim.Process) bool { return ms.poll(p, pollStart) }
 
-// pollPoint is where a poll iteration starts: PollUntil resumes an
-// iteration its probes spun through at the wake they stopped at.
+// pollPoint is where a poll iteration starts: PollUntil and DrainIdle
+// resume an iteration their probes spun through at the wake they
+// stopped at.
 type pollPoint uint8
 
 const (
 	pollStart     pollPoint = iota // before the loop overhead
 	afterOverhead                  // at the loop overhead's wake
 	afterLoad                      // at the NI poll load's wake (CachedPoll NIs)
+	afterSleep                     // at an idle loop's sleep wake (DrainIdle)
 )
 
 // poll is one poll iteration from the given point on. It is Poll's body
@@ -477,58 +479,127 @@ func (ms *Messenger) PollUntil(p *sim.Process, pred func() bool) {
 		// The last poll found nothing: spin until an iteration would
 		// differ from it, and resume the loop at that point.
 		if s == nil {
-			s = ms.getSpin(pred)
+			s = ms.getSpin(p)
+			s.pred = pred
 		}
-		s.loaded = false
+		s.at = afterOverhead
 		p.Spin(PollLoopCycles, s)
-		from := afterOverhead
-		if s.loaded {
-			from = afterLoad
-		}
-		got = ms.poll(p, from)
+		got = ms.poll(p, s.at)
 	}
 	if s != nil {
 		ms.putSpin(s)
 	}
 }
 
-// quietSpin runs one PollUntil call's idle iterations as engine probes
-// (sim.Process.Spin). While the queue is empty the poll load hits — the
-// NI's write of a message invalidates the polled block (§2.2) — so each
-// idle iteration is two checks at the process's own wakes: at the end
-// of the loop overhead, that the software buffer is empty and the poll
-// load hits; at the end of the load, that the queue is still empty and
-// pred still false. Any other outcome resumes the process at that very
-// point of the loop. Each PollUntil call has its own, since several
-// processes on one node may poll at once.
+// IdleRule is an idle loop's rule for what follows a drain that ends at
+// now having consumed drained network messages: the loop sleeps sleep
+// cycles (0: not at all), and after waking drains again while its clock
+// is below until.
+type IdleRule func(now sim.Time, drained int) (sleep, until sim.Time)
+
+// DrainIdle runs an idle loop's "drain, then sleep" iterations under
+// rule: it dispatches everything available, as DrainAvailable does,
+// then sleeps as rule says, and returns at the first wake at or after
+// until, or at once when rule says not to sleep.
+//
+// rule must be pure, like PollUntil's pred. On a cachable-queue NI the
+// engine runs the iterations after the first drain as probes
+// (quietSpin), at the (time, seq) keys of the plain loop's sleep, loop
+// overhead and poll load, and resumes the process only at a wake where
+// the loop would do something else: the sleep reaching until, the poll
+// load missing, a message becoming visible, or rule saying not to sleep.
+func (ms *Messenger) DrainIdle(p *sim.Process, rule IdleRule) {
+	var s *quietSpin
+	for from := pollStart; ; {
+		n := ms.drain(p, from)
+		d, until := rule(p.Now(), n)
+		if d == 0 {
+			break
+		}
+		if ms.quiet == nil {
+			p.Sleep(d)
+			break
+		}
+		if s == nil {
+			s = ms.getSpin(p)
+			s.rule = rule
+		}
+		s.at, s.until = afterSleep, until
+		p.Spin(d, s)
+		if from = s.at; from == afterSleep {
+			break
+		}
+	}
+	if s != nil {
+		ms.putSpin(s)
+	}
+}
+
+// quietSpin runs the idle iterations of one PollUntil or DrainIdle call
+// as engine probes (sim.Process.Spin). While the queue is empty the poll
+// load hits — the NI's write of a message invalidates the polled block
+// (§2.2) — so an idle poll is two checks at the process's own wakes: at
+// the end of the loop overhead, that the software buffer is empty and
+// the poll load hits; at the end of the load, that the queue is still
+// empty. PollUntil's next iteration then starts once pred is false;
+// DrainIdle's drain has ended, so it sleeps as its rule says and, at the
+// sleep's wake, starts the next iteration while the clock is below
+// until. Any other outcome resumes the process at that very point of
+// the loop. Each call has its own, since several processes on one node
+// may poll at once.
 type quietSpin struct {
-	ms     *Messenger
-	pred   func() bool
-	loaded bool // the pending wake ends the poll load (else the loop overhead)
+	ms *Messenger
+	p  *sim.Process
+	at pollPoint // the point of the loop the pending wake ends at
+
+	pred  func() bool // PollUntil's; nil for DrainIdle
+	rule  IdleRule    // DrainIdle's
+	until sim.Time    // DrainIdle's: the rule's until for the pending sleep
 }
 
 // Probe implements sim.Spinner.
 func (s *quietSpin) Probe() (sim.Time, bool) {
 	ms := s.ms
-	if !s.loaded {
+	switch s.at {
+	case afterSleep:
+		if s.p.Now() >= s.until {
+			return 0, true
+		}
+		s.at = afterOverhead
+		ms.QuietProbed++
+		return PollLoopCycles, false
+	case afterOverhead:
 		if len(ms.swBuf) > 0 || !ms.quiet.PollHit() {
 			return 0, true
 		}
-		s.loaded = true
+		s.at = afterLoad
 		ms.QuietProbed++
 		return params.HitCycles, false
 	}
-	if !ms.quiet.RecvEmpty() || s.pred() {
+	if !ms.quiet.RecvEmpty() {
 		return 0, true
 	}
+	if s.pred != nil {
+		if s.pred() {
+			return 0, true
+		}
+		s.at = afterOverhead
+		ms.quiet.CountEmptyPoll()
+		ms.QuietProbed++
+		return PollLoopCycles, false
+	}
+	d, until := s.rule(s.p.Now(), 0)
+	if d == 0 {
+		return 0, true
+	}
+	s.at, s.until = afterSleep, until
 	ms.quiet.CountEmptyPoll()
-	s.loaded = false
 	ms.QuietProbed++
-	return PollLoopCycles, false
+	return d, false
 }
 
 // getSpin/putSpin recycle quietSpins, like getCtx/putCtx.
-func (ms *Messenger) getSpin(pred func() bool) *quietSpin {
+func (ms *Messenger) getSpin(p *sim.Process) *quietSpin {
 	var s *quietSpin
 	if n := len(ms.spinFree); n > 0 {
 		s = ms.spinFree[n-1]
@@ -536,21 +607,26 @@ func (ms *Messenger) getSpin(pred func() bool) *quietSpin {
 	} else {
 		s = &quietSpin{ms: ms}
 	}
-	s.pred = pred
+	s.p = p
 	return s
 }
 
 func (ms *Messenger) putSpin(s *quietSpin) {
-	s.pred = nil // don't pin the caller's closure while pooled
+	// Don't pin the caller's process or closures while pooled.
+	s.p, s.pred, s.rule = nil, nil, nil
 	ms.spinFree = append(ms.spinFree, s)
 }
 
 // DrainAvailable dispatches everything currently available without
 // blocking; returns the number of network messages consumed.
-func (ms *Messenger) DrainAvailable(p *sim.Process) int {
+func (ms *Messenger) DrainAvailable(p *sim.Process) int { return ms.drain(p, pollStart) }
+
+// drain is DrainAvailable starting its first poll at from.
+func (ms *Messenger) drain(p *sim.Process, from pollPoint) int {
 	n := 0
-	for ms.Poll(p) {
+	for ms.poll(p, from) {
 		n++
+		from = pollStart
 	}
 	return n
 }

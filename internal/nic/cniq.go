@@ -43,7 +43,6 @@ type cniq struct {
 	sendHeadPos   uint64                 // device head (monotonic)
 	sendStageQ    sim.FIFO[*network.Msg] // committed by software, awaiting RegWrite
 	sendCommitted sim.FIFO[*network.Msg] // message-ready received, awaiting pull
-	sendPulled    map[uint64]bool        // block already at the device (hint pull / WB)
 	sendHints     sim.FIFO[uint64]       // virtual-polling pull hints (block addrs)
 	sendReady     *network.Msg           // pulled, awaiting inject FIFO space
 	injectFIFO    *outQ
@@ -70,19 +69,59 @@ type cniq struct {
 	writeB                                                  int
 	wAddr                                                   uint64
 
-	// procCopies tracks which of this NI's blocks the processor cache
-	// holds, so the device knows when publishing requires invalidation.
-	procCopies map[uint64]bool
+	// blocks holds the device's per-block flags (pulled, procCopy,
+	// live) over both queue regions.
+	blocks blockFlags
 
 	// dc is CNI16Qm's receive-side device cache (nil otherwise).
 	dc *devCache
-	// live marks receive-queue blocks holding a message the processor
+}
+
+// Per-block flags of a cachable-queue NI, one byte per block of its two
+// queue regions.
+const (
+	// pulled marks a send-queue block already at the device (hint pull
+	// or writeback), so the send engine need not read it.
+	pulled uint8 = 1 << iota
+	// procCopy marks a block the processor cache holds, so the device
+	// knows when publishing requires invalidation.
+	procCopy
+	// live marks a receive-queue block holding a message the processor
 	// has not yet read. The device observes consumption for free by
 	// snooping the processor's coherent reads of its queue blocks, so
 	// evicting a dead (already-consumed) block needs no writeback —
 	// only live blocks "overflow to main memory" (§3, §5.1.2).
-	live map[uint64]bool
+	live
+)
+
+// blockFlags is one byte of flags per block of the send and receive
+// queue regions, indexed from their bases: the send region's blocks
+// first, then the receive region's.
+type blockFlags struct {
+	sendBase, recvBase uint64
+	n                  uint64 // blocks per region
+	b                  []uint8
 }
+
+func newBlockFlags(sendBase, recvBase uint64, regionBytes uint64) blockFlags {
+	n := regionBytes / params.BlockBytes
+	return blockFlags{sendBase: sendBase, recvBase: recvBase, n: n, b: make([]uint8, 2*n)}
+}
+
+// at returns the flags of the block at addr, which must lie in one of
+// the two regions.
+func (f *blockFlags) at(addr uint64) *uint8 {
+	if i := (addr - f.sendBase) / params.BlockBytes; addr >= f.sendBase && i < f.n {
+		return &f.b[i]
+	}
+	return &f.b[f.n+(addr-f.recvBase)/params.BlockBytes]
+}
+
+func (f *blockFlags) has(addr uint64, flag uint8) bool { return *f.at(addr)&flag != 0 }
+
+func (f *blockFlags) set(addr uint64, flag uint8) { *f.at(addr) |= flag }
+
+func (f *blockFlags) clear(addr uint64, flag uint8) { *f.at(addr) &^= flag }
 
 const (
 	injectFIFOCap = 2 // pulled messages awaiting injection
@@ -93,17 +132,15 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 	qblocks := d.Cfg.QueueBlocks()
 	total := d.Cfg.TotalQueueBlocks()
 	n := &cniq{
-		d:          d,
-		kind:       d.Cfg.NI,
-		name:       d.name(),
-		ctr:        d.counters(),
-		memHomed:   memHomed,
-		entries:    total / params.BlocksPerNetMsg,
-		sendPulled: make(map[uint64]bool),
-		procCopies: make(map[uint64]bool),
-		live:       make(map[uint64]bool),
-		writeB:     1,
+		d:        d,
+		kind:     d.Cfg.NI,
+		name:     d.name(),
+		ctr:      d.counters(),
+		memHomed: memHomed,
+		entries:  total / params.BlocksPerNetMsg,
+		writeB:   1,
 	}
+	n.blocks = newBlockFlags(d.SendQBase, d.RecvQBase, QueueRegionBytes(n.entries*params.BlocksPerNetMsg))
 	n.ctr.sendHintPull = d.Stats.Counter(n.name + ".send.hintpull")
 	n.ctr.sendPull = d.Stats.Counter(n.name + ".send.pull")
 	n.ctr.recvHeadRefresh = d.Stats.Counter(n.name + ".recv.headrefresh")
@@ -119,11 +156,11 @@ func newCNIQ(d Deps, memHomed bool) *cniq {
 	// A bus transaction ends an engine's step; its completion books it
 	// and steps the engine again.
 	n.sendFn, n.publishedFn = n.sendEngine, n.published
-	n.hintedFn = func() { n.sendPulled[n.pullAt] = true; n.ctr.sendHintPull.Inc(); n.sendEngine() }
+	n.hintedFn = func() { n.blocks.set(n.pullAt, pulled); n.ctr.sendHintPull.Inc(); n.sendEngine() }
 	n.pulledFn = func() { n.ctr.sendPull.Inc(); n.pullB++; n.sendEngine() }
 	n.recvFn, n.refreshedFn, n.pushedFn = n.recvEngine, n.refreshed, n.pushed
 	n.evictedFn = func() { n.ctr.recvOverflowWB.Inc(); n.recvEngine() }
-	n.invalidatedFn = func() { n.procCopies[n.wAddr] = false; n.recvEngine() }
+	n.invalidatedFn = func() { n.blocks.clear(n.wAddr, procCopy); n.recvEngine() }
 	n.send = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".send", n.sendFn))
 	n.injectFIFO = newOutQ(d, n.name+".inject")
 	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
@@ -179,17 +216,17 @@ func (n *cniq) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
 	}
 	switch tx.Kind {
 	case bus.CR:
-		n.procCopies[tx.Addr] = true
+		n.blocks.set(tx.Addr, procCopy)
 		if tx.Initiator != bus.Agent(n) {
 			// The processor fetched the block: the message data has
 			// left the device; the copy here is dead weight.
-			n.live[tx.Addr] = false
+			n.blocks.clear(tx.Addr, live)
 		}
 	case bus.CRI:
 		// The processor took exclusive ownership: it holds the block.
-		n.procCopies[tx.Addr] = true
+		n.blocks.set(tx.Addr, procCopy)
 		if n.inSendEntries(tx.Addr) {
-			n.sendPulled[tx.Addr] = false
+			n.blocks.clear(tx.Addr, pulled)
 			n.virtualPollHint(tx.Addr)
 		}
 		if tx.Addr == n.recvHeadAddr() {
@@ -198,12 +235,12 @@ func (n *cniq) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
 			n.recvHeadMove.Signal()
 		}
 	case bus.CI:
-		n.procCopies[tx.Addr] = false
+		n.blocks.clear(tx.Addr, procCopy)
 	case bus.WB:
 		if !n.memHomed && isHome && n.inSendEntries(tx.Addr) {
 			// The processor evicted a dirty send-queue block to its
 			// home (us): the data is here, no pull needed.
-			n.sendPulled[tx.Addr] = true
+			n.blocks.set(tx.Addr, pulled)
 		}
 	}
 	return sn
@@ -219,7 +256,7 @@ func (n *cniq) virtualPollHint(addr uint64) {
 		return
 	}
 	prev := addr - params.BlockBytes
-	if !n.sendPulled[prev] {
+	if !n.blocks.has(prev, pulled) {
 		n.sendHints.Push(prev)
 		n.sendWork.Signal()
 	}
@@ -304,14 +341,14 @@ func (n *cniq) sendEngine() {
 			n.sendHeadPos++
 			// Publish the head pointer: invalidate the processor's copy
 			// if it holds one.
-			if addr := n.sendHeadAddr(); n.procCopies[addr] {
+			if addr := n.sendHeadAddr(); n.blocks.has(addr, procCopy) {
 				n.send.Do(bus.Tx{Kind: bus.CI, Addr: addr, Initiator: n}, n.publishedFn)
 			} else {
 				n.published()
 			}
 			return
 		case n.pullB == 0 && n.sendHints.Len() > 0:
-			if n.pullAt = n.sendHints.Pop(); !n.sendPulled[n.pullAt] {
+			if n.pullAt = n.sendHints.Pop(); !n.blocks.has(n.pullAt, pulled) {
 				n.send.Do(bus.Tx{Kind: bus.CR, Addr: n.pullAt, Initiator: n}, n.hintedFn)
 				return
 			}
@@ -319,7 +356,7 @@ func (n *cniq) sendEngine() {
 			n.sendWork.Await(n.send.Process(), n.sendFn)
 			return
 		case n.pullB < n.sendCommitted.Peek().Blocks:
-			if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.sendPulled[addr] {
+			if addr := n.sendEntryAddr(n.sendHeadPos, n.pullB); !n.blocks.has(addr, pulled) {
 				n.send.Do(bus.Tx{Kind: bus.CR, Addr: addr, Initiator: n}, n.pulledFn)
 				return
 			}
@@ -327,7 +364,7 @@ func (n *cniq) sendEngine() {
 		default:
 			// Entry consumed: forget pull state for its blocks.
 			for b := 0; b < params.BlocksPerNetMsg; b++ {
-				delete(n.sendPulled, n.sendEntryAddr(n.sendHeadPos, b))
+				n.blocks.clear(n.sendEntryAddr(n.sendHeadPos, b), pulled)
 			}
 			n.pullB = 0
 			n.sendReady = n.sendCommitted.Pop()
@@ -338,7 +375,7 @@ func (n *cniq) sendEngine() {
 // published re-owns the memory-homed design's pinned head-pointer
 // line once the processor's copy is gone.
 func (n *cniq) published() {
-	n.procCopies[n.sendHeadAddr()] = false
+	n.blocks.clear(n.sendHeadAddr(), procCopy)
 	if n.memHomed {
 		n.dc.setState(n.sendHeadAddr(), cache.Modified)
 	}
@@ -387,7 +424,7 @@ func (n *cniq) recvEngine() {
 		// victim first — a live victim (unread message) is the §5.1.2
 		// overflow writeback; a dead one is dropped silently.
 		if n.memHomed {
-			if victim, dirty := n.dc.ensure(n.wAddr); dirty && n.live[victim] {
+			if victim, dirty := n.dc.ensure(n.wAddr); dirty && n.blocks.has(victim, live) {
 				n.recv.Do(bus.Tx{Kind: bus.WB, Addr: victim, Initiator: n}, n.evictedFn)
 				return
 			}
@@ -395,12 +432,12 @@ func (n *cniq) recvEngine() {
 		// The write itself is internal or a silent upgrade; a stale
 		// processor copy is invalidated, unless the update protocol
 		// refreshes it (so the processor's next poll hits).
-		if n.procCopies[n.wAddr] && !n.d.Cfg.UpdateProtocol {
+		if n.blocks.has(n.wAddr, procCopy) && !n.d.Cfg.UpdateProtocol {
 			n.recv.Do(bus.Tx{Kind: bus.CI, Addr: n.wAddr, Initiator: n}, n.invalidatedFn)
 			return
 		}
 		if n.memHomed {
-			n.live[n.wAddr] = true
+			n.blocks.set(n.wAddr, live)
 			n.dc.setState(n.wAddr, cache.Modified)
 		}
 		n.writeB++
@@ -428,7 +465,7 @@ func (n *cniq) refreshed() {
 }
 
 func (n *cniq) pushed() {
-	n.procCopies[n.wAddr] = true
+	n.blocks.set(n.wAddr, procCopy)
 	if n.memHomed && n.dc.stateOf(n.wAddr) == cache.Modified {
 		n.dc.setState(n.wAddr, cache.Owned) // the processor now shares it
 	}

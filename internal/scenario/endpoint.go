@@ -180,6 +180,16 @@ func (ep *Endpoint) PollUntil(pred func() bool) {
 // and returns the number of network messages consumed.
 func (ep *Endpoint) Drain() int { return ep.node.Msgr.DrainAvailable(ep.p) }
 
+// DrainIdle runs an idle loop's "drain, then sleep" iterations
+// (msg.Messenger.DrainIdle): drain everything available, then sleep
+// rule's sleep cycles (0: none), returning at the first wake at or after
+// rule's until. rule is handed the clock after each drain and the
+// network messages that drain consumed, and must be pure, like
+// PollUntil's pred.
+func (ep *Endpoint) DrainIdle(rule func(now sim.Time, drained int) (sleep, until sim.Time)) {
+	ep.node.Msgr.DrainIdle(ep.p, rule)
+}
+
 // Compute charges n cycles of local computation.
 func (ep *Endpoint) Compute(n sim.Time) { ep.node.CPU.Compute(ep.p, n) }
 
@@ -207,5 +217,6 @@ func (ep *Endpoint) Sent() uint64 { return ep.node.Msgr.Sent }
 func (ep *Endpoint) Received() uint64 { return ep.node.Msgr.Received }
 
 // QuietProbed returns how many idle-poll wakes of this endpoint's
-// PollUntil and Recv the engine ran as probes (msg.Messenger.QuietProbed).
+// PollUntil, Recv and DrainIdle the engine ran as probes
+// (msg.Messenger.QuietProbed).
 func (ep *Endpoint) QuietProbed() uint64 { return ep.node.Msgr.QuietProbed }

@@ -53,8 +53,13 @@ func (e *event) before(o *event) bool {
 
 // ringSize is the calendar ring's span: an event due fewer than
 // ringSize cycles after the queue's base goes on the ring, any later
-// one on the heap. Two 64-bit words of occupancy bits cover it.
-const ringSize = 128
+// one on the heap. It spans the workload generators' 256-cycle poll
+// quantum, so an idle node's sleep re-arms on the ring too. Eight
+// 64-bit words of occupancy bits cover it.
+const (
+	ringSize  = 512
+	ringWords = ringSize / 64
+)
 
 // ringEvent is one event on the calendar ring, linked into its cycle's
 // FIFO by slab index.
@@ -72,9 +77,9 @@ type ringSlot struct{ head, tail int32 }
 //
 // Most events land a few cycles ahead — process wakes, bus and cache
 // steps, spinning probes re-arming 1 or 4 cycles out — so the ring
-// takes them in O(1): slot at%ringSize holds one cycle's FIFO, and a
-// two-word occupancy bitmap finds the next busy slot with one
-// TrailingZeros64. Every ring event is due in [base, base+ringSize),
+// takes them in O(1): slot at%ringSize holds one cycle's FIFO, and an
+// occupancy bitmap finds the next busy slot with a TrailingZeros64 per
+// word it looks at. Every ring event is due in [base, base+ringSize),
 // where base is the time of the last event popped (no pending event is
 // earlier), so a slot never mixes cycles; and local sequence numbers
 // rise in push order, so each FIFO is already in (time, seq) order.
@@ -93,12 +98,12 @@ type eventHeap struct {
 	a    []event // 4-ary min-heap of far and cross events
 	base Time    // the last popped event's time
 
-	slab  []ringEvent // ring events; entry 0 is unused, so index 0 means none
-	first int32       // the earliest ring event
-	free  int32       // first free slab entry
-	short bool        // a near event found no free entry; Run grows the slab
-	near  int         // events on the ring
-	occ   [2]uint64   // bit s: slot s holds events
+	slab  []ringEvent       // ring events; entry 0 is unused, so index 0 means none
+	first int32             // the earliest ring event
+	free  int32             // first free slab entry
+	short bool              // a near event found no free entry; Run grows the slab
+	near  int               // events on the ring
+	occ   [ringWords]uint64 // bit s%64 of word s/64: slot s holds events
 	slot  [ringSize]ringSlot
 }
 
@@ -155,7 +160,8 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// grow doubles the slab, threading the new entries onto the free list.
+// grow doubles the slab (32 entries at first), threading the new
+// entries onto the free list.
 // Only Run calls it, on its caller's goroutine: the allocation's call
 // chain would otherwise land on a process's coroutine stack (fn events
 // and Engine.next run there) and could double it, which over thousands
@@ -165,7 +171,7 @@ func (h *eventHeap) push(ev event) {
 func (h *eventHeap) grow() {
 	h.short = false
 	n := len(h.slab)
-	h.slab = append(h.slab, make([]ringEvent, max(n, ringSize/4))...)
+	h.slab = append(h.slab, make([]ringEvent, max(n, 32))...)
 	for i := len(h.slab) - 1; i >= n; i-- {
 		h.slab[i].next = h.free
 		h.free = int32(i)
@@ -188,17 +194,18 @@ func (h *eventHeap) link(i int32, s uint) {
 }
 
 // scan returns the head of the first busy slot from slot s onwards,
-// round the ring, which must not be empty: it rotates the bitmap right
-// by s and counts trailing zeros. The search order is time order
-// because every ring event is due within ringSize cycles of the cycle
-// slot s belongs to.
+// round the ring, which must not be empty: it masks off the bits of slot
+// s's word below s, then walks the later words, coming back last to the
+// whole of s's word. The search order is time order because every ring
+// event is due within ringSize cycles of the cycle slot s belongs to.
 func (h *eventHeap) scan(s uint) int32 {
-	lo, hi, b := h.occ[s/64%2], h.occ[(s/64+1)%2], s%64
-	k := uint(bits.TrailingZeros64(lo>>b | hi<<(64-b)))
-	if k == 64 {
-		k += uint(bits.TrailingZeros64(hi>>b | lo<<(64-b)))
+	w := s / 64
+	m := h.occ[w] &^ (1<<(s%64) - 1)
+	for m == 0 {
+		w = (w + 1) % ringWords
+		m = h.occ[w]
 	}
-	return h.slot[(s+k)%ringSize].head
+	return h.slot[w*64+uint(bits.TrailingZeros64(m))].head
 }
 
 // pop removes and returns the earliest event. The queue must be

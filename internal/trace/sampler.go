@@ -64,16 +64,6 @@ func (s *Sampler) Sample(at sim.Time) {
 // Rows returns the number of recorded samples.
 func (s *Sampler) Rows() int { return len(s.times) }
 
-// Header returns "cycle" plus the registered column names.
-func (s *Sampler) Header() []string {
-	h := make([]string, 0, len(s.cols)+1)
-	h = append(h, "cycle")
-	for i := range s.cols {
-		h = append(h, s.cols[i].name)
-	}
-	return h
-}
-
 // Times returns the row cycle stamps.
 func (s *Sampler) Times() []uint64 { return s.times }
 

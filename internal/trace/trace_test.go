@@ -118,8 +118,11 @@ func TestSamplerColumns(t *testing.T) {
 	if s.Rows() != 3 {
 		t.Fatalf("Rows = %d, want 3 (times %v)", s.Rows(), s.Times())
 	}
-	if h := s.Header(); len(h) != 3 || h[0] != "cycle" || h[1] != "g" || h[2] != "d" {
-		t.Errorf("Header = %v", h)
+	if s.Columns() != 2 {
+		t.Fatalf("Columns = %d, want 2", s.Columns())
+	}
+	if g, d := s.ColumnName(0), s.ColumnName(1); g != "g" || d != "d" {
+		t.Errorf("column names = %q, %q, want g, d", g, d)
 	}
 	if ts := s.Times(); ts[0] != 10 || ts[1] != 20 || ts[2] != 30 {
 		t.Errorf("Times = %v, want [10 20 30]", ts)
