@@ -71,7 +71,7 @@ func TestCoherentReadCostAndSnoop(t *testing.T) {
 	var dur sim.Time
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		res := f.Do(p, Tx{Kind: CR, Addr: 0x40, Initiator: req})
+		res := do(f, p, Tx{Kind: CR, Addr: 0x40, Initiator: req})
 		dur = p.Now() - start
 		if res.Supplier != params.ClassMemory {
 			t.Errorf("supplier = %v, want memory", res.Supplier)
@@ -96,7 +96,7 @@ func TestCacheSupplierWins(t *testing.T) {
 	req := newStub("req", params.ClassProc)
 	f.Attach(req, params.MemoryBus)
 	e.Spawn("t", func(p *sim.Process) {
-		res := f.Do(p, Tx{Kind: CR, Addr: 0x40, Initiator: req})
+		res := do(f, p, Tx{Kind: CR, Addr: 0x40, Initiator: req})
 		if res.Supplier != params.ClassProc {
 			t.Errorf("supplier = %v, want proc (cache-to-cache)", res.Supplier)
 		}
@@ -114,7 +114,7 @@ func TestInvalidateCost(t *testing.T) {
 	var dur sim.Time
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		f.Do(p, Tx{Kind: CI, Addr: 0x80, Initiator: req})
+		do(f, p, Tx{Kind: CI, Addr: 0x80, Initiator: req})
 		dur = p.Now() - start
 	})
 	e.RunAll()
@@ -131,7 +131,7 @@ func TestCoherentOpOnUncachableRegionPanics(t *testing.T) {
 	caught := false
 	e.Spawn("t", func(p *sim.Process) {
 		defer func() { caught = recover() != nil }()
-		f.Do(p, Tx{Kind: CR, Addr: 1 << 21, Initiator: req})
+		do(f, p, Tx{Kind: CR, Addr: 1 << 21, Initiator: req})
 	})
 	e.RunAll()
 	if !caught {
@@ -180,6 +180,16 @@ func TestUncachedCacheBusBypassesBuses(t *testing.T) {
 	}
 }
 
+// do runs tx from coroutine p through a Call's driven Do, parks p
+// until it completes and returns its snoop summary.
+func do(f *Fabric, p *sim.Process, tx Tx) Result {
+	var done sim.Cond
+	c := NewCall(f, p)
+	c.Do(tx, done.Signal)
+	done.Wait(p)
+	return c.res
+}
+
 // store makes an uncached store from coroutine p through a Call and
 // parks p until it completes.
 func store(f *Fabric, p *sim.Process, dev Device, reg, val uint64) {
@@ -209,7 +219,7 @@ func TestCrossingReadHoldsBothBuses(t *testing.T) {
 	var dur sim.Time
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		f.Do(p, Tx{Kind: CR, Addr: 1 << 21, Initiator: req})
+		do(f, p, Tx{Kind: CR, Addr: 1 << 21, Initiator: req})
 		dur = p.Now() - start
 	})
 	e.RunAll()
@@ -277,11 +287,11 @@ func TestBusFIFOOrderUnderContention(t *testing.T) {
 	f.Attach(req2, params.MemoryBus)
 	var order []string
 	e.Spawn("a", func(p *sim.Process) {
-		f.Do(p, Tx{Kind: CR, Addr: 0x40, Initiator: req1})
+		do(f, p, Tx{Kind: CR, Addr: 0x40, Initiator: req1})
 		order = append(order, "a")
 	})
 	e.Spawn("b", func(p *sim.Process) {
-		f.Do(p, Tx{Kind: CR, Addr: 0x80, Initiator: req2})
+		do(f, p, Tx{Kind: CR, Addr: 0x80, Initiator: req2})
 		order = append(order, "b")
 	})
 	e.RunAll()

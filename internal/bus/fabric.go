@@ -170,21 +170,6 @@ func (f *Fabric) locOf(a Agent) params.BusKind {
 	return l
 }
 
-// Do runs one coherent transaction to completion: arbitration, snoop,
-// data transfer, release. It blocks the calling process for the
-// transaction's duration and returns the snoop summary.
-func (f *Fabric) Do(p *sim.Process, tx Tx) Result {
-	x := f.begin(tx)
-	f.Mem.Acquire(p)
-	if x.crossing {
-		f.IO.Acquire(p)
-	}
-	dur, res := f.transfer(x)
-	p.Sleep(dur)
-	f.end(x)
-	return res
-}
-
 // txn is one coherent transaction in progress.
 type txn struct {
 	t        *Tx
@@ -325,30 +310,37 @@ func (f *Fabric) bridgeWrote() {
 	f.bridgeDrain()
 }
 
-// Call is a process's handle on its node's buses: the callback
-// form of Do, and the one way to make an uncached store. Do runs the
-// same body as Fabric.Do and takes the same (time, seq) wakes, then
-// runs its then callback as the process's step where Fabric.Do would
-// return. A Call carries one operation at a time; its phases are
-// method values bound once, so issuing one allocates nothing.
+// Call is a process's handle on its node's buses: the one way to run a
+// coherent transaction or make an uncached store. Do runs a transaction
+// for a driven process and then runs its then callback as the
+// process's step. Begin and End run one for a spinning coroutine
+// (sim.Process.Spin), from its probe: arbitration takes the same
+// FIFOMutex steps, and the end of the transfer is the coroutine's next
+// plain wake. Either way the wakes take the (time, seq) keys a
+// coroutine blocking on each bus and sleeping through the transfer
+// would. A Call carries one operation at a time; its phases are method
+// values bound once, so issuing one allocates nothing.
 type Call struct {
 	f    *Fabric
 	p    *sim.Process
 	then func()
 
-	x        txn            // Do's transaction
+	x        txn            // the transaction in progress
+	res      Result         // its snoop summary
+	ended    func()         // the step ending x's transfer: doDone, or nil for a spinning coroutine's plain wake
 	loc      params.BusKind // UncachedStore's device location and write
 	dev      Device
 	reg, val uint64
 
 	// The phases, bound once as method values.
-	doHeldFn, doBusesFn, doDoneFn, spaceFn, storeHeldFn, storeDoneFn func()
+	heldFn, busesFn, doDoneFn, spaceFn, storeHeldFn, storeDoneFn func()
 }
 
-// NewCall returns process p's handle on f's buses.
+// NewCall returns process p's handle on f's buses. A Call used only
+// through Begin may have no process yet (p nil): Begin names it.
 func NewCall(f *Fabric, p *sim.Process) *Call {
 	c := &Call{f: f, p: p}
-	c.doHeldFn, c.doBusesFn, c.doDoneFn = c.doHeld, c.doBuses, c.doDone
+	c.heldFn, c.busesFn, c.doDoneFn = c.held, c.buses, c.doDone
 	c.spaceFn, c.storeHeldFn, c.storeDoneFn = c.storeSpace, c.storeHeld, c.storeDone
 	return c
 }
@@ -356,29 +348,63 @@ func NewCall(f *Fabric, p *sim.Process) *Call {
 // Process returns the process the Call belongs to.
 func (c *Call) Process() *sim.Process { return c.p }
 
-// Do runs tx, as Fabric.Do does, then runs then.
+// Do runs tx — arbitration, snoop, transfer, release — then runs then
+// as the process's step.
 func (c *Call) Do(tx Tx, then func()) {
-	c.x, c.then = c.f.begin(tx), then
-	if c.f.Mem.AcquireThen(c.p, c.doHeldFn) {
-		c.doHeld()
+	c.then, c.ended = then, c.doDoneFn
+	if d := c.begin(tx); d != sim.Parked {
+		c.p.After(d, c.doDoneFn)
 	}
-}
-
-func (c *Call) doHeld() {
-	if !c.x.crossing || c.f.IO.AcquireThen(c.p, c.doBusesFn) {
-		c.doBuses()
-	}
-}
-
-func (c *Call) doBuses() {
-	dur, _ := c.f.transfer(c.x)
-	c.p.After(dur, c.doDoneFn)
 }
 
 func (c *Call) doDone() {
+	c.End()
+	c.then()
+}
+
+// Begin starts tx for p, a spinning coroutine whose probe (or whose
+// Spin call) issues it. When p holds its buses at once it runs the
+// snoop and returns the transfer's length: the caller re-arms p's wake
+// that far. Otherwise it returns sim.Parked: p has queued for a bus,
+// and the grant's step runs the snoop and arms p's plain wake at the
+// transfer's end. At that wake, p's probe calls End.
+func (c *Call) Begin(p *sim.Process, tx Tx) sim.Time {
+	c.p, c.ended = p, nil
+	return c.begin(tx)
+}
+
+// begin arbitrates for tx's buses; see Begin.
+func (c *Call) begin(tx Tx) sim.Time {
+	c.x = c.f.begin(tx)
+	if !c.f.Mem.AcquireThen(c.p, c.heldFn) || c.x.crossing && !c.f.IO.AcquireThen(c.p, c.busesFn) {
+		return sim.Parked
+	}
+	return c.transfer()
+}
+
+// held is the step run once the memory bus is granted.
+func (c *Call) held() {
+	if !c.x.crossing || c.f.IO.AcquireThen(c.p, c.busesFn) {
+		c.buses()
+	}
+}
+
+// buses is the step run once every bus of the transaction is held.
+func (c *Call) buses() { c.p.After(c.transfer(), c.ended) }
+
+// transfer runs the snoop and returns how long the buses stay held.
+func (c *Call) transfer() sim.Time {
+	dur, res := c.f.transfer(c.x)
+	c.res = res
+	return dur
+}
+
+// End releases the transaction's buses at the end of its transfer and
+// returns its snoop summary.
+func (c *Call) End() Result {
 	c.f.end(c.x)
 	c.x = txn{}
-	c.then()
+	return c.res
 }
 
 // UncachedStore performs one 8-byte uncached store of val to dev's

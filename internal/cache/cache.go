@@ -53,6 +53,8 @@ type Cache struct {
 	// Snarfing: load a block from an observed writeback when the
 	// direct-mapped frame holds the same tag in Invalid state (§5.1.2).
 	Snarf bool
+
+	missFree []*Miss // miss paths no access is using (GetMiss)
 }
 
 // New creates a cache of sizeBytes with 64-byte blocks and attaches it
@@ -103,89 +105,143 @@ func (c *Cache) StateOf(addr uint64) State {
 }
 
 // Load performs one processor load (up to 8 bytes) at addr.
-// Hits cost params.HitCycles; misses evict + fill over the bus.
-func (c *Cache) Load(p *sim.Process, addr uint64) {
-	if c.LoadHit(addr) {
-		p.Sleep(params.HitCycles)
-		return
-	}
-	blk, l := c.frame(addr)
-	c.loadMiss.Inc()
-	c.evict(p, l)
-	res := c.fabric.Do(p, bus.Tx{Kind: bus.CR, Addr: blk * params.BlockBytes, Initiator: c})
-	l.retag(blk)
-	if res.Shared {
-		l.state = Shared
-	} else {
-		l.state = Exclusive
-	}
-}
-
-// LoadHit is Load's hit check without its time: when addr's block is
-// valid in the cache it counts the load hit, as Load does, and reports
-// true; otherwise it changes nothing and reports false.
-func (c *Cache) LoadHit(addr uint64) bool {
-	blk, l := c.frame(addr)
-	if l.holds(blk) && l.state.Valid() {
-		c.loadHit.Inc()
-		return true
-	}
-	return false
-}
+// Hits cost params.HitCycles; a miss runs the miss path (Miss).
+func (c *Cache) Load(p *sim.Process, addr uint64) { c.access(p, addr, false) }
 
 // Store performs one processor store (up to 8 bytes) at addr.
 // Stores to Modified/Exclusive lines hit; anything else issues a
 // coherent read-invalidate (see DESIGN.md bandwidth calibration).
-func (c *Cache) Store(p *sim.Process, addr uint64) {
-	if c.StoreHit(addr) {
+func (c *Cache) Store(p *sim.Process, addr uint64) { c.access(p, addr, true) }
+
+// access is Load, or Store when store is set. A miss runs on a Miss
+// from the cache's pool while p spins, so p resumes once, when the
+// line is filled.
+func (c *Cache) access(p *sim.Process, addr uint64, store bool) {
+	if c.Hit(addr, store) {
 		p.Sleep(params.HitCycles)
 		return
 	}
-	blk, l := c.frame(addr)
-	c.storeMiss.Inc()
-	if !l.holds(blk) {
-		c.evict(p, l)
-	}
-	c.fabric.Do(p, bus.Tx{Kind: bus.CRI, Addr: blk * params.BlockBytes, Initiator: c})
-	l.retag(blk)
-	l.state = Modified
+	m := c.GetMiss()
+	p.Spin(m.Start(p, addr, store), m)
+	c.PutMiss(m)
 }
 
-// StoreHit is Store's hit check without its time: when addr's block is
-// Modified or Exclusive it counts the store hit and leaves the line
-// Modified, as Store does, and reports true; otherwise it changes
-// nothing and reports false.
-func (c *Cache) StoreHit(addr uint64) bool {
+// Hit is Load's hit check, or Store's when store is set, without its
+// time: when the access would hit it counts the hit, as Load or Store
+// does (a store leaves an Exclusive line Modified), and reports true;
+// otherwise it changes nothing and reports false.
+func (c *Cache) Hit(addr uint64, store bool) bool {
 	blk, l := c.frame(addr)
-	if l.holds(blk) && (l.state == Modified || l.state == Exclusive) {
+	switch {
+	case !l.holds(blk) || !l.state.Valid():
+		return false
+	case !store:
+		c.loadHit.Inc()
+	case l.state == Modified || l.state == Exclusive:
 		c.storeHit.Inc()
 		l.state = Modified
-		return true
+	default:
+		return false
 	}
-	return false
+	return true
 }
 
-// evict writes back the current occupant of l if it is dirty.
-func (c *Cache) evict(p *sim.Process, l *line) {
-	if !l.state.Dirty() {
+// Miss is the miss path of one access: the line's dirty occupant's
+// writeback, if any, then the fill, each a bus transaction that a
+// bus.Call runs for the accessing process while it spins
+// (sim.Process.Spin). Start issues the first transaction; at each
+// wake that ends a transfer, Step ends it and issues the next, until
+// the line is filled. Cache.Load and Cache.Store run their misses on
+// one, and a load or store range's probe (package proc) runs each of
+// its misses on one. A Miss serves one access at a time.
+type Miss struct {
+	c    *Cache
+	call *bus.Call
+	p    *sim.Process
+	blk  uint64
+	l    *line
+	fill bus.Kind // CR for a load, CRI for a store
+	wb   bool     // the transfer in flight is the writeback
+	busy bool     // a transfer is in flight
+}
+
+// GetMiss takes a miss path from the cache's pool, for one access or
+// one range: several processes may be accessing one cache at once.
+func (c *Cache) GetMiss() *Miss {
+	n := len(c.missFree)
+	if n == 0 {
+		return &Miss{c: c, call: bus.NewCall(c.fabric, nil)}
+	}
+	m := c.missFree[n-1]
+	c.missFree = c.missFree[:n-1]
+	return m
+}
+
+// PutMiss returns m, with no transfer in flight, to the cache's pool.
+func (c *Cache) PutMiss(m *Miss) { c.missFree = append(c.missFree, m) }
+
+// Start begins the miss of p's load at addr, or store when store is
+// set, which Hit has just reported: it counts the miss, evicts the
+// line's occupant and issues the first transaction. It returns that
+// transfer's length, or sim.Parked when p queued for a bus; either way
+// p spins until Step reports the line filled. A store to a line whose
+// tag matches (Shared or Owned) takes ownership without an eviction.
+func (m *Miss) Start(p *sim.Process, addr uint64, store bool) sim.Time {
+	c := m.c
+	m.p, m.busy = p, true
+	m.blk, m.l = c.frame(addr)
+	l := m.l
+	if store {
+		c.storeMiss.Inc()
+		m.fill = bus.CRI
+	} else {
+		c.loadMiss.Inc()
+		m.fill = bus.CR
+	}
+	if !store || !l.holds(m.blk) {
+		dirty := l.state.Dirty()
 		l.state = Invalid
-		return
+		if dirty {
+			c.writebacks.Inc()
+			m.wb = true
+			return m.call.Begin(p, bus.Tx{Kind: bus.WB, Addr: uint64(l.tag) * params.BlockBytes, Initiator: c})
+		}
 	}
-	c.writebacks.Inc()
-	addr := uint64(l.tag) * params.BlockBytes
-	l.state = Invalid
-	c.fabric.Do(p, bus.Tx{Kind: bus.WB, Addr: addr, Initiator: c})
+	return m.call.Begin(p, bus.Tx{Kind: m.fill, Addr: m.blk * params.BlockBytes, Initiator: c})
 }
 
-// FlushBlock writes addr's block back (if dirty) and invalidates it;
-// used by tests and by software-managed flush sequences.
-func (c *Cache) FlushBlock(p *sim.Process, addr uint64) {
-	blk, l := c.frame(addr)
-	if !l.holds(blk) || !l.state.Valid() {
-		return
+// Step runs at the wake that ends the transfer in flight: it ends it,
+// then after the writeback issues the fill and returns its length (or
+// sim.Parked) with filled false, and after the fill installs the line
+// and reports filled. With no transfer in flight it changes nothing
+// and reports filled, so a probe may call it again at the same wake.
+func (m *Miss) Step() (d sim.Time, filled bool) {
+	if !m.busy {
+		return 0, true
 	}
-	c.evict(p, l)
+	res := m.call.End()
+	if m.wb {
+		m.wb = false
+		return m.call.Begin(m.p, bus.Tx{Kind: m.fill, Addr: m.blk * params.BlockBytes, Initiator: m.c}), false
+	}
+	m.busy = false
+	l := m.l
+	l.retag(m.blk)
+	switch {
+	case m.fill == bus.CRI:
+		l.state = Modified
+	case res.Shared:
+		l.state = Shared
+	default:
+		l.state = Exclusive
+	}
+	m.p, m.l = nil, nil
+	return 0, true
 }
+
+// Probe implements sim.Spinner for a one-word access's miss: it steps
+// the miss on, and resumes the process once the line is filled.
+func (m *Miss) Probe() (sim.Time, bool) { return m.Step() }
 
 // SnoopTx implements bus.Agent: the MOESI snooping side.
 func (c *Cache) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {

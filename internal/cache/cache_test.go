@@ -170,20 +170,6 @@ func TestCleanEvictionSilent(t *testing.T) {
 	}
 }
 
-func TestFlushBlock(t *testing.T) {
-	r := newRig(t, 4096)
-	r.run(func(p *sim.Process) {
-		r.c0.Store(p, 0x700)
-		r.c0.FlushBlock(p, 0x700)
-	})
-	if s := r.c0.StateOf(0x700); s != Invalid {
-		t.Fatalf("state after flush = %v, want I", s)
-	}
-	if r.st.Get("n0.c0.writeback") != 1 {
-		t.Fatalf("writebacks = %d, want 1", r.st.Get("n0.c0.writeback"))
-	}
-}
-
 func TestSnarfingCapturesWriteback(t *testing.T) {
 	r := newRig(t, 4096)
 	r.c1.Snarf = true

@@ -156,15 +156,9 @@ func (n *cni4) TrySend(p *sim.Process, m *network.Msg) bool {
 		return false
 	}
 	n.sendBusy = true
-	// Write header + payload into the CDR blocks with cached stores.
-	for b := 0; b < m.Blocks; b++ {
-		base := n.sendBlock(b)
-		bytes := params.BlockBytes
-		if b == m.Blocks-1 {
-			bytes = m.Size + params.HeaderBytes - b*params.BlockBytes
-		}
-		n.d.CPU.StoreRange(p, base, bytes)
-	}
+	// Write header + payload into the contiguous CDR blocks with
+	// cached stores.
+	n.d.CPU.StoreRange(p, n.sendBlock(0), m.Size+params.HeaderBytes)
 	n.sendStaged = m
 	n.d.CPU.UncachedStore(p, n, RegSendCommit, uint64(m.Blocks))
 	n.ctr.sendMsg.Inc()
@@ -199,14 +193,7 @@ func (n *cni4) TryRecv(p *sim.Process) *network.Msg {
 		return nil
 	}
 	m := n.recvCur
-	for b := 0; b < m.Blocks; b++ {
-		base := n.recvBlock(b)
-		bytes := params.BlockBytes
-		if b == m.Blocks-1 {
-			bytes = m.Size + params.HeaderBytes - b*params.BlockBytes
-		}
-		n.d.CPU.LoadRange(p, base, bytes)
-	}
+	n.d.CPU.LoadRange(p, n.recvBlock(0), m.Size+params.HeaderBytes)
 	// Three-cycle handshake (§2.1): (1) explicit clear via uncached
 	// store; (2) MEMBAR so the device sees it; (3) the device
 	// invalidates the CDR and only then raises status for the next

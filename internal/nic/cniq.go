@@ -307,15 +307,9 @@ func (n *cniq) TrySend(p *sim.Process, m *network.Msg) bool {
 			return false
 		}
 	}
-	// Write the message (header + payload + valid word in block 0).
-	for b := 0; b < m.Blocks; b++ {
-		base := n.sendEntryAddr(n.sendTailPos, b)
-		bytes := params.BlockBytes
-		if b == m.Blocks-1 {
-			bytes = m.Size + params.HeaderBytes - b*params.BlockBytes
-		}
-		cpu.StoreRange(p, base, bytes)
-	}
+	// Write the message (header + payload + valid word in block 0)
+	// into the entry's contiguous blocks.
+	cpu.StoreRange(p, n.sendEntryAddr(n.sendTailPos, 0), m.Size+params.HeaderBytes)
 	// Advance the private tail (hit) and signal message-ready.
 	cpu.Store(p, n.d.ShadowBase+8)
 	n.sendTailPos++
@@ -491,7 +485,7 @@ func (n *cniq) pollAddr() uint64 {
 }
 
 // PollHit implements CachedPoll.
-func (n *cniq) PollHit() bool { return n.d.CPU.Cache().LoadHit(n.pollAddr()) }
+func (n *cniq) PollHit() bool { return n.d.CPU.Cache().Hit(n.pollAddr(), false) }
 
 // RecvEmpty implements CachedPoll.
 func (n *cniq) RecvEmpty() bool { return n.recvEntries.Len() == 0 }
@@ -508,24 +502,15 @@ func (n *cniq) RecvAfterPoll(p *sim.Process) *network.Msg {
 	}
 	cpu := n.d.CPU
 	m := n.recvEntries.Peek()
-	// Read the rest of the message: remainder of block 0, then the
-	// other blocks (one miss each, supplied by the device or memory).
-	first := m.Size + params.HeaderBytes
-	if first > params.BlockBytes {
-		first = params.BlockBytes
+	// Read the rest of the message from the entry's contiguous blocks:
+	// block 0 after the valid word the poll loaded (all of it when the
+	// poll read the tail pointer instead), then the other blocks (one
+	// miss each, supplied by the device or memory).
+	base, bytes := n.recvEntryAddr(n.recvProcHead, 0), m.Size+params.HeaderBytes
+	if !n.d.Cfg.NoValidBits {
+		base, bytes = base+8, bytes-8
 	}
-	if n.d.Cfg.NoValidBits {
-		cpu.LoadRange(p, n.recvEntryAddr(n.recvProcHead, 0), first)
-	} else if first > 8 {
-		cpu.LoadRange(p, n.recvEntryAddr(n.recvProcHead, 0)+8, first-8)
-	}
-	for b := 1; b < m.Blocks; b++ {
-		bytes := params.BlockBytes
-		if b == m.Blocks-1 {
-			bytes = m.Size + params.HeaderBytes - b*params.BlockBytes
-		}
-		cpu.LoadRange(p, n.recvEntryAddr(n.recvProcHead, b), bytes)
-	}
+	cpu.LoadRange(p, base, bytes)
 	if n.d.Cfg.NoSenseReverse {
 		// Ablation: explicitly clear the valid word, which transfers
 		// ownership of the block to the processor (the cost sense

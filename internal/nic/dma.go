@@ -215,15 +215,10 @@ func (n *dmaNI) TryRecv(p *sim.Process) *network.Msg {
 		// (vector + kernel entry/exit + dispatch).
 		n.d.CPU.Compute(p, params.InterruptCycles)
 	}
-	// Read the message out of main memory: cold misses, since DMA
-	// deposited to DRAM (invalidating any cached copies).
-	for b := 0; b < m.Blocks; b++ {
-		bytes := params.BlockBytes
-		if b == m.Blocks-1 {
-			bytes = m.Size + params.HeaderBytes - b*params.BlockBytes
-		}
-		n.d.CPU.LoadRange(p, slotAddr(n.readSeq, b), bytes)
-	}
+	// Read the message out of its ring slot's contiguous blocks in main
+	// memory: cold misses, since DMA deposited to DRAM (invalidating any
+	// cached copies).
+	n.d.CPU.LoadRange(p, slotAddr(n.readSeq, 0), m.Size+params.HeaderBytes)
 	n.readSeq++
 	n.d.CPU.UncachedStore(p, n, RegRecvPop, 1)
 	n.ctr.recvMsg.Inc()

@@ -39,7 +39,7 @@ type CPU struct {
 	sb               *bus.Call
 	drainFn, retired func()
 
-	runFree []*hitRun // hitRuns no range is using (getRun)
+	runFree []*wordRun // wordRuns no range is using (getRun)
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
@@ -91,81 +91,74 @@ func (c *CPU) StoreRange(p *sim.Process, addr uint64, bytes int) {
 
 // wordRange issues one cachable access per 8-byte word of [addr,
 // addr+bytes): loads, or stores when store is set. Each word costs what
-// Load or Store would charge it, but a run of hits is one Spin: the
-// process checks the first hit itself, and a hitRun probe checks each
-// later word at the wake where the process would have, so the process
-// resumes once per run of hits instead of once per word. A hit with no
-// word after it just sleeps. A miss takes Cache.Load or Cache.Store's
-// miss path on the process.
+// Load or Store would charge it, but the whole range is one Spin: the
+// process checks the first word itself, and a wordRun probe checks each
+// later word at the wake where the process would have and runs each
+// miss's bus transactions as driven steps, so the process resumes once,
+// at the end of the range.
 func (c *CPU) wordRange(p *sim.Process, addr uint64, bytes int, store bool) {
-	var r *hitRun
-	for a, end := addr, addr+uint64(max(bytes, 0)); a < end; {
-		switch {
-		case !c.hit(a, store):
-			if store {
-				c.cache.Store(p, a)
-			} else {
-				c.cache.Load(p, a)
-			}
-			a += 8
-		case end-a <= 8:
-			p.Sleep(params.HitCycles)
-			a = end
-		default:
-			if r == nil {
-				r = c.getRun()
-			}
-			r.addr, r.end, r.store = a+8, end, store
-			p.Spin(params.HitCycles, r)
-			a = r.addr
-		}
+	r := c.getRun()
+	r.p, r.addr, r.end, r.store = p, addr, addr+uint64(max(bytes, 0)), store
+	r.miss = c.cache.GetMiss()
+	if d, done := r.next(); !done {
+		p.Spin(d, r)
 	}
-	if r != nil {
-		c.runFree = append(c.runFree, r)
-	}
+	c.cache.PutMiss(r.miss)
+	r.p, r.miss = nil, nil
+	c.runFree = append(c.runFree, r)
 }
 
-// hit is Load's or Store's hit check at addr, without its time.
-func (c *CPU) hit(addr uint64, store bool) bool {
-	if store {
-		return c.cache.StoreHit(addr)
-	}
-	return c.cache.LoadHit(addr)
-}
-
-// getRun takes a hitRun from the CPU's pool: several processes may be
-// in a range on one CPU at once, so each range gets its own.
-func (c *CPU) getRun() *hitRun {
+// getRun takes a wordRun from the CPU's pool: several processes may be
+// in a range on one CPU at once, so each range gets its own, and its
+// miss path from the cache's.
+func (c *CPU) getRun() *wordRun {
 	n := len(c.runFree)
 	if n == 0 {
-		return &hitRun{cpu: c}
+		return &wordRun{cache: c.cache}
 	}
 	r := c.runFree[n-1]
 	c.runFree = c.runFree[:n-1]
 	return r
 }
 
-// hitRun runs the hit words of one range as engine probes
-// (sim.Process.Spin). At each wake — the end of the previous word's
-// hit — it checks the next word as the process would: on a hit it
-// counts it and re-arms HitCycles later, the process's Sleep; at the
-// end of the range or on a miss it resumes the process there, having
-// changed nothing. A snoop that lands mid-run is seen at the same word
-// as in a per-word loop, since each probe runs at that wake's own
-// (time, seq) position.
-type hitRun struct {
-	cpu       *CPU
-	addr, end uint64 // the word the pending wake checks, and the range's end
+// wordRun runs the words of one range as engine probes
+// (sim.Process.Spin). At each wake — the end of the previous word's hit
+// or of a miss's transfer — it does what the process would: a hit
+// counts and re-arms HitCycles later, the process's Sleep; a miss runs
+// on the range's cache.Miss, whose transfers end at the later wakes;
+// at the end of the range it resumes the process, and a second call at
+// that wake changes nothing. A snoop that lands mid-range is seen at
+// the same word as in a per-word loop, since each probe runs at that
+// wake's own (time, seq) position.
+type wordRun struct {
+	cache     *cache.Cache
+	miss      *cache.Miss
+	p         *sim.Process
+	addr, end uint64 // the next word to check, and the range's end
 	store     bool
 }
 
 // Probe implements sim.Spinner.
-func (r *hitRun) Probe() (sim.Time, bool) {
-	if r.addr >= r.end || !r.cpu.hit(r.addr, r.store) {
+func (r *wordRun) Probe() (sim.Time, bool) {
+	if d, filled := r.miss.Step(); !filled {
+		return d, false
+	}
+	return r.next()
+}
+
+// next checks the word at r.addr at the current instant: the end of
+// the range resumes the process; a hit counts and waits out its cycle;
+// a miss starts on r.miss, which finishes the word.
+func (r *wordRun) next() (sim.Time, bool) {
+	a := r.addr
+	if a >= r.end {
 		return 0, true
 	}
 	r.addr += 8
-	return params.HitCycles, false
+	if r.cache.Hit(a, r.store) {
+		return params.HitCycles, false
+	}
+	return r.miss.Start(r.p, a, r.store), false
 }
 
 // UncachedLoad performs a blocking uncached 8-byte load from a device

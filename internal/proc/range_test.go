@@ -42,6 +42,7 @@ func perWord(cpu *CPU, p *sim.Process, addr uint64, bytes int, store bool) {
 type pair struct {
 	e    *sim.Engine
 	st   *sim.Stats
+	f    *bus.Fabric
 	cpus [2]*CPU
 	log  []string // "process cycle what", one line per returned range and finish
 }
@@ -52,7 +53,7 @@ func newPair() *pair {
 	f := bus.NewFabric(e, st, "t", false)
 	mem := cache.NewMemory(f, "mem")
 	f.AddRegion(bus.Region{Name: "dram", Base: 0, Size: 1 << 24, Home: mem, Loc: params.MemoryBus, Cachable: true})
-	m := &pair{e: e, st: st}
+	m := &pair{e: e, st: st, f: f}
 	for i := range m.cpus {
 		name := fmt.Sprintf("cpu%d", i)
 		m.cpus[i] = New(e, st, f, cache.New(e, st, f, name+".c", 4096), i, name)
@@ -73,6 +74,22 @@ func (m *pair) spawn(name string, i int, rng ranger, lead sim.Time, ranges ...ra
 		}
 		m.log = append(m.log, fmt.Sprintf("%s %d done", name, p.Now()))
 	})
+}
+
+// hog starts a driven device on m's memory bus that issues n coherent
+// reads back to back, of blocks no cache holds, so a miss issued
+// meanwhile queues for the bus behind one.
+func (m *pair) hog(n int) {
+	dev := cache.NewMemory(m.f, "hog")
+	var c *bus.Call
+	var step func()
+	step = func() {
+		if n > 0 {
+			n--
+			c.Do(bus.Tx{Kind: bus.CR, Addr: 1<<22 + uint64(n%64)*params.BlockBytes, Initiator: dev}, step)
+		}
+	}
+	c = bus.NewCall(m.f, m.e.Drive("hog", step))
 }
 
 // rangeOp is one load or store range.
@@ -167,11 +184,57 @@ func TestRangeProbesMatchPerWordLoop(t *testing.T) {
 	}
 }
 
+// TestRangeResumesOnce pins what a range costs its process: one
+// resume or self-wake, read from the engine's counters, however many of
+// its words miss — with dirty victims written back, misses on a range's
+// first and last words, and, in the contended pass, every miss queued
+// for the bus behind a device's transfer.
+func TestRangeResumesOnce(t *testing.T) {
+	ranges := []rangeOp{
+		store(0, 512),         // eight store misses
+		load(4096+8, 512),     // eight dirty victims, a miss on the last word
+		store(8192+56, 72),    // misses on the first and last words
+		load(0, 8),            // one word
+		store(4096+128, 4096), // every line, half of them dirty
+	}
+	var took [2][]sim.Time
+	for pass, contended := range []bool{false, true} {
+		m := newPair()
+		if contended {
+			m.hog(10_000)
+		}
+		m.e.Spawn("a", func(p *sim.Process) {
+			for _, r := range ranges {
+				before, start := m.e.Counters(), p.Now()
+				probed(m.cpus[0], p, r.addr, r.bytes, r.store)
+				after := m.e.Counters()
+				if n := after.Resumes + after.SelfWakes - before.Resumes - before.SelfWakes; n != 1 {
+					t.Errorf("contended %v: %v cost %d resumes and self-wakes, want 1", contended, r, n)
+				}
+				took[pass] = append(took[pass], p.Now()-start)
+			}
+		})
+		m.e.Run(1 << 20)
+		m.e.Stop()
+		if wb := m.st.Get("cpu0.c.writeback"); wb == 0 {
+			t.Errorf("contended %v: no dirty victim was written back", contended)
+		}
+	}
+	for i, r := range ranges {
+		if took[1][i] <= took[0][i] {
+			t.Errorf("%v took %d cycles behind the device, %d alone: its misses never queued", r, took[1][i], took[0][i])
+		}
+	}
+}
+
 // TestRangeProbesZeroAlloc pins steady-state ranges — two processes
-// on one CPU, each in a hit run at once, between misses — at zero
-// allocations: the probes come from the CPU's pool.
+// on one CPU, each in a range at once, whose misses write dirty victims
+// back and queue for the bus behind each other and behind a device —
+// at zero allocations: the probes and their miss paths come from the
+// CPU's pool, and the transactions' boxes from the fabric's.
 func TestRangeProbesZeroAlloc(t *testing.T) {
 	m := newPair()
+	m.hog(1 << 30)
 	cpu := m.cpus[0]
 	for i, base := range []uint64{0, 4096} {
 		m.e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Process) {
@@ -182,12 +245,16 @@ func TestRangeProbesZeroAlloc(t *testing.T) {
 		})
 	}
 	m.e.Run(5000)
+	misses := m.st.Get("cpu0.c.store.miss") + m.st.Get("cpu0.c.load.miss")
 	allocs := testing.AllocsPerRun(100, func() { m.e.Run(m.e.Now() + 500) })
 	if allocs != 0 {
 		t.Errorf("steady-state ranges allocate %.1f objects per 500 cycles, want 0", allocs)
 	}
 	if m.e.Counters().Probed == 0 {
 		t.Error("no wake ran as a probe")
+	}
+	if m.st.Get("cpu0.c.store.miss")+m.st.Get("cpu0.c.load.miss") == misses || m.st.Get("cpu0.c.writeback") == 0 {
+		t.Error("the measured ranges took no misses or wrote no victim back")
 	}
 	m.e.Stop()
 }

@@ -10,9 +10,10 @@
 // engine does not proceed until that process parks or terminates, so at
 // most one process runs at any instant. Two runs with the same inputs
 // therefore produce identical schedules. A loop that only re-checks
-// state at each wake (an idle poll, a run of cache hits) may park in
-// Process.Spin: the engine then runs its checks as probes at the same
-// (time, seq) keys, without resuming the process.
+// state at each wake (an idle poll, a range of cache accesses) may park
+// in Process.Spin: the engine then runs its checks as probes at the
+// same (time, seq) keys, without resuming the process, and a probe runs
+// its process's bus transactions as driven steps.
 //
 // An Engine is not safe for concurrent use from outside the simulation;
 // all interaction must happen from event callbacks or processes.
@@ -351,8 +352,9 @@ type EngineCounters struct {
 	// Scheduled is the events ever scheduled (Engine.Scheduled).
 	Scheduled uint64
 	// Probed is the wakes of spinning processes (Process.Spin) handled
-	// by running their probe instead of resuming them: idle polls and
-	// cache-hit runs alike.
+	// by running their probe instead of resuming them: idle polls,
+	// cache hits and the ends of a miss's bus transfers alike, counting
+	// a wake whose probe parks the process for a bus grant.
 	Probed uint64
 	// Resumes is the coroutine resumes Run made, two coroutine
 	// switches each.
@@ -414,7 +416,7 @@ func (e *Engine) Run(horizon Time) Time {
 		if top == nil || top.at > horizon {
 			break
 		}
-		if p := top.p; p != nil && p.spin != nil && e.probe() {
+		if p := top.p; p != nil && top.fn == nil && p.spin != nil && e.probe() {
 			continue
 		}
 		if e.events.short {
@@ -451,22 +453,30 @@ func (e *Engine) recoverStep() {
 	}
 }
 
-// probe runs the probe of the spinning process whose wake is the
+// probe runs the probe of the spinning process whose plain wake is the
 // earliest event, at that wake's time. When the probe continues, the
 // wake is re-armed with the next sequence number — the same key Sleep
-// would give it at this instant — and probe reports true. When the
-// probe resumes, the wake stays first for the caller to pop, and probe
-// reports false.
+// would give it at this instant — and probe reports true; when it
+// parks, the wake is popped and nothing re-armed, as a coroutine
+// queueing for a bus schedules nothing, and probe reports true too.
+// When the probe resumes, the wake stays first for the caller to pop,
+// and probe reports false.
 func (e *Engine) probe() bool {
 	top := e.events.min()
-	e.now, e.cur = top.at, top.p
-	delay, resume := top.p.spin.Probe()
+	p := top.p
+	e.now, e.cur = top.at, p
+	delay, resume := p.spin.Probe()
 	if resume {
 		return false
 	}
-	e.seq++
-	if !e.events.rearm(delay, e.seq) {
-		e.events.siftDown()
+	if delay == Parked {
+		e.events.pop()
+		p.waking = false
+	} else {
+		e.seq++
+		if !e.events.rearm(delay, e.seq) {
+			e.events.siftDown()
+		}
 	}
 	e.probed++
 	return true

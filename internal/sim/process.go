@@ -45,19 +45,32 @@ type Process struct {
 
 // Spinner is the engine-side half of a loop a process hands to the
 // engine (see Process.Spin): the messaging layer's idle polls, and the
-// processor's runs of cache-hit words in a load or store range.
+// processor's cache accesses — a load or store range, or one word's
+// miss.
 type Spinner interface {
-	// Probe runs at each wake of the spinning process, at the wake's
-	// own (time, seq) position, without resuming the process. It
-	// returns resume false to re-arm the wake delay cycles later —
-	// what Sleep(delay) would do at this instant — or resume true to
-	// resume the process at this wake. A probe that resumes must change
-	// nothing: Engine.next may run it, leave the wake for Run, and Run
-	// runs it again. Probe runs on the stack of whoever is dispatching
-	// (Run, or a process parking on the same engine); a panic in it
-	// comes out of Run as a *ProcessPanic naming the spinning process.
+	// Probe runs at each plain wake of the spinning process, at the
+	// wake's own (time, seq) position, without resuming the process.
+	// It returns resume false to re-arm the wake delay cycles later —
+	// what Sleep(delay) would do at this instant — or with delay Parked
+	// when the process has queued for a grant rather than for a time:
+	// the wake is then dropped, and the grant's driven step (see
+	// Drive) arranges the process's next plain wake (After with a nil
+	// step). It returns resume true to resume the process at this wake.
+	// A probe may run its own process's bus transactions as such steps.
+	// A probe that resumes must be idempotent: Engine.next may run it,
+	// leave the wake for Run, and Run runs it again, so what it did at
+	// this wake it must not redo. Probe runs on the stack of whoever is
+	// dispatching (Run, or a process parking on the same engine); a
+	// panic in it comes out of Run as a *ProcessPanic naming the
+	// spinning process.
 	Probe() (delay Time, resume bool)
 }
+
+// Parked is the delay a Spinner's probe returns, or Spin is first
+// given, when the process waits for a grant — a FIFOMutex, as a bus
+// is — rather than for a time: no wake is armed until the grant's step
+// arms one.
+const Parked Time = 1<<64 - 1
 
 // Spawn creates a process running body and schedules its first
 // activation at the current time. The body runs only when Run resumes
@@ -159,7 +172,9 @@ func (p *Process) wake(delay Time, fn func()) {
 
 // After runs fn as driven process p's next step delay cycles from now:
 // a driven Sleep. After(0, fn) runs fn after the work already scheduled
-// at the current instant.
+// at the current instant. A step run for a spinning coroutine passes a
+// nil fn: its wake is then a plain one, which the coroutine's probe
+// handles.
 func (p *Process) After(delay Time, fn func()) { p.wake(delay, fn) }
 
 // next dispatches events in (time, seq) order for the parking process
@@ -205,17 +220,22 @@ func (e *Engine) next(self *Process) bool {
 }
 
 // Spin parks the process in a loop run by the engine — an idle poll,
-// or a run of cache hits: its wake fires first cycles from now, and at
-// each wake the engine calls s.Probe in place of resuming the process,
+// or a cache access with its hits and misses: its wake fires first
+// cycles from now (none is armed when first is Parked: the process has
+// queued for a bus, and the grant's step arms it), and at each plain
+// wake the engine calls s.Probe in place of resuming the process,
 // re-arming the wake for as long as the probe continues. Spin returns
 // at the wake whose probe resumes. Every wake takes the (time, seq) key
-// the equivalent Sleep loop would, so the schedule is identical to the
-// process sleeping through each iteration itself; the probe must
-// therefore do exactly what that iteration would, with no simulated
-// operation of its own (no bus transaction, no wait).
+// the equivalent coroutine loop would — Sleep for a delay, a bus's
+// FIFOMutex for a grant — so the schedule is identical to the process
+// running each iteration itself; the probe must therefore do exactly
+// what that iteration would, with any bus transaction of its own run
+// as driven steps of the process.
 func (p *Process) Spin(first Time, s Spinner) {
 	p.spin = s
-	p.wake(first, nil)
+	if first != Parked {
+		p.wake(first, nil)
+	}
 	p.park()
 	p.spin = nil
 }

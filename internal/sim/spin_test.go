@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -263,4 +264,130 @@ func TestSpinProbePanicReachesRunCaller(t *testing.T) {
 			e.Stop()
 		})
 	}
+}
+
+// lockLoop is a Spinner that takes a FIFOMutex rounds times, holding it
+// hold cycles and then sleeping gap cycles, as driven steps of its
+// process: the shape of a cache miss queueing for a bus. At a plain
+// wake it releases the mutex (then sleeps the gap) or takes it (then
+// holds it); when the mutex is held it parks (Parked), and the grant's
+// step arms the wake that ends the hold.
+type lockLoop struct {
+	p         *Process
+	m         *FIFOMutex
+	note      func(string)
+	rounds    int
+	hold, gap Time
+	holding   bool
+	grantFn   func()
+}
+
+func (l *lockLoop) Probe() (Time, bool) {
+	if l.holding {
+		l.m.Unlock()
+		l.note(l.p.Name() + " released")
+		l.holding = false
+		l.rounds--
+		return l.gap, false
+	}
+	if l.rounds == 0 {
+		return 0, true
+	}
+	if !l.m.Acquire(l.p, l.grantFn) {
+		return Parked, false
+	}
+	l.granted()
+	return l.hold, false
+}
+
+func (l *lockLoop) granted() {
+	l.holding = true
+	l.note(l.p.Name() + " took")
+}
+
+// lockWorkload loads e with three processes taking one FIFOMutex in
+// turn, a driven process taking it too, and a sleeper whose park runs
+// the others' probes and grants for a while, logging every take and release with the engine's
+// sequence counter. With spin the lockers run as lockLoop probes;
+// without, as coroutines blocking in Lock and sleeping through the
+// hold. The two logs must be equal.
+func lockWorkload(e *Engine, log *[]string, spin bool) {
+	note := func(what string) {
+		*log = append(*log, fmt.Sprintf("%d %s seq=%d", e.Now(), what, e.Scheduled()))
+	}
+	var m FIFOMutex
+	for i := 0; i < 3; i++ {
+		hold, gap := Time(3+2*i), Time(i)
+		e.Spawn(fmt.Sprintf("locker%d", i), func(p *Process) {
+			p.Sleep(Time(i))
+			if spin {
+				l := &lockLoop{p: p, m: &m, note: note, rounds: 5, hold: hold, gap: gap}
+				l.grantFn = func() { l.granted(); p.After(l.hold, nil) }
+				if d, done := l.Probe(); !done {
+					p.Spin(d, l)
+				}
+			} else {
+				for r := 0; r < 5; r++ {
+					m.Lock(p)
+					note(p.Name() + " took")
+					p.Sleep(hold)
+					m.Unlock()
+					note(p.Name() + " released")
+					p.Sleep(gap)
+				}
+			}
+			note(p.Name() + " done")
+		})
+	}
+	var dev *Process
+	var take, held, release func()
+	n := 0
+	take = func() {
+		if n++; n <= 6 {
+			if m.Acquire(dev, held) {
+				held()
+			}
+		}
+	}
+	held = func() { note("dev took"); dev.After(4, release) }
+	release = func() { m.Unlock(); note("dev released"); dev.After(2, take) }
+	dev = e.Drive("dev", take)
+	// The sleeper stops well before the lockers do, so Run dispatches
+	// the later probes and grants.
+	e.Spawn("sleeper", func(p *Process) {
+		for k := 0; k < 10; k++ {
+			p.Sleep(3)
+		}
+	})
+}
+
+// TestSpinParkedMatchesLock pins the Parked half of Spin's contract: a
+// probe that queues its process for a FIFOMutex and lets the grant's
+// step arm its next wake dispatches exactly the (time, seq) sequence of
+// a coroutine blocking in Lock and sleeping through the hold, with
+// probes run from Run and from another process's park alike, and its
+// process resumes once.
+func TestSpinParkedMatchesLock(t *testing.T) {
+	var want, got []string
+	ref := NewEngine()
+	lockWorkload(ref, &want, false)
+	ref.RunAll()
+	e := NewEngine()
+	lockWorkload(e, &got, true)
+	e.RunAll()
+	if !slices.Equal(got, want) {
+		t.Fatalf("dispatch order diverges\n  lock: %q\n  spin: %q", want, got)
+	}
+	if e.Scheduled() != ref.Scheduled() || e.Now() != ref.Now() {
+		t.Errorf("scheduled %d events, ended at %d; lock loop %d, %d", e.Scheduled(), e.Now(), ref.Scheduled(), ref.Now())
+	}
+	if waits := strings.Count(strings.Join(want, "\n"), "took"); waits < 20 || e.Counters().Probed == 0 {
+		t.Errorf("%d takes logged, %d probed wakes: the lockers did not spin", waits, e.Counters().Probed)
+	}
+	rc, ec := ref.Counters(), e.Counters()
+	if ec.Resumes+ec.SelfWakes >= rc.Resumes+rc.SelfWakes {
+		t.Errorf("spinning lockers cost %d resumes and self-wakes, the lock loop %d", ec.Resumes+ec.SelfWakes, rc.Resumes+rc.SelfWakes)
+	}
+	e.Stop()
+	ref.Stop()
 }
