@@ -26,25 +26,16 @@ func New(st *sim.Stats, name string) *Bus {
 // Attach registers an agent as a snooper on this bus.
 func (b *Bus) Attach(a Agent) { b.agents = append(b.agents, a) }
 
-// Acquire arbitrates for the bus (FIFO).
-func (b *Bus) Acquire(p *sim.Process) { b.mu.Lock(p) }
-
-// AcquireThen is Acquire for a driven process: it reports true when p
-// holds the bus at once, else p runs then as its step once granted.
+// AcquireThen arbitrates for the bus (FIFO) for process p: it reports
+// true when p holds the bus at once, else p runs then as its step once
+// granted.
 func (b *Bus) AcquireThen(p *sim.Process, then func()) bool { return b.mu.Acquire(p, then) }
 
 // Release frees the bus for the next waiter.
 func (b *Bus) Release() { b.mu.Unlock() }
 
-// Occupy accounts d cycles of occupancy while the caller holds the bus
-// and advances the caller by d cycles.
-func (b *Bus) Occupy(p *sim.Process, d sim.Time) {
-	b.account(d)
-	p.Sleep(d)
-}
-
-// OccupyThen is Occupy for a driven process: p runs then as its step d
-// cycles from now.
+// OccupyThen accounts d cycles of occupancy while p holds the bus: p
+// runs then as its step d cycles from now.
 func (b *Bus) OccupyThen(p *sim.Process, d sim.Time, then func()) {
 	b.account(d)
 	p.After(d, then)

@@ -148,7 +148,7 @@ func TestUncachedLoadMemoryBus(t *testing.T) {
 	var val uint64
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		val = f.UncachedLoad(p, dev, 8)
+		val = load(f, p, dev, 8)
 		dur = p.Now() - start
 	})
 	e.RunAll()
@@ -167,7 +167,7 @@ func TestUncachedCacheBusBypassesBuses(t *testing.T) {
 	var dur sim.Time
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		f.UncachedLoad(p, dev, 0)
+		load(f, p, dev, 0)
 		store(f, p, dev, 0, 1)
 		dur = p.Now() - start
 	})
@@ -178,6 +178,29 @@ func TestUncachedCacheBusBypassesBuses(t *testing.T) {
 	if f.Mem.Busy().Total() != 0 {
 		t.Error("cache-bus access must not occupy the memory bus")
 	}
+}
+
+// loader spins coroutine p through one uncached load issued by
+// BeginLoad: its probe ends the load at the transfer's end.
+type loader struct {
+	c    *Call
+	busy bool
+	val  uint64
+}
+
+func (l *loader) Probe() (sim.Time, bool) {
+	if l.busy {
+		l.val, l.busy = l.c.EndLoad(), false
+	}
+	return 0, true
+}
+
+// load makes an uncached load of dev's register reg from coroutine p
+// through a Call's BeginLoad and EndLoad, and returns its value.
+func load(f *Fabric, p *sim.Process, dev Device, reg uint64) uint64 {
+	l := &loader{c: NewCall(f, nil), busy: true}
+	p.Spin(l.c.BeginLoad(p, dev, reg), l)
+	return l.val
 }
 
 // do runs tx from coroutine p through a Call's driven Do, parks p
@@ -300,5 +323,81 @@ func TestBusFIFOOrderUnderContention(t *testing.T) {
 	}
 	if e.Now() != 2*params.BlockMemBus {
 		t.Fatalf("two serialised CRs ended at %d, want %d", e.Now(), 2*params.BlockMemBus)
+	}
+}
+
+func TestUncachedLoadIOBusHoldsBothBuses(t *testing.T) {
+	e, f, _ := ioFabric(t)
+	dev := newStub("dev", params.ClassDevice)
+	f.Attach(dev, params.IOBus)
+	dev.regs[16] = 9
+	var dur sim.Time
+	var val uint64
+	e.Spawn("t", func(p *sim.Process) {
+		start := p.Now()
+		val = load(f, p, dev, 16)
+		dur = p.Now() - start
+	})
+	e.RunAll()
+	if val != 9 {
+		t.Errorf("value = %d, want 9", val)
+	}
+	if dur != sim.Time(params.UncLoadIOBus) {
+		t.Errorf("I/O-bus load took %d, want %d", dur, params.UncLoadIOBus)
+	}
+	if got := f.Mem.Busy().Total(); got != sim.Time(params.UncLoadIOBus) {
+		t.Errorf("memory bus busy %d, want %d", got, params.UncLoadIOBus)
+	}
+	if got := f.IO.Busy().Total(); got != sim.Time(params.UncLoadIOBus) {
+		t.Errorf("I/O bus busy %d, want %d", got, params.UncLoadIOBus)
+	}
+	if got := f.uncLoad[params.IOBus].Value(); got != 1 {
+		t.Errorf("unc.load.io = %d, want 1", got)
+	}
+}
+
+// TestUncachedLoadQueuesBehindTransaction checks a load that finds the
+// bus held waits its turn: granted in FIFO order behind a driven
+// transaction, and the transaction queued behind it waits for the load.
+func TestUncachedLoadQueuesBehindTransaction(t *testing.T) {
+	e, f, _, _ := memFabric(t)
+	dev := newStub("dev", params.ClassDevice)
+	f.Attach(dev, params.MemoryBus)
+	req := newStub("req", params.ClassDevice)
+	f.Attach(req, params.MemoryBus)
+	var order []string
+	var first, last *Call
+	first = NewCall(f, e.Drive("first", func() {
+		first.Do(Tx{Kind: CR, Addr: 0x40, Initiator: req}, func() { order = append(order, "first") })
+	}))
+	e.Spawn("load", func(p *sim.Process) {
+		load(f, p, dev, 0)
+		order = append(order, "load")
+	})
+	last = NewCall(f, e.Drive("last", func() {
+		last.Do(Tx{Kind: CR, Addr: 0x80, Initiator: req}, func() { order = append(order, "last") })
+	}))
+	e.RunAll()
+	if len(order) != 3 || order[0] != "first" || order[1] != "load" || order[2] != "last" {
+		t.Fatalf("order = %v, want [first load last]", order)
+	}
+	if want := 2*params.BlockMemBus + sim.Time(params.UncLoadMemBus); e.Now() != want {
+		t.Fatalf("serialised accesses ended at %d, want %d", e.Now(), want)
+	}
+}
+
+// TestUncachedLoadReadsAtTransferEnd checks a load returns the
+// register's value when its transfer ends, not when it was issued.
+func TestUncachedLoadReadsAtTransferEnd(t *testing.T) {
+	e, f, _, _ := memFabric(t)
+	dev := newStub("dev", params.ClassDevice)
+	f.Attach(dev, params.MemoryBus)
+	dev.regs[8] = 1
+	e.ScheduleAt(sim.Time(params.UncLoadMemBus)/2, func() { dev.regs[8] = 2 })
+	var val uint64
+	e.Spawn("t", func(p *sim.Process) { val = load(f, p, dev, 8) })
+	e.RunAll()
+	if val != 2 {
+		t.Errorf("load returned %d, want 2 (the value at the transfer's end)", val)
 	}
 }

@@ -39,8 +39,8 @@ type postedWrite struct {
 // bus before the I/O bus. The paper's bridge instead NACKs the I/O
 // side on simultaneous initiation with a fairness guarantee (§4.1);
 // the fixed lock order is an equivalent deterministic discipline that
-// preserves the same contention behaviour (both buses are held for
-// the duration of blocking crossing reads; see DESIGN.md).
+// preserves the same contention behaviour (a crossing read or uncached
+// load holds both buses for its whole transfer; see DESIGN.md).
 type Fabric struct {
 	eng *sim.Engine
 
@@ -170,11 +170,13 @@ func (f *Fabric) locOf(a Agent) params.BusKind {
 	return l
 }
 
-// txn is one coherent transaction in progress.
+// txn is one transaction in progress: a coherent one, or an uncached
+// load (t nil) holding its buses for its round trip.
 type txn struct {
 	t        *Tx
 	home     Agent
-	crossing bool // the transaction holds both buses
+	crossing bool     // the transaction holds both buses
+	load     sim.Time // an uncached load's round trip
 }
 
 // begin checks tx against the address map and boxes it for the snoop
@@ -188,12 +190,16 @@ func (f *Fabric) begin(tx Tx) txn {
 	// The snoop phase hands the Tx across the SnoopTx interface, which
 	// forces it to the heap; route it through the free list so the box
 	// is recycled instead of allocated per transaction.
-	return txn{f.getTx(tx), region.Home, initLoc == params.IOBus || region.Loc == params.IOBus}
+	return txn{t: f.getTx(tx), home: region.Home, crossing: initLoc == params.IOBus || region.Loc == params.IOBus}
 }
 
 // transfer runs x's snoop and timing phases once its buses are held:
 // it returns how long the buses stay held and the snoop summary.
 func (f *Fabric) transfer(x txn) (sim.Time, Result) {
+	if x.t == nil {
+		f.hold(x, x.load)
+		return x.load, Result{}
+	}
 	// Snoop phase: every agent on every involved bus sees the
 	// transaction and updates its state before data moves.
 	t, home, crossing := x.t, x.home, x.crossing
@@ -236,54 +242,30 @@ func (f *Fabric) transfer(x txn) (sim.Time, Result) {
 	if ioCost > dur {
 		dur = ioCost
 	}
-	// Blocking crossing transactions hold both buses for the whole
-	// transfer (the bridge "blocks on reads").
-	f.Mem.account(dur)
-	if crossing {
-		f.IO.account(dur)
-	}
+	f.hold(x, dur)
 	return dur, Result{Shared: shared, Supplier: supplier.AgentClass()}
 }
 
-// end releases x's buses and recycles its box.
+// hold accounts d cycles of occupancy on x's buses: a crossing
+// transaction holds both for its whole transfer (the bridge "blocks on
+// reads").
+func (f *Fabric) hold(x txn, d sim.Time) {
+	f.Mem.account(d)
+	if x.crossing {
+		f.IO.account(d)
+	}
+}
+
+// end releases x's buses and recycles its box (an uncached load has
+// none).
 func (f *Fabric) end(x txn) {
 	if x.crossing {
 		f.IO.Release()
 	}
 	f.Mem.Release()
-	f.putTx(x.t)
-}
-
-// UncachedLoad performs a blocking 8-byte uncached load from a device
-// register and returns the value the device reports at completion.
-func (f *Fabric) UncachedLoad(p *sim.Process, dev Device, reg uint64) uint64 {
-	loc := f.locOf(dev)
-	f.uncLoad[loc].Inc()
-	switch loc {
-	case params.CacheBus:
-		p.Sleep(sim.Time(params.UncachedLoadCost(loc)))
-		return dev.RegRead(reg)
-	case params.MemoryBus:
-		f.Mem.Acquire(p)
-		f.Mem.Occupy(p, sim.Time(params.UncachedLoadCost(loc)))
-		v := dev.RegRead(reg)
-		f.Mem.Release()
-		return v
-	case params.IOBus:
-		cost := sim.Time(params.UncachedLoadCost(loc))
-		f.Mem.Acquire(p)
-		f.IO.Acquire(p)
-		f.Mem.busy.AddBusy(cost)
-		f.Mem.cycles.Add(uint64(cost))
-		f.IO.busy.AddBusy(cost)
-		f.IO.cycles.Add(uint64(cost))
-		p.Sleep(cost)
-		v := dev.RegRead(reg)
-		f.IO.Release()
-		f.Mem.Release()
-		return v
+	if x.t != nil {
+		f.putTx(x.t)
 	}
-	panic("bus: bad device location")
 }
 
 // BridgeFullWaits reports how many times a posted write waited for
@@ -311,15 +293,16 @@ func (f *Fabric) bridgeWrote() {
 }
 
 // Call is a process's handle on its node's buses: the one way to run a
-// coherent transaction or make an uncached store. Do runs a transaction
-// for a driven process and then runs its then callback as the
-// process's step. Begin and End run one for a spinning coroutine
-// (sim.Process.Spin), from its probe: arbitration takes the same
-// FIFOMutex steps, and the end of the transfer is the coroutine's next
-// plain wake. Either way the wakes take the (time, seq) keys a
-// coroutine blocking on each bus and sleeping through the transfer
-// would. A Call carries one operation at a time; its phases are method
-// values bound once, so issuing one allocates nothing.
+// coherent transaction or make an uncached load or store. Do runs a
+// transaction for a driven process and then runs its then callback as
+// the process's step. Begin and End run one for a spinning coroutine
+// (sim.Process.Spin), from its probe, and BeginLoad and EndLoad an
+// uncached load: arbitration takes the same FIFOMutex steps, and the
+// end of the transfer is the coroutine's next plain wake. Either way
+// the wakes take the (time, seq) keys a coroutine blocking on each bus
+// and sleeping through the transfer would. A Call carries one
+// operation at a time; its phases are method values bound once, so
+// issuing one allocates nothing.
 type Call struct {
 	f    *Fabric
 	p    *sim.Process
@@ -328,7 +311,7 @@ type Call struct {
 	x        txn            // the transaction in progress
 	res      Result         // its snoop summary
 	ended    func()         // the step ending x's transfer: doDone, or nil for a spinning coroutine's plain wake
-	loc      params.BusKind // UncachedStore's device location and write
+	loc      params.BusKind // the uncached access's device location, register and stored value
 	dev      Device
 	reg, val uint64
 
@@ -376,6 +359,12 @@ func (c *Call) Begin(p *sim.Process, tx Tx) sim.Time {
 // begin arbitrates for tx's buses; see Begin.
 func (c *Call) begin(tx Tx) sim.Time {
 	c.x = c.f.begin(tx)
+	return c.arbitrate()
+}
+
+// arbitrate queues for c.x's buses, memory bus first, and runs the
+// transfer once both are held; see Begin.
+func (c *Call) arbitrate() sim.Time {
 	if !c.f.Mem.AcquireThen(c.p, c.heldFn) || c.x.crossing && !c.f.IO.AcquireThen(c.p, c.busesFn) {
 		return sim.Parked
 	}
@@ -405,6 +394,35 @@ func (c *Call) End() Result {
 	c.f.end(c.x)
 	c.x = txn{}
 	return c.res
+}
+
+// BeginLoad starts an 8-byte uncached load of dev's register reg for p,
+// a spinning coroutine, as Begin starts a transaction: it returns the
+// load's length, or sim.Parked when p queued for a bus. A load from an
+// I/O-bus device crosses, holding the memory bus and then the I/O bus;
+// one from a cache-bus device takes no bus. At the wake ending the
+// load, p's probe calls EndLoad.
+func (c *Call) BeginLoad(p *sim.Process, dev Device, reg uint64) sim.Time {
+	c.p, c.ended = p, nil
+	c.loc, c.dev, c.reg = c.f.locOf(dev), dev, reg
+	c.f.uncLoad[c.loc].Inc()
+	d := sim.Time(params.UncachedLoadCost(c.loc))
+	if c.loc == params.CacheBus {
+		return d
+	}
+	c.x = txn{crossing: c.loc == params.IOBus, load: d}
+	return c.arbitrate()
+}
+
+// EndLoad ends the load at the end of its transfer: it reads the
+// register's value at that instant, then releases the load's buses.
+func (c *Call) EndLoad() uint64 {
+	v := c.dev.RegRead(c.reg)
+	if c.loc != params.CacheBus {
+		c.End()
+	}
+	c.dev = nil
+	return v
 }
 
 // UncachedStore performs one 8-byte uncached store of val to dev's

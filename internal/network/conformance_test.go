@@ -217,7 +217,7 @@ func TestInjectDeliverAckZeroAlloc(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond()
+		kick := new(sim.Cond)
 		e.Spawn("src", func(p *sim.Process) {
 			send := sender(ic, p)
 			for {
@@ -267,7 +267,7 @@ func TestTorusFaultPathZeroAlloc(t *testing.T) {
 		tor.Register(i, port)
 	}
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
-	kick := sim.NewCond()
+	kick := new(sim.Cond)
 	e.Spawn("src", func(p *sim.Process) {
 		send := sender(tor, p)
 		for {
@@ -314,7 +314,7 @@ func TestTraceHotPathZeroAlloc(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond()
+		kick := new(sim.Cond)
 		e.Spawn("src", func(p *sim.Process) {
 			send := sender(ic, p)
 			for {
@@ -368,7 +368,7 @@ func TestTraceFaultPathZeroAlloc(t *testing.T) {
 		tor.Register(i, port)
 	}
 	m := &Msg{Src: 0, Dst: 3, Size: 64, Blocks: 2}
-	kick := sim.NewCond()
+	kick := new(sim.Cond)
 	e.Spawn("src", func(p *sim.Process) {
 		send := sender(tor, p)
 		for {

@@ -228,7 +228,7 @@ func TestFaultEnabledAllocBudget(t *testing.T) {
 		}
 		dst := c.nodes - 1
 		m := &Msg{Src: 0, Dst: dst, Size: 64, Blocks: 2}
-		kick := sim.NewCond()
+		kick := new(sim.Cond)
 		e.Spawn("src", func(p *sim.Process) {
 			send := sender(ic, p)
 			for {

@@ -151,7 +151,7 @@ func (n *cni4) RegWrite(reg, val uint64) {
 
 // TrySend implements NI: the CNI4 send protocol.
 func (n *cni4) TrySend(p *sim.Process, m *network.Msg) bool {
-	if n.d.CPU.UncachedLoad(p, n, RegSendStatus) == 0 {
+	if n.d.CPU.UncachedLoad(p, n, RegSendStatus, 1) == 0 {
 		n.ctr.sendFull.Inc()
 		return false
 	}
@@ -187,7 +187,7 @@ func (n *cni4) sendEngine() {
 // TryRecv implements NI: poll the uncached status; on success read the
 // CDR blocks and run the explicit clear handshake.
 func (n *cni4) TryRecv(p *sim.Process) *network.Msg {
-	blocks := n.d.CPU.UncachedLoad(p, n, RegRecvStatus)
+	blocks := n.d.CPU.UncachedLoad(p, n, RegRecvStatus, 1)
 	if blocks == 0 {
 		n.ctr.recvPollEmpty.Inc()
 		return nil

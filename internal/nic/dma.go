@@ -129,7 +129,7 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 		n.sendWork.Signal()
 		return true
 	}
-	if n.d.CPU.UncachedLoad(p, n, RegSendStatus) == 0 {
+	if n.d.CPU.UncachedLoad(p, n, RegSendStatus, 1) == 0 {
 		n.ctr.sendFull.Inc()
 		return false
 	}
@@ -204,7 +204,7 @@ func (n *dmaNI) recvEngine() {
 // TryRecv picks up one completed message: status poll, interrupt
 // dispatch cost, then reads of the DMA'd data that miss to memory.
 func (n *dmaNI) TryRecv(p *sim.Process) *network.Msg {
-	if n.d.CPU.UncachedLoad(p, n, RegRecvStatus) == 0 {
+	if n.d.CPU.UncachedLoad(p, n, RegRecvStatus, 1) == 0 {
 		n.ctr.recvPollEmpty.Inc()
 		return nil
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/msg"
+	"repro/internal/nic"
 	"repro/internal/params"
 	"repro/internal/sim"
 )
@@ -60,6 +61,18 @@ func (o wordOps) storeRange(addr uint64, bytes int) {
 	o.log(o.p, fmt.Sprintf("storerange %#x+%d", addr, bytes))
 }
 
+// uncachedLoad is one uncached load of the node's NI register reg.
+func (o wordOps) uncachedLoad(reg uint64) {
+	o.nd.CPU.UncachedLoad(o.p, o.nd.NI, reg, 1)
+	o.log(o.p, fmt.Sprintf("uncload %#x", reg))
+}
+
+// uncachedStore posts one uncached store to the node's NI register reg.
+func (o wordOps) uncachedStore(reg uint64) {
+	o.nd.CPU.UncachedStore(o.p, o.nd.NI, reg, 0)
+	o.log(o.p, fmt.Sprintf("uncstore %#x", reg))
+}
+
 // spawnOps starts a process on node id that sleeps lead cycles and
 // then runs body on its word operations.
 func spawnOps(m *machine.Machine, id int, lead sim.Time, log func(*sim.Process, string), body func(o wordOps)) {
@@ -99,7 +112,8 @@ func streamBoth(m *machine.Machine, n int, sizes []int, log func(*sim.Process, s
 // misses while an NI's engine holds the memory bus, a dirty victim's
 // writeback inside a range, fills that cross to an I/O-bus NI, a miss
 // on a range's last word, one-word misses, and the message copy of
-// every NI that copies through the cache.
+// every NI that copies through the cache; and the uncached status and
+// data loads of the NIs that poll a device register.
 func missCells() []missCell {
 	sizes := []int{8, 52, 56, 120, 244, 600}
 	cells := []missCell{{
@@ -182,6 +196,49 @@ func missCells() []missCell {
 			},
 		})
 	}
+	// Uncached status and data loads: each node streams and polls
+	// while bystanders on node 1 take misses, post uncached stores that
+	// the poller's loads must wait to drain (to a data register every
+	// NI ignores; through the bridge on the I/O bus) and load a status
+	// register, so the poller's loads queue behind the store-buffer
+	// drain, the bridge, the NI's engines and each other.
+	for _, c := range []struct {
+		name   string
+		cfg    params.Config
+		stores int
+	}{
+		{"uncached loads", params.Config{Nodes: 2, NI: params.NI2w, Bus: params.CacheBus}, 4},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.NI2w, Bus: params.MemoryBus}, 4},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.NI2w, Bus: params.IOBus}, 4},
+		{"uncached loads, bridge full", params.Config{Nodes: 2, NI: params.NI2w, Bus: params.IOBus}, 24},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.CNI4, Bus: params.MemoryBus}, 4},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.CNI4, Bus: params.IOBus}, 4},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.DMA, Bus: params.MemoryBus}, 4},
+		{"uncached loads", params.Config{Nodes: 2, NI: params.DMA, Bus: params.IOBus}, 4},
+	} {
+		cells = append(cells, missCell{
+			name: c.cfg.Name() + " " + c.name,
+			cfg:  c.cfg,
+			run: func(m *machine.Machine, log func(*sim.Process, string)) {
+				streamBoth(m, 12, sizes, log)
+				spawnOps(m, 1, 90, log, func(o wordOps) {
+					for k := uint64(0); k < 8; k++ {
+						o.loadRange(userA+k*0x140, 136)
+						o.store(conflict + k*0x140)
+					}
+				})
+				spawnOps(m, 1, 130, log, func(o wordOps) {
+					for k := 0; k < 10; k++ {
+						for i := 0; i < c.stores; i++ {
+							o.uncachedStore(nic.RegSendData)
+						}
+						o.uncachedLoad(nic.RegSendStatus)
+						o.nd.CPU.Compute(o.p, sim.Time(60+k*37))
+					}
+				})
+			},
+		})
+	}
 	return cells
 }
 
@@ -211,13 +268,13 @@ func runMissCell(t *testing.T, c missCell) string {
 	return b.String()
 }
 
-// TestMissOrderPinned pins the event order of every cache miss path:
-// per cell the final cycle, the events scheduled, the cycle each
-// access, send, receive and process completed at, and the counters.
-// The golden was generated while misses resumed the issuing process
-// at every bus grant and transfer; it must stay byte-identical however
-// the misses are run. Regenerate it only for a deliberate timing-model
-// change.
+// TestMissOrderPinned pins the event order of every cache miss path
+// and uncached load: per cell the final cycle, the events scheduled,
+// the cycle each access, send, receive and process completed at, and
+// the counters. The golden was generated while misses, and later
+// uncached loads, resumed the issuing process at every bus grant and
+// transfer; it must stay byte-identical however they are run.
+// Regenerate it only for a deliberate timing-model change.
 func TestMissOrderPinned(t *testing.T) {
 	var b strings.Builder
 	for _, c := range missCells() {

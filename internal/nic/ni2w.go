@@ -86,7 +86,7 @@ func (n *ni2w) RegWrite(reg, val uint64) {
 // TrySend implements the CM-5-like send: one uncached status load, and
 // if there is room, MsgWords uncached stores plus a commit store.
 func (n *ni2w) TrySend(p *sim.Process, m *network.Msg) bool {
-	if n.d.CPU.UncachedLoad(p, n, RegSendStatus) == 0 {
+	if n.d.CPU.UncachedLoad(p, n, RegSendStatus, 1) == 0 {
 		n.ctr.sendFull.Inc()
 		return false
 	}
@@ -100,7 +100,7 @@ func (n *ni2w) TrySend(p *sim.Process, m *network.Msg) bool {
 	// retry); the check is an uncached load that also serialises the
 	// posted stores. Our admission check above reserved the slot, so
 	// the read simply confirms.
-	n.d.CPU.UncachedLoad(p, n, RegSendStatus)
+	n.d.CPU.UncachedLoad(p, n, RegSendStatus, 1)
 	n.ctr.sendMsg.Inc()
 	return true
 }
@@ -109,14 +109,12 @@ func (n *ni2w) TrySend(p *sim.Process, m *network.Msg) bool {
 // on success, word-by-word uncached loads, the last of which pops the
 // hardware FIFO.
 func (n *ni2w) TryRecv(p *sim.Process) *network.Msg {
-	words := n.d.CPU.UncachedLoad(p, n, RegRecvStatus)
+	words := n.d.CPU.UncachedLoad(p, n, RegRecvStatus, 1)
 	if words == 0 {
 		n.ctr.recvPollEmpty.Inc()
 		return nil
 	}
-	for w := uint64(0); w < words; w++ {
-		n.d.CPU.UncachedLoad(p, n, RegRecvData)
-	}
+	n.d.CPU.UncachedLoad(p, n, RegRecvData, int(words))
 	m := n.recvFIFO[0]
 	n.recvFIFO = n.recvFIFO[1:]
 	n.ctr.recvMsg.Inc()

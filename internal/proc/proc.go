@@ -39,7 +39,8 @@ type CPU struct {
 	sb               *bus.Call
 	drainFn, retired func()
 
-	runFree []*wordRun // wordRuns no range is using (getRun)
+	runFree  []*wordRun // wordRuns no range is using (getRun)
+	loadFree []*loadRun // loadRuns no uncached load is using
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
@@ -161,13 +162,67 @@ func (r *wordRun) next() (sim.Time, bool) {
 	return r.miss.Start(r.p, a, r.store), false
 }
 
-// UncachedLoad performs a blocking uncached 8-byte load from a device
-// register and returns the device's value. Like SPARC TSO device
-// access, it first drains the store buffer so posted uncached stores
-// reach the device before the load.
-func (c *CPU) UncachedLoad(p *sim.Process, dev bus.Device, reg uint64) uint64 {
-	c.Membar(p)
-	return c.fab.UncachedLoad(p, dev, reg)
+// UncachedLoad performs n back-to-back uncached 8-byte loads of a
+// device register and returns the last one's value. Like SPARC TSO
+// device access, each load first drains the store buffer so posted
+// uncached stores reach the device before it. The loads are one Spin:
+// the process drains the buffer and issues the first load itself, and
+// a loadRun probe ends each load at the wake where the process would
+// have and issues the next, so the process resumes once — or once more
+// per later load that finds the buffer holding another process's
+// stores, which the process then drains itself.
+func (c *CPU) UncachedLoad(p *sim.Process, dev bus.Device, reg uint64, n int) uint64 {
+	var r *loadRun
+	if k := len(c.loadFree); k > 0 {
+		r, c.loadFree = c.loadFree[k-1], c.loadFree[:k-1]
+	} else {
+		r = &loadRun{cpu: c, call: bus.NewCall(c.fab, nil)}
+	}
+	r.p, r.dev, r.reg, r.left = p, dev, reg, n
+	for r.left > 0 {
+		c.Membar(p)
+		p.Spin(r.issue(), r)
+	}
+	v := r.val
+	r.p, r.dev = nil, nil
+	c.loadFree = append(c.loadFree, r)
+	return v
+}
+
+// loadRun runs the loads of one UncachedLoad as engine probes
+// (sim.Process.Spin) on its own bus.Call. At the wake that ends a load
+// it reads the register and releases the buses, as the process would;
+// then, with loads left and an empty store buffer, it issues the next,
+// and otherwise resumes the process, and a second call at that wake
+// changes nothing.
+type loadRun struct {
+	cpu  *CPU
+	call *bus.Call
+	p    *sim.Process
+	dev  bus.Device
+	reg  uint64
+	left int    // loads not yet issued
+	busy bool   // a load is in flight
+	val  uint64 // the last ended load's value
+}
+
+// issue starts the next load: its length, or sim.Parked.
+func (r *loadRun) issue() sim.Time {
+	r.left--
+	r.busy = true
+	return r.call.BeginLoad(r.p, r.dev, r.reg)
+}
+
+// Probe implements sim.Spinner.
+func (r *loadRun) Probe() (sim.Time, bool) {
+	if !r.busy {
+		return 0, true
+	}
+	r.val, r.busy = r.call.EndLoad(), false
+	if r.left == 0 || r.cpu.sbQ.Len() > 0 {
+		return 0, true
+	}
+	return r.issue(), false
 }
 
 // UncachedStore posts an uncached 8-byte store through the store

@@ -112,7 +112,7 @@ func TestUncachedLoadDrainsStoreBuffer(t *testing.T) {
 	e.Spawn("t", func(p *sim.Process) {
 		cpu.UncachedStore(p, dev, 8, 42)
 		// TSO device access: the load must observe the prior store.
-		if got := cpu.UncachedLoad(p, dev, 8); got != 42 {
+		if got := cpu.UncachedLoad(p, dev, 8, 1); got != 42 {
 			t.Errorf("load = %d, want 42 (store buffer bypassed?)", got)
 		}
 	})

@@ -258,3 +258,52 @@ func TestRangeProbesZeroAlloc(t *testing.T) {
 	}
 	m.e.Stop()
 }
+
+// regDev is a memory-bus device whose registers hold nothing: reads
+// return 0 and writes are dropped, so touching it allocates nothing.
+type regDev struct{}
+
+func (regDev) AgentName() string                    { return "regdev" }
+func (regDev) AgentClass() params.AgentClass        { return params.ClassDevice }
+func (regDev) SnoopTx(tx *bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
+func (regDev) RegRead(reg uint64) uint64            { return 0 }
+func (regDev) RegWrite(reg, val uint64)             {}
+
+// TestUncachedLoadZeroAlloc pins steady-state uncached loads — two
+// processes on one CPU loading a device register, queued for the bus
+// behind each other and behind a device, while a third posts uncached
+// stores the loads must wait to drain — at zero allocations: the
+// loads' probes and bus handles come from the CPU's pool.
+func TestUncachedLoadZeroAlloc(t *testing.T) {
+	m := newPair()
+	m.hog(1 << 30)
+	dev := regDev{}
+	m.f.Attach(dev, params.MemoryBus)
+	cpu := m.cpus[0]
+	for i, n := range []int{1, 4} {
+		m.e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Process) {
+			for {
+				cpu.UncachedLoad(p, dev, 8, n)
+			}
+		})
+	}
+	m.e.Spawn("poster", func(p *sim.Process) {
+		for {
+			cpu.UncachedStore(p, dev, 16, 1)
+			cpu.Compute(p, 150)
+		}
+	})
+	m.e.Run(5000)
+	loads, stalls := m.st.Get("unc.load.memory"), m.st.Get("cpu0.membar.stall")
+	allocs := testing.AllocsPerRun(100, func() { m.e.Run(m.e.Now() + 500) })
+	if allocs != 0 {
+		t.Errorf("steady-state uncached loads allocate %.1f objects per 500 cycles, want 0", allocs)
+	}
+	if m.e.Counters().Probed == 0 {
+		t.Error("no wake ran as a probe")
+	}
+	if m.st.Get("unc.load.memory") == loads || m.st.Get("cpu0.membar.stall") == stalls {
+		t.Error("the measured window issued no loads or no load waited for the store buffer")
+	}
+	m.e.Stop()
+}

@@ -41,7 +41,7 @@ func TestProcessWakeZeroAlloc(t *testing.T) {
 	// A parked process's wake is a direct event (no closure); verify a
 	// full sleep/wake cycle allocates nothing once the process exists.
 	e := NewEngine()
-	release := NewCond()
+	release := new(Cond)
 	e.Spawn("sleeper", func(p *Process) {
 		for {
 			release.Wait(p)

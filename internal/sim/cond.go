@@ -10,9 +10,6 @@ type Cond struct {
 	waiters FIFO[waiter]
 }
 
-// NewCond returns a new condition variable.
-func NewCond() *Cond { return &Cond{} }
-
 // Wait parks the calling process until Signal or Broadcast wakes it.
 func (c *Cond) Wait(p *Process) {
 	c.Await(p, nil)

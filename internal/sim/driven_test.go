@@ -25,7 +25,7 @@ func drivenWorld(t *testing.T, subject func(e *Engine, mu *FIFOMutex, c *Cond, n
 	note := func() { log = append(log, stamp{e.Now(), e.Scheduled()}) }
 	e.Spawn("contender", func(p *Process) {
 		for i := 0; i < 40; i++ {
-			mu.Lock(p)
+			lock(&mu, p)
 			p.Sleep(Time(2 + i%3))
 			mu.Unlock()
 			p.Sleep(1)
@@ -93,7 +93,7 @@ func TestDrivenStepsKeepCoroutineOrder(t *testing.T) {
 	want, ce := drivenWorld(t, func(e *Engine, mu *FIFOMutex, c *Cond, note func()) {
 		e.Spawn("subject", func(p *Process) {
 			for i := 0; i < 20; i++ {
-				mu.Lock(p)
+				lock(mu, p)
 				note()
 				p.Sleep(3)
 				mu.Unlock()
@@ -192,7 +192,7 @@ func TestDrivenWakeZeroAlloc(t *testing.T) {
 	d.p = e.Drive("subject", d.step)
 	e.Spawn("holder", func(p *Process) {
 		for {
-			mu.Lock(p)
+			lock(&mu, p)
 			p.Sleep(5)
 			mu.Unlock()
 			c.Signal()

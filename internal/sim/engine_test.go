@@ -119,7 +119,7 @@ func TestProcessInterleavingDeterministic(t *testing.T) {
 
 func TestCondSignalFIFO(t *testing.T) {
 	e := NewEngine()
-	c := NewCond()
+	c := new(Cond)
 	var order []string
 	for _, name := range []string{"w1", "w2", "w3"} {
 		name := name
@@ -151,7 +151,7 @@ func TestCondSignalFIFO(t *testing.T) {
 
 func TestStopUnwindsParkedProcesses(t *testing.T) {
 	e := NewEngine()
-	c := NewCond()
+	c := new(Cond)
 	for i := 0; i < 5; i++ {
 		e.Spawn("stuck", func(p *Process) {
 			c.Wait(p) // never signalled
@@ -253,7 +253,7 @@ func TestProcessPanicReachesRunCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	boom := errors.New("boom")
 	e := NewEngine()
-	c := NewCond()
+	c := new(Cond)
 	e.Spawn("node0.app", func(p *Process) { c.Wait(p) })
 	e.Spawn("node3.app", func(p *Process) {
 		p.Sleep(42)
@@ -268,7 +268,7 @@ func TestShardProcessPanicReachesRunCaller(t *testing.T) {
 	boom := errors.New("boom")
 	s := NewShardSet(4, 2, 10)
 	for n := 0; n < 4; n++ {
-		c := NewCond()
+		c := new(Cond)
 		s.Engine(n).Spawn("parked", func(p *Process) { c.Wait(p) })
 		s.Engine(n).Spawn("ticker", func(p *Process) {
 			for {
@@ -287,7 +287,7 @@ func TestShardProcessPanicReachesRunCaller(t *testing.T) {
 func TestStopLeavesNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := NewEngine()
-	c := NewCond()
+	c := new(Cond)
 	e.Spawn("finished", func(p *Process) { p.Sleep(1) })
 	e.Spawn("cond", func(p *Process) { c.Wait(p) })
 	e.Spawn("sleeper", func(p *Process) { p.Sleep(1000) })

@@ -130,14 +130,6 @@ func (h *Histogram) Min() Time {
 // Max returns the largest recorded value (0 when empty).
 func (h *Histogram) Max() Time { return h.max }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns the q-quantile (q in [0,1]) by linear interpolation
 // inside the bucket holding the target rank, clamped to the exact
 // min/max. The relative error bound is 1/histLinear (6.25%).

@@ -4,22 +4,17 @@ package sim
 // processes, used to model multiplexed buses that admit one
 // outstanding transaction. Unlock hands the lock directly to the
 // longest-waiting process, so arrival order equals service order.
-// Coroutines block in Lock; driven processes queue a step (Acquire).
+// A waiter runs a step once granted (Acquire).
 type FIFOMutex struct {
 	held    bool
 	waiters FIFO[waiter]
 }
 
-// Lock blocks the process until it owns the mutex.
-func (m *FIFOMutex) Lock(p *Process) {
-	if !m.Acquire(p, nil) {
-		p.park() // direct handoff: the lock is ours when we resume
-	}
-}
-
-// Acquire takes the mutex for driven process p and reports true, or
-// queues p and reports false: p then runs fn as its step once Unlock
-// hands it the mutex, at the (time, seq) Lock would resume at.
+// Acquire takes the mutex for process p and reports true, or queues p
+// and reports false: Unlock hands p the mutex and wakes it then, at the
+// current instant after the work already scheduled, running fn as its
+// step (with a nil fn, a plain wake: resuming a coroutine, or its
+// probe when it spins).
 func (m *FIFOMutex) Acquire(p *Process, fn func()) bool {
 	if !m.held {
 		m.held = true
@@ -42,9 +37,3 @@ func (m *FIFOMutex) Unlock() {
 	w := m.waiters.Pop()
 	w.p.wake(0, w.fn)
 }
-
-// Held reports whether the mutex is currently owned.
-func (m *FIFOMutex) Held() bool { return m.held }
-
-// QueueLen reports the number of processes waiting for the mutex.
-func (m *FIFOMutex) QueueLen() int { return m.waiters.Len() }

@@ -2,6 +2,21 @@ package sim
 
 import "testing"
 
+// lock blocks coroutine p until it owns m: the coroutine reference the
+// driven and spinning lockers are checked against.
+func lock(m *FIFOMutex, p *Process) {
+	if !m.Acquire(p, nil) {
+		p.park() // direct handoff: the lock is ours when we resume
+	}
+}
+
+// unheld reports whether m is free: Unlock panics on a free mutex.
+func unheld(m *FIFOMutex) (free bool) {
+	defer func() { free = recover() != nil }()
+	m.Unlock()
+	return false
+}
+
 func TestFIFOMutexExclusionAndOrder(t *testing.T) {
 	e := NewEngine()
 	var m FIFOMutex
@@ -10,7 +25,7 @@ func TestFIFOMutexExclusionAndOrder(t *testing.T) {
 	for _, name := range []string{"a", "b", "c", "d"} {
 		name := name
 		e.Spawn(name, func(p *Process) {
-			m.Lock(p)
+			lock(&m, p)
 			inside++
 			if inside != 1 {
 				t.Errorf("mutual exclusion violated: %d inside", inside)
@@ -28,7 +43,7 @@ func TestFIFOMutexExclusionAndOrder(t *testing.T) {
 			t.Fatalf("order = %v, want FIFO %v", order, want)
 		}
 	}
-	if m.Held() {
+	if !unheld(&m) {
 		t.Fatal("mutex still held after all processes finished")
 	}
 }
@@ -38,9 +53,9 @@ func TestFIFOMutexUncontended(t *testing.T) {
 	var m FIFOMutex
 	e.Spawn("solo", func(p *Process) {
 		start := p.Now()
-		m.Lock(p)
+		lock(&m, p)
 		if p.Now() != start {
-			t.Errorf("uncontended Lock advanced time by %d", p.Now()-start)
+			t.Errorf("uncontended lock advanced time by %d", p.Now()-start)
 		}
 		m.Unlock()
 	})
@@ -57,23 +72,34 @@ func TestFIFOMutexUnlockUnheldPanics(t *testing.T) {
 	m.Unlock()
 }
 
+// TestFIFOMutexQueueLen checks that both waiters are queued while the
+// holder sleeps: each is granted at the holder's Unlock, in arrival
+// order, and the mutex is free once they release it.
 func TestFIFOMutexQueueLen(t *testing.T) {
 	e := NewEngine()
 	var m FIFOMutex
+	var grants []string
 	e.Spawn("holder", func(p *Process) {
-		m.Lock(p)
+		lock(&m, p)
 		p.Sleep(100)
-		if m.QueueLen() != 2 {
-			t.Errorf("QueueLen = %d, want 2", m.QueueLen())
-		}
 		m.Unlock()
 	})
-	for i := 0; i < 2; i++ {
-		e.Spawn("w", func(p *Process) {
+	for _, name := range []string{"w0", "w1"} {
+		e.Spawn(name, func(p *Process) {
 			p.Sleep(1)
-			m.Lock(p)
+			lock(&m, p)
+			if p.Now() != 100 {
+				t.Errorf("%s granted at %d, want 100 (the holder's Unlock)", name, p.Now())
+			}
+			grants = append(grants, name)
 			m.Unlock()
 		})
 	}
 	e.RunAll()
+	if len(grants) != 2 || grants[0] != "w0" || grants[1] != "w1" {
+		t.Errorf("grants = %v, want both waiters in arrival order [w0 w1]", grants)
+	}
+	if !unheld(&m) {
+		t.Error("mutex still held after both waiters released it")
+	}
 }

@@ -45,8 +45,8 @@ type Process struct {
 
 // Spinner is the engine-side half of a loop a process hands to the
 // engine (see Process.Spin): the messaging layer's idle polls, and the
-// processor's cache accesses — a load or store range, or one word's
-// miss.
+// processor's bus accesses — a load or store range, one word's miss,
+// or a run of uncached device loads.
 type Spinner interface {
 	// Probe runs at each plain wake of the spinning process, at the
 	// wake's own (time, seq) position, without resuming the process.

@@ -15,7 +15,7 @@ func tieWorkload(e *Engine, log *[]string) {
 	note := func(what string) {
 		*log = append(*log, fmt.Sprintf("%d %s seq=%d", e.Now(), what, e.Scheduled()))
 	}
-	c := NewCond()
+	c := new(Cond)
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("w%d", i), func(p *Process) {
 			for k := 0; k < 4; k++ {

@@ -309,7 +309,7 @@ func (l *lockLoop) granted() {
 // turn, a driven process taking it too, and a sleeper whose park runs
 // the others' probes and grants for a while, logging every take and release with the engine's
 // sequence counter. With spin the lockers run as lockLoop probes;
-// without, as coroutines blocking in Lock and sleeping through the
+// without, as coroutines blocking in lock and sleeping through the
 // hold. The two logs must be equal.
 func lockWorkload(e *Engine, log *[]string, spin bool) {
 	note := func(what string) {
@@ -328,7 +328,7 @@ func lockWorkload(e *Engine, log *[]string, spin bool) {
 				}
 			} else {
 				for r := 0; r < 5; r++ {
-					m.Lock(p)
+					lock(&m, p)
 					note(p.Name() + " took")
 					p.Sleep(hold)
 					m.Unlock()
@@ -364,7 +364,7 @@ func lockWorkload(e *Engine, log *[]string, spin bool) {
 // TestSpinParkedMatchesLock pins the Parked half of Spin's contract: a
 // probe that queues its process for a FIFOMutex and lets the grant's
 // step arm its next wake dispatches exactly the (time, seq) sequence of
-// a coroutine blocking in Lock and sleeping through the hold, with
+// a coroutine blocking in lock and sleeping through the hold, with
 // probes run from Run and from another process's park alike, and its
 // process resumes once.
 func TestSpinParkedMatchesLock(t *testing.T) {

@@ -98,9 +98,6 @@ func (s *ClientSet) weight(i int) float64 {
 // Clients returns the population size.
 func (s *ClientSet) Clients() int { return s.n }
 
-// TotalWeight returns the summed client weight.
-func (s *ClientSet) TotalWeight() float64 { return s.total }
-
 // Population binds one node's arrival state to the shared set. think
 // is the mean think time of a unit-weight client; the first arrival is
 // scheduled from now.

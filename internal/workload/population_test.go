@@ -203,9 +203,9 @@ func TestClientSetMatchesVectorReference(t *testing.T) {
 		const think = 5000
 		p := set.Population(think, apps.NewRand(99), 0)
 		ref := newRefPopulation(refClientWeights(c.wl, c.clients), think, apps.NewRand(99), 0)
-		if set.TotalWeight() != ref.total || p.NextAt() != ref.nextAt {
+		if set.total != ref.total || p.NextAt() != ref.nextAt {
 			t.Fatalf("%s: built total %v next %d, reference %v next %d",
-				c.name, set.TotalWeight(), p.NextAt(), ref.total, ref.nextAt)
+				c.name, set.total, p.NextAt(), ref.total, ref.nextAt)
 		}
 		// The driver decides from the set's own state, so both sides
 		// see one call sequence; issued weights return oldest first.
@@ -269,13 +269,13 @@ func TestClientSetMemory(t *testing.T) {
 func TestPopulationWeightAccounting(t *testing.T) {
 	t.Parallel()
 	set := NewClientSet(params.Workload{ClientWeights: []float64{5, 3, 2}}, 3)
-	if set.Clients() != 3 || set.TotalWeight() != 10 {
-		t.Fatalf("set shape wrong: %d clients, total %v", set.Clients(), set.TotalWeight())
+	if set.Clients() != 3 || set.total != 10 {
+		t.Fatalf("set shape wrong: %d clients, total %v", set.Clients(), set.total)
 	}
 	p := set.Population(1000, apps.NewRand(42), 0)
 	var taken float64
 	for p.NextAt() != sim.Forever {
-		if taken >= set.TotalWeight() {
+		if taken >= set.total {
 			break
 		}
 		taken += p.Take()
@@ -293,8 +293,8 @@ func TestPopulationWeightAccounting(t *testing.T) {
 	if p.NextAt() == sim.Forever || p.NextAt() <= 12345 {
 		t.Errorf("Return must restart arrivals after now, next at %v", p.NextAt())
 	}
-	if p.thinkingW > set.TotalWeight() {
-		t.Errorf("thinking weight %v exceeds total %v", p.thinkingW, set.TotalWeight())
+	if p.thinkingW > set.total {
+		t.Errorf("thinking weight %v exceeds total %v", p.thinkingW, set.total)
 	}
 }
 
@@ -312,7 +312,7 @@ func TestPopulationZipfSkewsIssuers(t *testing.T) {
 		sum += w
 		p.Return(w, p.NextAt())
 	}
-	mean := set.TotalWeight() / float64(set.Clients())
+	mean := set.total / float64(set.Clients())
 	if sum/draws < 4*mean {
 		t.Errorf("size-biased zipf draws mean %v, want well above population mean %v", sum/draws, mean)
 	}
