@@ -50,7 +50,7 @@ func (b *Bus) account(d sim.Time) {
 // snoopAll presents tx to every attached agent except the initiator,
 // folding their responses. home is the home agent for tx.Addr (may be
 // attached to a different bus; pass nil here if so).
-func (b *Bus) snoopAll(tx *Tx, home Agent) (shared bool, supplier Agent) {
+func (b *Bus) snoopAll(tx Tx, home Agent) (shared bool, supplier Agent) {
 	for _, a := range b.agents {
 		if a == tx.Initiator {
 			continue

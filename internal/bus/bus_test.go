@@ -24,8 +24,8 @@ func newStub(name string, class params.AgentClass) *stubAgent {
 
 func (s *stubAgent) AgentName() string             { return s.name }
 func (s *stubAgent) AgentClass() params.AgentClass { return s.class }
-func (s *stubAgent) SnoopTx(tx *Tx, isHome bool) Snoop {
-	s.snoops = append(s.snoops, *tx)
+func (s *stubAgent) SnoopTx(tx Tx, isHome bool) Snoop {
+	s.snoops = append(s.snoops, tx)
 	return Snoop{HasCopy: s.hasCopy, WillSupply: s.supply}
 }
 func (s *stubAgent) RegRead(reg uint64) uint64 { return s.regs[reg] }

@@ -66,35 +66,6 @@ type Fabric struct {
 	bridge      *sim.Process
 	// The bridge's steps, bound once at construction.
 	drainFn, heldFn, wroteFn func()
-
-	// txFree recycles transaction boxes: the Tx escapes through the
-	// SnoopTx interface call, so without a free list every coherent
-	// transaction costs one heap allocation (the steady-state alloc
-	// pin fails loudly). Depth equals the most transactions ever
-	// simultaneously in flight on this node's buses.
-	txFree []*Tx
-}
-
-// getTx pops a recycled Tx box (or allocates the pool's next slot)
-// and fills it with tx.
-func (f *Fabric) getTx(tx Tx) *Tx {
-	n := len(f.txFree)
-	if n == 0 {
-		t := new(Tx)
-		*t = tx
-		return t
-	}
-	t := f.txFree[n-1]
-	f.txFree = f.txFree[:n-1]
-	*t = tx
-	return t
-}
-
-// putTx returns a Tx box to the free list. The box must not be
-// referenced after the call; snoopers see it only during snoopAll.
-func (f *Fabric) putTx(t *Tx) {
-	t.Initiator = nil // drop the agent reference while pooled
-	f.txFree = append(f.txFree, t)
 }
 
 // NewFabric builds the bus complex. withIO adds the 50 MHz I/O bus and
@@ -171,32 +142,30 @@ func (f *Fabric) locOf(a Agent) params.BusKind {
 }
 
 // txn is one transaction in progress: a coherent one, or an uncached
-// load (t nil) holding its buses for its round trip.
+// load (coherent unset) holding its buses for its round trip.
 type txn struct {
-	t        *Tx
+	t        Tx
+	coherent bool
 	home     Agent
 	crossing bool     // the transaction holds both buses
 	load     sim.Time // an uncached load's round trip
 }
 
-// begin checks tx against the address map and boxes it for the snoop
-// phase.
+// begin checks tx against the address map and finds its home and
+// buses.
 func (f *Fabric) begin(tx Tx) txn {
 	region := f.Lookup(tx.Addr)
 	if !region.Cachable && tx.Kind != CI {
 		panic(fmt.Sprintf("bus: coherent %v on uncachable region %q", tx.Kind, region.Name))
 	}
 	initLoc := f.locOf(tx.Initiator)
-	// The snoop phase hands the Tx across the SnoopTx interface, which
-	// forces it to the heap; route it through the free list so the box
-	// is recycled instead of allocated per transaction.
-	return txn{t: f.getTx(tx), home: region.Home, crossing: initLoc == params.IOBus || region.Loc == params.IOBus}
+	return txn{t: tx, coherent: true, home: region.Home, crossing: initLoc == params.IOBus || region.Loc == params.IOBus}
 }
 
 // transfer runs x's snoop and timing phases once its buses are held:
 // it returns how long the buses stay held and the snoop summary.
 func (f *Fabric) transfer(x txn) (sim.Time, Result) {
-	if x.t == nil {
+	if !x.coherent {
 		f.hold(x, x.load)
 		return x.load, Result{}
 	}
@@ -256,16 +225,12 @@ func (f *Fabric) hold(x txn, d sim.Time) {
 	}
 }
 
-// end releases x's buses and recycles its box (an uncached load has
-// none).
+// end releases x's buses.
 func (f *Fabric) end(x txn) {
 	if x.crossing {
 		f.IO.Release()
 	}
 	f.Mem.Release()
-	if x.t != nil {
-		f.putTx(x.t)
-	}
 }
 
 // BridgeFullWaits reports how many times a posted write waited for

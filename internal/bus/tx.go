@@ -83,8 +83,10 @@ type Agent interface {
 	// absorb writeback). It must not block; it runs inside the
 	// initiator's transaction. The boolean reports whether the agent is
 	// the home for the address (homes absorb WBs and supply data when
-	// no cache owns the block).
-	SnoopTx(tx *Tx, isHome bool) Snoop
+	// no cache owns the block). tx comes by value: a pointer would
+	// escape through this interface call and cost every coherent
+	// transaction a heap box.
+	SnoopTx(tx Tx, isHome bool) Snoop
 }
 
 // Device is an Agent with uncachable device registers.

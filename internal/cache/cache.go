@@ -54,7 +54,7 @@ type Cache struct {
 	// direct-mapped frame holds the same tag in Invalid state (§5.1.2).
 	Snarf bool
 
-	missFree []*Miss // miss paths no access is using (GetMiss)
+	misses sim.Pool[Miss] // miss paths no access is using (GetMiss)
 }
 
 // New creates a cache of sizeBytes with 64-byte blocks and attaches it
@@ -168,17 +168,15 @@ type Miss struct {
 // GetMiss takes a miss path from the cache's pool, for one access or
 // one range: several processes may be accessing one cache at once.
 func (c *Cache) GetMiss() *Miss {
-	n := len(c.missFree)
-	if n == 0 {
-		return &Miss{c: c, call: bus.NewCall(c.fabric, nil)}
+	m := c.misses.Get()
+	if m.c == nil {
+		m.c, m.call = c, bus.NewCall(c.fabric, nil)
 	}
-	m := c.missFree[n-1]
-	c.missFree = c.missFree[:n-1]
 	return m
 }
 
 // PutMiss returns m, with no transfer in flight, to the cache's pool.
-func (c *Cache) PutMiss(m *Miss) { c.missFree = append(c.missFree, m) }
+func (c *Cache) PutMiss(m *Miss) { c.misses.Put(m) }
 
 // Start begins the miss of p's load at addr, or store when store is
 // set, which Hit has just reported: it counts the miss, evicts the
@@ -244,7 +242,7 @@ func (m *Miss) Step() (d sim.Time, filled bool) {
 func (m *Miss) Probe() (sim.Time, bool) { return m.Step() }
 
 // SnoopTx implements bus.Agent: the MOESI snooping side.
-func (c *Cache) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
+func (c *Cache) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop {
 	blk, l := c.frame(tx.Addr)
 	if !l.holds(blk) || !l.state.Valid() {
 		if tx.Kind == bus.WB && c.Snarf && l.holds(blk) {
@@ -313,6 +311,6 @@ func (m *Memory) AgentClass() params.AgentClass { return params.ClassMemory }
 
 // SnoopTx implements bus.Agent. Memory is passive: the fabric routes
 // supply duty to the home when no cache owner responds.
-func (m *Memory) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
+func (m *Memory) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop {
 	return bus.Snoop{}
 }

@@ -223,6 +223,10 @@ type rpcRun struct {
 
 	cCalls, cCompleted, cQueued *sim.Counter
 	cFanout, cHedges, cWins     *sim.Counter
+
+	// drainIdle is the front-ends' idle step, Endpoint.DrainIdle; the
+	// tests swap in the plain drain-and-sleep loop it stands for.
+	drainIdle func(ep *scenario.Endpoint, rule func(now sim.Time, drained int) (sleep, until sim.Time))
 }
 
 // exp draws an exponential variate with the given mean from rng.
@@ -265,6 +269,11 @@ func RunRPC(cfg params.Config, spec RPCSpec, warm, measure sim.Time) (RPCReport,
 // keeps ownership, so trace recorders and counters stay inspectable
 // after the run, and Close is the caller's job.
 func RunRPCOn(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time) (RPCReport, error) {
+	return runRPC(m, spec, warm, measure, (*scenario.Endpoint).DrainIdle)
+}
+
+// runRPC is RunRPCOn with the front-ends' idle step drainIdle.
+func runRPC(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time, drainIdle func(*scenario.Endpoint, func(now sim.Time, drained int) (sleep, until sim.Time))) (RPCReport, error) {
 	if err := spec.Validate(); err != nil {
 		return RPCReport{}, err
 	}
@@ -273,13 +282,14 @@ func RunRPCOn(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time) (RPCRep
 	}
 	start := m.Clock()
 	r := &rpcRun{
-		m:       m,
-		spec:    spec,
-		n:       m.Nodes(),
-		warmEnd: start + warm,
-		endAt:   start + warm + measure,
-		lat:     m.Stats().Histogram("rpc.latency"),
-		strag:   m.Stats().Histogram("rpc.straggler"),
+		m:         m,
+		spec:      spec,
+		n:         m.Nodes(),
+		warmEnd:   start + warm,
+		endAt:     start + warm + measure,
+		lat:       m.Stats().Histogram("rpc.latency"),
+		strag:     m.Stats().Histogram("rpc.straggler"),
+		drainIdle: drainIdle,
 	}
 	st := m.Stats()
 	r.cCalls = st.Counter("rpc.calls")
@@ -300,10 +310,9 @@ func RunRPCOn(m *scenario.Machine, spec RPCSpec, warm, measure sim.Time) (RPCRep
 		r.nodes = append(r.nodes, nd)
 		set := sets[id]
 		r.installHandlers(id)
-		self := id
 		sc.At(id, func(ep *scenario.Endpoint) {
 			nd.pop = set.Population(float64(spec.ThinkCycles), nd.rng, ep.Clock())
-			r.frontEndLoop(ep, nd, self)
+			r.frontEndLoop(ep, nd)
 		})
 	}
 	m.RunUntil(sc, r.endAt)
@@ -501,7 +510,17 @@ func (r *rpcRun) fireHedges(ep *scenario.Endpoint, nd *rpcNode) bool {
 
 // frontEndLoop is one node's main program: admit client arrivals,
 // fire due hedges, and serve traffic until the horizon.
-func (r *rpcRun) frontEndLoop(ep *scenario.Endpoint, nd *rpcNode, self int) {
+func (r *rpcRun) frontEndLoop(ep *scenario.Endpoint, nd *rpcNode) {
+	// After a drain that dispatched nothing the loop sleeps until the
+	// next arrival or hedge deadline, at most a quantum, and drains
+	// again while neither is due.
+	rule := func(now sim.Time, drained int) (sim.Time, sim.Time) {
+		until := min(nd.pop.NextAt(), r.endAt)
+		if nd.hedgeAt < len(nd.hedgeQ) {
+			until = min(until, nd.hedgeQ[nd.hedgeAt].deadline)
+		}
+		return idleWait(nd, now, drained), until
+	}
 	for ep.Clock() < r.endAt {
 		progress := false
 		for b := 0; b < rpcIssueBatch && nd.pop.NextAt() <= ep.Clock(); b++ {
@@ -521,35 +540,42 @@ func (r *rpcRun) frontEndLoop(ep *scenario.Endpoint, nd *rpcNode, self int) {
 		if r.fireHedges(ep, nd) {
 			progress = true
 		}
-		if ep.Drain() > 0 {
-			progress = true
+		if progress {
+			ep.Drain()
+		} else {
+			r.drainIdle(ep, rule)
 		}
-		// Backfill overload-queued arrivals freed up by completions the
-		// drain just dispatched (issuing never nests inside a handler).
+		// Backfill overload-queued arrivals freed up by completions a
+		// drain dispatched (issuing never nests inside a handler). With
+		// nothing issued or hedged, only the idle step's drains can
+		// have dispatched one.
 		for nd.inflight < r.spec.MaxInflight && nd.queued.Len() > 0 {
 			qc := nd.queued.Pop()
 			r.issueCall(ep, nd, qc.weight, qc.start)
-			progress = true
-		}
-		if progress {
-			continue
-		}
-		// An arrival that came due during the drain (next <= now) gets
-		// the full quantum, so it is admitted up to rpcPollQuantum late,
-		// as in the workload generators' closed loop. Every reference
-		// digest and golden holds this overrun, so its fix waits for the
-		// next deliberate regeneration of them.
-		wait := sim.Time(rpcPollQuantum)
-		if next := nd.pop.NextAt(); next > ep.Clock() && next-ep.Clock() < wait {
-			wait = next - ep.Clock()
-		}
-		if nd.hedgeAt < len(nd.hedgeQ) {
-			if d := nd.hedgeQ[nd.hedgeAt].deadline - ep.Clock(); d > 0 && d < wait {
-				wait = d
-			}
-		}
-		if wait > 0 {
-			ep.Sleep(wait)
 		}
 	}
+}
+
+// idleWait is a front-end's sleep after a drain that ends at now having
+// consumed drained messages: none when the drain dispatched something,
+// else up to the next arrival or hedge deadline, capped at
+// rpcPollQuantum. An arrival that came due during the drain (next <=
+// now) gets the full quantum, so it is admitted up to rpcPollQuantum
+// late, as in the workload generators' closed loop. Every reference
+// digest and golden holds this overrun, so its fix waits for the next
+// deliberate regeneration of them.
+func idleWait(nd *rpcNode, now sim.Time, drained int) sim.Time {
+	if drained > 0 {
+		return 0
+	}
+	wait := sim.Time(rpcPollQuantum)
+	if next := nd.pop.NextAt(); next > now && next-now < wait {
+		wait = next - now
+	}
+	if nd.hedgeAt < len(nd.hedgeQ) {
+		if d := nd.hedgeQ[nd.hedgeAt].deadline - now; d > 0 && d < wait {
+			wait = d
+		}
+	}
+	return wait
 }

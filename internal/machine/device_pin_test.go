@@ -155,7 +155,7 @@ func runPinCell(t *testing.T, c pinCell) string {
 	bytes := make([]int, n)
 	for id, nd := range m.Nodes {
 		id := id
-		nd.Msgr.Register(h, func(ctx *msg.Context) {
+		nd.Msgr.Register(h, func(ctx msg.Context) {
 			got[id]++
 			bytes[id] += ctx.Size
 		})

@@ -163,13 +163,9 @@ func New(cfg params.Config) *Machine {
 	// the owning messenger's engine, so a pool spans exactly the nodes
 	// of one shard (engines run concurrently within an epoch and must
 	// never race on a pool).
-	pools := make([]*msg.FramePool, shards.Shards())
+	pools := make([]sim.Pool[network.Msg], shards.Shards())
 	for id, n := range m.Nodes {
-		si := shards.ShardOf(id)
-		if pools[si] == nil {
-			pools[si] = &msg.FramePool{}
-		}
-		n.Msgr.ShareFramePool(pools[si])
+		n.Msgr.ShareFramePool(&pools[shards.ShardOf(id)])
 	}
 	if cfg.Trace.SampleEvery > 0 {
 		m.Smp = &trace.Sampler{}

@@ -23,10 +23,11 @@ func pingPong(t *testing.T, cfg params.Config, size, rounds int) sim.Time {
 		hPong = 2
 	)
 	gotPong := 0
-	m.Nodes[1].Msgr.Register(hPing, func(ctx *msg.Context) {
-		ctx.M.Send(ctx.P, ctx.Src, hPong, ctx.Size, nil)
+	pong := m.Nodes[1].Msgr
+	m.Nodes[1].Msgr.Register(hPing, func(ctx msg.Context) {
+		pong.Send(ctx.P, ctx.Src, hPong, ctx.Size, nil)
 	})
-	m.Nodes[0].Msgr.Register(hPong, func(ctx *msg.Context) {
+	m.Nodes[0].Msgr.Register(hPong, func(ctx msg.Context) {
 		gotPong++
 	})
 
@@ -129,7 +130,7 @@ func TestManyNodesAllToOne(t *testing.T) {
 	const per = 8
 	got := 0
 	for _, n := range m.Nodes {
-		n.Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+		n.Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	}
 	for id := 1; id < cfg.Nodes; id++ {
 		m.Spawn(id, func(p *sim.Process, n *Node) {
@@ -155,8 +156,8 @@ func TestNI2wSmallFIFOBackpressure(t *testing.T) {
 	defer m.Stop()
 	const hMsg = 1
 	got := 0
-	m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
-	m.Nodes[0].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
+	m.Nodes[0].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	const burst = 20
 	m.Spawn(0, func(p *sim.Process, n *Node) {
 		for i := 0; i < burst; i++ {
@@ -181,7 +182,7 @@ func TestStatsOccupancyNonzero(t *testing.T) {
 	defer m.Stop()
 	const hMsg = 1
 	got := 0
-	m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	m.Spawn(0, func(p *sim.Process, n *Node) { n.Msgr.Send(p, 1, hMsg, 64, nil) })
 	m.Spawn(1, func(p *sim.Process, n *Node) {
 		n.Msgr.PollUntil(p, func() bool { return got == 1 })
@@ -203,7 +204,7 @@ func TestDeterministicRuns(t *testing.T) {
 		const hMsg = 1
 		got := 0
 		for _, n := range m.Nodes {
-			n.Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+			n.Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 		}
 		for id := 1; id < 3; id++ {
 			m.Spawn(id, func(p *sim.Process, n *Node) {
@@ -286,7 +287,7 @@ func TestShardScheduledSumsEngines(t *testing.T) {
 			m.Spawn(id, func(p *sim.Process, n *Node) {
 				n.Msgr.Send(p, (id+1)%c.nodes, 1, 64, nil)
 			})
-			m.Nodes[id].Msgr.Register(1, func(*msg.Context) {})
+			m.Nodes[id].Msgr.Register(1, func(msg.Context) {})
 		}
 		m.Run(20_000)
 		var sum uint64

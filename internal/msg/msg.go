@@ -32,10 +32,8 @@ const (
 
 // Context is what an active-message handler receives.
 type Context struct {
-	P   *sim.Process
-	CPU *proc.CPU
-	M   *Messenger
-	Src int // sending node
+	P   *sim.Process // the receiving process, which a handler may reply on
+	Src int          // sending node
 	// Size is the full user-message payload size in bytes.
 	Size int
 	// Payload is the logical content the sender attached.
@@ -46,8 +44,9 @@ type Context struct {
 }
 
 // Handler is an active-message handler, run on the receiving node's
-// process during a Poll.
-type Handler func(ctx *Context)
+// process during a Poll. ctx comes by value: a pointer would escape
+// through the call and cost every user message a heap box.
+type Handler func(ctx Context)
 
 // partialKey identifies an in-reassembly user message.
 type partialKey struct {
@@ -100,19 +99,18 @@ type Messenger struct {
 	// poll). Nil otherwise.
 	quiet nic.CachedPoll
 
-	// Free lists for the per-message boxes that escape through
-	// interface calls (frames through nic.NI, contexts through
-	// Handler): without them every user message costs several heap
+	// Pools for the per-message boxes that escape: frames through
+	// nic.NI, partials into the reassembly map, quietSpins into the
+	// engine. Without them every user message costs several heap
 	// allocations, which the steady-state alloc pin forbids. Frames
 	// are pooled only on the fault-free path — with the transport on,
 	// an admitted frame lives in retransmit buffers past delivery and
-	// must stay heap-owned. Contexts and partials never outlive accept
-	// and pool unconditionally; free lists (not single slots) keep
-	// nested dispatch from a draining handler safe.
-	frames      *FramePool
-	partialFree []*partial
-	ctxFree     []*Context
-	spinFree    []*quietSpin
+	// must stay heap-owned. Partials never outlive accept and pool
+	// unconditionally; pools (not single slots) keep nested dispatch
+	// from a draining handler safe.
+	frames   *sim.Pool[network.Msg]
+	partials sim.Pool[partial]
+	spins    sim.Pool[quietSpin]
 
 	// rec is the lifecycle recorder, nil unless the machine's trace
 	// configuration activates it (params.Trace.Active). Hooks behind
@@ -133,7 +131,7 @@ func New(node int, cpu *proc.CPU, ni nic.NI, st *sim.Stats, bufAddr uint64, f pa
 		handlers:   make(map[int]Handler),
 		partial:    make(map[partialKey]*partial),
 		bufAddr:    bufAddr,
-		frames:     &FramePool{},
+		frames:     &sim.Pool[network.Msg]{},
 		sendBlocks: st.Counter(prefix + ".send.block"),
 		swBuffered: st.Counter(prefix + ".swbuffered"),
 	}
@@ -218,7 +216,7 @@ func (ms *Messenger) sendFrags(p *sim.Process, dst, handler, size int, payload a
 		if f == frags-1 {
 			fsize = size - f*params.MaxPayloadBytes
 		}
-		m := ms.getMsg()
+		m := ms.frames.Get()
 		*m = network.Msg{
 			Src:        ms.node,
 			Dst:        dst,
@@ -350,29 +348,13 @@ func (ms *Messenger) poll(p *sim.Process, from pollPoint) bool {
 	return true
 }
 
-// FramePool recycles network frame boxes across the messengers that
-// share it. Exactly one engine may touch a pool: serial machines
-// share one pool machine-wide (frames retire at the receiver, so
-// per-node pools would drain at every sender while a hotspot sink
-// hoards them), and sharded machines keep one pool per node so
-// concurrent shard engines never race on it.
-type FramePool struct{ free []*network.Msg }
-
-// ShareFramePool points the messenger at a shared pool; call before
-// any traffic.
-func (ms *Messenger) ShareFramePool(fp *FramePool) { ms.frames = fp }
-
-// getMsg pops a recycled frame box, or allocates one on a cold pool.
-func (ms *Messenger) getMsg() *network.Msg {
-	fp := ms.frames
-	n := len(fp.free)
-	if n == 0 {
-		return new(network.Msg)
-	}
-	m := fp.free[n-1]
-	fp.free = fp.free[:n-1]
-	return m
-}
+// ShareFramePool points the messenger at a frame pool shared with
+// other messengers; call before any traffic. Exactly one engine may
+// touch a pool: serial machines share one pool machine-wide (frames
+// retire at the receiver, so per-node pools would drain at every
+// sender while a hotspot sink hoards them), and sharded machines keep
+// one pool per shard so concurrent shard engines never race on it.
+func (ms *Messenger) ShareFramePool(fp *sim.Pool[network.Msg]) { ms.frames = fp }
 
 // putMsg recycles a dead frame. A fault-injected duplicate copy goes
 // back to the fabric's pool. With the reliable transport active other
@@ -387,7 +369,7 @@ func (ms *Messenger) putMsg(m *network.Msg) {
 		return
 	}
 	m.Payload = nil // don't pin user payloads while pooled
-	ms.frames.free = append(ms.frames.free, m)
+	ms.frames.Put(m)
 }
 
 // relDeliver runs a data frame through the receive-side transport:
@@ -413,12 +395,7 @@ func (ms *Messenger) accept(p *sim.Process, m *network.Msg) {
 	k := partialKey{m.Src, m.ID}
 	pa, ok := ms.partial[k]
 	if !ok {
-		if n := len(ms.partialFree); n > 0 {
-			pa = ms.partialFree[n-1]
-			ms.partialFree = ms.partialFree[:n-1]
-		} else {
-			pa = new(partial)
-		}
+		pa = ms.partials.Get()
 		*pa = partial{total: m.FragTotal, handler: m.Handler, payload: m.Payload, stamp: m.Stamp, size: m.TotalBytes}
 		ms.partial[k] = pa
 	}
@@ -437,29 +414,9 @@ func (ms *Messenger) accept(p *sim.Process, m *network.Msg) {
 	}
 	src, size, payload, stamp := m.Src, pa.size, pa.payload, pa.stamp
 	pa.payload = nil
-	ms.partialFree = append(ms.partialFree, pa)
+	ms.partials.Put(pa)
 	ms.cpu.Compute(p, DispatchCycles)
-	ctx := ms.getCtx()
-	*ctx = Context{P: p, CPU: ms.cpu, M: ms, Src: src, Size: size, Payload: payload, Stamp: stamp}
-	h(ctx)
-	ms.putCtx(ctx)
-}
-
-// getCtx/putCtx recycle dispatch contexts. A Context is valid only
-// for the duration of the handler call; handlers copy what they keep.
-func (ms *Messenger) getCtx() *Context {
-	n := len(ms.ctxFree)
-	if n == 0 {
-		return new(Context)
-	}
-	c := ms.ctxFree[n-1]
-	ms.ctxFree = ms.ctxFree[:n-1]
-	return c
-}
-
-func (ms *Messenger) putCtx(c *Context) {
-	c.Payload = nil
-	ms.ctxFree = append(ms.ctxFree, c)
+	h(Context{P: p, Src: src, Size: size, Payload: payload, Stamp: stamp})
 }
 
 // PollUntil polls until pred is true, advancing simulated time each
@@ -598,23 +555,17 @@ func (s *quietSpin) Probe() (sim.Time, bool) {
 	return d, false
 }
 
-// getSpin/putSpin recycle quietSpins, like getCtx/putCtx.
+// getSpin/putSpin recycle quietSpins.
 func (ms *Messenger) getSpin(p *sim.Process) *quietSpin {
-	var s *quietSpin
-	if n := len(ms.spinFree); n > 0 {
-		s = ms.spinFree[n-1]
-		ms.spinFree = ms.spinFree[:n-1]
-	} else {
-		s = &quietSpin{ms: ms}
-	}
-	s.p = p
+	s := ms.spins.Get()
+	s.ms, s.p = ms, p
 	return s
 }
 
 func (ms *Messenger) putSpin(s *quietSpin) {
 	// Don't pin the caller's process or closures while pooled.
 	s.p, s.pred, s.rule = nil, nil, nil
-	ms.spinFree = append(ms.spinFree, s)
+	ms.spins.Put(s)
 }
 
 // DrainAvailable dispatches everything currently available without

@@ -27,7 +27,7 @@ func TestFragmentationCounts(t *testing.T) {
 		m := twoNode(t)
 		const h = 100
 		got := 0
-		m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) {
+		m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) {
 			got++
 			if ctx.Size != size {
 				t.Errorf("size %d: handler saw %d", size, ctx.Size)
@@ -52,7 +52,7 @@ func TestPayloadDelivered(t *testing.T) {
 	m := twoNode(t)
 	const h = 100
 	var got any
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { got = ctx.Payload })
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { got = ctx.Payload })
 	m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 		n.Msgr.Send(p, 1, h, 32, "hello")
 	})
@@ -70,7 +70,7 @@ func TestHandlerSeesSource(t *testing.T) {
 	m := machine.New(params.Config{Nodes: 3, NI: params.CNI512Q, Bus: params.MemoryBus})
 	const h = 100
 	var srcs []int
-	m.Nodes[0].Msgr.Register(h, func(ctx *msg.Context) { srcs = append(srcs, ctx.Src) })
+	m.Nodes[0].Msgr.Register(h, func(ctx msg.Context) { srcs = append(srcs, ctx.Src) })
 	for id := 1; id <= 2; id++ {
 		m.Spawn(id, func(p *sim.Process, n *machine.Node) {
 			n.Msgr.Send(p, 0, h, 16, nil)
@@ -127,7 +127,7 @@ func TestInterleavedSendersReassembleCorrectly(t *testing.T) {
 	m := machine.New(params.Config{Nodes: 3, NI: params.CNI512Q, Bus: params.MemoryBus})
 	const h = 100
 	var sizes []int
-	m.Nodes[0].Msgr.Register(h, func(ctx *msg.Context) { sizes = append(sizes, ctx.Size) })
+	m.Nodes[0].Msgr.Register(h, func(ctx msg.Context) { sizes = append(sizes, ctx.Size) })
 	const per = 5
 	for id := 1; id <= 2; id++ {
 		id := id
@@ -155,7 +155,7 @@ func TestDrainAvailable(t *testing.T) {
 	m := twoNode(t)
 	const h = 100
 	got := 0
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { got++ })
 	m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 		for i := 0; i < 6; i++ {
 			n.Msgr.Send(p, 1, h, 32, nil)
@@ -176,7 +176,7 @@ func TestSentReceivedCounters(t *testing.T) {
 	m := twoNode(t)
 	const h = 100
 	got := 0
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { got++ })
 	m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 		for i := 0; i < 3; i++ {
 			n.Msgr.Send(p, 1, h, 16, nil)
@@ -203,7 +203,7 @@ func TestTrySendMultiFragment(t *testing.T) {
 	m := twoNode(t)
 	const h = 100
 	got := 0
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) {
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) {
 		got++
 		if ctx.Size != 1024 {
 			t.Errorf("handler saw size %d, want 1024", ctx.Size)

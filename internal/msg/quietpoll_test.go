@@ -31,7 +31,7 @@ func TestQuietPollTwoPollers(t *testing.T) {
 		const h, msgs = 100, 5
 		got, flag := 0, false
 		var doneA, doneB sim.Time
-		m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { got++ })
+		m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { got++ })
 		m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 			n.CPU.Compute(p, 3000)
 			for i := 0; i < msgs; i++ {

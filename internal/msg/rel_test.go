@@ -27,7 +27,7 @@ func runRelPair(t *testing.T, f params.Faults, horizon sim.Time) ([]int, *machin
 	})
 	const h = 100
 	var order []int
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { order = append(order, ctx.Payload.(int)) })
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { order = append(order, ctx.Payload.(int)) })
 	m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 		for i := 0; i < relTestMsgs; i++ {
 			n.Msgr.Send(p, 1, h, 32, i)
@@ -165,7 +165,7 @@ func TestFaultTransportTrySendRefusalLeavesNoGap(t *testing.T) {
 	})
 	const h = 100
 	var order []int
-	m.Nodes[1].Msgr.Register(h, func(ctx *msg.Context) { order = append(order, ctx.Payload.(int)) })
+	m.Nodes[1].Msgr.Register(h, func(ctx msg.Context) { order = append(order, ctx.Payload.(int)) })
 	accepted := 0
 	m.Spawn(0, func(p *sim.Process, n *machine.Node) {
 		for i := 0; i < 40; i++ {

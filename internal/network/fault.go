@@ -22,7 +22,7 @@ func (ep *endpoints) AttachFaults(in *fault.Injector) {
 	ep.inj = in
 	ep.pauseWake = make([]bool, ep.n)
 	ep.late = make([]sim.TimedFIFO[*Msg], ep.n)
-	ep.dups = make([][]*Msg, ep.n)
+	ep.dups = make([]sim.Pool[Msg], ep.n)
 	ep.lateFns = make([]func(), ep.n)
 	for dst := range ep.lateFns {
 		ep.lateFns[dst] = func() {
@@ -89,13 +89,7 @@ func (ep *endpoints) passFaults(m *Msg) bool {
 // pool; the copy's consumer returns it with FreeDup.
 func (ep *endpoints) dupOf(m *Msg) *Msg {
 	pool := &ep.dups[m.Dst]
-	var d *Msg
-	if n := len(*pool); n > 0 {
-		d = (*pool)[n-1]
-		*pool = (*pool)[:n-1]
-	} else {
-		d = new(Msg)
-	}
+	d := pool.Get()
 	*d = *m
 	d.Dup, d.pool = true, pool
 	return d
@@ -108,7 +102,7 @@ func (ep *endpoints) dupOf(m *Msg) *Msg {
 func FreeDup(m *Msg) {
 	if pool := m.pool; pool != nil {
 		*m = Msg{}
-		*pool = append(*pool, m)
+		pool.Put(m)
 	}
 }
 

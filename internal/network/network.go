@@ -76,7 +76,7 @@ type Msg struct {
 	Dup bool
 	// pool is the per-destination pool a duplicate copy was drawn from
 	// (FreeDup), nil on every other frame.
-	pool *[]*Msg
+	pool *sim.Pool[Msg]
 
 	// xkey is the sharded engine's deterministic merge tiebreak,
 	// assigned per admission (sharded machines only): the source node
@@ -161,7 +161,7 @@ var (
 // window is one (src,dst) pair's sliding-window state. It exists only
 // while the pair has messages in flight or senders waiting: admit
 // opens it on first use and the credit that leaves it idle releases it
-// to the source's free list.
+// to the source's pool.
 type window struct {
 	inFlight int32 // unacked messages
 	src, dst int32
@@ -220,7 +220,7 @@ type endpoints struct {
 	lateFns []func()
 	// dups[dst] pools duplicate copies bound for dst (fault mode only);
 	// dst's messaging layer frees them (FreeDup).
-	dups [][]*Msg
+	dups []sim.Pool[Msg]
 
 	// sh is the sharded engine coordinator, nil on serial machines —
 	// the serial path pays one nil check per hook site and is

@@ -94,7 +94,7 @@ func (n *cni4) recvBlock(b int) uint64 {
 // regions: it tracks processor copies of the receive CDR (so the pop
 // handshake knows what to invalidate) and observes the processor
 // taking ownership of send CDR blocks.
-func (n *cni4) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
+func (n *cni4) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop {
 	for b := 0; b < params.BlocksPerNetMsg; b++ {
 		if tx.Addr == n.recvBlock(b) {
 			switch tx.Kind {

@@ -202,7 +202,7 @@ func (n *cniq) inRegion(addr uint64) bool {
 
 // SnoopTx implements bus.Agent: coherence is how the device watches
 // the processor (virtual polling) and vice versa.
-func (n *cniq) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop {
+func (n *cniq) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop {
 	if !n.inRegion(tx.Addr) {
 		return bus.Snoop{}
 	}

@@ -83,7 +83,7 @@ func (c *devCache) ensure(addr uint64) (victim uint64, dirtyEvict bool) {
 }
 
 // snoopDevCache is the MOESI snooping side of the device cache.
-func (n *cniq) snoopDevCache(tx *bus.Tx) bus.Snoop {
+func (n *cniq) snoopDevCache(tx bus.Tx) bus.Snoop {
 	st := n.dc.stateOf(tx.Addr)
 	if !st.Valid() {
 		return bus.Snoop{}

@@ -79,7 +79,7 @@ func (n *dmaNI) AgentClass() params.AgentClass { return params.ClassDevice }
 
 // SnoopTx implements bus.Agent: the DMA engine holds no cachable
 // state; its transfers are explicit bus transactions.
-func (n *dmaNI) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
+func (n *dmaNI) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 
 // RegRead implements bus.Device.
 func (n *dmaNI) RegRead(reg uint64) uint64 {

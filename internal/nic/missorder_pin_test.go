@@ -92,7 +92,7 @@ func streamBoth(m *machine.Machine, n int, sizes []int, log func(*sim.Process, s
 	for id := range m.Nodes {
 		id := id
 		nd := m.Nodes[id]
-		nd.Msgr.Register(h, func(ctx *msg.Context) {
+		nd.Msgr.Register(h, func(ctx msg.Context) {
 			got[id]++
 			log(ctx.P, fmt.Sprintf("recv %d B", ctx.Size))
 		})

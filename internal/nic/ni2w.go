@@ -43,7 +43,7 @@ func (n *ni2w) AgentName() string { return n.name }
 func (n *ni2w) AgentClass() params.AgentClass { return params.ClassDevice }
 
 // SnoopTx implements bus.Agent; NI2w holds no cachable state.
-func (n *ni2w) SnoopTx(tx *bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
+func (n *ni2w) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 
 // RegRead implements bus.Device.
 func (n *ni2w) RegRead(reg uint64) uint64 {

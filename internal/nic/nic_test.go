@@ -16,8 +16,8 @@ func sendN(t *testing.T, cfg params.Config, n, size int) *machine.Machine {
 	m := machine.New(cfg)
 	const hMsg = 1
 	got := 0
-	m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
-	m.Nodes[0].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
+	m.Nodes[0].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
 		for i := 0; i < n; i++ {
 			nd.Msgr.Send(p, 1, hMsg, size, nil)
@@ -151,7 +151,7 @@ func TestQmOverflowWritesBack(t *testing.T) {
 	m := machine.New(cfg)
 	const hMsg = 1
 	got := 0
-	m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	const burst = 12
 	m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
 		for i := 0; i < burst; i++ {
@@ -181,7 +181,7 @@ func TestQmNoBackpressureUnderBurst(t *testing.T) {
 		m := machine.New(cfg)
 		const hMsg = 1
 		got := 0
-		m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+		m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 		const burst = 12
 		m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
 			for i := 0; i < burst; i++ {
@@ -215,7 +215,7 @@ func TestSnarfingReducesReceiverMisses(t *testing.T) {
 		m := machine.New(cfg)
 		const hMsg = 1
 		got := 0
-		m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+		m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 		const nmsg = 160
 		m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
 			for i := 0; i < nmsg; i++ {
@@ -285,7 +285,7 @@ func TestQueueSizeOverride(t *testing.T) {
 	m := machine.New(cfg)
 	const hMsg = 1
 	got := 0
-	m.Nodes[1].Msgr.Register(hMsg, func(ctx *msg.Context) { got++ })
+	m.Nodes[1].Msgr.Register(hMsg, func(ctx msg.Context) { got++ })
 	m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
 		for i := 0; i < 12; i++ {
 			nd.Msgr.Send(p, 1, hMsg, 244, nil)

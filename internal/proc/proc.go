@@ -39,8 +39,10 @@ type CPU struct {
 	sb               *bus.Call
 	drainFn, retired func()
 
-	runFree  []*wordRun // wordRuns no range is using (getRun)
-	loadFree []*loadRun // loadRuns no uncached load is using
+	// Several processes may be in a range or an uncached load on one
+	// CPU at once, so each takes its own run from these pools.
+	runs  sim.Pool[wordRun]
+	loads sim.Pool[loadRun]
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
@@ -98,28 +100,15 @@ func (c *CPU) StoreRange(p *sim.Process, addr uint64, bytes int) {
 // miss's bus transactions as driven steps, so the process resumes once,
 // at the end of the range.
 func (c *CPU) wordRange(p *sim.Process, addr uint64, bytes int, store bool) {
-	r := c.getRun()
-	r.p, r.addr, r.end, r.store = p, addr, addr+uint64(max(bytes, 0)), store
+	r := c.runs.Get()
+	r.cache, r.p, r.addr, r.end, r.store = c.cache, p, addr, addr+uint64(max(bytes, 0)), store
 	r.miss = c.cache.GetMiss()
 	if d, done := r.next(); !done {
 		p.Spin(d, r)
 	}
 	c.cache.PutMiss(r.miss)
 	r.p, r.miss = nil, nil
-	c.runFree = append(c.runFree, r)
-}
-
-// getRun takes a wordRun from the CPU's pool: several processes may be
-// in a range on one CPU at once, so each range gets its own, and its
-// miss path from the cache's.
-func (c *CPU) getRun() *wordRun {
-	n := len(c.runFree)
-	if n == 0 {
-		return &wordRun{cache: c.cache}
-	}
-	r := c.runFree[n-1]
-	c.runFree = c.runFree[:n-1]
-	return r
+	c.runs.Put(r)
 }
 
 // wordRun runs the words of one range as engine probes
@@ -172,11 +161,9 @@ func (r *wordRun) next() (sim.Time, bool) {
 // per later load that finds the buffer holding another process's
 // stores, which the process then drains itself.
 func (c *CPU) UncachedLoad(p *sim.Process, dev bus.Device, reg uint64, n int) uint64 {
-	var r *loadRun
-	if k := len(c.loadFree); k > 0 {
-		r, c.loadFree = c.loadFree[k-1], c.loadFree[:k-1]
-	} else {
-		r = &loadRun{cpu: c, call: bus.NewCall(c.fab, nil)}
+	r := c.loads.Get()
+	if r.cpu == nil {
+		r.cpu, r.call = c, bus.NewCall(c.fab, nil)
 	}
 	r.p, r.dev, r.reg, r.left = p, dev, reg, n
 	for r.left > 0 {
@@ -185,7 +172,7 @@ func (c *CPU) UncachedLoad(p *sim.Process, dev bus.Device, reg uint64, n int) ui
 	}
 	v := r.val
 	r.p, r.dev = nil, nil
-	c.loadFree = append(c.loadFree, r)
+	c.loads.Put(r)
 	return v
 }
 

@@ -16,10 +16,10 @@ type echoDev struct {
 	writes []sim.Time
 }
 
-func (d *echoDev) AgentName() string                    { return "dev" }
-func (d *echoDev) AgentClass() params.AgentClass        { return params.ClassDevice }
-func (d *echoDev) SnoopTx(tx *bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
-func (d *echoDev) RegRead(reg uint64) uint64            { return d.regs[reg] }
+func (d *echoDev) AgentName() string                   { return "dev" }
+func (d *echoDev) AgentClass() params.AgentClass       { return params.ClassDevice }
+func (d *echoDev) SnoopTx(tx bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
+func (d *echoDev) RegRead(reg uint64) uint64           { return d.regs[reg] }
 func (d *echoDev) RegWrite(reg, val uint64) {
 	d.regs[reg] = val
 	d.writes = append(d.writes, d.eng.Now())

@@ -263,11 +263,11 @@ func TestRangeProbesZeroAlloc(t *testing.T) {
 // return 0 and writes are dropped, so touching it allocates nothing.
 type regDev struct{}
 
-func (regDev) AgentName() string                    { return "regdev" }
-func (regDev) AgentClass() params.AgentClass        { return params.ClassDevice }
-func (regDev) SnoopTx(tx *bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
-func (regDev) RegRead(reg uint64) uint64            { return 0 }
-func (regDev) RegWrite(reg, val uint64)             {}
+func (regDev) AgentName() string                   { return "regdev" }
+func (regDev) AgentClass() params.AgentClass       { return params.ClassDevice }
+func (regDev) SnoopTx(tx bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
+func (regDev) RegRead(reg uint64) uint64           { return 0 }
+func (regDev) RegWrite(reg, val uint64)            {}
 
 // TestUncachedLoadZeroAlloc pins steady-state uncached loads — two
 // processes on one CPU loading a device register, queued for the bus

@@ -65,11 +65,10 @@ type Endpoint struct {
 	// allocates nothing per call.
 	inboxReady func() bool
 
-	// dlvFree recycles Delivery boxes, which escape through the
-	// Handler interface — one per dispatched user message otherwise.
-	// A free list (not a single slot) keeps a handler that drains
-	// nested deliveries safe.
-	dlvFree []*Delivery
+	// dlvs recycles Delivery boxes, which escape through the Handler
+	// call — one per dispatched user message otherwise. A pool (not a
+	// single slot) keeps a handler that drains nested deliveries safe.
+	dlvs sim.Pool[Delivery]
 }
 
 // ID returns the node id.
@@ -93,18 +92,12 @@ func (ep *Endpoint) Handle(id int, h Handler) {
 	if id == inboxHandler {
 		panic(fmt.Sprintf("scenario: handler id %d is reserved for the endpoint inbox", inboxHandler))
 	}
-	ep.node.Msgr.Register(id, func(c *msg.Context) {
-		var d *Delivery
-		if n := len(ep.dlvFree); n > 0 {
-			d = ep.dlvFree[n-1]
-			ep.dlvFree = ep.dlvFree[:n-1]
-		} else {
-			d = new(Delivery)
-		}
+	ep.node.Msgr.Register(id, func(c msg.Context) {
+		d := ep.dlvs.Get()
 		*d = Delivery{EP: ep, Src: c.Src, Size: c.Size, Payload: c.Payload, Stamp: c.Stamp}
 		h(d)
 		d.Payload = nil
-		ep.dlvFree = append(ep.dlvFree, d)
+		ep.dlvs.Put(d)
 	})
 }
 

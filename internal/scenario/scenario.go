@@ -48,7 +48,7 @@ func Build(cfg params.Config) (*Machine, error) {
 		ep.inboxReady = func() bool { return ep.inbox.Len() > 0 }
 		// The inbox handler backs Endpoint.Recv; registration is free
 		// in simulated time and inert until someone sends to the inbox.
-		n.Msgr.Register(inboxHandler, func(c *msg.Context) {
+		n.Msgr.Register(inboxHandler, func(c msg.Context) {
 			ep.inbox.Push(Message{Src: c.Src, Size: c.Size, Payload: c.Payload})
 		})
 		sm.eps = append(sm.eps, ep)

@@ -7,7 +7,7 @@ import "iter"
 // memory instead of a slot for every node in the machine. A slice of
 // PeerSlots indexed by source node is a sparse (src, dst) table.
 //
-// It is a small open-addressed table keyed by peer id, plus a free list
+// It is a small open-addressed table keyed by peer id, plus a Pool
 // that recycles released slots. A slot is a stable *T from Acquire
 // until Release; a recycled slot keeps whatever its previous user left
 // in it (an idle queue's backing array, a prebuilt callback), so
@@ -19,7 +19,7 @@ type PeerSlots[T any] struct {
 	// half full.
 	buckets []peerBucket[T]
 	live    int
-	free    []*T
+	free    Pool[T]
 }
 
 // peerBucket holds one live slot; key is the peer id plus one, and 0
@@ -76,14 +76,7 @@ func (s *PeerSlots[T]) Acquire(peer int) *T {
 	if i := s.find(key); i >= 0 {
 		return s.buckets[i].slot
 	}
-	var slot *T
-	if k := len(s.free); k > 0 {
-		slot = s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-	} else {
-		slot = new(T)
-	}
+	slot := s.free.Get()
 	if 2*(s.live+1) > len(s.buckets) {
 		old := s.buckets
 		s.buckets = make([]peerBucket[T], max(4, 2*len(old)))
@@ -98,7 +91,7 @@ func (s *PeerSlots[T]) Acquire(peer int) *T {
 	return slot
 }
 
-// Release ends peer's slot and keeps it on the free list. The caller
+// Release ends peer's slot and keeps it in the pool. The caller
 // must leave the slot idle: the next Acquire, for any peer, may return
 // it unchanged.
 func (s *PeerSlots[T]) Release(peer int) {
@@ -106,7 +99,7 @@ func (s *PeerSlots[T]) Release(peer int) {
 	if i < 0 {
 		return
 	}
-	s.free = append(s.free, s.buckets[i].slot)
+	s.free.Put(s.buckets[i].slot)
 	// Shift later entries of the probe run back into the hole, so every
 	// remaining key stays reachable from its home bucket. The entry at
 	// j may fill the hole at i unless its home lies cyclically in (i, j].

@@ -95,7 +95,7 @@ type ShardSet struct {
 	inboxes [][]CrossEvent
 	// free[dstShard] pools xfire carriers: the coordinator pops at
 	// barriers, the shard's dispatch pushes back mid-epoch.
-	free [][]*xfire
+	free []Pool[xfire]
 
 	// Epoch workers (started lazily, only when more than one shard).
 	workers bool
@@ -126,7 +126,7 @@ func NewShardSet(nodes, shards int, lookahead Time) *ShardSet {
 		engines:   make([]*Engine, shards),
 		shardOf:   make([]int32, nodes),
 		inboxes:   make([][]CrossEvent, shards),
-		free:      make([][]*xfire, shards),
+		free:      make([]Pool[xfire], shards),
 	}
 	for i := range s.engines {
 		s.engines[i] = NewEngine()
@@ -198,12 +198,9 @@ func (s *ShardSet) collect() {
 	for i := range s.inboxes {
 		for _, ev := range s.inboxes[i] {
 			d := int(s.shardOf[ev.Node])
-			var x *xfire
-			if n := len(s.free[d]); n > 0 {
-				x = s.free[d][n-1]
-				s.free[d] = s.free[d][:n-1]
-			} else {
-				x = s.newCarrier(d)
+			x := s.free[d].Get()
+			if x.fn == nil {
+				s.bindCarrier(x, d)
 			}
 			x.ev = ev
 			s.engines[d].pushCross(ev.At, class1Base+ev.Key, x.fn)
@@ -212,18 +209,16 @@ func (s *ShardSet) collect() {
 	}
 }
 
-// newCarrier builds a carrier for destination shard d whose closure
-// returns it to d's free list after dispatch. It is a method, not
+// bindCarrier gives a new carrier for destination shard d the closure
+// that returns it to d's pool after dispatch. It is a method, not
 // inline in collect, so the closure's capture of d cannot move
 // collect's loop variable to the heap on every call.
-func (s *ShardSet) newCarrier(d int) *xfire {
-	x := &xfire{}
+func (s *ShardSet) bindCarrier(x *xfire, d int) {
 	x.fn = func() {
 		s.dispatch(&x.ev)
 		x.ev.Msg = nil
-		s.free[d] = append(s.free[d], x)
+		s.free[d].Put(x)
 	}
-	return x
 }
 
 // runEpoch runs every shard to end. With one shard — or one usable

@@ -421,7 +421,7 @@ func closedWait(next, now sim.Time, drained int) sim.Time {
 // popReq is one in-flight population request: the issuing client's
 // weight (returned to the thinking pool on reply) and the intended
 // arrival instant the round trip is timed from. Requests are recycled
-// through a per-node freelist, so the steady state allocates nothing.
+// through a per-node sim.Pool, so the steady state allocates nothing.
 type popReq struct {
 	weight float64
 	start  sim.Time
@@ -438,7 +438,7 @@ type popReq struct {
 func (r *run) addClosed(sc *scenario.Scenario) {
 	set := NewClientSet(r.wl, r.wl.Clients)
 	pops := make([]*Population, r.n)
-	free := make([][]*popReq, r.n)
+	free := make([]sim.Pool[popReq], r.n)
 	for id := 0; id < r.n; id++ {
 		at := id
 		ep := r.m.Endpoint(id)
@@ -458,7 +458,7 @@ func (r *run) addClosed(sc *scenario.Scenario) {
 				r.hists[at].Record(now - pr.start)
 			}
 			pops[at].Return(pr.weight, now)
-			free[at] = append(free[at], pr)
+			free[at].Put(pr)
 		})
 	}
 	for id := 0; id < r.n; id++ {
@@ -483,13 +483,7 @@ func (r *run) addClosed(sc *scenario.Scenario) {
 				// never yield to Drain and no node would ever serve a
 				// request.
 				for b := 0; b < popIssueBatch && pop.NextAt() <= ep.Clock(); b++ {
-					var pr *popReq
-					if n := len(free[self]); n > 0 {
-						pr = free[self][n-1]
-						free[self] = free[self][:n-1]
-					} else {
-						pr = &popReq{}
-					}
+					pr := free[self].Get()
 					pr.start = pop.NextAt()
 					pr.weight = pop.Take()
 					r.sent[self]++
