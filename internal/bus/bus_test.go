@@ -217,7 +217,7 @@ func do(f *Fabric, p *sim.Process, tx Tx) Result {
 // parks p until it completes.
 func store(f *Fabric, p *sim.Process, dev Device, reg, val uint64) {
 	var done sim.Cond
-	NewCall(f, p).UncachedStore(dev, reg, val, done.Signal)
+	NewCall(f, p).UncachedStore(PostedWrite{Dev: dev, Reg: reg, Val: val}, done.Signal)
 	done.Wait(p)
 }
 

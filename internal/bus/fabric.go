@@ -24,11 +24,12 @@ func (r *Region) Contains(addr uint64) bool {
 	return addr >= r.Base && addr < r.Base+r.Size
 }
 
-// postedWrite is an uncached store buffered in the I/O bridge.
-type postedWrite struct {
-	dev Device
-	reg uint64
-	val uint64
+// PostedWrite is one uncached 8-byte store of Val to Dev's register
+// Reg on its way to the device: an entry of the processor's store
+// buffer, then of the I/O bridge's posted-write queue.
+type PostedWrite struct {
+	Dev      Device
+	Reg, Val uint64
 }
 
 // Fabric is a node's bus complex: the memory bus, an optional I/O bus
@@ -59,7 +60,7 @@ type Fabric struct {
 	// I/O bridge posted-write queue (paper: "the bridge buffers writes
 	// and coherent invalidations, but blocks on reads"), drained by the
 	// driven process bridge.
-	bridgeQ     sim.FIFO[postedWrite]
+	bridgeQ     sim.FIFO[PostedWrite]
 	bridgeCond  sim.Cond // signalled when bridgeQ gains an entry
 	bridgeSpace sim.Cond // signalled when bridgeQ frees an entry
 	bridgeWaits uint64   // posted writes that found bridgeQ full
@@ -250,7 +251,7 @@ func (f *Fabric) bridgeDrain() {
 
 func (f *Fabric) bridgeWrote() {
 	w := f.bridgeQ.Peek()
-	w.dev.RegWrite(w.reg, w.val)
+	w.Dev.RegWrite(w.Reg, w.Val)
 	f.IO.Release()
 	f.bridgeQ.Pop()
 	f.bridgeSpace.Signal()
@@ -273,12 +274,11 @@ type Call struct {
 	p    *sim.Process
 	then func()
 
-	x        txn            // the transaction in progress
-	res      Result         // its snoop summary
-	ended    func()         // the step ending x's transfer: doDone, or nil for a spinning coroutine's plain wake
-	loc      params.BusKind // the uncached access's device location, register and stored value
-	dev      Device
-	reg, val uint64
+	x     txn            // the transaction in progress
+	res   Result         // its snoop summary
+	ended func()         // the step ending x's transfer: doDone, or nil for a spinning coroutine's plain wake
+	loc   params.BusKind // the uncached access's device location,
+	w     PostedWrite    // its device and register, and a store's value
 
 	// The phases, bound once as method values.
 	heldFn, busesFn, doDoneFn, spaceFn, storeHeldFn, storeDoneFn func()
@@ -369,7 +369,7 @@ func (c *Call) End() Result {
 // load, p's probe calls EndLoad.
 func (c *Call) BeginLoad(p *sim.Process, dev Device, reg uint64) sim.Time {
 	c.p, c.ended = p, nil
-	c.loc, c.dev, c.reg = c.f.locOf(dev), dev, reg
+	c.loc, c.w = c.f.locOf(dev), PostedWrite{Dev: dev, Reg: reg}
 	c.f.uncLoad[c.loc].Inc()
 	d := sim.Time(params.UncachedLoadCost(c.loc))
 	if c.loc == params.CacheBus {
@@ -382,22 +382,22 @@ func (c *Call) BeginLoad(p *sim.Process, dev Device, reg uint64) sim.Time {
 // EndLoad ends the load at the end of its transfer: it reads the
 // register's value at that instant, then releases the load's buses.
 func (c *Call) EndLoad() uint64 {
-	v := c.dev.RegRead(c.reg)
+	v := c.w.Dev.RegRead(c.w.Reg)
 	if c.loc != params.CacheBus {
 		c.End()
 	}
-	c.dev = nil
+	c.w = PostedWrite{}
 	return v
 }
 
-// UncachedStore performs one 8-byte uncached store of val to dev's
-// register reg, then runs then. The processor's store buffer issues
-// its stores here, so the architectural "postedness" is upstream; the
-// store occupies the memory bus and, for an I/O-bus device, waits for
-// room in the bridge's buffer, which takes the write and releases the
-// memory bus at once.
-func (c *Call) UncachedStore(dev Device, reg, val uint64, then func()) {
-	c.loc, c.dev, c.reg, c.val, c.then = c.f.locOf(dev), dev, reg, val, then
+// UncachedStore performs the 8-byte uncached store w, then runs then.
+// The processor's store buffer issues its stores here, so the
+// architectural "postedness" is upstream; the store occupies the
+// memory bus and, for an I/O-bus device, waits for room in the
+// bridge's buffer, which takes the write and releases the memory bus
+// at once.
+func (c *Call) UncachedStore(w PostedWrite, then func()) {
+	c.loc, c.w, c.then = c.f.locOf(w.Dev), w, then
 	c.f.uncStore[c.loc].Inc()
 	if c.loc == params.CacheBus {
 		c.p.After(sim.Time(params.UncachedStoreCost(c.loc)), c.storeDoneFn)
@@ -423,14 +423,14 @@ func (c *Call) storeHeld() {
 
 func (c *Call) storeDone() {
 	if c.loc == params.IOBus {
-		c.f.bridgeQ.Push(postedWrite{c.dev, c.reg, c.val})
+		c.f.bridgeQ.Push(c.w)
 		c.f.bridgeCond.Signal()
 	} else {
-		c.dev.RegWrite(c.reg, c.val)
+		c.w.Dev.RegWrite(c.w.Reg, c.w.Val)
 	}
 	if c.loc != params.CacheBus {
 		c.f.Mem.Release()
 	}
-	c.dev = nil
+	c.w = PostedWrite{}
 	c.then()
 }

@@ -54,7 +54,7 @@ type Cache struct {
 	// direct-mapped frame holds the same tag in Invalid state (§5.1.2).
 	Snarf bool
 
-	misses sim.Pool[Miss] // miss paths no access is using (GetMiss)
+	runs sim.Pool[run] // range runs no access is using (Range)
 }
 
 // New creates a cache of sizeBytes with 64-byte blocks and attaches it
@@ -104,27 +104,15 @@ func (c *Cache) StateOf(addr uint64) State {
 	return Invalid
 }
 
-// Load performs one processor load (up to 8 bytes) at addr.
-// Hits cost params.HitCycles; a miss runs the miss path (Miss).
-func (c *Cache) Load(p *sim.Process, addr uint64) { c.access(p, addr, false) }
+// Load performs one processor load (up to 8 bytes) at addr: a
+// one-word Range.
+func (c *Cache) Load(p *sim.Process, addr uint64) { c.Range(p, addr, 8, false) }
 
-// Store performs one processor store (up to 8 bytes) at addr.
-// Stores to Modified/Exclusive lines hit; anything else issues a
-// coherent read-invalidate (see DESIGN.md bandwidth calibration).
-func (c *Cache) Store(p *sim.Process, addr uint64) { c.access(p, addr, true) }
-
-// access is Load, or Store when store is set. A miss runs on a Miss
-// from the cache's pool while p spins, so p resumes once, when the
-// line is filled.
-func (c *Cache) access(p *sim.Process, addr uint64, store bool) {
-	if c.Hit(addr, store) {
-		p.Sleep(params.HitCycles)
-		return
-	}
-	m := c.GetMiss()
-	p.Spin(m.Start(p, addr, store), m)
-	c.PutMiss(m)
-}
+// Store performs one processor store (up to 8 bytes) at addr: a
+// one-word Range. Stores to Modified/Exclusive lines hit; anything else
+// issues a coherent read-invalidate (see DESIGN.md bandwidth
+// calibration).
+func (c *Cache) Store(p *sim.Process, addr uint64) { c.Range(p, addr, 8, true) }
 
 // Hit is Load's hit check, or Store's when store is set, without its
 // time: when the access would hit it counts the hit, as Load or Store
@@ -146,15 +134,75 @@ func (c *Cache) Hit(addr uint64, store bool) bool {
 	return true
 }
 
-// Miss is the miss path of one access: the line's dirty occupant's
+// Range issues one processor access per 8-byte word of [addr,
+// addr+bytes): loads, or stores when store is set. A hit costs
+// params.HitCycles, and a miss the bus transactions that fill its
+// line. A one-word hit is a plain Sleep; any other range is one Spin
+// on a run from the cache's pool (several processes may be in ranges
+// on one cache at once): p checks the first word itself, and the run's
+// probe checks each later word at the wake where p would have and runs
+// each miss's bus transactions as driven steps, so p resumes once, at
+// the end of the range.
+func (c *Cache) Range(p *sim.Process, addr uint64, bytes int, store bool) {
+	if bytes > 0 && bytes <= 8 && c.Hit(addr, store) {
+		p.Sleep(params.HitCycles)
+		return
+	}
+	r := c.runs.Get()
+	if r.c == nil {
+		r.c, r.call = c, bus.NewCall(c.fabric, nil)
+	}
+	r.p, r.addr, r.end, r.store = p, addr, addr+uint64(max(bytes, 0)), store
+	if d, done := r.next(); !done {
+		p.Spin(d, r)
+	}
+	r.p = nil
+	c.runs.Put(r)
+}
+
+// run is one Range's engine probe (sim.Process.Spin). At each wake —
+// the end of the previous word's hit or of a miss's transfer — it does
+// what the process would: a hit counts and re-arms HitCycles later,
+// the process's Sleep; a miss runs on the run's miss, whose transfers
+// end at the later wakes; at the end of the range it resumes the
+// process, and a second call at that wake changes nothing. A snoop
+// that lands mid-range is seen at the same word as in a per-word loop,
+// since each probe runs at that wake's own (time, seq) position.
+type run struct {
+	miss
+	addr, end uint64 // the next word to check, and the range's end
+	store     bool
+}
+
+// Probe implements sim.Spinner.
+func (r *run) Probe() (sim.Time, bool) {
+	if d, filled := r.step(); !filled {
+		return d, false
+	}
+	return r.next()
+}
+
+// next checks the word at r.addr at the current instant: the end of
+// the range resumes the process; a hit counts and waits out its cycle;
+// a miss starts on r.miss, which finishes the word.
+func (r *run) next() (sim.Time, bool) {
+	a := r.addr
+	if a >= r.end {
+		return 0, true
+	}
+	r.addr += 8
+	if r.c.Hit(a, r.store) {
+		return params.HitCycles, false
+	}
+	return r.start(a, r.store), false
+}
+
+// miss is the miss path of one word: the line's dirty occupant's
 // writeback, if any, then the fill, each a bus transaction that a
-// bus.Call runs for the accessing process while it spins
-// (sim.Process.Spin). Start issues the first transaction; at each
-// wake that ends a transfer, Step ends it and issues the next, until
-// the line is filled. Cache.Load and Cache.Store run their misses on
-// one, and a load or store range's probe (package proc) runs each of
-// its misses on one. A Miss serves one access at a time.
-type Miss struct {
+// bus.Call runs for the accessing process p while it spins. start
+// issues the first transaction; at each wake that ends a transfer,
+// step ends it and issues the next, until the line is filled.
+type miss struct {
 	c    *Cache
 	call *bus.Call
 	p    *sim.Process
@@ -165,28 +213,15 @@ type Miss struct {
 	busy bool     // a transfer is in flight
 }
 
-// GetMiss takes a miss path from the cache's pool, for one access or
-// one range: several processes may be accessing one cache at once.
-func (c *Cache) GetMiss() *Miss {
-	m := c.misses.Get()
-	if m.c == nil {
-		m.c, m.call = c, bus.NewCall(c.fabric, nil)
-	}
-	return m
-}
-
-// PutMiss returns m, with no transfer in flight, to the cache's pool.
-func (c *Cache) PutMiss(m *Miss) { c.misses.Put(m) }
-
-// Start begins the miss of p's load at addr, or store when store is
+// start begins the miss of a load at addr, or a store when store is
 // set, which Hit has just reported: it counts the miss, evicts the
 // line's occupant and issues the first transaction. It returns that
 // transfer's length, or sim.Parked when p queued for a bus; either way
-// p spins until Step reports the line filled. A store to a line whose
+// p spins until step reports the line filled. A store to a line whose
 // tag matches (Shared or Owned) takes ownership without an eviction.
-func (m *Miss) Start(p *sim.Process, addr uint64, store bool) sim.Time {
+func (m *miss) start(addr uint64, store bool) sim.Time {
 	c := m.c
-	m.p, m.busy = p, true
+	m.busy = true
 	m.blk, m.l = c.frame(addr)
 	l := m.l
 	if store {
@@ -202,18 +237,18 @@ func (m *Miss) Start(p *sim.Process, addr uint64, store bool) sim.Time {
 		if dirty {
 			c.writebacks.Inc()
 			m.wb = true
-			return m.call.Begin(p, bus.Tx{Kind: bus.WB, Addr: uint64(l.tag) * params.BlockBytes, Initiator: c})
+			return m.call.Begin(m.p, bus.Tx{Kind: bus.WB, Addr: uint64(l.tag) * params.BlockBytes, Initiator: c})
 		}
 	}
-	return m.call.Begin(p, bus.Tx{Kind: m.fill, Addr: m.blk * params.BlockBytes, Initiator: c})
+	return m.call.Begin(m.p, bus.Tx{Kind: m.fill, Addr: m.blk * params.BlockBytes, Initiator: c})
 }
 
-// Step runs at the wake that ends the transfer in flight: it ends it,
+// step runs at the wake that ends the transfer in flight: it ends it,
 // then after the writeback issues the fill and returns its length (or
 // sim.Parked) with filled false, and after the fill installs the line
 // and reports filled. With no transfer in flight it changes nothing
 // and reports filled, so a probe may call it again at the same wake.
-func (m *Miss) Step() (d sim.Time, filled bool) {
+func (m *miss) step() (d sim.Time, filled bool) {
 	if !m.busy {
 		return 0, true
 	}
@@ -233,13 +268,8 @@ func (m *Miss) Step() (d sim.Time, filled bool) {
 	default:
 		l.state = Exclusive
 	}
-	m.p, m.l = nil, nil
 	return 0, true
 }
-
-// Probe implements sim.Spinner for a one-word access's miss: it steps
-// the miss on, and resumes the process once the line is filled.
-func (m *Miss) Probe() (sim.Time, bool) { return m.Step() }
 
 // SnoopTx implements bus.Agent: the MOESI snooping side.
 func (c *Cache) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop {

@@ -2,7 +2,10 @@
 // write-allocate processor cache kept coherent by a MOESI
 // write-invalidate snooping protocol (paper §2, §4.1: 256 KB,
 // 64-byte address and transfer blocks, duplicated tags so snoops do
-// not stall the processor), plus the main-memory home agent.
+// not stall the processor), plus the main-memory home agent. Every
+// processor access is a Range of 8-byte words, one word for Load and
+// Store: a one-word hit sleeps out its cycle, and any other range runs
+// its hits and misses as one engine probe.
 package cache
 
 import "fmt"

@@ -26,6 +26,9 @@ type pinCell struct {
 	lazy sim.Time
 	// sizes is the payload-size cycle every sender walks through.
 	sizes []int
+	// senders is how many processes on each node share its sends (0
+	// means one), so several can post uncached stores at once.
+	senders int
 	// check asserts the cell reached the condition it is there for.
 	check func(t *testing.T, m *Machine)
 }
@@ -49,9 +52,10 @@ func wantCounter(suffix string) func(t *testing.T, m *Machine) {
 }
 
 // pinCells lists every NI kind on each bus location params.Validate
-// admits, the four CQ ablations, and the three full-buffer conditions
-// a device waits on: a receive queue the processor is slow to drain,
-// a full store buffer and a full I/O bridge.
+// admits, the four CQ ablations, the three full-buffer conditions a
+// device waits on — a receive queue the processor is slow to drain, a
+// full store buffer and a full I/O bridge — and a MEMBAR that waits
+// for the store buffer.
 func pinCells() []pinCell {
 	mixed := []int{8, 56, 120, 244, 600}
 	var cells []pinCell
@@ -108,6 +112,20 @@ func pinCells() []pinCell {
 		cfg:   params.Config{Nodes: 4, NI: params.NI2w, Bus: params.MemoryBus},
 		sizes: []int{params.MaxPayloadBytes}, check: wantCounter("cpu.sb.full"),
 	}, pinCell{
+		// Three senders per node post descriptors back to back: each
+		// one's status load waits out the buffer, but their three
+		// descriptor stores and go store land together.
+		name:  "DMA@io store-buffer-full",
+		cfg:   params.Config{Nodes: 4, NI: params.DMA, Bus: params.IOBus},
+		sizes: mixed, senders: 3, check: wantCounter("cpu.sb.full"),
+	}, pinCell{
+		// A lazy receiver takes its backlog back to back; each
+		// receive's pop store is still crossing the memory bus into
+		// the I/O bridge when its MEMBAR checks the buffer.
+		name: "CNI4@io membar-stall",
+		cfg:  params.Config{Nodes: 4, NI: params.CNI4, Bus: params.IOBus},
+		lazy: 40_000, sizes: []int{8}, check: wantCounter("cpu.membar.stall"),
+	}, pinCell{
 		name:  "NI2w@io bridge-full",
 		cfg:   params.Config{Nodes: 4, NI: params.NI2w, Bus: params.IOBus},
 		sizes: []int{params.MaxPayloadBytes},
@@ -162,19 +180,30 @@ func runPinCell(t *testing.T, c pinCell) string {
 	}
 	want := 2 * perPeer
 	done := make([]sim.Time, n)
+	// Sender j of each node sends rounds j, j+senders, …; sender 0
+	// then receives.
+	senders := max(c.senders, 1)
+	send := func(p *sim.Process, nd *Node, id, first int) {
+		for i := first; i < perPeer; i += senders {
+			for k := 1; k <= 2; k++ {
+				nd.Msgr.Send(p, (id+k)%n, h, c.sizes[(i+k+id)%len(c.sizes)], nil)
+			}
+		}
+	}
 	for id := range m.Nodes {
 		m.Spawn(id, func(p *sim.Process, nd *Node) {
-			for i := 0; i < perPeer; i++ {
-				for k := 1; k <= 2; k++ {
-					nd.Msgr.Send(p, (id+k)%n, h, c.sizes[(i+k+id)%len(c.sizes)], nil)
-				}
-			}
+			send(p, nd, id, 0)
 			if c.lazy > 0 {
 				nd.CPU.Compute(p, c.lazy)
 			}
 			nd.Msgr.PollUntil(p, func() bool { return got[id] == want })
 			done[id] = p.Now()
 		})
+	}
+	for id := range m.Nodes {
+		for j := 1; j < senders; j++ {
+			m.Spawn(id, func(p *sim.Process, nd *Node) { send(p, nd, id, j) })
+		}
 	}
 	end := m.Run(sim.Time(1) << 40)
 	for id := range got {

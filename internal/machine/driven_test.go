@@ -56,7 +56,7 @@ func TestDeviceStepPanicNamesDevice(t *testing.T) {
 		act                 func(p *sim.Process, n *Node)
 	}{
 		{"sbdrain", "node3.cpu.sbdrain", "message-ready with no staged message", func(p *sim.Process, n *Node) {
-			n.CPU.UncachedStore(p, n.NI, nic.RegSendCommit, 1)
+			n.CPU.UncachedStore(p, n.NI, nic.RegSendCommit, 1, 1)
 		}},
 		{"recv", "node3.ni.recv", "nil pointer dereference", func(p *sim.Process, n *Node) {
 			n.NI.NetDeliver(nil)

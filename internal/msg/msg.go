@@ -72,7 +72,7 @@ type Messenger struct {
 	handlers map[int]Handler
 	// swBuf holds messages drained from the NI by flow control,
 	// dispatched on later polls before new NI traffic.
-	swBuf   []*network.Msg
+	swBuf   sim.FIFO[*network.Msg]
 	partial map[partialKey]*partial
 	nextID  uint64
 	bufAddr uint64 // user-space staging buffer for copies
@@ -284,8 +284,8 @@ func (ms *Messenger) drainOne(p *sim.Process) bool {
 		return true
 	}
 	// Copy into the user-space buffer.
-	ms.cpu.StoreRange(p, ms.bufAddr+uint64(len(ms.swBuf)%64)*params.NetMsgBytes, m.Size+params.HeaderBytes)
-	ms.swBuf = append(ms.swBuf, m)
+	ms.cpu.StoreRange(p, ms.bufAddr+uint64(ms.swBuf.Len()%64)*params.NetMsgBytes, m.Size+params.HeaderBytes)
+	ms.swBuf.Push(m)
 	ms.swBuffered.Inc()
 	return true
 }
@@ -318,9 +318,8 @@ func (ms *Messenger) poll(p *sim.Process, from pollPoint) bool {
 		ms.rel.tick(p)
 	}
 	var m *network.Msg
-	if from != afterLoad && len(ms.swBuf) > 0 {
-		m = ms.swBuf[0]
-		ms.swBuf = ms.swBuf[1:]
+	if from != afterLoad && ms.swBuf.Len() > 0 {
+		m = ms.swBuf.Pop()
 		// Re-read from the user-space buffer (cached).
 		ms.cpu.LoadRange(p, ms.bufAddr, m.Size+params.HeaderBytes)
 	} else {
@@ -526,7 +525,7 @@ func (s *quietSpin) Probe() (sim.Time, bool) {
 		ms.QuietProbed++
 		return PollLoopCycles, false
 	case afterOverhead:
-		if len(ms.swBuf) > 0 || !ms.quiet.PollHit() {
+		if ms.swBuf.Len() > 0 || !ms.quiet.PollHit() {
 			return 0, true
 		}
 		s.at = afterLoad

@@ -42,7 +42,7 @@ type cni4 struct {
 	pulled     int
 
 	// Receive side: a pop recalls CDR block inv next (recvEngine).
-	recvFIFO    []*network.Msg // arrived, behind the CDR
+	recvFIFO    sim.FIFO[*network.Msg] // arrived, behind the CDR
 	recvCap     int
 	recvCur     *network.Msg // message currently exposed in the CDR
 	recvReady   bool         // status register value
@@ -160,7 +160,7 @@ func (n *cni4) TrySend(p *sim.Process, m *network.Msg) bool {
 	// cached stores.
 	n.d.CPU.StoreRange(p, n.sendBlock(0), m.Size+params.HeaderBytes)
 	n.sendStaged = m
-	n.d.CPU.UncachedStore(p, n, RegSendCommit, uint64(m.Blocks))
+	n.d.CPU.UncachedStore(p, n, RegSendCommit, uint64(m.Blocks), 1)
 	n.ctr.sendMsg.Inc()
 	return true
 }
@@ -198,7 +198,7 @@ func (n *cni4) TryRecv(p *sim.Process) *network.Msg {
 	// store; (2) MEMBAR so the device sees it; (3) the device
 	// invalidates the CDR and only then raises status for the next
 	// message, which the next poll observes.
-	n.d.CPU.UncachedStore(p, n, RegRecvPop, 1)
+	n.d.CPU.UncachedStore(p, n, RegRecvPop, 1, 1)
 	n.d.CPU.Membar(p)
 	n.ctr.recvMsg.Inc()
 	return m
@@ -220,9 +220,8 @@ func (n *cni4) recvEngine() {
 		n.recvCur = nil
 		n.d.Net.Unblock(n.d.NodeID)
 	}
-	if n.recvCur == nil && len(n.recvFIFO) > 0 {
-		n.recvCur = n.recvFIFO[0]
-		n.recvFIFO = n.recvFIFO[1:]
+	if n.recvCur == nil && n.recvFIFO.Len() > 0 {
+		n.recvCur = n.recvFIFO.Pop()
 		// Loading the CDR is device-internal (the device is home).
 		n.recvReady = true
 	}
@@ -231,10 +230,10 @@ func (n *cni4) recvEngine() {
 
 // NetDeliver implements network.Port.
 func (n *cni4) NetDeliver(m *network.Msg) bool {
-	if len(n.recvFIFO) >= n.recvCap {
+	if n.recvFIFO.Len() >= n.recvCap {
 		return false
 	}
-	n.recvFIFO = append(n.recvFIFO, m)
+	n.recvFIFO.Push(m)
 	n.recvWork.Signal()
 	return true
 }

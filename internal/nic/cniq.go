@@ -314,7 +314,7 @@ func (n *cniq) TrySend(p *sim.Process, m *network.Msg) bool {
 	cpu.Store(p, n.d.ShadowBase+8)
 	n.sendTailPos++
 	n.sendStageQ.Push(m)
-	cpu.UncachedStore(p, n, RegSendCommit, 1)
+	cpu.UncachedStore(p, n, RegSendCommit, 1, 1)
 	n.ctr.sendMsg.Inc()
 	return true
 }

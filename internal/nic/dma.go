@@ -27,11 +27,11 @@ type dmaNI struct {
 	name string
 	ctr  niCounters
 
-	sendQ      []*network.Msg // posted descriptors awaiting pull+inject
-	sendStageQ []*network.Msg // descriptor stores still in flight
-	recvFIFO   []*network.Msg // arrived, awaiting deposit to memory
-	deposited  []*network.Msg // in memory, awaiting processor pickup
-	pending    int            // completions not yet taken (interrupt coalescing)
+	sendQ      sim.FIFO[*network.Msg] // posted descriptors awaiting pull+inject
+	sendStageQ sim.FIFO[*network.Msg] // descriptor stores still in flight
+	recvFIFO   sim.FIFO[*network.Msg] // arrived, awaiting deposit to memory
+	deposited  sim.FIFO[*network.Msg] // in memory, awaiting processor pickup
+	pending    int                    // completions not yet taken (interrupt coalescing)
 
 	// The send and receive engines are driven processes: send pulls
 	// block pulled of the head descriptor next, and recv issues bus
@@ -64,7 +64,7 @@ func newDMA(d Deps) *dmaNI {
 	n.sendFn, n.recvFn = n.sendEngine, n.recvEngine
 	sp := d.Eng.Drive(n.name+".send", n.sendFn)
 	n.send = bus.NewCall(d.Fabric, sp)
-	n.inj = d.Net.Injector(sp, func() { n.sendQ = n.sendQ[1:]; n.sendEngine() })
+	n.inj = d.Net.Injector(sp, func() { n.sendQ.Pop(); n.sendEngine() })
 	n.recv = bus.NewCall(d.Fabric, d.Eng.Drive(n.name+".recv", n.recvFn))
 	return n
 }
@@ -85,7 +85,7 @@ func (n *dmaNI) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 func (n *dmaNI) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if len(n.sendQ)+len(n.sendStageQ) < params.DMADescriptors {
+		if n.sendQ.Len()+n.sendStageQ.Len() < params.DMADescriptors {
 			return 1
 		}
 		return 0
@@ -99,11 +99,10 @@ func (n *dmaNI) RegRead(reg uint64) uint64 {
 func (n *dmaNI) RegWrite(reg, val uint64) {
 	switch reg {
 	case RegSendCommit:
-		if len(n.sendStageQ) == 0 {
+		if n.sendStageQ.Len() == 0 {
 			panic("dma: descriptor commit without staged message")
 		}
-		n.sendQ = append(n.sendQ, n.sendStageQ[0])
-		n.sendStageQ = n.sendStageQ[1:]
+		n.sendQ.Push(n.sendStageQ.Pop())
 		n.sendWork.Signal()
 	case RegRecvPop:
 		if n.pending == 0 {
@@ -122,10 +121,10 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 	if m.Frag > 0 {
 		// The descriptor already covers this fragment; the device just
 		// needs ring space.
-		if len(n.sendQ)+len(n.sendStageQ) >= params.DMADescriptors {
+		if n.sendQ.Len()+n.sendStageQ.Len() >= params.DMADescriptors {
 			return false
 		}
-		n.sendQ = append(n.sendQ, m)
+		n.sendQ.Push(m)
 		n.sendWork.Signal()
 		return true
 	}
@@ -133,11 +132,10 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 		n.ctr.sendFull.Inc()
 		return false
 	}
-	n.d.CPU.UncachedStore(p, n, RegSendData, 0) // source address
-	n.d.CPU.UncachedStore(p, n, RegSendData, 1) // length
-	n.d.CPU.UncachedStore(p, n, RegSendData, 2) // destination
-	n.sendStageQ = append(n.sendStageQ, m)
-	n.d.CPU.UncachedStore(p, n, RegSendCommit, 1) // go
+	// Source address, length and destination, then go.
+	n.d.CPU.UncachedStore(p, n, RegSendData, 0, 3)
+	n.sendStageQ.Push(m)
+	n.d.CPU.UncachedStore(p, n, RegSendCommit, 1, 1)
 	n.ctr.sendMsg.Inc()
 	return true
 }
@@ -146,8 +144,8 @@ func (n *dmaNI) TrySend(p *sim.Process, m *network.Msg) bool {
 // (cache-to-cache when the data is still cached, else from memory),
 // one block per step, and injects them.
 func (n *dmaNI) sendEngine() {
-	for len(n.sendQ) > 0 {
-		m := n.sendQ[0]
+	for n.sendQ.Len() > 0 {
+		m := n.sendQ.Peek()
 		if n.pulled < m.Blocks {
 			n.pulled++
 			n.send.Do(bus.Tx{Kind: bus.CR, Addr: slotAddr(n.sendSeq, n.pulled-1), Initiator: n}, n.sendFn)
@@ -158,7 +156,7 @@ func (n *dmaNI) sendEngine() {
 		if !n.inj.Inject(m) {
 			return // the Injector pops m once it is launched
 		}
-		n.sendQ = n.sendQ[1:]
+		n.sendQ.Pop()
 	}
 	n.sendWork.Await(n.send.Process(), n.sendFn)
 }
@@ -170,10 +168,10 @@ const machineUserBuf = 0x0601_0000
 
 // NetDeliver implements network.Port.
 func (n *dmaNI) NetDeliver(m *network.Msg) bool {
-	if len(n.recvFIFO) >= params.DMADescriptors {
+	if n.recvFIFO.Len() >= params.DMADescriptors {
 		return false
 	}
-	n.recvFIFO = append(n.recvFIFO, m)
+	n.recvFIFO.Push(m)
 	n.recvWork.Signal()
 	return true
 }
@@ -182,8 +180,8 @@ func (n *dmaNI) NetDeliver(m *network.Msg) bool {
 // transaction per step, and raises a completion (the interrupt is
 // charged to the processor at pickup).
 func (n *dmaNI) recvEngine() {
-	for len(n.recvFIFO) > 0 {
-		m := n.recvFIFO[0]
+	for n.recvFIFO.Len() > 0 {
+		m := n.recvFIFO.Peek()
 		if k := n.deposit; k < 2*m.Blocks {
 			// Invalidate any stale processor copy, then write the
 			// block to memory.
@@ -193,8 +191,7 @@ func (n *dmaNI) recvEngine() {
 		}
 		n.deposit = 0
 		n.recvSeq++
-		n.recvFIFO = n.recvFIFO[1:]
-		n.deposited = append(n.deposited, m)
+		n.deposited.Push(n.recvFIFO.Pop())
 		n.pending++
 		n.d.Net.Unblock(n.d.NodeID)
 	}
@@ -208,8 +205,7 @@ func (n *dmaNI) TryRecv(p *sim.Process) *network.Msg {
 		n.ctr.recvPollEmpty.Inc()
 		return nil
 	}
-	m := n.deposited[0]
-	n.deposited = n.deposited[1:]
+	m := n.deposited.Pop()
 	if m.Frag == 0 {
 		// Interrupt-style notification, once per user message
 		// (vector + kernel entry/exit + dispatch).
@@ -220,7 +216,7 @@ func (n *dmaNI) TryRecv(p *sim.Process) *network.Msg {
 	// cached copies).
 	n.d.CPU.LoadRange(p, slotAddr(n.readSeq, 0), m.Size+params.HeaderBytes)
 	n.readSeq++
-	n.d.CPU.UncachedStore(p, n, RegRecvPop, 1)
+	n.d.CPU.UncachedStore(p, n, RegRecvPop, 1, 1)
 	n.ctr.recvMsg.Inc()
 	return m
 }

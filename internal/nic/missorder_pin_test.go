@@ -69,7 +69,7 @@ func (o wordOps) uncachedLoad(reg uint64) {
 
 // uncachedStore posts one uncached store to the node's NI register reg.
 func (o wordOps) uncachedStore(reg uint64) {
-	o.nd.CPU.UncachedStore(o.p, o.nd.NI, reg, 0)
+	o.nd.CPU.UncachedStore(o.p, o.nd.NI, reg, 0, 1)
 	o.log(o.p, fmt.Sprintf("uncstore %#x", reg))
 }
 

@@ -21,10 +21,10 @@ type ni2w struct {
 	ctr  niCounters
 
 	// Both FIFOs hold at most params.NI2wFIFOMsgs messages.
-	sendFIFO *outQ          // committed, awaiting injection
-	stageQ   []*network.Msg // composed, commit store still in flight
+	sendFIFO *outQ                  // committed, awaiting injection
+	stageQ   sim.FIFO[*network.Msg] // composed, commit store still in flight
 
-	recvFIFO []*network.Msg
+	recvFIFO sim.FIFO[*network.Msg]
 }
 
 func newNI2w(d Deps) *ni2w {
@@ -49,15 +49,15 @@ func (n *ni2w) SnoopTx(tx bus.Tx, isHome bool) bus.Snoop { return bus.Snoop{} }
 func (n *ni2w) RegRead(reg uint64) uint64 {
 	switch reg {
 	case RegSendStatus:
-		if n.sendFIFO.msgs.Len()+len(n.stageQ) < params.NI2wFIFOMsgs {
+		if n.sendFIFO.msgs.Len()+n.stageQ.Len() < params.NI2wFIFOMsgs {
 			return 1
 		}
 		return 0
 	case RegRecvStatus:
-		if len(n.recvFIFO) == 0 {
+		if n.recvFIFO.Len() == 0 {
 			return 0
 		}
-		return uint64(network.MsgWords(n.recvFIFO[0].Size))
+		return uint64(network.MsgWords(n.recvFIFO.Peek().Size))
 	case RegRecvData:
 		// Word data; values are carried logically, so return a token.
 		return 1
@@ -72,14 +72,13 @@ func (n *ni2w) RegWrite(reg, val uint64) {
 		// Word writes land in the outgoing hardware FIFO; the message
 		// object itself is attached at commit.
 	case RegSendCommit:
-		if len(n.stageQ) == 0 {
+		if n.stageQ.Len() == 0 {
 			panic("ni2w: commit without staged message")
 		}
 		if n.sendFIFO.msgs.Len() >= params.NI2wFIFOMsgs {
 			panic("ni2w: send FIFO overflow (software skipped the status check)")
 		}
-		n.sendFIFO.push(n.stageQ[0])
-		n.stageQ = n.stageQ[1:]
+		n.sendFIFO.push(n.stageQ.Pop())
 	}
 }
 
@@ -90,12 +89,9 @@ func (n *ni2w) TrySend(p *sim.Process, m *network.Msg) bool {
 		n.ctr.sendFull.Inc()
 		return false
 	}
-	words := network.MsgWords(m.Size)
-	for w := 0; w < words; w++ {
-		n.d.CPU.UncachedStore(p, n, RegSendData, uint64(w))
-	}
-	n.stageQ = append(n.stageQ, m)
-	n.d.CPU.UncachedStore(p, n, RegSendCommit, 1)
+	n.d.CPU.UncachedStore(p, n, RegSendData, 0, network.MsgWords(m.Size))
+	n.stageQ.Push(m)
+	n.d.CPU.UncachedStore(p, n, RegSendCommit, 1, 1)
 	// The CM-5 send checks send_ok after pushing (a failed push would
 	// retry); the check is an uncached load that also serialises the
 	// posted stores. Our admission check above reserved the slot, so
@@ -115,8 +111,7 @@ func (n *ni2w) TryRecv(p *sim.Process) *network.Msg {
 		return nil
 	}
 	n.d.CPU.UncachedLoad(p, n, RegRecvData, int(words))
-	m := n.recvFIFO[0]
-	n.recvFIFO = n.recvFIFO[1:]
+	m := n.recvFIFO.Pop()
 	n.ctr.recvMsg.Inc()
 	// Clear-on-read freed a FIFO slot: let blocked arrivals in.
 	n.d.Net.Unblock(n.d.NodeID)
@@ -126,9 +121,9 @@ func (n *ni2w) TryRecv(p *sim.Process) *network.Msg {
 // NetDeliver implements network.Port: accept into the hardware FIFO if
 // there is room.
 func (n *ni2w) NetDeliver(m *network.Msg) bool {
-	if len(n.recvFIFO) >= params.NI2wFIFOMsgs {
+	if n.recvFIFO.Len() >= params.NI2wFIFOMsgs {
 		return false
 	}
-	n.recvFIFO = append(n.recvFIFO, m)
+	n.recvFIFO.Push(m)
 	return true
 }

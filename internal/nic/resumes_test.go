@@ -176,3 +176,64 @@ func TestUncachedLoadResumesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestUncachedStoreResumes pins what a send's uncached stores cost the
+// process: each CPU.UncachedStore is one resume or self-wake however
+// many words it posts, alone and queued behind a driven device holding
+// the memory bus. So an NI2w send (the status load, every data word in
+// one call, the commit store and the confirming status load) costs four
+// at every size on every bus, a DMA send (the status load, the three
+// descriptor words in one call and the go store) three, and a CNI4 send
+// (the status load, the copy into the CDR and the commit store) three.
+// The receiver takes each message while the sender is parked, so every
+// resume the engine counts during a send is the send's.
+func TestUncachedStoreResumes(t *testing.T) {
+	sizes := []int{8, 120, params.MaxPayloadBytes}
+	const round = 1 << 16
+	for _, cfg := range []params.Config{
+		{Nodes: 2, NI: params.NI2w, Bus: params.CacheBus},
+		{Nodes: 2, NI: params.NI2w, Bus: params.MemoryBus},
+		{Nodes: 2, NI: params.NI2w, Bus: params.IOBus},
+		{Nodes: 2, NI: params.CNI4, Bus: params.MemoryBus},
+		{Nodes: 2, NI: params.CNI4, Bus: params.IOBus},
+		{Nodes: 2, NI: params.DMA, Bus: params.MemoryBus},
+		{Nodes: 2, NI: params.DMA, Bus: params.IOBus},
+	} {
+		want := uint64(3)
+		if cfg.NI == params.NI2w {
+			want = 4
+		}
+		for _, contended := range []bool{false, true} {
+			name := fmt.Sprintf("%s contended=%v", cfg.Name(), contended)
+			m := machine.New(cfg)
+			if contended {
+				hog(m, 0)
+				hog(m, 1)
+			}
+			resumes := func() uint64 { c := m.Counters(); return c.Resumes + c.SelfWakes }
+			m.Spawn(0, func(p *sim.Process, nd *machine.Node) {
+				for i, size := range sizes {
+					p.Sleep(sim.Time(i+1)*round - p.Now())
+					msg := &network.Msg{Src: 0, Dst: 1, Size: size, Blocks: network.MsgBlocks(size), FragTotal: 1}
+					before := resumes()
+					if !nd.NI.TrySend(p, msg) {
+						t.Errorf("%s: the NI refused a %d B message", name, size)
+					}
+					if n := resumes() - before; n != want {
+						t.Errorf("%s: a %d B send cost %d resumes and self-wakes, want %d", name, size, n, want)
+					}
+				}
+			})
+			m.Spawn(1, func(p *sim.Process, nd *machine.Node) {
+				for i, size := range sizes {
+					p.Sleep(sim.Time(i+1)*round + round/2 - p.Now())
+					if got := nd.NI.TryRecv(p); got == nil || got.Size != size {
+						t.Errorf("%s: received %v, want the %d B message", name, got, size)
+					}
+				}
+			})
+			m.Run(sim.Time(len(sizes)+1) * round)
+			m.Stop()
+		}
+	}
+}

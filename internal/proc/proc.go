@@ -1,9 +1,12 @@
 // Package proc models the node's processor: a 200 MHz dual-issue
 // SPARC-like core (paper §4.1). The model is communication-directed:
-// computation is an explicit cycle cost, cachable accesses go through
-// the MOESI cache, uncached device accesses go over the buses, and a
-// store buffer makes uncached stores posted (with MEMBAR to drain it,
-// as the paper's three-cycle CDR handshake requires).
+// computation is an explicit cycle cost, cachable accesses are ranges
+// of the MOESI cache (cache.Range), uncached device accesses go over
+// the buses, and a store buffer makes uncached stores posted (with
+// MEMBAR to drain it, as the paper's three-cycle CDR handshake
+// requires). Each uncached call — a run of stores, a run of loads of
+// one register, or a MEMBAR — is one engine-side run, so the process
+// resumes once per call.
 package proc
 
 import (
@@ -12,13 +15,6 @@ import (
 	"repro/internal/params"
 	"repro/internal/sim"
 )
-
-// pendingStore is one store-buffer entry.
-type pendingStore struct {
-	dev bus.Device
-	reg uint64
-	val uint64
-}
 
 // CPU is the simulated processor core. All methods taking a
 // *sim.Process must be called from the software process running on
@@ -31,7 +27,7 @@ type CPU struct {
 	cache *cache.Cache
 	name  string
 
-	sbQ     sim.FIFO[pendingStore]
+	sbQ     sim.FIFO[bus.PostedWrite]
 	sbWork  sim.Cond
 	sbSpace sim.Cond
 	// The store buffer's drain is a driven process (drainStoreBuffer)
@@ -39,10 +35,7 @@ type CPU struct {
 	sb               *bus.Call
 	drainFn, retired func()
 
-	// Several processes may be in a range or an uncached load on one
-	// CPU at once, so each takes its own run from these pools.
-	runs  sim.Pool[wordRun]
-	loads sim.Pool[loadRun]
+	runs sim.Pool[deviceRun] // device runs no access is using
 
 	sbFull       *sim.Counter
 	membarStalls *sim.Counter
@@ -84,155 +77,116 @@ func (c *CPU) Store(p *sim.Process, addr uint64) { c.cache.Store(p, addr) }
 
 // LoadRange issues word loads covering [addr, addr+bytes).
 func (c *CPU) LoadRange(p *sim.Process, addr uint64, bytes int) {
-	c.wordRange(p, addr, bytes, false)
+	c.cache.Range(p, addr, bytes, false)
 }
 
 // StoreRange issues word stores covering [addr, addr+bytes).
 func (c *CPU) StoreRange(p *sim.Process, addr uint64, bytes int) {
-	c.wordRange(p, addr, bytes, true)
-}
-
-// wordRange issues one cachable access per 8-byte word of [addr,
-// addr+bytes): loads, or stores when store is set. Each word costs what
-// Load or Store would charge it, but the whole range is one Spin: the
-// process checks the first word itself, and a wordRun probe checks each
-// later word at the wake where the process would have and runs each
-// miss's bus transactions as driven steps, so the process resumes once,
-// at the end of the range.
-func (c *CPU) wordRange(p *sim.Process, addr uint64, bytes int, store bool) {
-	r := c.runs.Get()
-	r.cache, r.p, r.addr, r.end, r.store = c.cache, p, addr, addr+uint64(max(bytes, 0)), store
-	r.miss = c.cache.GetMiss()
-	if d, done := r.next(); !done {
-		p.Spin(d, r)
-	}
-	c.cache.PutMiss(r.miss)
-	r.p, r.miss = nil, nil
-	c.runs.Put(r)
-}
-
-// wordRun runs the words of one range as engine probes
-// (sim.Process.Spin). At each wake — the end of the previous word's hit
-// or of a miss's transfer — it does what the process would: a hit
-// counts and re-arms HitCycles later, the process's Sleep; a miss runs
-// on the range's cache.Miss, whose transfers end at the later wakes;
-// at the end of the range it resumes the process, and a second call at
-// that wake changes nothing. A snoop that lands mid-range is seen at
-// the same word as in a per-word loop, since each probe runs at that
-// wake's own (time, seq) position.
-type wordRun struct {
-	cache     *cache.Cache
-	miss      *cache.Miss
-	p         *sim.Process
-	addr, end uint64 // the next word to check, and the range's end
-	store     bool
-}
-
-// Probe implements sim.Spinner.
-func (r *wordRun) Probe() (sim.Time, bool) {
-	if d, filled := r.miss.Step(); !filled {
-		return d, false
-	}
-	return r.next()
-}
-
-// next checks the word at r.addr at the current instant: the end of
-// the range resumes the process; a hit counts and waits out its cycle;
-// a miss starts on r.miss, which finishes the word.
-func (r *wordRun) next() (sim.Time, bool) {
-	a := r.addr
-	if a >= r.end {
-		return 0, true
-	}
-	r.addr += 8
-	if r.cache.Hit(a, r.store) {
-		return params.HitCycles, false
-	}
-	return r.miss.Start(r.p, a, r.store), false
+	c.cache.Range(p, addr, bytes, true)
 }
 
 // UncachedLoad performs n back-to-back uncached 8-byte loads of a
 // device register and returns the last one's value. Like SPARC TSO
-// device access, each load first drains the store buffer so posted
-// uncached stores reach the device before it. The loads are one Spin:
-// the process drains the buffer and issues the first load itself, and
-// a loadRun probe ends each load at the wake where the process would
-// have and issues the next, so the process resumes once — or once more
-// per later load that finds the buffer holding another process's
-// stores, which the process then drains itself.
+// device access, each load first drains the store buffer, so posted
+// uncached stores reach the device before it.
 func (c *CPU) UncachedLoad(p *sim.Process, dev bus.Device, reg uint64, n int) uint64 {
-	r := c.loads.Get()
-	if r.cpu == nil {
-		r.cpu, r.call = c, bus.NewCall(c.fab, nil)
-	}
-	r.p, r.dev, r.reg, r.left = p, dev, reg, n
-	for r.left > 0 {
-		c.Membar(p)
-		p.Spin(r.issue(), r)
-	}
-	v := r.val
-	r.p, r.dev = nil, nil
-	c.loads.Put(r)
-	return v
+	return c.device(p, dev, reg, 0, 0, n)
 }
 
-// loadRun runs the loads of one UncachedLoad as engine probes
-// (sim.Process.Spin) on its own bus.Call. At the wake that ends a load
-// it reads the register and releases the buses, as the process would;
-// then, with loads left and an empty store buffer, it issues the next,
-// and otherwise resumes the process, and a second call at that wake
-// changes nothing.
-type loadRun struct {
-	cpu  *CPU
-	call *bus.Call
-	p    *sim.Process
-	dev  bus.Device
-	reg  uint64
-	left int    // loads not yet issued
-	busy bool   // a load is in flight
-	val  uint64 // the last ended load's value
-}
-
-// issue starts the next load: its length, or sim.Parked.
-func (r *loadRun) issue() sim.Time {
-	r.left--
-	r.busy = true
-	return r.call.BeginLoad(r.p, r.dev, r.reg)
-}
-
-// Probe implements sim.Spinner.
-func (r *loadRun) Probe() (sim.Time, bool) {
-	if !r.busy {
-		return 0, true
-	}
-	r.val, r.busy = r.call.EndLoad(), false
-	if r.left == 0 || r.cpu.sbQ.Len() > 0 {
-		return 0, true
-	}
-	return r.issue(), false
-}
-
-// UncachedStore posts an uncached 8-byte store through the store
-// buffer: the processor stalls only when the buffer is full. The
-// store reaches the device when the drain process issues it on the
+// UncachedStore posts n uncached 8-byte stores of val, val+1, … to a
+// device register through the store buffer: the processor stalls only
+// while the buffer is full, and pays HitCycles to issue each store.
+// A store reaches the device when the drain process issues it on the
 // bus (use Membar to wait for that).
-func (c *CPU) UncachedStore(p *sim.Process, dev bus.Device, reg, val uint64) {
-	for c.sbQ.Len() >= params.StoreBufferDepth {
-		c.sbFull.Inc()
-		c.sbSpace.Wait(p)
-	}
-	c.sbQ.Push(pendingStore{dev, reg, val})
-	c.sbWork.Signal()
-	p.Sleep(params.HitCycles) // issue cost; completion is asynchronous
+func (c *CPU) UncachedStore(p *sim.Process, dev bus.Device, reg, val uint64, n int) {
+	c.device(p, dev, reg, val, n, 0)
 }
 
 // Membar stalls until the store buffer has fully drained, including
 // the store currently occupying the bus.
-func (c *CPU) Membar(p *sim.Process) {
-	for c.sbQ.Len() > 0 {
-		c.membarStalls.Inc()
-		c.sbSpace.Wait(p)
+func (c *CPU) Membar(p *sim.Process) { c.device(p, nil, 0, 0, 0, 0) }
+
+// device runs stores uncached stores of val, val+1, … to dev's register
+// reg, then loads uncached loads of it, or with no dev a MEMBAR, as one
+// Spin on a run from the CPU's pool (several processes may be in
+// device accesses on one CPU at once): p takes the first step itself,
+// and the run's probe takes each later one at the wake where p would
+// have, so p resumes once. It returns the last load's value.
+func (c *CPU) device(p *sim.Process, dev bus.Device, reg, val uint64, stores, loads int) uint64 {
+	r := c.runs.Get()
+	r.cpu, r.p, r.w = c, p, bus.PostedWrite{Dev: dev, Reg: reg, Val: val}
+	r.stores, r.loads, r.fence = stores, loads, dev == nil
+	if d, done := r.next(); !done {
+		p.Spin(d, r)
 	}
+	v := r.w.Val
+	r.p, r.w = nil, bus.PostedWrite{}
+	c.runs.Put(r)
+	return v
+}
+
+// deviceRun is one device access's engine probe (sim.Process.Spin).
+// At each wake it does what the process's loop would: a store that
+// finds the buffer full waits for space, and otherwise enters the
+// buffer and re-arms HitCycles later; a load, or a MEMBAR, that finds
+// the buffer holding stores waits for it to drain; a load then runs on
+// the run's bus.Call and ends at the wake its transfer ends. The wake
+// ending the last load resumes the process at once, with no fence.
+type deviceRun struct {
+	cpu           *CPU
+	call          *bus.Call // made at the run's first load
+	p             *sim.Process
+	w             bus.PostedWrite // the register; the next store's value, or the last load's
+	stores, loads int             // stores and loads not yet issued
+	busy          bool            // a load is in flight
+	fence         bool            // a MEMBAR: wait for the buffer to drain
+}
+
+// Probe implements sim.Spinner.
+func (r *deviceRun) Probe() (sim.Time, bool) {
+	if r.busy {
+		r.w.Val, r.busy = r.call.EndLoad(), false
+		if r.loads == 0 {
+			return 0, true
+		}
+	}
+	return r.next()
+}
+
+// next takes the run's next step at the current instant and returns
+// the delay to its wake, sim.Parked when p waits for buffer space or a
+// bus, or resume once nothing is left.
+func (r *deviceRun) next() (sim.Time, bool) {
+	c := r.cpu
+	if r.stores > 0 {
+		if c.sbQ.Len() >= params.StoreBufferDepth {
+			c.sbFull.Inc()
+			c.sbSpace.Await(r.p, nil)
+			return sim.Parked, false
+		}
+		r.stores--
+		c.sbQ.Push(r.w)
+		r.w.Val++
+		c.sbWork.Signal()
+		return params.HitCycles, false // issue cost; completion is asynchronous
+	}
+	if r.loads == 0 && !r.fence {
+		return 0, true
+	}
+	if c.sbQ.Len() > 0 {
+		c.membarStalls.Inc()
+		c.sbSpace.Await(r.p, nil)
+		return sim.Parked, false
+	}
+	if r.loads == 0 {
+		return 0, true
+	}
+	if r.call == nil {
+		r.call = bus.NewCall(c.fab, nil)
+	}
+	r.loads--
+	r.busy = true
+	return r.call.BeginLoad(r.p, r.w.Dev, r.w.Reg), false
 }
 
 // drainStoreBuffer is the store buffer's bus engine, a driven process:
@@ -241,7 +195,6 @@ func (c *CPU) drainStoreBuffer() {
 	if c.sbQ.Len() == 0 {
 		c.sbWork.Await(c.sb.Process(), c.drainFn)
 	} else {
-		e := c.sbQ.Peek()
-		c.sb.UncachedStore(e.dev, e.reg, e.val, c.retired)
+		c.sb.UncachedStore(c.sbQ.Peek(), c.retired)
 	}
 }

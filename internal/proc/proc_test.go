@@ -60,7 +60,7 @@ func TestPostedStoreReturnsImmediately(t *testing.T) {
 	e, cpu, dev := rig(t)
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
-		cpu.UncachedStore(p, dev, 8, 1)
+		cpu.UncachedStore(p, dev, 8, 1, 1)
 		if p.Now()-start != params.HitCycles {
 			t.Errorf("posted store stalled %d cycles, want %d", p.Now()-start, params.HitCycles)
 		}
@@ -76,7 +76,7 @@ func TestMembarWaitsForDrain(t *testing.T) {
 	e, cpu, dev := rig(t)
 	e.Spawn("t", func(p *sim.Process) {
 		for i := uint64(0); i < 3; i++ {
-			cpu.UncachedStore(p, dev, i, i)
+			cpu.UncachedStore(p, dev, i, i, 1)
 		}
 		cpu.Membar(p)
 		if len(dev.writes) != 3 {
@@ -92,7 +92,7 @@ func TestStoreBufferFullStalls(t *testing.T) {
 	e.Spawn("t", func(p *sim.Process) {
 		start := p.Now()
 		for i := uint64(0); i < uint64(params.StoreBufferDepth)+4; i++ {
-			cpu.UncachedStore(p, dev, i, i)
+			cpu.UncachedStore(p, dev, i, i, 1)
 		}
 		// The overflowing stores must have waited for bus drains (12
 		// cycles each), not completed in issue time alone.
@@ -110,7 +110,7 @@ func TestStoreBufferFullStalls(t *testing.T) {
 func TestUncachedLoadDrainsStoreBuffer(t *testing.T) {
 	e, cpu, dev := rig(t)
 	e.Spawn("t", func(p *sim.Process) {
-		cpu.UncachedStore(p, dev, 8, 42)
+		cpu.UncachedStore(p, dev, 8, 42, 1)
 		// TSO device access: the load must observe the prior store.
 		if got := cpu.UncachedLoad(p, dev, 8, 1); got != 42 {
 			t.Errorf("load = %d, want 42 (store buffer bypassed?)", got)

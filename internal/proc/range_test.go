@@ -269,11 +269,12 @@ func (regDev) SnoopTx(tx bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
 func (regDev) RegRead(reg uint64) uint64           { return 0 }
 func (regDev) RegWrite(reg, val uint64)            {}
 
-// TestUncachedLoadZeroAlloc pins steady-state uncached loads — two
+// TestUncachedLoadZeroAlloc pins steady-state device accesses — two
 // processes on one CPU loading a device register, queued for the bus
-// behind each other and behind a device, while a third posts uncached
-// stores the loads must wait to drain — at zero allocations: the
-// loads' probes and bus handles come from the CPU's pool.
+// behind each other and behind a device, while a third posts runs of
+// uncached stores that overflow the store buffer, then fences them with
+// a MEMBAR, and the loads must wait for the buffer to drain — at zero
+// allocations: the runs and their bus handles come from the CPU's pool.
 func TestUncachedLoadZeroAlloc(t *testing.T) {
 	m := newPair()
 	m.hog(1 << 30)
@@ -289,21 +290,22 @@ func TestUncachedLoadZeroAlloc(t *testing.T) {
 	}
 	m.e.Spawn("poster", func(p *sim.Process) {
 		for {
-			cpu.UncachedStore(p, dev, 16, 1)
+			cpu.UncachedStore(p, dev, 16, 1, params.StoreBufferDepth+2)
+			cpu.Membar(p)
 			cpu.Compute(p, 150)
 		}
 	})
 	m.e.Run(5000)
-	loads, stalls := m.st.Get("unc.load.memory"), m.st.Get("cpu0.membar.stall")
+	loads, stalls, full := m.st.Get("unc.load.memory"), m.st.Get("cpu0.membar.stall"), m.st.Get("cpu0.sb.full")
 	allocs := testing.AllocsPerRun(100, func() { m.e.Run(m.e.Now() + 500) })
 	if allocs != 0 {
-		t.Errorf("steady-state uncached loads allocate %.1f objects per 500 cycles, want 0", allocs)
+		t.Errorf("steady-state device accesses allocate %.1f objects per 500 cycles, want 0", allocs)
 	}
 	if m.e.Counters().Probed == 0 {
 		t.Error("no wake ran as a probe")
 	}
-	if m.st.Get("unc.load.memory") == loads || m.st.Get("cpu0.membar.stall") == stalls {
-		t.Error("the measured window issued no loads or no load waited for the store buffer")
+	if m.st.Get("unc.load.memory") == loads || m.st.Get("cpu0.membar.stall") == stalls || m.st.Get("cpu0.sb.full") == full {
+		t.Error("the measured window issued no loads, waited for no drain or found the store buffer never full")
 	}
 	m.e.Stop()
 }

@@ -44,9 +44,10 @@ type Process struct {
 }
 
 // Spinner is the engine-side half of a loop a process hands to the
-// engine (see Process.Spin): the messaging layer's idle polls, and the
-// processor's bus accesses — a load or store range, one word's miss,
-// or a run of uncached device loads.
+// engine (see Process.Spin): the messaging layer's idle polls, a cache
+// range (every cachable access whose first word misses, or that spans
+// several words), and a processor's run of uncached device stores or
+// loads, or its MEMBAR.
 type Spinner interface {
 	// Probe runs at each plain wake of the spinning process, at the
 	// wake's own (time, seq) position, without resuming the process.

@@ -174,17 +174,22 @@ func steadyStateAllocs(t *testing.T, cfg params.Config, warm sim.Time) (allocs f
 // heap, frame pools, pending slices), then advanced window by window
 // with no scenario bookkeeping; any per-message boxing or closure
 // creep on the inject→deliver→record path, the intended-arrival stamp
-// included, fails this loudly.
+// included, fails this loudly. It runs on a CQ NI and on each NI
+// whose processor side posts uncached stores, whose device queues
+// drain and refill every few messages.
 func TestSerialSteadyStateZeroAlloc(t *testing.T) {
-	cfg := openCfg(params.ArrivalPoisson, params.TopoTorus, 6)
-	if m, err := scenario.Build(cfg); err != nil || m.Sharded() {
-		t.Fatalf("16-node torus must gate onto the serial engine (err %v)", err)
-	} else {
-		m.Close()
-	}
-	if allocs, events, _ := steadyStateAllocs(t, cfg, 400_000); allocs != 0 {
-		t.Errorf("serial steady state allocates %.2f objects per 2k-cycle window (%d events total), want 0 allocs/event",
-			allocs, events)
+	for _, ni := range []params.NIKind{params.CNI16Q, params.NI2w, params.CNI4, params.DMA} {
+		cfg := openCfg(params.ArrivalPoisson, params.TopoTorus, 6)
+		cfg.NI = ni
+		if m, err := scenario.Build(cfg); err != nil || m.Sharded() {
+			t.Fatalf("%s: 16-node torus must gate onto the serial engine (err %v)", cfg.Name(), err)
+		} else {
+			m.Close()
+		}
+		if allocs, events, _ := steadyStateAllocs(t, cfg, 400_000); allocs != 0 {
+			t.Errorf("%s: serial steady state allocates %.2f objects per 2k-cycle window (%d events total), want 0 allocs/event",
+				cfg.Name(), allocs, events)
+		}
 	}
 }
 
