@@ -269,18 +269,19 @@ func (regDev) SnoopTx(tx bus.Tx, h bool) bus.Snoop { return bus.Snoop{} }
 func (regDev) RegRead(reg uint64) uint64           { return 0 }
 func (regDev) RegWrite(reg, val uint64)            {}
 
-// TestUncachedLoadZeroAlloc pins steady-state device accesses — two
-// processes on one CPU loading a device register, queued for the bus
-// behind each other and behind a device, while a third posts runs of
-// uncached stores that overflow the store buffer, then fences them with
-// a MEMBAR, and the loads must wait for the buffer to drain — at zero
+// TestUncachedLoadZeroAlloc pins steady-state device accesses at zero
 // allocations: the runs and their bus handles come from the CPU's pool.
+// On cpu0 two processes load a device register, queued for the bus
+// behind each other and behind a device, while a third posts runs of
+// uncached stores that overflow the store buffer, which the loads must
+// wait to drain. On cpu1 a fourth posts stores and fences them with a
+// lone MEMBAR, so each CPU's membar.stall counts one kind of wait.
 func TestUncachedLoadZeroAlloc(t *testing.T) {
 	m := newPair()
 	m.hog(1 << 30)
 	dev := regDev{}
 	m.f.Attach(dev, params.MemoryBus)
-	cpu := m.cpus[0]
+	cpu, fencer := m.cpus[0], m.cpus[1]
 	for i, n := range []int{1, 4} {
 		m.e.Spawn(fmt.Sprintf("p%d", i), func(p *sim.Process) {
 			for {
@@ -291,12 +292,19 @@ func TestUncachedLoadZeroAlloc(t *testing.T) {
 	m.e.Spawn("poster", func(p *sim.Process) {
 		for {
 			cpu.UncachedStore(p, dev, 16, 1, params.StoreBufferDepth+2)
-			cpu.Membar(p)
-			cpu.Compute(p, 150)
+			cpu.Compute(p, 1000)
+		}
+	})
+	m.e.Spawn("fencer", func(p *sim.Process) {
+		for {
+			fencer.UncachedStore(p, dev, 24, 1, 2)
+			fencer.Membar(p)
+			fencer.Compute(p, 150)
 		}
 	})
 	m.e.Run(5000)
-	loads, stalls, full := m.st.Get("unc.load.memory"), m.st.Get("cpu0.membar.stall"), m.st.Get("cpu0.sb.full")
+	get := m.st.Get
+	loads, stalls, full, fences := get("unc.load.memory"), get("cpu0.membar.stall"), get("cpu0.sb.full"), get("cpu1.membar.stall")
 	allocs := testing.AllocsPerRun(100, func() { m.e.Run(m.e.Now() + 500) })
 	if allocs != 0 {
 		t.Errorf("steady-state device accesses allocate %.1f objects per 500 cycles, want 0", allocs)
@@ -304,8 +312,14 @@ func TestUncachedLoadZeroAlloc(t *testing.T) {
 	if m.e.Counters().Probed == 0 {
 		t.Error("no wake ran as a probe")
 	}
-	if m.st.Get("unc.load.memory") == loads || m.st.Get("cpu0.membar.stall") == stalls || m.st.Get("cpu0.sb.full") == full {
-		t.Error("the measured window issued no loads, waited for no drain or found the store buffer never full")
+	if get("unc.load.memory") == loads || get("cpu0.membar.stall") == stalls {
+		t.Error("the measured window issued no loads or no load waited for the store buffer")
+	}
+	if get("cpu0.sb.full") == full {
+		t.Error("no store run in the measured window found the store buffer full")
+	}
+	if get("cpu1.membar.stall") == fences {
+		t.Error("no lone MEMBAR in the measured window waited for the store buffer")
 	}
 	m.e.Stop()
 }
